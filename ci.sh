@@ -15,7 +15,9 @@
 #                      retry, and worker-restart/replay interleavings are
 #                      exactly where data races hide, so these never run
 #                      from cache (the pattern also covers the restart and
-#                      health-probing suites: Restart|Health|Epoch|...);
+#                      health-probing suites: Restart|Health|Epoch|..., and
+#                      the write-behind dispatch suites, which put the same
+#                      faults under merged batches: Deferred|Dispatch|Flush);
 #   7. obs tests     — the observability suites (metrics registry, RPC
 #                      spans, concurrent Stats/snapshot reads) re-run
 #                      uncached under -race for the same reason;
@@ -58,7 +60,7 @@ go vet ./...
 go run ./cmd/exdralint -json ./... | go run ./cmd/lintfmt
 go test -race ./...
 go test -race -count=1 \
-  -run 'Reset|Retry|Redial|Fault|Fail|Stall|Drop|Broken|Timeout|Restart|Health|Epoch|Recover|Replay|Closed|Unrecover|CreationLog|Chaos|Deadline|Breaker|Cancel|Queued|Truncation|Corrupt|Session|Admission|Drain|Reap|Namespace|MaxConns|Pool|Pipeline|Window|Tag|Lockstep|OutOfOrder|Duplicate|Reclaim' \
+  -run 'Reset|Retry|Redial|Fault|Fail|Stall|Drop|Broken|Timeout|Restart|Health|Epoch|Recover|Replay|Closed|Unrecover|CreationLog|Chaos|Deadline|Breaker|Cancel|Queued|Truncation|Corrupt|Session|Admission|Drain|Reap|Namespace|MaxConns|Pool|Pipeline|Window|Tag|Lockstep|OutOfOrder|Duplicate|Reclaim|Deferred|Dispatch|Flush' \
   ./internal/netem/ ./internal/fedrpc/ ./internal/federated/ ./internal/fedtest/ ./internal/worker/ ./internal/fedserve/
 go test -race -count=1 \
   -run 'Metrics|Span|Histogram|Snapshot|Slow|Instrument|Stats|Breakdown' \

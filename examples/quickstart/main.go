@@ -14,9 +14,9 @@ import (
 
 	"exdra/internal/algo"
 	"exdra/internal/data"
+	"exdra/internal/engine"
 	"exdra/internal/federated"
 	"exdra/internal/fedtest"
-	"exdra/internal/lazy"
 	"exdra/internal/matrix"
 	"exdra/internal/privacy"
 )
@@ -59,16 +59,18 @@ func main() {
 	fmt.Printf("federated L2SVM: train accuracy %.3f after %d iterations\n",
 		algo.Accuracy(scores, y), model.Iterations)
 
-	// 5. The lazy API collects operations into a DAG and generates a
-	//    script on compute(), exactly like the Python API of §3.2.
-	w := lazy.Wrap(fx).TMatMul(lazy.Wrap(y)).Scale(1 / float64(x.Rows()))
-	fmt.Println("generated script for t(X) %*% y / n:")
-	fmt.Print(w.Script())
-	g, err := w.Compute()
+	// 5. Operations written against the engine run on federated and local
+	//    matrices alike. The centering and the squaring below read nothing
+	//    back, so the coordinator buffers them and they travel with the sum
+	//    that does: three operations, one round trip per worker.
+	calls := cluster.Registry().Snapshot().Counters["rpc.client.calls"]
+	total, err := sumOfSquares(fx, x.ColMeans())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("mean gradient direction norm: %.4f\n", g.Norm2())
+	calls = cluster.Registry().Snapshot().Counters["rpc.client.calls"] - calls
+	fmt.Printf("total sum of squares about the column means: %.1f (%d calls to %d workers)\n",
+		total, calls, len(cluster.Addrs))
 
 	// 6. Aggregates remain available under the privacy constraint.
 	mean, err := fx.AggFull(matrix.AggMean)
@@ -77,4 +79,15 @@ func main() {
 	}
 	fmt.Printf("federated mean of %d cells: %.4f (moved %d KB over the wire)\n",
 		x.Rows()*x.Cols(), mean, cluster.Coord.BytesSent()/1024)
+}
+
+// sumOfSquares computes sum((x - means)^2) as an engine script; x may be
+// local or federated.
+func sumOfSquares(x engine.Mat, means *matrix.Dense) (total float64, err error) {
+	defer engine.Guard(&err)
+	centered := engine.Sub(x, means)
+	squared := engine.Mul(centered, centered)
+	total = engine.Sum(squared)
+	engine.Free(centered, squared)
+	return total, nil
 }

@@ -52,7 +52,9 @@ func KMeans(x engine.Mat, cfg KMeansConfig) (res *KMeansResult, err error) {
 		tol = 1e-6
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	xsq := engine.Agg(matrix.AggSum, engine.Binary(matrix.OpMul, x, x))
+	xx := engine.Binary(matrix.OpMul, x, x)
+	xsq := engine.Agg(matrix.AggSum, xx)
+	engine.Free(xx)
 
 	best := &KMeansResult{WCSS: math.Inf(1)}
 	for run := 0; run < runs; run++ {
@@ -84,17 +86,19 @@ func kmeansStep(x engine.Mat, c *matrix.Dense, xsq float64) (*matrix.Dense, floa
 	// row-constant ||x||^2, which does not affect the argmin).
 	cs := c.Mul(c).RowSums().Transpose() // 1 x K
 	xc := engine.MatMul(x, c.Transpose())
-	d := engine.Binary(matrix.OpAdd, engine.Scale(xc, -2), cs)
+	xc2 := engine.Scale(xc, -2)
+	d := engine.Binary(matrix.OpAdd, xc2, cs)
 	// P = (D <= rowMins(D)); share ties: P = P / rowSums(P).
 	dm := engine.RowAgg(matrix.AggMin, d)
-	p := engine.Binary(matrix.OpLe, d, dm)
-	prs := engine.RowAgg(matrix.AggSum, p)
-	p = engine.Div(p, prs)
+	p0 := engine.Binary(matrix.OpLe, d, dm)
+	prs := engine.RowAgg(matrix.AggSum, p0)
+	p := engine.Div(p0, prs)
 	// WCSS = sum(X^2) + sum(P * D) (adding back the row constants).
-	wcss := xsq + engine.Sum(engine.Mul(p, d))
+	pd := engine.Mul(p, d)
+	wcss := xsq + engine.Sum(pd)
 	// C_new = (t(P) %*% X) / t(P_denom).
-	pden := engine.Local(engine.ColAgg(matrix.AggSum, p)) // 1 x K
-	ptx := engine.Local(engine.TMatMul(p, x))             // K x cols
+	pden := collect(engine.ColAgg(matrix.AggSum, p)) // 1 x K
+	ptx := engine.Local(engine.TMatMul(p, x))        // K x cols
 	cNew := ptx.Div(pden.Transpose())
 	// Re-seed empty clusters at their previous centroid.
 	for i := 0; i < k; i++ {
@@ -104,7 +108,7 @@ func kmeansStep(x engine.Mat, c *matrix.Dense, xsq float64) (*matrix.Dense, floa
 			}
 		}
 	}
-	engine.Free(xc, d, dm, p, prs)
+	engine.Free(xc, xc2, d, dm, p0, prs, p, pd)
 	return cNew, wcss
 }
 
@@ -117,8 +121,8 @@ func initCentroids(rng *rand.Rand, x engine.Mat, k int) *matrix.Dense {
 	if c := trySampleRows(rng, x, k); c != nil {
 		return c
 	}
-	means := engine.Local(engine.ColAgg(matrix.AggMean, x))
-	sds := engine.Local(engine.ColAgg(matrix.AggSD, x))
+	means := collect(engine.ColAgg(matrix.AggMean, x))
+	sds := collect(engine.ColAgg(matrix.AggSD, x))
 	c := matrix.NewDense(k, x.Cols())
 	for i := 0; i < k; i++ {
 		for j := 0; j < x.Cols(); j++ {
@@ -149,7 +153,7 @@ func trySampleRows(rng *rand.Rand, x engine.Mat, k int) (c *matrix.Dense) {
 			r = rng.Intn(n)
 		}
 		seen[r] = true
-		row := engine.Local(engine.Slice(x, r, r+1, 0, x.Cols()))
+		row := collect(engine.Slice(x, r, r+1, 0, x.Cols()))
 		c.SetSlice(i, 0, row)
 	}
 	return c
@@ -160,9 +164,10 @@ func (m *KMeansResult) Assign(x engine.Mat) (out *matrix.Dense, err error) {
 	defer engine.Guard(&err)
 	cs := m.Centroids.Mul(m.Centroids).RowSums().Transpose()
 	xc := engine.MatMul(x, m.Centroids.Transpose())
-	d := engine.Binary(matrix.OpAdd, engine.Scale(xc, -2), cs)
+	xc2 := engine.Scale(xc, -2)
+	d := engine.Binary(matrix.OpAdd, xc2, cs)
 	neg := engine.Scale(d, -1) // argmin distance = argmax of negated
-	assign := engine.Local(engine.RowIndexMax(neg))
-	engine.Free(xc, d, neg)
+	assign := collect(engine.RowIndexMax(neg))
+	engine.Free(xc, xc2, d, neg)
 	return assign, nil
 }

@@ -65,7 +65,7 @@ func L2SVM(x engine.Mat, y *matrix.Dense, cfg L2SVMConfig) (res *L2SVMResult, er
 		// Xd = X %*% s over the federated data (matrix-vector of Example 2),
 		// consolidated because every inner iteration needs it at the
 		// coordinator (vector ops dominate, as the paper notes for L2SVM).
-		xd := engine.Local(engine.MatMul(x, s))
+		xd := collect(engine.MatMul(x, s))
 		wd := lambda * matrix.Dot(w, s)
 		dd := lambda * matrix.Dot(s, s)
 		stepSz := 0.0
@@ -123,7 +123,7 @@ func onesMinus(y, v *matrix.Dense) *matrix.Dense {
 // Predict returns the signed decision values X %*% w.
 func (m *L2SVMResult) Predict(x engine.Mat) (out *matrix.Dense, err error) {
 	defer engine.Guard(&err)
-	return engine.Local(engine.MatMul(x, m.Weights)), nil
+	return collect(engine.MatMul(x, m.Weights)), nil
 }
 
 // Accuracy computes the fraction of sign-correct predictions for labels in

@@ -86,7 +86,14 @@ func LM(x engine.Mat, y *matrix.Dense, cfg LMConfig) (res *LMResult, err error) 
 // Predict computes X %*% w as a local vector.
 func (m *LMResult) Predict(x engine.Mat) (out *matrix.Dense, err error) {
 	defer engine.Guard(&err)
-	return engine.Local(engine.MatMul(x, m.Weights)), nil
+	return collect(engine.MatMul(x, m.Weights)), nil
+}
+
+// collect pins an intermediate into coordinator memory and releases its
+// worker-side partitions — also when the transfer is refused.
+func collect(a engine.Mat) *matrix.Dense {
+	defer engine.Free(a)
+	return engine.Local(a)
 }
 
 // R2 computes the coefficient of determination of predictions against

@@ -64,8 +64,9 @@ func MLogReg(x engine.Mat, y *matrix.Dense, cfg MLogRegConfig) (res *MLogRegResu
 		// federated; the per-class columns consolidate as aggregates only
 		// via the gradient below.
 		xw := engine.MatMul(x, w)
-		p := engine.Local(engine.Softmax(xw))
-		engine.Free(xw)
+		sm := engine.Softmax(xw)
+		p := engine.Local(sm)
+		engine.Free(xw, sm)
 
 		// Gradient G = t(X) %*% (P - Y1) + lambda*W.
 		g := engine.Local(engine.TMatMul(x, p.Sub(yOne)))
@@ -114,7 +115,7 @@ func MLogReg(x engine.Mat, y *matrix.Dense, cfg MLogRegConfig) (res *MLogRegResu
 func (m *MLogRegResult) Predict(x engine.Mat) (out *matrix.Dense, err error) {
 	defer engine.Guard(&err)
 	scores := engine.MatMul(x, m.Weights)
-	pred := engine.Local(engine.RowIndexMax(scores))
+	pred := collect(engine.RowIndexMax(scores))
 	engine.Free(scores)
 	return pred, nil
 }

@@ -43,7 +43,7 @@ func PCA(x engine.Mat, cfg PCAConfig) (res *PCAResult, proj engine.Mat, err erro
 	var means *matrix.Dense
 	cov := xtx
 	if !cfg.SkipCentering {
-		means = engine.Local(engine.ColAgg(matrix.AggMean, x)) // 1 x cols
+		means = collect(engine.ColAgg(matrix.AggMean, x)) // 1 x cols
 		// cov = (t(X)X - n * t(mu) mu) / (n-1)
 		mm := means.Transpose().MatMul(means).Scale(n)
 		cov = xtx.Sub(mm)
@@ -56,20 +56,25 @@ func PCA(x engine.Mat, cfg PCAConfig) (res *PCAResult, proj engine.Mat, err erro
 
 	// Project the (optionally centered) data: stays federated for federated
 	// inputs — the second dominating matrix multiplication of §6.2.
-	var centered engine.Mat = x
-	if means != nil {
-		centered = engine.Binary(matrix.OpSub, x, means)
-	}
-	proj = engine.MatMul(centered, comp)
-	return &PCAResult{Components: comp, Values: top, Means: means}, proj, nil
+	res = &PCAResult{Components: comp, Values: top, Means: means}
+	return res, res.project(x), nil
 }
 
 // Transform projects new data with the fitted components.
 func (m *PCAResult) Transform(x engine.Mat) (out engine.Mat, err error) {
 	defer engine.Guard(&err)
-	var centered engine.Mat = x
-	if m.Means != nil {
-		centered = engine.Binary(matrix.OpSub, x, m.Means)
+	return m.project(x), nil
+}
+
+// project centers x (when the model was fitted centered) and multiplies by
+// the components; the centered intermediate is released, the projection is
+// the caller's.
+func (m *PCAResult) project(x engine.Mat) engine.Mat {
+	if m.Means == nil {
+		return engine.MatMul(x, m.Components)
 	}
-	return engine.MatMul(centered, m.Components), nil
+	centered := engine.Binary(matrix.OpSub, x, m.Means)
+	proj := engine.MatMul(centered, m.Components)
+	engine.Free(centered)
+	return proj
 }

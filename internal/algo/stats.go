@@ -13,8 +13,8 @@ func CorrelationMatrix(x engine.Mat) (out *matrix.Dense, err error) {
 	defer engine.Guard(&err)
 	n := float64(x.Rows())
 	xtx := engine.TSMM(x)
-	means := engine.Local(engine.ColAgg(matrix.AggMean, x))
-	sds := engine.Local(engine.ColAgg(matrix.AggSD, x))
+	means := collect(engine.ColAgg(matrix.AggMean, x))
+	sds := collect(engine.ColAgg(matrix.AggSD, x))
 	d := x.Cols()
 	out = matrix.NewDense(d, d)
 	for i := 0; i < d; i++ {

@@ -51,16 +51,10 @@ func fail(err error) {
 }
 
 // Fail aborts the current engine operation with err. It is the one
-// sanctioned way to raise a failure from engine-style code (lazy graphs,
-// pipeline plumbing) that executes under a deferred Guard; it never
-// returns.
+// sanctioned way to raise a failure from engine-style code (pipeline
+// plumbing) that executes under a deferred Guard; it never returns.
 func Fail(err error) {
 	fail(err)
-}
-
-// Failf is Fail with fmt.Errorf formatting.
-func Failf(format string, args ...any) {
-	fail(fmt.Errorf(format, args...))
 }
 
 func must[T any](v T, err error) T {
@@ -91,12 +85,18 @@ func Local(a Mat) *matrix.Dense {
 }
 
 // Free releases worker-side partitions of federated intermediates; it is a
-// no-op for local matrices.
+// no-op for local matrices. The release is one deferred rmvar per worker
+// for the whole argument list and costs no round trip, so scripts free
+// every intermediate at its last use.
 func Free(ms ...Mat) {
+	var fed []*federated.Matrix
 	for _, a := range ms {
 		if f, ok := a.(*federated.Matrix); ok {
-			_ = f.Free()
+			fed = append(fed, f)
 		}
+	}
+	if err := federated.Free(fed...); err != nil {
+		fail(err)
 	}
 }
 

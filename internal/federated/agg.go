@@ -12,13 +12,13 @@ import (
 // (sum, sumsq, min, max, n) which the coordinator combines — only
 // aggregates travel, never raw data.
 func (m *Matrix) AggFull(op matrix.AggOp) (float64, error) {
-	resps, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	resps, err := m.c.parallelCall("agg "+op.String(), m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		oid := m.c.NewID()
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "ua_partial", Inputs: []int64{p.DataID}, Output: oid}},
 			{Type: fedrpc.Get, ID: oid},
-			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{oid}}},
+			rmvar(oid),
 		}
 	})
 	if err != nil {
@@ -44,7 +44,7 @@ func (m *Matrix) RowAgg(op matrix.AggOp) (*Matrix, *matrix.Dense, error) {
 	switch m.Scheme() {
 	case RowPartitioned:
 		outIDs := m.newIDs()
-		_, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+		err := m.c.deferCall("rowAgg "+op.String(), m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 			return []fedrpc.Request{
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 					Opcode: "uar_" + op.String(), Inputs: []int64{p.DataID}, Output: outIDs[i]}},
@@ -72,7 +72,7 @@ func (m *Matrix) RowAgg(op matrix.AggOp) (*Matrix, *matrix.Dense, error) {
 // colPartRowAgg combines row aggregates across column partitions by
 // fetching per-partition (rows x 5) partial tuples.
 func (m *Matrix) colPartRowAgg(op matrix.AggOp) (*matrix.Dense, error) {
-	resps, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	resps, err := m.c.parallelCall("rowAgg "+op.String(), m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		// Partial tuples per row: transpose then uac_partial gives 5 x rows.
 		tid, oid := m.c.NewID(), m.c.NewID()
 		return []fedrpc.Request{
@@ -81,7 +81,7 @@ func (m *Matrix) colPartRowAgg(op matrix.AggOp) (*matrix.Dense, error) {
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "uac_partial", Inputs: []int64{tid}, Output: oid}},
 			{Type: fedrpc.Get, ID: oid},
-			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{tid, oid}}},
+			rmvar(tid, oid),
 		}
 	})
 	if err != nil {
@@ -98,13 +98,13 @@ func (m *Matrix) colPartRowAgg(op matrix.AggOp) (*matrix.Dense, error) {
 func (m *Matrix) ColAgg(op matrix.AggOp) (*Matrix, *matrix.Dense, error) {
 	switch m.Scheme() {
 	case RowPartitioned:
-		resps, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+		resps, err := m.c.parallelCall("colAgg "+op.String(), m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 			oid := m.c.NewID()
 			return []fedrpc.Request{
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 					Opcode: "uac_partial", Inputs: []int64{p.DataID}, Output: oid}},
 				{Type: fedrpc.Get, ID: oid},
-				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{oid}}},
+				rmvar(oid),
 			}
 		})
 		if err != nil {
@@ -118,55 +118,32 @@ func (m *Matrix) ColAgg(op matrix.AggOp) (*Matrix, *matrix.Dense, error) {
 		}
 		return nil, local.Transpose(), nil
 	case ColPartitioned:
+		// Per partition: transpose, aggregate the rows of the transposed
+		// view (a colrange x 1 vector), and transpose that back so the
+		// worker-held object matches the 1 x colrange map entry.
 		outIDs := m.newIDs()
-		_, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
-			tid := m.c.NewID()
+		err := m.c.deferCall("colAgg "+op.String(), m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+			tid, vid := m.c.NewID(), m.c.NewID()
 			return []fedrpc.Request{
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 					Opcode: "t", Inputs: []int64{p.DataID}, Output: tid}},
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-					Opcode: "uar_" + op.String(), Inputs: []int64{tid}, Output: outIDs[i]}},
-				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{tid}}},
+					Opcode: "uar_" + op.String(), Inputs: []int64{tid}, Output: vid}},
+				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
+					Opcode: "t", Inputs: []int64{vid}, Output: outIDs[i]}},
+				rmvar(tid, vid),
 			}
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		// Each worker now holds a (colrange x 1) vector; flip to 1 x cols map.
-		fm := FedMap{Rows: 1, Cols: m.Cols()}
-		for i, p := range m.fm.Partitions {
-			_ = i
-			fm.Partitions = append(fm.Partitions, Partition{
-				Range:  Range{RowBeg: 0, RowEnd: 1, ColBeg: p.Range.ColBeg, ColEnd: p.Range.ColEnd},
-				Addr:   p.Addr,
-				DataID: outIDs[i],
-			})
-		}
-		// The worker-held vectors are colrange x 1, but the map says 1 x
-		// colrange; transpose them in place to match.
-		tFM, err := transposeInPlace(m.c, fm, outIDs)
-		if err != nil {
-			return nil, nil, err
-		}
-		out, err := FromMap(m.c, tFM)
-		return out, nil, err
+		out := m.derive(1, m.Cols(), outIDs, func(r Range) Range {
+			return Range{RowBeg: 0, RowEnd: 1, ColBeg: r.ColBeg, ColEnd: r.ColEnd}
+		})
+		return out, nil, nil
 	default:
 		return nil, nil, fmt.Errorf("federated: colAgg on irregular partitioning unsupported")
 	}
-}
-
-// transposeInPlace rebinds each partition's data to its transpose under a
-// fresh ID, keeping the provided map.
-func transposeInPlace(c *Coordinator, fm FedMap, ids []int64) (FedMap, error) {
-	for i := range fm.Partitions {
-		nid := c.NewID()
-		if _, err := c.callOne(fm.Partitions[i].Addr, fedrpc.Request{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-			Opcode: "t", Inputs: []int64{ids[i]}, Output: nid}}); err != nil {
-			return fm, err
-		}
-		fm.Partitions[i].DataID = nid
-	}
-	return fm, nil
 }
 
 // combineTupleColumns merges per-partition 5 x n tuple matrices
@@ -199,7 +176,7 @@ func (m *Matrix) RowIndexMax() (*Matrix, error) {
 		return nil, fmt.Errorf("federated: rowIndexMax requires row partitioning")
 	}
 	outIDs := m.newIDs()
-	_, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	err := m.c.deferCall("rowIndexMax", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "uar_indexmax", Inputs: []int64{p.DataID}, Output: outIDs[i]}},
@@ -243,7 +220,7 @@ func (m *Matrix) Slice(rowBeg, rowEnd, colBeg, colEnd int) (*Matrix, error) {
 	for i := range outIDs {
 		outIDs[i] = m.c.NewID()
 	}
-	_, err := m.c.parallelCall(parts, func(i int, p Partition) []fedrpc.Request {
+	err := m.c.deferCall("slice", parts, func(i int, p Partition) []fedrpc.Request {
 		rel := rels[i]
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{

@@ -94,6 +94,15 @@ type Coordinator struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand // jitter source; guarded by rngMu
 
+	// Write-behind dispatch (dispatch.go): one outbox of deferred requests
+	// per worker address. flushEveryOp is the tests' eager switch — every
+	// deferring operation flushes before it returns — so deferred and eager
+	// execution can be compared on one cluster; nothing outside the
+	// package's tests sets it.
+	boxMu        sync.Mutex
+	boxes        map[string]*outbox // guarded by boxMu
+	flushEveryOp bool
+
 	// Restart-recovery state (recovery.go): the creation log per worker
 	// address behind recMu, plus the health prober's join handle and the
 	// observability counters behind Stats().
@@ -129,6 +138,7 @@ func newCoordinator(f *Fleet, ownFleet bool, ns int64) *Coordinator {
 		ns:       ns,
 		touched:  map[string]struct{}{},
 		states:   map[string]*workerState{},
+		boxes:    map[string]*outbox{},
 		done:     make(chan struct{}),
 		rng:      rand.New(rand.NewSource(0)),
 		reg:      f.reg,
@@ -184,11 +194,22 @@ func (c *Coordinator) pool(addr string) (*fedrpc.Pool, error) {
 }
 
 // Client returns the stable shared connection to a worker address (the
-// fleet pool's first client, lazily dialed). Cleanup sweeps and legacy
-// single-connection callers use it; the retry loop checks whole
-// connections out of the pool instead (attemptCall), so those callers do
-// not serialize behind this one client's exchange lock.
+// fleet pool's first client, lazily dialed) for callers that speak to a
+// worker directly — the parameter server, hierarchical gateways. Requests
+// sent on it bypass the outbox, so whatever is deferred for addr is flushed
+// first: a raw call can never overtake a buffered creation it depends on,
+// and a deferred failure surfaces here rather than getting lost.
 func (c *Coordinator) Client(addr string) (*fedrpc.Client, error) {
+	if err := c.flushAddr(addr); err != nil {
+		return nil, err
+	}
+	return c.sharedClient(addr)
+}
+
+// sharedClient is Client without the flush, for the coordinator's own
+// repair path (Repair), which replays delivered objects and depends on
+// nothing that is still buffered.
+func (c *Coordinator) sharedClient(addr string) (*fedrpc.Client, error) {
 	pl, err := c.pool(addr)
 	if err != nil {
 		return nil, err
@@ -196,7 +217,8 @@ func (c *Coordinator) Client(addr string) (*fedrpc.Client, error) {
 	return pl.Shared(context.Background())
 }
 
-// call issues one request batch to addr through the retry policy: transport
+// call issues one request batch to addr, preceded by whatever is deferred
+// for that worker (exchange), through the retry policy: transport
 // failures of idempotent batches are retried with exponential backoff and
 // jitter after the broken client transparently redials. Worker-reported
 // per-request errors are never retried — they are deterministic application
@@ -213,7 +235,7 @@ func (c *Coordinator) Client(addr string) (*fedrpc.Client, error) {
 // fails fast with ErrWorkerRestarted: retrying against an empty symbol
 // table could only produce misleading "unknown object" noise.
 func (c *Coordinator) call(addr string, reqs []fedrpc.Request) ([]fedrpc.Response, error) {
-	return c.callCtx(context.Background(), addr, reqs)
+	return c.exchange(context.Background(), addr, reqs)
 }
 
 // Call issues one request batch to addr through the session's retry,
@@ -225,7 +247,8 @@ func (c *Coordinator) Call(addr string, reqs ...fedrpc.Request) ([]fedrpc.Respon
 	return c.call(addr, reqs)
 }
 
-// callCtx is call with trace metadata: the context's obs span/op labels
+// sendCtx is the retry/recovery funnel under exchange, which hands it the
+// real request list of a merged batch: the context's obs span/op labels
 // flow through the RPC client into the span ring, and the retry funnel's
 // own events (retries, transport errors) are counted in the registry.
 //
@@ -239,7 +262,7 @@ func (c *Coordinator) Call(addr string, reqs ...fedrpc.Request) ([]fedrpc.Respon
 // before touching the wire. Both classes still count as breaker failures,
 // so a worker that keeps blowing budgets trips its breaker just like one
 // that drops connections.
-func (c *Coordinator) callCtx(ctx context.Context, addr string, reqs []fedrpc.Request) ([]fedrpc.Response, error) {
+func (c *Coordinator) sendCtx(ctx context.Context, addr string, reqs []fedrpc.Request) ([]fedrpc.Response, error) {
 	isHealth := healthBatch(reqs)
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline && c.callTimeout > 0 {
 		var cancel context.CancelFunc
@@ -443,18 +466,12 @@ func (c *Coordinator) Fetch(addr string, id int64) (fedrpc.Payload, error) {
 // retried (RetryableBatch) and their outputs are never replayed: on a
 // transport failure the original error surfaces unchanged, and any output
 // binding the interrupted call may have created at the worker is reclaimed
-// best-effort so the failed call leaks no worker objects.
+// (sweep) so the failed call leaks no worker objects.
 func (c *Coordinator) ExecUDF(addr string, call *fedrpc.UDFCall) (fedrpc.Payload, error) {
 	resp, err := c.callOne(addr, fedrpc.Request{Type: fedrpc.ExecUDF, UDF: call})
 	if err != nil {
 		if call.Output != 0 {
-			// rmvar of a never-bound ID is a no-op at the worker, so the
-			// sweep is safe whether or not the UDF ran before the fault.
-			if cl, cerr := c.Client(addr); cerr == nil {
-				_, _ = cl.Call(fedrpc.Request{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-					Opcode: "rmvar", Inputs: []int64{call.Output},
-				}})
-			}
+			c.sweep([]Partition{{Addr: addr, DataID: call.Output}})
 		}
 		return fedrpc.Payload{}, err
 	}
@@ -518,8 +535,12 @@ func (c *Coordinator) touchedAddrs() []string {
 // the session's symbol-table objects. The CLEAR travels with the session
 // namespace in its ID field, so on a shared fleet it removes only this
 // session's bindings; a legacy coordinator's namespace is 0, which keeps
-// the old clear-everything semantics.
+// the old clear-everything semantics. Deferred requests are dropped first,
+// never sent after the CLEAR: everything they would create or remove lives
+// in the namespace the CLEAR empties (a deferred failure dropped here is
+// moot for the same reason).
 func (c *Coordinator) ClearAll() error {
+	c.dropPending()
 	var firstErr error
 	for _, addr := range c.touchedAddrs() {
 		if _, err := c.callOne(addr, fedrpc.Request{Type: fedrpc.Clear, ID: c.ns}); err != nil && firstErr == nil {
@@ -529,12 +550,14 @@ func (c *Coordinator) ClearAll() error {
 	return firstErr
 }
 
-// Close cancels in-flight retry backoffs, joins the health prober if one is
-// running, and — for a standalone coordinator owning its fleet — closes
-// every worker connection. A session on a shared fleet leaves the fleet
-// untouched: its wires belong to every other session too. It is idempotent.
-// The prober join happens outside c.mu: the prober's probes go through
-// pool/call, which take c.mu themselves.
+// Close cancels in-flight retry backoffs, drops whatever is still deferred
+// (a closed coordinator sends nothing more; ClearAll is the teardown that
+// releases worker objects), joins the health prober if one is running, and
+// — for a standalone coordinator owning its fleet — closes every worker
+// connection. A session on a shared fleet leaves the fleet untouched: its
+// wires belong to every other session too. It is idempotent. The prober join
+// happens outside c.mu: the prober's probes go through pool/call, which take
+// c.mu themselves.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -544,136 +567,9 @@ func (c *Coordinator) Close() {
 	c.closed = true
 	close(c.done)
 	c.mu.Unlock()
+	c.dropPending()
 	if c.ownFleet {
 		c.fleet.Close()
 	}
 	c.healthWg.Wait()
-}
-
-// parallelCall issues, for each partition, the request batch produced by
-// build, in parallel across workers, and returns the responses in partition
-// order. Any transport or per-request failure aborts with the error of the
-// lowest-indexed failing partition (deterministic reporting regardless of
-// goroutine completion order); before returning, worker-side objects that
-// the aborted operation had already created on other partitions are
-// reclaimed best-effort, so a failed federated operation does not leak
-// PUT/READ/output bindings.
-func (c *Coordinator) parallelCall(parts []Partition, build func(i int, p Partition) []fedrpc.Request) ([][]fedrpc.Response, error) {
-	type job struct {
-		reqs  []fedrpc.Request
-		resps []fedrpc.Response
-		err   error
-	}
-	jobs := make([]job, len(parts))
-	results := make(chan int, len(parts))
-	for i, p := range parts {
-		jobs[i].reqs = build(i, p)
-		go func(i int, p Partition) {
-			resps, err := c.callCtx(obs.WithOp(context.Background(), "parallel"), p.Addr, jobs[i].reqs)
-			if err == nil {
-				for ri, r := range resps {
-					if !r.OK {
-						err = fmt.Errorf("federated: %s %s: %s", p.Addr, jobs[i].reqs[ri].Type, r.Err)
-						break
-					}
-				}
-			}
-			jobs[i].resps, jobs[i].err = resps, err
-			results <- i
-		}(i, p)
-	}
-	for range parts {
-		<-results
-	}
-	firstErr := -1
-	for i := range jobs {
-		if jobs[i].err != nil {
-			firstErr = i
-			break
-		}
-	}
-	if firstErr >= 0 {
-		reqs := make([][]fedrpc.Request, len(parts))
-		for i := range jobs {
-			reqs[i] = jobs[i].reqs
-		}
-		c.cleanupPartial(parts, reqs)
-		return nil, jobs[firstErr].err
-	}
-	out := make([][]fedrpc.Response, len(parts))
-	for i := range jobs {
-		out[i] = jobs[i].resps
-	}
-	return out, nil
-}
-
-// cleanupPartial best-effort-releases the worker-side objects an aborted
-// parallelCall created, in parallel. rmvar of an ID that was never bound is
-// a no-op at the worker, so the sweep is safe on failed and succeeded
-// partitions alike; errors are ignored — an unreachable worker's state dies
-// with its session CLEAR instead.
-func (c *Coordinator) cleanupPartial(parts []Partition, reqs [][]fedrpc.Request) {
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		ids := createdIDs(reqs[i])
-		if len(ids) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(addr string, ids []int64) {
-			defer wg.Done()
-			cl, err := c.Client(addr)
-			if err != nil {
-				return
-			}
-			_, _ = cl.Call(fedrpc.Request{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-				Opcode: "rmvar", Inputs: ids,
-			}})
-		}(p.Addr, ids)
-	}
-	wg.Wait()
-}
-
-// freePartitions best-effort-removes the worker-side bindings of the given
-// partitions in parallel. It is the cleanup path of sequential constructors
-// (Distribute*, Read*) that abort midway: without it the already-placed
-// partitions would leak in the workers' symbol tables until session CLEAR.
-func (c *Coordinator) freePartitions(parts []Partition) {
-	var wg sync.WaitGroup
-	for _, p := range parts {
-		wg.Add(1)
-		go func(addr string, id int64) {
-			defer wg.Done()
-			cl, err := c.Client(addr)
-			if err != nil {
-				return
-			}
-			_, _ = cl.Call(fedrpc.Request{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-				Opcode: "rmvar", Inputs: []int64{id},
-			}})
-		}(p.Addr, p.DataID)
-	}
-	wg.Wait()
-}
-
-// createdIDs lists the symbol-table bindings a request batch creates:
-// READ/PUT targets and instruction/UDF outputs. Bindings the batch itself
-// removes (rmvar) are not creations.
-func createdIDs(reqs []fedrpc.Request) []int64 {
-	var ids []int64
-	for _, r := range reqs {
-		switch r.Type {
-		case fedrpc.Read, fedrpc.Put:
-			ids = append(ids, r.ID)
-		case fedrpc.ExecInst:
-			if r.Inst != nil && r.Inst.Opcode != "rmvar" && r.Inst.Output != 0 {
-				ids = append(ids, r.Inst.Output)
-			}
-		case fedrpc.ExecUDF:
-			if r.UDF != nil && r.UDF.Output != 0 {
-				ids = append(ids, r.UDF.Output)
-			}
-		}
-	}
-	return ids
 }

@@ -93,3 +93,50 @@ func TestBackoffGrowthAndCap(t *testing.T) {
 		t.Fatalf("backoff ignored MaxBackoff: waited %v", d)
 	}
 }
+
+// TestMergeRetrySafeHoldsBackFreesOfConsumedObjects: only the free of an
+// object that the batch read before creating it has to wait; temps of the
+// batch are freed in place, and the caller's own requests keep their reply
+// positions.
+func TestMergeRetrySafeHoldsBackFreesOfConsumedObjects(t *testing.T) {
+	inst := func(op string, out int64, in ...int64) fedrpc.Request {
+		return fedrpc.Request{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: op, Inputs: in, Output: out}}
+	}
+	pend := []deferredReq{
+		{req: rmvar(9), op: "free"}, // nothing before it reads 9
+		{req: fedrpc.Request{Type: fedrpc.Put, ID: 20}, op: "binary *"},
+		{req: inst("*", 21, 1, 20), op: "binary *"}, // reads pre-existing 1
+		{req: rmvar(20), op: "binary *"},            // temp of the batch
+		{req: rmvar(1), op: "free"},                 // consumed above: must wait
+		{req: inst("abs", 22, 21), op: "abs"},
+		{req: rmvar(21, 2), op: "free"}, // 21 is rebuilt by a retry, 2 is never read
+	}
+	own := []fedrpc.Request{{Type: fedrpc.Get, ID: 22}, rmvar(22)}
+	merged, ops, late := mergeRetrySafe(pend, own)
+	if len(late) != 1 || late[0] != 1 {
+		t.Fatalf("late = %v, want [1]", late)
+	}
+	if len(ops) != 6 || len(merged) != 8 {
+		t.Fatalf("kept %d pending of %d requests, want 6 of 8", len(ops), len(merged))
+	}
+	if got := merged[5].Inst.Inputs; len(got) != 2 || got[0] != 21 || got[1] != 2 {
+		t.Fatalf("free of a batch-created object was trimmed: %v", got)
+	}
+	if merged[6].Type != fedrpc.Get || merged[7].Inst.Opcode != "rmvar" {
+		t.Fatal("own requests lost their place at the end of the batch")
+	}
+	// A free shared between a consumed and an untouched object is split,
+	// and an own rmvar left empty stays for its reply.
+	merged, ops, late = mergeRetrySafe(
+		[]deferredReq{{req: inst("abs", 30, 1), op: "abs"}, {req: rmvar(1, 2), op: "free"}},
+		[]fedrpc.Request{inst("abs", 31, 3), rmvar(3)})
+	if len(late) != 2 || late[0] != 1 || late[1] != 3 {
+		t.Fatalf("late = %v, want [1 3]", late)
+	}
+	if len(ops) != 2 || len(merged) != 4 || len(merged[1].Inst.Inputs) != 1 || merged[1].Inst.Inputs[0] != 2 {
+		t.Fatalf("split free: ops %v, merged %+v", ops, merged)
+	}
+	if merged[3].Inst.Opcode != "rmvar" || len(merged[3].Inst.Inputs) != 0 {
+		t.Fatalf("own rmvar = %+v, want an empty rmvar in place", merged[3].Inst)
+	}
+}

@@ -62,7 +62,7 @@ func (m *Matrix) SumDP(epsilon, sensitivity float64, seed int64) (float64, error
 	if epsilon <= 0 {
 		return 0, fmt.Errorf("federated: epsilon must be positive")
 	}
-	resps, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	resps, err := m.c.parallelCall("sumDP", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		args, _ := worker.EncodeArgs(DPArgs{
 			Epsilon: epsilon, Sensitivity: sensitivity, Seed: seed + int64(i)})
 		return []fedrpc.Request{{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{
@@ -86,7 +86,7 @@ func (m *Matrix) RemoveEmptyRows() (*Matrix, error) {
 		return nil, fmt.Errorf("federated: removeEmpty(rows) requires row partitioning")
 	}
 	outIDs := m.newIDs()
-	resps, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	resps, err := m.c.parallelCall("removeEmpty", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "removeEmpty", Inputs: []int64{p.DataID}, Output: outIDs[i],
@@ -133,14 +133,14 @@ func CTableFed(a, b *Matrix, rowsCap, colsCap int) (*matrix.Dense, error) {
 	as, bs := a.fm.sorted(), b.fm.sorted()
 	parts := make([]Partition, len(as))
 	copy(parts, as)
-	resps, err := a.c.parallelCall(parts, func(i int, p Partition) []fedrpc.Request {
+	resps, err := a.c.parallelCall("ctable", parts, func(i int, p Partition) []fedrpc.Request {
 		oid := a.c.NewID()
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "ctable", Inputs: []int64{p.DataID, bs[i].DataID}, Output: oid,
 				Scalars: []float64{float64(rowsCap), float64(colsCap)}}},
 			{Type: fedrpc.Get, ID: oid},
-			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{oid}}},
+			rmvar(oid),
 		}
 	})
 	if err != nil {

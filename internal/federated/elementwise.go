@@ -43,7 +43,7 @@ func (m *Matrix) Binary(op matrix.BinaryOp, other *Matrix) (*Matrix, error) {
 	}
 	parts := make([]Partition, len(ms))
 	copy(parts, ms)
-	_, err := m.c.parallelCall(parts, func(i int, p Partition) []fedrpc.Request {
+	err := m.c.deferCall("binary "+op.String(), parts, func(i int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: op.String(), Inputs: []int64{p.DataID, os[i].DataID}, Output: outIDs[i]}},
@@ -70,7 +70,7 @@ func (m *Matrix) BinaryLocal(op matrix.BinaryOp, b *matrix.Dense, swap bool) (*M
 		return nil, fmt.Errorf("federated: binary %s: %w", op, err)
 	}
 	outIDs := m.newIDs()
-	_, err = m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	err = m.c.deferCall("binary "+op.String(), m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		bid := m.c.NewID()
 		inputs := []int64{p.DataID, bid}
 		if swap {
@@ -80,7 +80,7 @@ func (m *Matrix) BinaryLocal(op matrix.BinaryOp, b *matrix.Dense, swap bool) (*M
 			{Type: fedrpc.Put, ID: bid, Data: fedrpc.MatrixPayload(slice(p.Range))},
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: op.String(), Inputs: inputs, Output: outIDs[i]}},
-			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{bid}}},
+			rmvar(bid),
 		}
 	})
 	if err != nil {
@@ -118,7 +118,7 @@ func (m *Matrix) BinaryScalar(op matrix.BinaryOp, s float64, swap bool) (*Matrix
 	if swap {
 		attrs["swap"] = "1"
 	}
-	_, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	err := m.c.deferCall("binary "+op.String(), m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: op.String(), Inputs: []int64{p.DataID}, Output: outIDs[i],
@@ -154,7 +154,7 @@ func (m *Matrix) Replace(pattern, repl float64) (*Matrix, error) {
 // every partition, returning a federated result with the same map.
 func (m *Matrix) execPerPartition(opcode string, scalars []float64, attrs map[string]string) (*Matrix, error) {
 	outIDs := m.newIDs()
-	_, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	err := m.c.deferCall(opcode, m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: opcode, Inputs: []int64{p.DataID}, Output: outIDs[i],
@@ -179,14 +179,14 @@ func (m *Matrix) IfElse(a, b *matrix.Dense) (*Matrix, error) {
 		return nil, err
 	}
 	outIDs := m.newIDs()
-	_, err = m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	err = m.c.deferCall("ifelse", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		aid, bid := m.c.NewID(), m.c.NewID()
 		return []fedrpc.Request{
 			{Type: fedrpc.Put, ID: aid, Data: fedrpc.MatrixPayload(sliceA(p.Range))},
 			{Type: fedrpc.Put, ID: bid, Data: fedrpc.MatrixPayload(sliceB(p.Range))},
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "ifelse", Inputs: []int64{p.DataID, aid, bid}, Output: outIDs[i]}},
-			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{aid, bid}}},
+			rmvar(aid, bid),
 		}
 	})
 	if err != nil {

@@ -408,6 +408,10 @@ func TestFreeReleasesWorkerMemory(t *testing.T) {
 	if err := fx.Free(); err != nil {
 		t.Fatal(err)
 	}
+	// Free is deferred: the rmvar travels with the next call, or a flush.
+	if err := cl.Coord.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if cl.Workers[0].NumObjects() >= before {
 		t.Fatal("Free did not remove objects")
 	}

@@ -110,11 +110,13 @@ func (c *Coordinator) probeAll() {
 
 // Ping sends one HEALTH request to addr and records the outcome for
 // WorkerHealth. The reply's instance epoch feeds restart detection like
-// any other response.
+// any other response. A probe carries no deferred requests (it goes to
+// sendCtx, under exchange): it must stay a pure HEALTH batch to bypass the
+// breaker, and nothing it does depends on buffered work.
 func (c *Coordinator) Ping(addr string) error {
 	c.statProbes.Add(1)
 	c.reg.Counter("fed.probes").Inc()
-	resps, err := c.callCtx(obs.WithOp(context.Background(), "health"), addr,
+	resps, err := c.sendCtx(obs.WithOp(context.Background(), "health"), addr,
 		[]fedrpc.Request{{Type: fedrpc.Health}})
 	if err == nil && !resps[0].OK {
 		err = fmt.Errorf("federated: %s HEALTH: %s", addr, resps[0].Err)

@@ -21,7 +21,7 @@ func (f *Frame) ImputeMode(col string) (*Frame, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	resps, err := f.c.parallelCall(f.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	resps, err := f.c.parallelCall("imputeMode", f.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{
 			Name: "impute_counts", Inputs: []int64{p.DataID}, Args: args}}}
 	})
@@ -49,7 +49,7 @@ func (f *Frame) ImputeFD(fromCol, toCol string, minSupport float64) (*Frame, map
 	if err != nil {
 		return nil, nil, err
 	}
-	resps, err := f.c.parallelCall(f.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	resps, err := f.c.parallelCall("imputeFD", f.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{
 			Name: "impute_pairs", Inputs: []int64{p.DataID}, Args: args}}}
 	})
@@ -79,7 +79,7 @@ func (f *Frame) applyImpute(udfName string, ruleArgs any) (*Frame, error) {
 	for i := range outIDs {
 		outIDs[i] = f.c.NewID()
 	}
-	_, err = f.c.parallelCall(f.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	_, err = f.c.parallelCall("impute", f.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{
 			Name: udfName, Inputs: []int64{p.DataID}, Output: outIDs[i], Args: args}}}
 	})

@@ -11,8 +11,10 @@ import (
 // multiplication variants composed from broadcast / sliced-broadcast PUTs,
 // per-partition EXEC_INSTs, GETs of partial results, and coordinator-side
 // aggregation — exactly the strategies of Example 2 in the paper. Each
-// federated operation is one RPC per worker, issued in parallel, with
-// broadcast intermediates cleaned up via rmvar in the same request batch.
+// federated operation is one request batch per worker, with broadcast
+// intermediates cleaned up via rmvar in the same batch; operations whose
+// result stays federated buffer their batch (deferCall) and cost no round
+// trip of their own, operations that return a value send it (parallelCall).
 
 // MatVec computes X %*% v for local v (matrix-vector, or matrix-matrix with
 // a small right-hand side). For row-partitioned X the full v is broadcast
@@ -27,13 +29,13 @@ func (m *Matrix) MatVec(v *matrix.Dense) (*Matrix, *matrix.Dense, error) {
 	switch m.Scheme() {
 	case RowPartitioned:
 		outIDs := m.newIDs()
-		_, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+		err := m.c.deferCall("matvec", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 			bid := m.c.NewID()
 			return []fedrpc.Request{
 				{Type: fedrpc.Put, ID: bid, Data: fedrpc.MatrixPayload(v)},
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 					Opcode: "mm", Inputs: []int64{p.DataID, bid}, Output: outIDs[i]}},
-				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{bid}}},
+				rmvar(bid),
 			}
 		})
 		if err != nil {
@@ -44,7 +46,7 @@ func (m *Matrix) MatVec(v *matrix.Dense) (*Matrix, *matrix.Dense, error) {
 		})
 		return out, nil, nil
 	case ColPartitioned:
-		resps, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+		resps, err := m.c.parallelCall("matvec", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 			bid, oid := m.c.NewID(), m.c.NewID()
 			vs := v.SliceRows(p.Range.ColBeg, p.Range.ColEnd)
 			return []fedrpc.Request{
@@ -52,7 +54,7 @@ func (m *Matrix) MatVec(v *matrix.Dense) (*Matrix, *matrix.Dense, error) {
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 					Opcode: "mm", Inputs: []int64{p.DataID, bid}, Output: oid}},
 				{Type: fedrpc.Get, ID: oid},
-				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{bid, oid}}},
+				rmvar(bid, oid),
 			}
 		})
 		if err != nil {
@@ -78,7 +80,7 @@ func (m *Matrix) TMatVec(b *matrix.Dense) (*matrix.Dense, error) {
 	}
 	switch m.Scheme() {
 	case RowPartitioned:
-		resps, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+		resps, err := m.c.parallelCall("tmatvec", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 			bid, oid := m.c.NewID(), m.c.NewID()
 			bs := b.SliceRows(p.Range.RowBeg, p.Range.RowEnd)
 			return []fedrpc.Request{
@@ -86,7 +88,7 @@ func (m *Matrix) TMatVec(b *matrix.Dense) (*matrix.Dense, error) {
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 					Opcode: "tmm", Inputs: []int64{p.DataID, bid}, Output: oid}},
 				{Type: fedrpc.Get, ID: oid},
-				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{bid, oid}}},
+				rmvar(bid, oid),
 			}
 		})
 		if err != nil {
@@ -100,14 +102,14 @@ func (m *Matrix) TMatVec(b *matrix.Dense) (*matrix.Dense, error) {
 	case ColPartitioned:
 		// Each partition computes t(X_j) %*% b over all rows; results stack
 		// by column ranges.
-		resps, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+		resps, err := m.c.parallelCall("tmatvec", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 			bid, oid := m.c.NewID(), m.c.NewID()
 			return []fedrpc.Request{
 				{Type: fedrpc.Put, ID: bid, Data: fedrpc.MatrixPayload(b)},
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 					Opcode: "tmm", Inputs: []int64{p.DataID, bid}, Output: oid}},
 				{Type: fedrpc.Get, ID: oid},
-				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{bid, oid}}},
+				rmvar(bid, oid),
 			}
 		})
 		if err != nil {
@@ -129,13 +131,13 @@ func (m *Matrix) TSMM() (*matrix.Dense, error) {
 	if m.Scheme() != RowPartitioned {
 		return nil, fmt.Errorf("federated: tsmm requires row partitioning, have %s", m.Scheme())
 	}
-	resps, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	resps, err := m.c.parallelCall("tsmm", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		oid := m.c.NewID()
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "tsmm", Inputs: []int64{p.DataID}, Output: oid}},
 			{Type: fedrpc.Get, ID: oid},
-			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{oid}}},
+			rmvar(oid),
 		}
 	})
 	if err != nil {
@@ -158,7 +160,7 @@ func (m *Matrix) MMChain(v, w *matrix.Dense) (*matrix.Dense, error) {
 	if v.Rows() != m.Cols() {
 		return nil, fmt.Errorf("federated: mmchain v is %dx%d, want %dx1", v.Rows(), v.Cols(), m.Cols())
 	}
-	resps, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	resps, err := m.c.parallelCall("mmchain", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		vid, oid := m.c.NewID(), m.c.NewID()
 		reqs := []fedrpc.Request{
 			{Type: fedrpc.Put, ID: vid, Data: fedrpc.MatrixPayload(v)},
@@ -177,7 +179,7 @@ func (m *Matrix) MMChain(v, w *matrix.Dense) (*matrix.Dense, error) {
 			fedrpc.Request{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "mmchain", Inputs: inputs, Output: oid}},
 			fedrpc.Request{Type: fedrpc.Get, ID: oid},
-			fedrpc.Request{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: clean}},
+			rmvar(clean...),
 		)
 		return reqs
 	})
@@ -201,13 +203,13 @@ func (p *Matrix) AlignedTMM(x *Matrix) (*matrix.Dense, error) {
 	ps, xs := p.fm.sorted(), x.fm.sorted()
 	parts := make([]Partition, len(ps))
 	copy(parts, ps)
-	resps, err := p.c.parallelCall(parts, func(i int, pp Partition) []fedrpc.Request {
+	resps, err := p.c.parallelCall("alignedTMM", parts, func(i int, pp Partition) []fedrpc.Request {
 		oid := p.c.NewID()
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "tmm", Inputs: []int64{pp.DataID, xs[i].DataID}, Output: oid}},
 			{Type: fedrpc.Get, ID: oid},
-			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{oid}}},
+			rmvar(oid),
 		}
 	})
 	if err != nil {
@@ -225,7 +227,7 @@ func (p *Matrix) AlignedTMM(x *Matrix) (*matrix.Dense, error) {
 // vice versa.
 func (m *Matrix) Transpose() (*Matrix, error) {
 	outIDs := m.newIDs()
-	_, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	err := m.c.deferCall("transpose", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "t", Inputs: []int64{p.DataID}, Output: outIDs[i]}},

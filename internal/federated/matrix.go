@@ -109,9 +109,11 @@ func DistributeWithColumns(c *Coordinator, x *matrix.Dense, addrs []string, sche
 			Type: fedrpc.Put, ID: id, Privacy: int(level), ColPrivacy: colPriv,
 			Data: fedrpc.MatrixPayload(part),
 		}); err != nil {
-			// Reclaim the partitions already placed on other workers so an
-			// aborted distribute leaves no worker-side state behind.
-			c.freePartitions(fm.Partitions)
+			// Reclaim the partitions already placed on other workers, and
+			// this one (the failure may be a deferred request's that rode
+			// along, not the PUT's), so an aborted distribute leaves no
+			// worker-side state behind.
+			c.sweep(append(fm.Partitions, Partition{Addr: addr, DataID: id}))
 			return nil, err
 		}
 		fm.Partitions = append(fm.Partitions, Partition{Range: r, Addr: addr, DataID: id})
@@ -153,12 +155,12 @@ func ReadRowPartitioned(c *Coordinator, specs []ReadSpec) (*Matrix, error) {
 			{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{Name: "obj_dims", Inputs: []int64{id}}},
 		})
 		if err != nil {
-			c.freePartitions(read(i))
+			c.sweep(read(i))
 			return nil, err
 		}
 		for _, r := range resps {
 			if !r.OK {
-				c.freePartitions(read(i))
+				c.sweep(read(i))
 				return nil, fmt.Errorf("federated: read %s at %s: %s", spec.Filename, spec.Addr, r.Err)
 			}
 		}
@@ -190,7 +192,7 @@ func ReadRowPartitioned(c *Coordinator, specs []ReadSpec) (*Matrix, error) {
 // refuse the transfer if it violates privacy constraints.
 func (m *Matrix) Consolidate() (*matrix.Dense, error) {
 	out := matrix.NewDense(m.fm.Rows, m.fm.Cols)
-	resps, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	resps, err := m.c.parallelCall("consolidate", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{{Type: fedrpc.Get, ID: p.DataID}}
 	})
 	if err != nil {
@@ -212,13 +214,22 @@ func (m *Matrix) Consolidate() (*matrix.Dense, error) {
 
 // Free releases the worker-side partitions of this federated matrix
 // (rmvar), keeping the workers' memory bounded across long sessions.
-func (m *Matrix) Free() error {
-	_, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
-		return []fedrpc.Request{{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-			Opcode: "rmvar", Inputs: []int64{p.DataID},
-		}}}
-	})
-	return err
+func (m *Matrix) Free() error { return Free(m) }
+
+// Free releases the worker-side partitions of the given federated matrices
+// (all of one coordinator) with one rmvar per worker, however many matrices
+// are named. The rmvars are deferred like any reply-less operation: freeing
+// costs no round trip, the objects disappear with the next call or two to
+// each worker (or Coordinator.Flush).
+func Free(ms ...*Matrix) error {
+	if len(ms) == 0 {
+		return nil
+	}
+	var objs []Partition
+	for _, m := range ms {
+		objs = append(objs, m.fm.Partitions...)
+	}
+	return ms[0].c.remove("free", objs)
 }
 
 // derive builds a result federated matrix over new per-partition data IDs

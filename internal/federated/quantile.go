@@ -61,7 +61,7 @@ func (m *Matrix) Median() (float64, error) { return m.Quantile(0.5, 0) }
 // countLE counts cells <= pivot across all partitions, exchanging one
 // scalar per worker.
 func (m *Matrix) countLE(pivot float64) (int, error) {
-	resps, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	resps, err := m.c.parallelCall("quantile", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		maskID, aggID := m.c.NewID(), m.c.NewID()
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
@@ -70,8 +70,7 @@ func (m *Matrix) countLE(pivot float64) (int, error) {
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "ua_partial", Inputs: []int64{maskID}, Output: aggID}},
 			{Type: fedrpc.Get, ID: aggID},
-			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-				Opcode: "rmvar", Inputs: []int64{maskID, aggID}}},
+			rmvar(maskID, aggID),
 		}
 	})
 	if err != nil {

@@ -463,7 +463,7 @@ func (c *Coordinator) Repair(addr string) error {
 		return nil
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	cl, err := c.Client(addr)
+	cl, err := c.sharedClient(addr)
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,6 @@ import (
 
 	"exdra/internal/federated"
 	"exdra/internal/fedrpc"
-	"exdra/internal/matrix"
 	"exdra/internal/netem"
 	"exdra/internal/privacy"
 )
@@ -112,8 +111,13 @@ func TestParallelCallPartialFailureCleansUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bad.Unary(matrix.UAbs); err == nil {
-		t.Fatal("unary over a dangling partition should fail")
+	// removeEmpty reads its reply (the kept-row counts), so it is sent, not
+	// deferred; the sweep of the outer partitions' outputs rides the outbox.
+	if _, err := bad.RemoveEmptyRows(); err == nil {
+		t.Fatal("removeEmpty over a dangling partition should fail")
+	}
+	if err := cl.Coord.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	for i, w := range cl.Workers {
 		if n := w.NumObjects(); n != baseline[i] {

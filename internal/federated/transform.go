@@ -53,9 +53,9 @@ func DistributeFrame(c *Coordinator, fr *frame.Frame, addrs []string, level priv
 			Type: fedrpc.Put, ID: id, Privacy: int(level),
 			Data: fedrpc.FramePayload(fr.SliceRows(beg, end)),
 		}); err != nil {
-			// Reclaim the partitions already placed on other workers so an
-			// aborted distribute leaves no worker-side state behind.
-			c.freePartitions(fm.Partitions)
+			// Reclaim the partitions already placed on other workers, and
+			// this one (see DistributeWithColumns).
+			c.sweep(append(fm.Partitions, Partition{Addr: addr, DataID: id}))
 			return nil, err
 		}
 		fm.Partitions = append(fm.Partitions, Partition{
@@ -78,7 +78,7 @@ func ReadFrames(c *Coordinator, specs []ReadSpec) (*Frame, error) {
 		// abort reclaims the frames already read, plus the in-flight ID.
 		abort := func() {
 			parts := append([]Partition(nil), fm.Partitions...)
-			c.freePartitions(append(parts, Partition{Addr: spec.Addr, DataID: id}))
+			c.sweep(append(parts, Partition{Addr: spec.Addr, DataID: id}))
 		}
 		resps, err := c.call(spec.Addr, []fedrpc.Request{
 			{Type: fedrpc.Read, ID: id, Filename: spec.Filename, Privacy: int(spec.Privacy)},
@@ -115,7 +115,7 @@ func ReadFrames(c *Coordinator, specs []ReadSpec) (*Frame, error) {
 // Consolidate transfers all frame partitions to the coordinator and stacks
 // them (subject to the workers' privacy constraints).
 func (f *Frame) Consolidate() (*frame.Frame, error) {
-	resps, err := f.c.parallelCall(f.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	resps, err := f.c.parallelCall("consolidate", f.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{{Type: fedrpc.Get, ID: p.DataID}}
 	})
 	if err != nil {
@@ -146,7 +146,7 @@ func (f *Frame) TransformEncode(spec transform.Spec, colOrder []string) (*Matrix
 	if err != nil {
 		return nil, nil, err
 	}
-	resps, err := f.c.parallelCall(f.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	resps, err := f.c.parallelCall("transformencode", f.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{
 			Name: "tf_build_partial", Inputs: []int64{p.DataID}, Args: buildArgs,
 		}}}
@@ -173,7 +173,7 @@ func (f *Frame) TransformEncode(spec transform.Spec, colOrder []string) (*Matrix
 	for i := range outIDs {
 		outIDs[i] = f.c.NewID()
 	}
-	_, err = f.c.parallelCall(f.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	_, err = f.c.parallelCall("transformencode", f.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{
 			Name: "tf_apply", Inputs: []int64{p.DataID}, Output: outIDs[i], Args: applyArgs,
 		}}}
@@ -212,7 +212,7 @@ func TransformDecode(x *Matrix, meta *transform.Meta) (*Frame, error) {
 	for i := range outIDs {
 		outIDs[i] = x.c.NewID()
 	}
-	_, err = x.c.parallelCall(x.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	_, err = x.c.parallelCall("transformdecode", x.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{
 			Name: "tf_decode", Inputs: []int64{p.DataID}, Output: outIDs[i], Args: args,
 		}}}

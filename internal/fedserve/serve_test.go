@@ -13,6 +13,7 @@ import (
 	"exdra/internal/federated"
 	"exdra/internal/fedserve"
 	"exdra/internal/fedtest"
+	"exdra/internal/matrix"
 	"exdra/internal/obs"
 	"exdra/internal/privacy"
 )
@@ -110,13 +111,36 @@ func TestConcurrentSessionsBitwiseEqualSolo(t *testing.T) {
 		}
 	}
 
-	// Teardown leaves zero worker objects behind.
-	for _, sess := range svc.Sessions() {
-		sess.Close()
-	}
+	// Every operation ended (release), so every deferred free was flushed:
+	// idle sessions pin nothing at the workers.
 	for i, w := range cl.Workers {
 		if n := w.NumObjects(); n != 0 {
-			t.Fatalf("worker %d: %d objects leaked after session closes", i, n)
+			t.Fatalf("worker %d: %d objects held by idle sessions after their operations ended", i, n)
+		}
+	}
+
+	// Teardown leaves zero worker objects per namespace: each session parks
+	// one input at the workers and leaves an operation on it deferred (issued
+	// outside Begin, so nothing flushes it); its Close must drop the deferred
+	// requests before its namespace CLEAR and take exactly its own objects.
+	sessions := svc.Sessions()
+	for _, sess := range sessions {
+		x, _ := data.Regression(1, 20, 3, 0)
+		fx, err := federated.Distribute(sess.Coordinator(), x, cl.Addrs, federated.RowPartitioned, privacy.Public)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fx.Unary(matrix.UAbs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for closed, sess := range sessions {
+		sess.Close()
+		for i, w := range cl.Workers {
+			if n, want := w.NumObjects(), len(sessions)-1-closed; n != want {
+				t.Fatalf("worker %d: %d objects after closing %d of %d sessions, want %d (one input per open session)",
+					i, n, closed+1, len(sessions), want)
+			}
 		}
 	}
 }

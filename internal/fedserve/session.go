@@ -76,6 +76,14 @@ func (s *Session) Begin(bytes int64) (release func(), err error) {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
+			// Settle the workers before the operation counts as over: an
+			// idle session must not pin deferred frees at the coordinator
+			// until the reaper, and drain waits on this release. A deferred
+			// failure nobody read a value after has no caller left to
+			// report to; it is counted.
+			if err := s.coord.Flush(); err != nil {
+				s.svc.reg.Counter("serve.flush_errors").Inc()
+			}
 			s.mu.Lock()
 			s.inFlight--
 			s.inFlightBytes -= bytes
@@ -128,7 +136,9 @@ func (s *Session) close(counter string) {
 	s.svc.reg.Gauge("serve.sessions.open").Add(-1)
 	// Network teardown happens outside every lock: the scoped CLEAR
 	// releases this session's objects on each touched worker without
-	// disturbing other sessions' state.
+	// disturbing other sessions' state. ClearAll drops whatever is still
+	// deferred before it sends the CLEAR, so nothing can recreate an
+	// object behind it.
 	_ = s.coord.ClearAll()
 	s.coord.Close()
 }

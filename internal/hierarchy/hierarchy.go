@@ -157,21 +157,16 @@ type Gateway struct {
 // Mount makes the worker at gatewayAddr the coordinator of the given
 // subgroup.
 func Mount(coord *federated.Coordinator, gatewayAddr string, specs []SubSpec) (*Gateway, error) {
-	cl, err := coord.Client(gatewayAddr)
-	if err != nil {
-		return nil, err
-	}
 	args, err := worker.EncodeArgs(MountArgs{Specs: specs})
 	if err != nil {
 		return nil, err
 	}
 	id := coord.NewID()
-	resp, err := cl.CallOne(fedrpc.Request{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{
-		Name: "hier_mount", Output: id, Args: args}})
+	data, err := coord.ExecUDF(gatewayAddr, &fedrpc.UDFCall{Name: "hier_mount", Output: id, Args: args})
 	if err != nil {
 		return nil, err
 	}
-	dims := resp.Data.Matrix()
+	dims := data.Matrix()
 	return &Gateway{coord: coord, addr: gatewayAddr, mountID: id,
 		rows: int(dims.At(0, 0)), cols: int(dims.At(0, 1))}, nil
 }
@@ -185,17 +180,13 @@ func (g *Gateway) Cols() int { return g.cols }
 // Consolidate binds the subgroup's rows as a gateway-local object under the
 // given constraint and returns its data ID for upper-level federation maps.
 func (g *Gateway) Consolidate(level privacy.Level) (int64, error) {
-	cl, err := g.coord.Client(g.addr)
-	if err != nil {
-		return 0, err
-	}
 	args, err := worker.EncodeArgs(ConsolidateArgs{Privacy: int(level)})
 	if err != nil {
 		return 0, err
 	}
 	id := g.coord.NewID()
-	if _, err := cl.CallOne(fedrpc.Request{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{
-		Name: "hier_consolidate", Inputs: []int64{g.mountID}, Output: id, Args: args}}); err != nil {
+	if _, err := g.coord.ExecUDF(g.addr, &fedrpc.UDFCall{
+		Name: "hier_consolidate", Inputs: []int64{g.mountID}, Output: id, Args: args}); err != nil {
 		return 0, err
 	}
 	return id, nil
@@ -203,18 +194,14 @@ func (g *Gateway) Consolidate(level privacy.Level) (int64, error) {
 
 // Agg computes a subgroup aggregate at the gateway without consolidation.
 func (g *Gateway) Agg(op string) (float64, error) {
-	cl, err := g.coord.Client(g.addr)
-	if err != nil {
-		return 0, err
-	}
 	args, err := worker.EncodeArgs(AggArgs{Op: op})
 	if err != nil {
 		return 0, err
 	}
-	resp, err := cl.CallOne(fedrpc.Request{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{
-		Name: "hier_agg", Inputs: []int64{g.mountID}, Args: args}})
+	data, err := g.coord.ExecUDF(g.addr, &fedrpc.UDFCall{
+		Name: "hier_agg", Inputs: []int64{g.mountID}, Args: args})
 	if err != nil {
 		return 0, err
 	}
-	return resp.Data.Scalar, nil
+	return data.Scalar, nil
 }

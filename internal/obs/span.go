@@ -11,13 +11,14 @@ import (
 // bytes moved, and where the wall-clock time of the exchange went. The
 // phase decomposition (documented in DESIGN.md §6) is:
 //
-//	Queue   — waiting for the client's exchange slot (calls are serialized
-//	          per connection);
-//	Encode  — gob-encoding and flushing the request envelope;
+//	Queue   — waiting for a slot in the connection's in-flight window
+//	          (exchanges are pipelined: up to Window calls share one
+//	          connection, a call queues only while the window is full);
+//	Encode  — encoding and flushing the request envelope and its slabs;
 //	Network — blocked on the wire minus the server's reported handler time
 //	          (clamped at zero: clock domains differ);
 //	Execute — the server-reported handler duration (ExecNanos on the reply);
-//	Decode  — gob-decoding the reply minus the time blocked on the wire.
+//	Decode  — decoding the reply minus the time blocked on the wire.
 //
 // Spans are created by fedrpc.Client per exchange; a caller that wants the
 // span (or wants to label it) threads one in via WithSpan/WithOp.
@@ -31,6 +32,10 @@ type Span struct {
 	// the number of requests in the envelope.
 	ReqType string
 	Batch   int
+	// Deferred is how many of the Batch requests are earlier reply-less
+	// operations the coordinator buffered and shipped with this call
+	// (write-behind dispatch); 0 for a batch that is all the caller's own.
+	Deferred int
 	// BytesOut/BytesIn count the wire bytes of this exchange only.
 	BytesOut, BytesIn int64
 	// Start is when the caller entered the client.
@@ -52,6 +57,9 @@ func (s Span) String() string {
 		s.Total.Round(time.Microsecond), s.Queue.Round(time.Microsecond),
 		s.Encode.Round(time.Microsecond), s.Network.Round(time.Microsecond),
 		s.Execute.Round(time.Microsecond), s.Decode.Round(time.Microsecond))
+	if s.Deferred > 0 {
+		line += fmt.Sprintf(" deferred=%d", s.Deferred)
+	}
 	if s.Err != "" {
 		line += fmt.Sprintf(" err=%q", s.Err)
 	}

@@ -60,10 +60,6 @@ func (t *FederatedTrainer) setup(fx *federated.Matrix, y *matrix.Dense) error {
 	t.weights = weights
 	t.stateIDs = make([]int64, len(t.parts))
 	for i, p := range t.parts {
-		cl, err := t.coord.Client(p.Addr)
-		if err != nil {
-			return err
-		}
 		yid := t.coord.NewID()
 		t.stateIDs[i] = t.coord.NewID()
 		args, err := worker.EncodeArgs(SetupArgs{
@@ -77,7 +73,7 @@ func (t *FederatedTrainer) setup(fx *federated.Matrix, y *matrix.Dense) error {
 		if err != nil {
 			return err
 		}
-		resps, err := cl.Call(
+		resps, err := t.coord.Call(p.Addr,
 			fedrpc.Request{Type: fedrpc.Put, ID: yid,
 				Data: fedrpc.MatrixPayload(y.SliceRows(p.Range.RowBeg, p.Range.RowEnd))},
 			fedrpc.Request{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{
@@ -139,10 +135,6 @@ func (t *FederatedTrainer) Refresh(fx *federated.Matrix, y *matrix.Dense) error 
 	factors, weights := replication(sizes, t.cfg.Balance)
 	t.weights = weights
 	for i, p := range parts {
-		cl, err := t.coord.Client(p.Addr)
-		if err != nil {
-			return err
-		}
 		yid := t.coord.NewID()
 		args, err := worker.EncodeArgs(RefreshArgs{
 			XID: p.DataID, YID: yid, Replicate: factors[i],
@@ -150,7 +142,7 @@ func (t *FederatedTrainer) Refresh(fx *federated.Matrix, y *matrix.Dense) error 
 		if err != nil {
 			return err
 		}
-		resps, err := cl.Call(
+		resps, err := t.coord.Call(p.Addr,
 			fedrpc.Request{Type: fedrpc.Put, ID: yid,
 				Data: fedrpc.MatrixPayload(y.SliceRows(p.Range.RowBeg, p.Range.RowEnd))},
 			fedrpc.Request{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{
