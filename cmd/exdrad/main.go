@@ -53,7 +53,7 @@ func main() {
 	workers := flag.String("workers", "", "comma-separated fedworker addresses (required)")
 	poolSize := flag.Int("pool-size", 4, "pooled connections per worker address")
 	rpcWindow := flag.Int("rpc-window", 8,
-		"pipelined in-flight RPCs per worker connection (1 = legacy lock-step)")
+		"pipelined in-flight RPCs per worker connection (1 = lock-step)")
 	maxSessions := flag.Int("max-sessions", 64, "admission cap on concurrently open sessions (0 = unlimited)")
 	maxInFlight := flag.Int("max-inflight", 4, "per-session cap on in-flight batches (0 = unlimited)")
 	maxInFlightBytes := flag.Int64("max-inflight-bytes", 0, "per-session cap on summed in-flight payload bytes (0 = unlimited)")

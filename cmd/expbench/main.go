@@ -6,7 +6,7 @@
 //
 //	expbench -exp fig5|fig6|fig7|fig8|table1|wire|pipeline|all [-workers 1,2,3,5]
 //	         [-rows N -cols N -cnnrows N -piperows N]
-//	expbench -smoke [-gob] [-json BENCH_smoke.json]
+//	expbench -smoke [-json BENCH_smoke.json]
 //	expbench -compare baseline.json,current.json [-max-ratio 2] [-floor 0.025]
 //	expbench -check-pipeline BENCH_pipeline.json [-max-rtts 3.5] [-min-speedup 2]
 //
@@ -14,9 +14,9 @@
 // 1M x 1,050 setting. -smoke runs the fixed-scale CI smoke and -compare
 // gates the encode+decode phase seconds of a fresh snapshot against a
 // committed baseline (see BENCH_*.json and ci.sh); -exp wire emits the
-// wire-format comparison rows, with -gob measuring the legacy pure-gob
-// encoding; -exp pipeline emits the pipelined-vs-lock-step burst rows at a
-// fixed 35 ms RTT and -check-pipeline gates them (see BENCH_pipeline.json).
+// wire-format cost rows; -exp pipeline emits the burst rows at a fixed
+// 35 ms RTT under window 8 and window 1 (lock-step) and -check-pipeline
+// gates them (see BENCH_pipeline.json).
 package main
 
 import (
@@ -38,7 +38,6 @@ func main() {
 	cnnRows := flag.Int("cnnrows", 0, "override CNN dataset rows")
 	pipeRows := flag.Int("piperows", 0, "override pipeline table rows")
 	smoke := flag.Bool("smoke", false, "run the fixed-scale CI bench smoke (FedLAN transfer + LM) instead of -exp")
-	gob := flag.Bool("gob", false, "measure the legacy pure-gob wire format (with -smoke or -exp wire)")
 	jsonPath := flag.String("json", "", "also write the run's rows as a BENCH_*.json snapshot (with -smoke or -exp wire)")
 	compare := flag.String("compare", "", "baseline.json,current.json: gate enc+dec phase seconds and exit")
 	maxRatio := flag.Float64("max-ratio", 2, "allowed enc+dec regression ratio for -compare")
@@ -89,21 +88,21 @@ func main() {
 			fmt.Println(m.Row())
 		}
 		if *jsonPath != "" {
-			snap := bench.NewSnapshot(name, bench.WireName(*gob), ms)
+			snap := bench.NewSnapshot(name, ms)
 			if err := snap.WriteFile(*jsonPath); err != nil {
 				log.Fatalf("expbench: write %s: %v", *jsonPath, err)
 			}
-			fmt.Printf("wrote %s (%d rows, wire=%s)\n", *jsonPath, len(snap.Rows), snap.Wire)
+			fmt.Printf("wrote %s (%d rows)\n", *jsonPath, len(snap.Rows))
 		}
 	}
 
 	if *smoke {
-		ms, err := bench.Smoke(*gob)
+		ms, err := bench.Smoke()
 		emit("smoke", ms, err)
 		return
 	}
 	if *exp == "wire" {
-		ms, err := bench.WireBench(*gob)
+		ms, err := bench.WireBench()
 		emit("wire", ms, err)
 		return
 	}

@@ -98,9 +98,6 @@ func envInt(key string) (int, bool) {
 type Env struct {
 	Mode    Mode
 	Workers int
-	// Gob pins the federation to the legacy pure-gob wire format, for
-	// before/after encoding comparisons (BENCH_wire_*.json).
-	Gob bool
 	// Metrics, when non-nil, isolates the run's counters in a dedicated
 	// registry so folded deltas cannot be polluted by concurrent activity
 	// on obs.Default().
@@ -112,7 +109,7 @@ func (e Env) Cluster() (*fedtest.Cluster, error) {
 	if e.Mode == Local {
 		return nil, nil
 	}
-	cfg := fedtest.Config{Workers: e.Workers, ForceGob: e.Gob, Metrics: e.Metrics}
+	cfg := fedtest.Config{Workers: e.Workers, Metrics: e.Metrics}
 	switch e.Mode {
 	case FedLAN:
 	case FedWAN:

@@ -13,8 +13,8 @@ import (
 )
 
 // Pipeline benchmark geometry: a burst of depth small independent GETs over
-// a single emulated-WAN connection, measured once with the legacy lock-step
-// exchange (window 1) and once pipelined (window 8). Lock-step pays one RTT
+// a single emulated-WAN connection, measured once lock-step (window 1) and
+// once pipelined (window 8). Lock-step pays one RTT
 // per call — the burst costs ~depth RTTs; pipelining overlaps the requests
 // in flight, so the whole burst fits in a handful of RTTs. The RTT is fixed
 // (not netem.WAN's, no bandwidth cap) so rtts_per_batch is comparable
@@ -66,8 +66,7 @@ func runPipelineBurst(algoName string, window int) (Measurement, error) {
 	defer cl.Close()
 	addr := cl.Addrs[0]
 
-	// Seed the depth objects in one batched call. This also resolves the
-	// connection's tag probe, so the measured bursts run at full window.
+	// Seed the depth objects in one batched call.
 	small := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
 	reqs := make([]fedrpc.Request, pipelineDepth)
 	ids := make([]int64, pipelineDepth)

@@ -21,13 +21,13 @@ func SmokeScale() Scale {
 	}
 }
 
-// Smoke runs the CI bench smoke under the given wire format: the pure
-// transfer microbenchmark plus a short LM training run, FedLAN with two
-// workers, counters isolated in a fresh registry. The resulting rows feed
-// BENCH_smoke.json and the ci.sh CompareEncDec gate.
-func Smoke(gob bool) ([]Measurement, error) {
+// Smoke runs the CI bench smoke: the pure transfer microbenchmark plus a
+// short LM training run, FedLAN with two workers, counters isolated in a
+// fresh registry. The resulting rows feed BENCH_smoke.json and the ci.sh
+// CompareEncDec gate.
+func Smoke() ([]Measurement, error) {
 	w := NewWorkloads(SmokeScale())
-	env := Env{Mode: FedLAN, Workers: 2, Gob: gob, Metrics: obs.New()}
+	env := Env{Mode: FedLAN, Workers: 2, Metrics: obs.New()}
 	cl, err := env.Cluster()
 	if err != nil {
 		return nil, err
@@ -44,17 +44,15 @@ func Smoke(gob bool) ([]Measurement, error) {
 	return []Measurement{xfer, lm}, nil
 }
 
-// WireBench produces the before/after wire-format comparison rows
-// (BENCH_wire_gob.json / BENCH_wire_binary.json): the transfer
-// microbenchmark plus LM and K-Means under FedLAN and FedWAN, two workers
-// each, counters isolated per cluster. Run once with gob=true and once
-// with gob=false to quantify what the binary framing buys; the enc_s/dec_s
-// columns are the evidence.
-func WireBench(gob bool) ([]Measurement, error) {
+// WireBench produces the wire-format cost rows (BENCH_wire_binary.json):
+// the transfer microbenchmark plus LM and K-Means under FedLAN and FedWAN,
+// two workers each, counters isolated per cluster; the enc_s/dec_s columns
+// are what the wire format costs.
+func WireBench() ([]Measurement, error) {
 	w := NewWorkloads(SmokeScale())
 	var out []Measurement
 	for _, mode := range []Mode{FedLAN, FedWAN} {
-		env := Env{Mode: mode, Workers: 2, Gob: gob, Metrics: obs.New()}
+		env := Env{Mode: mode, Workers: 2, Metrics: obs.New()}
 		cl, err := env.Cluster()
 		if err != nil {
 			return nil, err

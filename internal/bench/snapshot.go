@@ -18,26 +18,15 @@ type Row struct {
 	Extra      map[string]float64 `json:"extra,omitempty"`
 }
 
-// Snapshot is a persisted set of benchmark rows. Wire records the RPC
-// encoding the rows were measured under ("binary" or "gob") so before/after
-// files are self-describing.
+// Snapshot is a persisted set of benchmark rows.
 type Snapshot struct {
 	Name string `json:"name"`
-	Wire string `json:"wire"`
 	Rows []Row  `json:"rows"`
 }
 
-// WireName renders an env's encoding for Snapshot.Wire.
-func WireName(gob bool) string {
-	if gob {
-		return "gob"
-	}
-	return "binary"
-}
-
 // NewSnapshot flattens measurements into a snapshot.
-func NewSnapshot(name, wire string, ms []Measurement) Snapshot {
-	s := Snapshot{Name: name, Wire: wire}
+func NewSnapshot(name string, ms []Measurement) Snapshot {
+	s := Snapshot{Name: name}
 	for _, m := range ms {
 		s.Rows = append(s.Rows, Row{
 			Experiment: m.Experiment, Algorithm: m.Algorithm, Mode: string(m.Mode),

@@ -1,6 +1,7 @@
 package federated_test
 
 import (
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -176,12 +177,11 @@ func TestClientDialCoalesces(t *testing.T) {
 			}
 			accepts.Add(1)
 			defer c.Close()
+			// Echoing the client's prelude is a valid handshake answer.
+			_, _ = io.CopyN(c, c, 5)
 		}
 	}()
-	// ForceGob: the fake listener above never speaks, so a framing
-	// handshake would wait out the dial timeout; this test is about dial
-	// coalescing, not the wire format.
-	coord := federated.NewCoordinator(fedrpc.Options{ForceGob: true})
+	coord := federated.NewCoordinator(fedrpc.Options{})
 	defer coord.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

@@ -64,12 +64,6 @@ type Options struct {
 	// (queueing included) reaches it: a structured key=value log line is
 	// emitted and rpc.client.slow_calls incremented.
 	SlowRPC time.Duration
-	// ForceGob disables binary wire framing (wire.go) on this endpoint: a
-	// client never sends the version prelude, a server never sniffs for
-	// it. Both then speak the pure-gob legacy format, exactly like a
-	// pre-framing build — used by tests and benchmarks to exercise the
-	// fallback path and to measure the old encoding.
-	ForceGob bool
 	// MaxConns caps concurrently served connections (server side only).
 	// Accepts beyond the cap are rejected with backoff: the connection is
 	// held briefly and closed without a byte, so a pooling client cannot
@@ -77,12 +71,9 @@ type Options struct {
 	// than amplified. Zero or negative means unlimited.
 	MaxConns int
 	// Window caps how many calls may be pipelined in flight on one
-	// connection (client side). Values below 2 (including the zero value)
-	// keep the legacy lock-step behavior: one exchange at a time. Above
-	// that, dependent-free calls overlap on the wire — N calls cost ~1
-	// round trip instead of N — as long as the peer echoes call tags;
-	// against a pre-pipelining peer the client transparently degrades to
-	// lock-step (see tagHint).
+	// connection (client side); dependent-free calls overlap on the wire,
+	// so N calls cost ~1 round trip instead of N. Values below 2
+	// (including the zero value) mean lock-step: one exchange at a time.
 	Window int
 }
 
@@ -106,64 +97,20 @@ func timeout(configured, def time.Duration) time.Duration {
 	return configured
 }
 
-// rpcEnvelope is the on-wire unit: one envelope per Call. DeadlineNanos is
-// the relative call budget (0 = none) and Tag the pipelining call ID (0 =
-// lock-step); like their binary-framing counterparts (wireEnvelope) both
-// ride gob's skip-unknown/zero-missing field semantics, so old peers
-// interoperate unchanged in both directions.
-type rpcEnvelope struct {
-	Requests      []Request
-	DeadlineNanos int64
-	Tag           uint64
-}
-
-// rpcReply carries the batch responses plus the server-side handler wall
-// time, which the client uses to split its blocked-on-reply wait into
-// Network and Execute span phases, plus the echoed call tag that routes an
-// out-of-order reply to its call. Old peers omit both extra fields (gob
-// tolerates both directions): they report Execute=0 and Tag=0. This is the
-// legacy-gob reply shape; binary-framed connections use wireReply
-// (wire.go), which readReply converts back into this form.
-type rpcReply struct {
-	Responses []Response
-	ExecNanos int64
-	Tag       uint64
-}
-
-// Format-hint states: what dialTransport learned about the peer. The hint
-// starts unknown, becomes sticky-binary after one successful handshake
-// (later handshake failures are then ordinary transport errors, never a
-// downgrade), and becomes sticky-gob when an unknown peer slams the
-// stream shut on the prelude — the signature of a pre-framing build.
-const (
-	hintUnknown int32 = iota
-	hintBinary
-	hintGob
-)
-
-// Tag-hint states: what the first reply taught us about the peer's
-// pipelining support. Until a session's first reply arrives the window is
-// held at 1 (the probe); a reply echoing our tag opens it to
-// Options.Window for the client's lifetime, a tagless reply pins the
-// client to lock-step for good — the tag twin of the gob fallback.
-const (
-	tagUnknown int32 = iota
-	tagAware
-	tagLockstep
-)
-
 // pendingCall is one in-flight exchange awaiting its reply. Exactly one
 // party ever sends on done: the reader (matched reply) or the session
 // teardown (transport failure) — never both, because both first remove the
-// call from the session tables under the session mutex.
+// call from the session table under the session mutex.
 type pendingCall struct {
 	tag  uint64
 	done chan callReply // buffered (cap 1): the sender never blocks
 }
 
 // callReply is what the reader goroutine delivers per matched reply: the
-// responses plus the per-call accounting slice of the shared cumulative
-// counters (readWait/bytesIn deltas around this reply's decode).
+// responses, the server-side handler wall time (which splits the
+// blocked-on-reply wait into Network and Execute span phases), and the
+// per-call accounting slice of the shared cumulative counters
+// (readWait/bytesIn deltas around this reply's decode).
 type callReply struct {
 	resps      []Response
 	execNanos  int64
@@ -186,18 +133,17 @@ func (e *sessionDeadError) Error() string {
 func (e *sessionDeadError) Unwrap() error { return e.err }
 
 // session is one transport's lifetime: the connection, its codecs, the
-// in-flight call tables, and the single reader goroutine demultiplexing
+// in-flight call table, and the single reader goroutine demultiplexing
 // replies. A Client replaces its session wholesale on failure or Redial —
 // a gob stream cannot be resumed after a partial exchange — while draining
 // sessions finish their in-flight calls before closing.
 type session struct {
-	c      *Client
-	conn   net.Conn
-	bw     *bufio.Writer
-	br     *bufio.Reader
-	enc    *gob.Encoder
-	dec    *gob.Decoder
-	binary bool
+	c    *Client
+	conn net.Conn
+	bw   *bufio.Writer
+	br   *bufio.Reader
+	enc  *gob.Encoder
+	dec  *gob.Decoder
 
 	// writeTok serializes request writes (send to acquire, receive to
 	// release): neither gob streams nor slab frames can interleave two
@@ -210,13 +156,10 @@ type session struct {
 	work chan struct{}
 
 	mu       sync.Mutex
-	inflight map[uint64]*pendingCall // written calls by tag; guarded by mu
-	fifo     []*pendingCall          // written calls in send order; guarded by mu
+	inflight map[uint64]*pendingCall // registered calls by tag; guarded by mu
 	nextTag  uint64                  // last allocated call tag; guarded by mu
 	active   int                     // reserved window slots; guarded by mu
 	awaited  int                     // flushed, not yet answered; guarded by mu
-	curWin   int                     // current in-flight cap (1 while probing/lock-step); guarded by mu
-	probing  bool                    // first reply resolves the peer's tag support; guarded by mu
 	waiters  []chan struct{}         // calls queued for a window slot; guarded by mu
 	detached bool                    // draining: no new calls, in-flight finish; guarded by mu
 	dead     bool                    // torn down; guarded by mu
@@ -230,9 +173,8 @@ type session struct {
 //
 // A transport failure (encode, flush, decode, or timeout) leaves the gob
 // stream desynchronized, so the client tears the session down — failing
-// every in-flight call on it with the same error surface a lock-step
-// failure has — and marks itself broken instead of silently reusing the
-// dead stream; the next Call (or an explicit Redial) transparently
+// every in-flight call on it with that error — and marks itself broken
+// instead of silently reusing the dead stream; the next Call (or an explicit Redial) transparently
 // re-establishes the transport. The cumulative byte counters survive
 // reconnects.
 //
@@ -255,8 +197,6 @@ type Client struct {
 	dialing  chan struct{}         // closed when the in-flight dial settles; guarded by connMu
 	closed   bool                  // Close was called; distinguishes closed from broken; guarded by connMu
 
-	hint     atomic.Int32 // hint* state: survives transport teardown across redials
-	tagHint  atomic.Int32 // tag* state: survives transport teardown across redials
 	bytesOut atomic.Int64
 	bytesIn  atomic.Int64
 	readWait atomic.Int64 // cumulative ns blocked in conn reads; reader slices per reply
@@ -277,64 +217,49 @@ func Dial(addr string, opts Options) (*Client, error) {
 		reg:       opts.metrics(),
 		sessions:  map[*session]struct{}{},
 	}
-	conn, binary, err := c.dialTransport()
-	if err != nil {
+	if _, err := c.dialSession(context.Background()); err != nil {
 		return nil, err
 	}
-	s := c.newSession(conn, binary) // client not yet shared: exclusive access
-	c.sess = s
-	c.sessions[s] = struct{}{}
 	return c, nil
 }
 
 // dialTransport establishes a shaped (and possibly TLS-wrapped) connection
-// and negotiates the wire format on it; the bool reports binary framing.
-// It holds no locks, so a slow dial never delays Close or state queries.
+// and completes the wire-version handshake on it. It holds no locks, so a
+// slow dial never delays Close or state queries.
 //
-// Negotiation is a dedicated handshake at connect time — never piggybacked
-// on the first request batch — so a fallback redial re-sends five prelude
-// bytes, not application requests (an EXEC_UDF resent after an ambiguous
-// failure could double-execute). The cost is one extra RTT per connection;
+// The handshake is a dedicated exchange at connect time — never piggybacked
+// on the first request batch — at the cost of one extra RTT per connection;
 // connections are standing, so the RTT amortizes across the session.
-func (c *Client) dialTransport() (net.Conn, bool, error) {
-	conn, err := c.dialRaw()
-	if err != nil {
-		return nil, false, err
+//
+// Connect, TLS and version handshake together are bounded by DialTimeout
+// or, when sooner, the deadline of ctx: a budgeted call that has to redial
+// spends its own budget on it, not the dial timeout, and fails with
+// ErrDeadlineExceeded.
+func (c *Client) dialTransport(ctx context.Context) (net.Conn, error) {
+	var deadline time.Time
+	if d := timeout(c.opts.DialTimeout, DefaultDialTimeout); d > 0 {
+		deadline = time.Now().Add(d)
 	}
-	if c.opts.ForceGob || c.hint.Load() == hintGob {
-		return conn, false, nil
+	budget, budgeted := ctx.Deadline()
+	if budgeted && (deadline.IsZero() || budget.Before(deadline)) {
+		deadline = budget
 	}
-	herr := negotiate(conn, timeout(c.opts.DialTimeout, DefaultDialTimeout))
-	if herr == nil {
-		_ = conn.SetDeadline(time.Time{}) // handshake deadline off; per-exchange arming follows
-		c.hint.Store(hintBinary)
-		return conn, true, nil
+	conn, err := c.connect(ctx, deadline)
+	if err != nil && budgeted && !time.Now().Before(budget) {
+		return nil, fmt.Errorf("fedrpc: call to %s: %w (%v)", c.addr, ErrDeadlineExceeded, err)
 	}
-	conn.Close()
-	if c.hint.Load() == hintUnknown && peerRejectedPrelude(herr) {
-		// A peer we had never reached in binary closed the stream on the
-		// prelude: a pre-framing build whose gob decoder choked on the
-		// 0x00 lead byte. Fall back to pure gob for the client's lifetime.
-		c.hint.Store(hintGob)
-		c.reg.Counter("rpc.client.gob_fallbacks").Inc()
-		log.Printf("fedrpc: %s rejected framing prelude (%v); falling back to gob", c.addr, herr)
-		conn, err := c.dialRaw()
-		if err != nil {
-			return nil, false, err
-		}
-		return conn, false, nil
-	}
-	return nil, false, fmt.Errorf("fedrpc: handshake with %s: %w", c.addr, herr)
+	return conn, err
 }
 
-// dialRaw establishes the shaped (and possibly TLS-wrapped) connection,
-// with no format negotiation.
-func (c *Client) dialRaw() (net.Conn, error) {
-	raw, err := net.DialTimeout("tcp", c.addr, timeout(c.opts.DialTimeout, DefaultDialTimeout))
+// connect is dialTransport's body: every step shares the one deadline.
+func (c *Client) connect(ctx context.Context, deadline time.Time) (net.Conn, error) {
+	d := net.Dialer{Deadline: deadline}
+	raw, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		return nil, fmt.Errorf("fedrpc: dial %s: %w", c.addr, err)
 	}
 	conn := netem.Wrap(raw, c.opts.Netem)
+	_ = conn.SetDeadline(deadline)
 	if c.opts.TLS != nil {
 		tconn := tls.Client(conn, c.opts.TLS)
 		if err := tconn.Handshake(); err != nil {
@@ -343,6 +268,11 @@ func (c *Client) dialRaw() (net.Conn, error) {
 		}
 		conn = tconn
 	}
+	if err := negotiate(conn); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("fedrpc: handshake with %s: %w", c.addr, err)
+	}
+	_ = conn.SetDeadline(time.Time{}) // handshake deadline off; per-exchange arming follows
 	return conn, nil
 }
 
@@ -350,7 +280,7 @@ func (c *Client) dialRaw() (net.Conn, error) {
 // a gob stream cannot be resumed after a partial exchange, so both ends
 // must restart their codecs — and the session's reader goroutine. The
 // cumulative byte counters carry over.
-func (c *Client) newSession(conn net.Conn, binary bool) *session {
+func (c *Client) newSession(conn net.Conn) *session {
 	out := &countingWriter{w: conn, n: &c.bytesOut}
 	in := &countingReader{r: conn, n: &c.bytesIn, wait: &c.readWait}
 	bw := bufio.NewWriterSize(out, 1<<16)
@@ -362,46 +292,18 @@ func (c *Client) newSession(conn net.Conn, binary bool) *session {
 		br:       br,
 		enc:      gob.NewEncoder(bw),
 		dec:      gob.NewDecoder(br),
-		binary:   binary,
 		writeTok: make(chan struct{}, 1),
 		work:     make(chan struct{}, 1),
 		inflight: map[uint64]*pendingCall{},
-		curWin:   1,
-	}
-	switch c.tagHint.Load() {
-	case tagAware:
-		s.curWin = c.window
-	case tagUnknown:
-		// Hold the window at 1 until the first reply proves (or refutes)
-		// tag support; a tagLockstep verdict keeps it there for good.
-		s.probing = true
 	}
 	go s.readLoop()
 	return s
 }
 
-// WireBinary reports whether the current transport negotiated binary
-// framing (false while broken, closed, or speaking legacy gob).
-func (c *Client) WireBinary() bool {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	return c.sess != nil && c.sess.binary
-}
-
-// WindowCap reports how many calls may currently be multiplexed in flight
-// on this client: Options.Window once a peer has proven it echoes call
-// tags, 1 before that (and forever against a lock-step peer). Pools use it
-// to decide between multiplexing onto a live connection and dialing a new
-// one.
-func (c *Client) WindowCap() int {
-	if c.window <= 1 {
-		return 1
-	}
-	if c.tagHint.Load() == tagAware {
-		return c.window
-	}
-	return 1
-}
+// WindowCap reports how many calls may be multiplexed in flight on this
+// client (Options.Window, at least 1). Pools use it to decide between
+// multiplexing onto a live connection and dialing a new one.
+func (c *Client) WindowCap() int { return c.window }
 
 // Addr returns the worker address this client is connected to.
 func (c *Client) Addr() string { return c.addr }
@@ -529,12 +431,7 @@ func (c *Client) callOn(ctx context.Context, s *session, span *obs.Span, reqs []
 	})
 	outStart := c.bytesOut.Load()
 	encStart := time.Now()
-	var serr error
-	if s.binary {
-		serr = writeBatch(s.enc, s.bw, reqs, deadlineNanos, call.tag)
-	} else {
-		serr = s.enc.Encode(rpcEnvelope{Requests: reqs, DeadlineNanos: deadlineNanos, Tag: call.tag})
-	}
+	serr := writeBatch(s.enc, s.bw, reqs, deadlineNanos, call.tag)
 	if serr != nil {
 		serr = fmt.Errorf("fedrpc: send to %s: %w", c.addr, serr)
 	} else if ferr := s.bw.Flush(); ferr != nil {
@@ -673,7 +570,7 @@ func (c *Client) session(ctx context.Context) (*session, error) {
 		ch := make(chan struct{})
 		c.dialing = ch
 		c.connMu.Unlock()
-		s, err := c.dialSession()
+		s, err := c.dialSession(ctx)
 		c.connMu.Lock()
 		c.dialing = nil
 		c.connMu.Unlock()
@@ -684,8 +581,8 @@ func (c *Client) session(ctx context.Context) (*session, error) {
 
 // dialSession dials a fresh transport and installs it as the active
 // session. The caller owns the dialing latch.
-func (c *Client) dialSession() (*session, error) {
-	conn, binary, err := c.dialTransport()
+func (c *Client) dialSession(ctx context.Context) (*session, error) {
+	conn, err := c.dialTransport(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -695,7 +592,7 @@ func (c *Client) dialSession() (*session, error) {
 		conn.Close()
 		return nil, fmt.Errorf("fedrpc: call to %s: %w", c.addr, ErrClosed)
 	}
-	s := c.newSession(conn, binary)
+	s := c.newSession(conn)
 	c.sess = s
 	c.sessions[s] = struct{}{}
 	c.connMu.Unlock()
@@ -858,7 +755,7 @@ func (s *session) reserve(ctx context.Context) error {
 			s.mu.Unlock()
 			return &sessionDeadError{err: errSessionDetached}
 		}
-		if s.active < s.curWin {
+		if s.active < s.c.window {
 			s.active++
 			s.mu.Unlock()
 			return nil
@@ -916,7 +813,7 @@ func (s *session) acquireWrite(ctx context.Context) error {
 func (s *session) releaseWrite() { <-s.writeTok }
 
 // register allocates the call's tag and enters it into the in-flight
-// tables. From here on exactly one of the reader or teardown will complete
+// table. From here on exactly one of the reader or teardown will complete
 // the call.
 func (s *session) register() (*pendingCall, error) {
 	s.mu.Lock()
@@ -928,7 +825,6 @@ func (s *session) register() (*pendingCall, error) {
 	s.nextTag++
 	call := &pendingCall{tag: s.nextTag, done: make(chan callReply, 1)}
 	s.inflight[call.tag] = call
-	s.fifo = append(s.fifo, call)
 	s.mu.Unlock()
 	return call, nil
 }
@@ -974,11 +870,10 @@ func (s *session) armWriteDeadline(budget time.Duration) {
 
 // readLoop is the session's single reader: it sleeps while nothing is
 // awaited (an idle connection keeps no outstanding read and no read
-// deadline), then decodes replies and routes each to its call — by echoed
-// tag when the peer pipelines, by send order when it answers untagged.
-// Any decode failure, unknown tag, or unsolicited reply is a stream
-// desync the session cannot recover from: teardown fails every in-flight
-// call and the reader exits.
+// deadline), then decodes replies and routes each to its call by echoed
+// tag. Any decode failure or unknown tag is a stream desync the session
+// cannot recover from: teardown fails every in-flight call and the reader
+// exits.
 func (s *session) readLoop() {
 	for {
 		s.mu.Lock()
@@ -1012,59 +907,31 @@ func (s *session) readLoop() {
 		waitStart := time.Duration(s.c.readWait.Load())
 		inStart := s.c.bytesIn.Load()
 		decStart := time.Now()
-		var reply rpcReply
-		var derr error
-		if s.binary {
-			reply, derr = readReply(s.dec, s.br)
-		} else {
-			derr = s.dec.Decode(&reply)
-		}
+		resps, execNanos, tag, derr := readReply(s.dec, s.br)
 		if derr != nil {
 			s.c.failSession(s, fmt.Errorf("fedrpc: receive from %s: %w", s.c.addr, derr))
 			return
 		}
 		cr := callReply{
-			resps:      reply.Responses,
-			execNanos:  reply.ExecNanos,
+			resps:      resps,
+			execNanos:  execNanos,
 			readWait:   time.Duration(s.c.readWait.Load()) - waitStart,
 			bytesIn:    s.c.bytesIn.Load() - inStart,
 			decodeWall: time.Since(decStart),
 		}
 
 		s.mu.Lock()
-		var call *pendingCall
-		if reply.Tag != 0 {
-			call = s.inflight[reply.Tag]
-			if call == nil {
-				s.mu.Unlock()
-				s.c.failSession(s, fmt.Errorf("fedrpc: %s answered unknown call tag %d (duplicate or forged reply)",
-					s.c.addr, reply.Tag))
-				return
-			}
-			delete(s.inflight, reply.Tag)
-			s.dropFIFOLocked(call)
-		} else {
-			if len(s.fifo) == 0 {
-				s.mu.Unlock()
-				s.c.failSession(s, fmt.Errorf("fedrpc: %s sent an unsolicited reply", s.c.addr))
-				return
-			}
-			call = s.fifo[0]
-			s.fifo = s.fifo[1:]
-			delete(s.inflight, call.tag)
+		call := s.inflight[tag]
+		if call == nil {
+			// Tags start at 1, so this also catches a zero (missing) tag.
+			s.mu.Unlock()
+			s.c.failSession(s, fmt.Errorf("fedrpc: %s answered unknown call tag %d (duplicate, forged or untagged reply)",
+				s.c.addr, tag))
+			return
 		}
+		delete(s.inflight, tag)
 		s.active--
 		s.awaited--
-		if s.probing {
-			// First reply on a fresh client: does the peer echo tags?
-			s.probing = false
-			if reply.Tag != 0 {
-				s.c.tagHint.Store(tagAware)
-				s.curWin = s.c.window
-			} else {
-				s.c.tagHint.Store(tagLockstep)
-			}
-		}
 		waiters := s.takeWaitersLocked()
 		drained := s.detached && s.active == 0
 		s.mu.Unlock()
@@ -1112,8 +979,7 @@ func (s *session) teardown(err error) {
 	}
 	s.dead = true
 	s.deadErr = err
-	calls := s.fifo
-	s.fifo = nil
+	calls := s.inflight
 	s.inflight = map[uint64]*pendingCall{}
 	s.active -= len(calls)
 	s.awaited = 0
@@ -1149,17 +1015,6 @@ func (s *session) dropWaiterLocked(w chan struct{}) {
 	}
 }
 
-// dropFIFOLocked removes call from the send-order queue (an out-of-order
-// tagged reply claimed it). Callers hold s.mu.
-func (s *session) dropFIFOLocked(call *pendingCall) {
-	for i, q := range s.fifo {
-		if q == call {
-			s.fifo = append(s.fifo[:i], s.fifo[i+1:]...)
-			return
-		}
-	}
-}
-
 // wakeAll sends one non-blocking wake to each waiter channel (each is
 // buffered, cap 1, so the signal is never lost).
 func wakeAll(waiters []chan struct{}) {
@@ -1182,9 +1037,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// countingReader counts bytes and, when wait is set, accumulates the time
-// spent blocked in Read — the reader goroutine slices the cumulative total
-// per reply to split latency into network wait vs. decode CPU.
+// countingReader counts bytes and accumulates the time spent blocked in
+// Read — the reader goroutine slices the cumulative total per reply to
+// split latency into network wait vs. decode CPU.
 type countingReader struct {
 	r    interface{ Read([]byte) (int, error) }
 	n    *atomic.Int64
@@ -1192,14 +1047,9 @@ type countingReader struct {
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
-	var start time.Time
-	if c.wait != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	n, err := c.r.Read(p)
-	if c.wait != nil {
-		c.wait.Add(int64(time.Since(start)))
-	}
+	c.wait.Add(int64(time.Since(start)))
 	c.n.Add(int64(n))
 	return n, err
 }

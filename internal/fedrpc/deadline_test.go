@@ -3,6 +3,8 @@ package fedrpc
 import (
 	"context"
 	"errors"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -57,56 +59,45 @@ func (h *stallHandler) HandleContext(ctx context.Context, reqs []Request) []Resp
 	return out
 }
 
-// TestDeadlineTravelsToHandler pins the tentpole's wire half in both
-// framings: a caller deadline becomes a relative budget in the request
-// envelope, and the server reconstructs a context whose deadline is at most
-// that budget away. A call without a deadline must reach the handler with
-// an unbounded context — absent field means "no deadline", which is also
-// what an old peer's envelope decodes to.
+// TestDeadlineTravelsToHandler pins the tentpole's wire half: a caller
+// deadline becomes a relative budget in the request envelope, and the
+// server reconstructs a context whose deadline is at most that budget
+// away. A call without a deadline must reach the handler with an unbounded
+// context — a zero field means "no deadline".
 func TestDeadlineTravelsToHandler(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"binary", Options{}},
-		{"gob", Options{ForceGob: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			h := &deadlineProbeHandler{}
-			s, err := Serve("127.0.0.1:0", h, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			c, err := Dial(s.Addr(), tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+	h := &deadlineProbeHandler{}
+	s, err := Serve("127.0.0.1:0", h, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(s.Addr(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 
-			const budget = 5 * time.Second
-			ctx, cancel := context.WithTimeout(context.Background(), budget)
-			defer cancel()
-			if _, err := c.CallCtx(ctx, Request{Type: Health}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.CallCtx(context.Background(), Request{Type: Health}); err != nil {
-				t.Fatal(err)
-			}
+	const budget = 5 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	if _, err := c.CallCtx(ctx, Request{Type: Health}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CallCtx(context.Background(), Request{Type: Health}); err != nil {
+		t.Fatal(err)
+	}
 
-			h.mu.Lock()
-			budgets := append([]time.Duration(nil), h.budgets...)
-			h.mu.Unlock()
-			if len(budgets) != 2 {
-				t.Fatalf("handler saw %d batches, want 2", len(budgets))
-			}
-			if budgets[0] <= 0 || budgets[0] > budget {
-				t.Fatalf("deadlined call reached handler with budget %v, want (0, %v]", budgets[0], budget)
-			}
-			if budgets[1] != -1 {
-				t.Fatalf("deadline-free call reached handler with a deadline (%v away)", budgets[1])
-			}
-		})
+	h.mu.Lock()
+	budgets := append([]time.Duration(nil), h.budgets...)
+	h.mu.Unlock()
+	if len(budgets) != 2 {
+		t.Fatalf("handler saw %d batches, want 2", len(budgets))
+	}
+	if budgets[0] <= 0 || budgets[0] > budget {
+		t.Fatalf("deadlined call reached handler with budget %v, want (0, %v]", budgets[0], budget)
+	}
+	if budgets[1] != -1 {
+		t.Fatalf("deadline-free call reached handler with a deadline (%v away)", budgets[1])
 	}
 }
 
@@ -260,5 +251,55 @@ func TestMidExchangeCancelInterruptsPromptly(t *testing.T) {
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("cancel took %v to interrupt the exchange", d)
+	}
+}
+
+// TestBudgetedRedialHonorsDeadline is the regression test for the redial
+// that ignored its caller's budget: a peer that shakes hands on the first
+// connection and goes mute on the second used to hold a 100 ms-budget call
+// for the full DialTimeout. The budget now bounds the redial too.
+func TestBudgetedRedialHonorsDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for first := true; ; first = false {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if first {
+				_ = ackPrelude(conn)
+				conn.Close() // break the client: its next call must redial
+				continue
+			}
+			go func(c net.Conn) { _, _ = io.Copy(io.Discard, c) }(conn) // never acks
+		}
+	}()
+	c, err := Dial(ln.Addr().String(), Options{DialTimeout: 3 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Call(Request{Type: Health}); err == nil {
+		t.Fatal("call on the closed first connection succeeded")
+	}
+	if !c.Broken() {
+		t.Fatal("client not broken after its connection was closed")
+	}
+
+	const budget = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	start := time.Now()
+	_, err = c.CallCtx(ctx, Request{Type: Health})
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("budgeted redial against a mute peer = %v, want ErrDeadlineExceeded", err)
+	}
+	if elapsed > 2*budget {
+		t.Fatalf("budgeted redial took %v, want within ~2x the %v budget", elapsed, budget)
 	}
 }

@@ -60,6 +60,17 @@ func startServer(t *testing.T, opts Options) (*Server, *echoHandler) {
 	return s, h
 }
 
+// ackPrelude completes the server half of the handshake on a raw
+// connection, unbuffered, so a hand-rolled test peer can carry on with the
+// bytes that follow.
+func ackPrelude(conn net.Conn) error {
+	if err := readPrelude(conn); err != nil {
+		return err
+	}
+	_, err := conn.Write(wirePrelude[:])
+	return err
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	s, _ := startServer(t, Options{})
 	c, err := Dial(s.Addr(), Options{})
@@ -325,9 +336,12 @@ func TestIOTimeoutUnblocksSilentPeer(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		// Drain the request but never answer.
-		buf := make([]byte, 1<<16)
+		// Shake hands, then drain the request but never answer.
 		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if err := ackPrelude(conn); err != nil {
+			return
+		}
+		buf := make([]byte, 1<<16)
 		for {
 			if _, err := conn.Read(buf); err != nil {
 				return
@@ -335,9 +349,7 @@ func TestIOTimeoutUnblocksSilentPeer(t *testing.T) {
 		}
 	}()
 
-	// ForceGob: the mute peer above never acks a framing handshake, and
-	// this test pins the exchange deadline, not the wire format.
-	c, err := Dial(ln.Addr().String(), Options{IOTimeout: 100 * time.Millisecond, ForceGob: true})
+	c, err := Dial(ln.Addr().String(), Options{IOTimeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

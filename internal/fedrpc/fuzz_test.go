@@ -8,8 +8,8 @@ import (
 	"exdra/internal/matrix"
 )
 
-// encodeBatch renders a request batch in the binary-v1 wire form (gob
-// control envelope + raw slabs) for the fuzz seed corpus.
+// encodeBatch renders a request batch in the v2 wire form (gob control
+// envelope + raw slabs) for the fuzz seed corpus.
 func encodeBatch(t interface{ Fatal(...any) }, reqs []Request, deadlineNanos int64, tag uint64) []byte {
 	var buf bytes.Buffer
 	if err := writeBatch(gob.NewEncoder(&buf), &buf, reqs, deadlineNanos, tag); err != nil {
@@ -18,7 +18,7 @@ func encodeBatch(t interface{ Fatal(...any) }, reqs []Request, deadlineNanos int
 	return buf.Bytes()
 }
 
-// encodeReply renders a response batch in the binary-v1 wire form.
+// encodeReply renders a response batch in the v2 wire form.
 func encodeReply(t interface{ Fatal(...any) }, resps []Response, tag uint64) []byte {
 	var buf bytes.Buffer
 	if err := writeReply(gob.NewEncoder(&buf), &buf, resps, 42, tag); err != nil {
@@ -34,7 +34,8 @@ func encodeReply(t interface{ Fatal(...any) }, resps []Response, tag uint64) []b
 // length field alone.
 func FuzzWireEnvelope(f *testing.F) {
 	m := matrix.FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	f.Add(encodeBatch(f, []Request{{Type: Health}}, 0, 0))
+	f.Add(encodeBatch(f, []Request{{Type: Health}}, 0, 2))
+	f.Add(encodeBatch(f, []Request{{Type: Health}}, 0, 0)) // untagged: must be rejected
 	f.Add(encodeBatch(f, []Request{
 		{Type: Put, ID: 7, Data: MatrixPayload(m)},
 		{Type: Get, ID: 7},
@@ -48,9 +49,12 @@ func FuzzWireEnvelope(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		reqs, deadline, _, err := readBatch(gob.NewDecoder(r), r)
+		reqs, deadline, tag, err := readBatch(gob.NewDecoder(r), r)
 		if err != nil {
 			return // rejected: the only acceptable failure mode
+		}
+		if tag == 0 {
+			t.Fatal("accepted a request batch without a call tag")
 		}
 		// Accepted batches must be internally consistent enough to hand to
 		// a handler.
@@ -70,7 +74,7 @@ func FuzzWireEnvelope(f *testing.F) {
 // unbounded allocation.
 func FuzzWireReply(f *testing.F) {
 	m := matrix.FromRows([][]float64{{1.5, -2.5}, {3.25, 0}})
-	f.Add(encodeReply(f, []Response{{OK: true}}, 0))
+	f.Add(encodeReply(f, []Response{{OK: true}}, 1))
 	f.Add(encodeReply(f, []Response{
 		{OK: true, Data: MatrixPayload(m), Epoch: 3},
 		{Err: "deadline exceeded", Code: CodeDeadlineExceeded},
@@ -81,11 +85,11 @@ func FuzzWireReply(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		rep, err := readReply(gob.NewDecoder(r), r)
+		resps, _, _, err := readReply(gob.NewDecoder(r), r)
 		if err != nil {
 			return
 		}
-		for i, resp := range rep.Responses {
+		for i, resp := range resps {
 			if resp.Data.Rows < 0 || resp.Data.Cols < 0 {
 				t.Fatalf("response %d decoded negative shape %dx%d", i, resp.Data.Rows, resp.Data.Cols)
 			}

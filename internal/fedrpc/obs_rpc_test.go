@@ -94,13 +94,15 @@ func TestCloseDoesNotBlockOnInFlightCall(t *testing.T) {
 			if err != nil {
 				return
 			}
-			go func(c net.Conn) { _, _ = io.Copy(io.Discard, c) }(conn) // swallow, never reply
+			go func(c net.Conn) { // shake hands, then swallow and never reply
+				if ackPrelude(c) == nil {
+					_, _ = io.Copy(io.Discard, c)
+				}
+			}(conn)
 		}
 	}()
 
-	// ForceGob: the swallow-server never acks a framing handshake, and
-	// this test pins Close promptness, not the wire format.
-	c, err := Dial(ln.Addr().String(), Options{Metrics: obs.New(), ForceGob: true})
+	c, err := Dial(ln.Addr().String(), Options{Metrics: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}

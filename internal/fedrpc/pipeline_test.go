@@ -1,9 +1,11 @@
 package fedrpc
 
 import (
+	"bufio"
 	"context"
 	"encoding/gob"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -15,15 +17,6 @@ import (
 	"exdra/internal/netem"
 	"exdra/internal/obs"
 )
-
-// warm resolves a fresh client's pipelining probe (the first call always
-// runs lock-step) so the tests below start with the window fully open.
-func warm(t *testing.T, c *Client) {
-	t.Helper()
-	if _, err := c.Call(Request{Type: Clear}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestPipelineOutOfOrderReplies pins the tentpole behavior: two calls in
 // flight on ONE connection, where the first to be sent is the last to be
@@ -53,9 +46,8 @@ func TestPipelineOutOfOrderReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	warm(t, c)
 	if got := c.WindowCap(); got != 4 {
-		t.Fatalf("WindowCap after tag-aware reply = %d, want 4", got)
+		t.Fatalf("WindowCap = %d, want the configured window 4 from dial", got)
 	}
 
 	slow := make(chan error, 1)
@@ -100,16 +92,12 @@ func TestPipelineOutOfOrderReplies(t *testing.T) {
 	}
 }
 
-// lockstepPeer emulates a pre-pipelining worker: pure gob, decodes the
-// legacy envelope shape (no Tag field — gob skips the unknown field a new
-// client sends), and answers strictly in order with untagged replies.
-func lockstepPeer(t *testing.T, mangleTag func(uint64) uint64) net.Listener {
+// rawPeer is a hand-rolled worker that completes the handshake and then
+// answers every request batch with one OK reply per tag replyTags returns
+// for the batch's call tag — so a test can echo a wrong tag, no tag, or the
+// same tag twice.
+func rawPeer(t *testing.T, replyTags func(tag uint64) []uint64) net.Listener {
 	t.Helper()
-	type oldEnvelope struct {
-		Requests      []Request
-		DeadlineNanos int64
-		Tag           uint64 // read so mangleTag can echo a wrong value; old peers would skip it
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -123,19 +111,25 @@ func lockstepPeer(t *testing.T, mangleTag func(uint64) uint64) net.Listener {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				dec := gob.NewDecoder(conn)
+				if err := ackPrelude(conn); err != nil {
+					return
+				}
+				br := bufio.NewReader(conn)
+				dec := gob.NewDecoder(br)
 				enc := gob.NewEncoder(conn)
 				for {
-					var env oldEnvelope
-					if err := dec.Decode(&env); err != nil {
+					reqs, _, tag, err := readBatch(dec, br)
+					if err != nil {
 						return
 					}
-					resps := make([]Response, len(env.Requests))
+					resps := make([]Response, len(reqs))
 					for i := range resps {
 						resps[i] = Response{OK: true}
 					}
-					if err := enc.Encode(rpcReply{Responses: resps, Tag: mangleTag(env.Tag)}); err != nil {
-						return
+					for _, rt := range replyTags(tag) {
+						if err := writeReply(enc, conn, resps, 0, rt); err != nil {
+							return
+						}
 					}
 				}
 			}(conn)
@@ -144,71 +138,61 @@ func lockstepPeer(t *testing.T, mangleTag func(uint64) uint64) net.Listener {
 	return ln
 }
 
-// TestUntaggedPeerFallsBackToLockstep pins the compatibility matrix row
-// "new client, old worker": the first untagged reply pins the client to
-// lock-step for good (sticky across redials, like the gob fallback), and
-// calls keep working.
-func TestUntaggedPeerFallsBackToLockstep(t *testing.T) {
-	ln := lockstepPeer(t, func(uint64) uint64 { return 0 })
-	c, err := Dial(ln.Addr().String(), Options{Metrics: obs.New(), ForceGob: true, Window: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Call(Request{Type: Clear}); err != nil {
-		t.Fatalf("first call against untagged peer: %v", err)
-	}
-	if got := c.WindowCap(); got != 1 {
-		t.Fatalf("WindowCap after untagged reply = %d, want sticky lock-step 1", got)
-	}
-	// Concurrent calls still work — serialized, exactly like the legacy
-	// exchange lock.
-	var wg sync.WaitGroup
-	var fail atomic.Value
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := c.Call(Request{Type: Clear}); err != nil {
-				fail.Store(err)
+// TestBadReplyTagTearsDownSession: a reply bearing a tag that matches no
+// in-flight call — a wrong one, or none at all — is a protocol desync
+// (duplicate, forged, or corrupt); the session must fail loudly, not
+// mis-deliver the reply.
+func TestBadReplyTagTearsDownSession(t *testing.T) {
+	for name, replyTags := range map[string]func(uint64) []uint64{
+		"unknown": func(tag uint64) []uint64 { return []uint64{tag + 9000} },
+		"zero":    func(uint64) []uint64 { return []uint64{0} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln := rawPeer(t, replyTags)
+			c, err := Dial(ln.Addr().String(), Options{Metrics: obs.New(), Window: 8})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	wg.Wait()
-	if err := fail.Load(); err != nil {
-		t.Fatalf("lock-step fallback call failed: %v", err)
-	}
-	// The verdict survives a redial: the peer did not learn tags overnight.
-	if err := c.Redial(); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.WindowCap(); got != 1 {
-		t.Fatalf("WindowCap after redial = %d, want sticky lock-step 1", got)
-	}
-	if c.Broken() {
-		t.Fatal("client broken after clean lock-step fallback")
+			defer c.Close()
+			_, err = c.Call(Request{Type: Clear})
+			if err == nil {
+				t.Fatal("reply with a bad tag was accepted")
+			}
+			if !strings.Contains(err.Error(), "unknown call tag") {
+				t.Fatalf("err = %v, want the unknown-tag teardown", err)
+			}
+			if !c.Broken() {
+				t.Fatal("client not broken after bad-tag reply")
+			}
+		})
 	}
 }
 
-// TestUnknownTagTearsDownSession: a reply bearing a tag that matches no
-// in-flight call is a protocol desync (duplicate, forged, or corrupt); the
-// session must fail loudly, not mis-deliver the reply.
-func TestUnknownTagTearsDownSession(t *testing.T) {
-	ln := lockstepPeer(t, func(tag uint64) uint64 { return tag + 9000 })
-	c, err := Dial(ln.Addr().String(), Options{Metrics: obs.New(), ForceGob: true, Window: 8})
+// TestZeroTagRequestTearsDownConnection is the server half: a request
+// batch without a call tag cannot be answered, so the server closes the
+// connection instead of executing it.
+func TestZeroTagRequestTearsDownConnection(t *testing.T) {
+	s, h := startServer(t, Options{Metrics: obs.New()})
+	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	_, err = c.Call(Request{Type: Clear})
-	if err == nil {
-		t.Fatal("reply with unknown tag was accepted")
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := negotiate(conn); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "unknown call tag") {
-		t.Fatalf("err = %v, want the unknown-tag teardown", err)
+	put := Request{Type: Put, ID: 1, Data: ScalarPayload(1)}
+	if err := writeBatch(gob.NewEncoder(conn), conn, []Request{put}, 0, 0); err != nil {
+		t.Fatal(err)
 	}
-	if !c.Broken() {
-		t.Fatal("client not broken after unknown-tag reply")
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after a zero-tag request = %d bytes, %v; want the connection closed", n, err)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.store) != 0 {
+		t.Fatal("server executed an untagged batch")
 	}
 }
 
@@ -217,44 +201,15 @@ func TestUnknownTagTearsDownSession(t *testing.T) {
 // session the moment it is read (its tag no longer matches anything)
 // rather than complete some later call with stale data.
 func TestDuplicateTagReplyTearsDownSession(t *testing.T) {
-	type oldEnvelope struct {
-		Requests      []Request
-		DeadlineNanos int64
-		Tag           uint64
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
+	var first atomic.Bool
+	first.Store(true)
+	ln := rawPeer(t, func(tag uint64) []uint64 {
+		if first.Swap(false) {
+			return []uint64{tag, tag} // the duplicate: same tag, sent again unprompted
 		}
-		defer conn.Close()
-		dec := gob.NewDecoder(conn)
-		enc := gob.NewEncoder(conn)
-		first := true
-		for {
-			var env oldEnvelope
-			if err := dec.Decode(&env); err != nil {
-				return
-			}
-			resps := []Response{{OK: true}}
-			if err := enc.Encode(rpcReply{Responses: resps, Tag: env.Tag}); err != nil {
-				return
-			}
-			if first {
-				first = false
-				// The duplicate: same tag, sent again unprompted.
-				if err := enc.Encode(rpcReply{Responses: resps, Tag: env.Tag}); err != nil {
-					return
-				}
-			}
-		}
-	}()
-	c, err := Dial(ln.Addr().String(), Options{Metrics: obs.New(), ForceGob: true, Window: 8})
+		return []uint64{tag}
+	})
+	c, err := Dial(ln.Addr().String(), Options{Metrics: obs.New(), Window: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,9 +247,9 @@ func TestFailedExchangeBytesMatchAtomics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Warmup both counts the handshake-free happy path and resolves the
-	// probe, so the failing call below is an ordinary exchange.
-	warm(t, c)
+	if _, err := c.Call(Request{Type: Clear}); err != nil { // a clean exchange first
+		t.Fatal(err)
+	}
 	payload := MatrixPayload(matrix.Fill(128, 128, 1)) // ~128 KB: crosses the cut mid-slab
 	_, err = c.Call(Request{Type: Put, ID: 1, Data: payload})
 	if err == nil {
@@ -390,8 +345,8 @@ func TestPipelineDepth8Latency(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		// Seed the objects and resolve the probe in one batched call, then
-		// let the netem burst gap elapse so measurement starts clean.
+		// Seed the objects in one batched call, then let the netem burst
+		// gap elapse so measurement starts clean.
 		reqs := make([]Request, depth)
 		for i := range reqs {
 			reqs[i] = Request{Type: Put, ID: int64(i + 1), Data: ScalarPayload(float64(i))}
@@ -501,22 +456,14 @@ func TestPoolCancelStormCheckoutAccounting(t *testing.T) {
 	}
 }
 
-// TestPoolMultiplexesPipelinedConnection: once a pooled client has proven
-// its peer pipelines, additional checkouts lease the same connection (up
-// to its window) instead of waiting — a size-1 pool serves three
-// concurrent checkouts over one transport.
+// TestPoolMultiplexesPipelinedConnection: additional checkouts lease a
+// pooled client's connection (up to its window) instead of waiting — a
+// size-1 pool serves three concurrent checkouts over one transport.
 func TestPoolMultiplexesPipelinedConnection(t *testing.T) {
 	s, _ := startServer(t, Options{})
 	p := NewPool(s.Addr(), 1, Options{Metrics: obs.New(), Window: 4})
 	defer p.Close()
 	ctx := context.Background()
-	cl, err := p.Get(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm(t, cl) // prove tag support so WindowCap opens to 4
-	p.Put(cl)
-
 	c1, err := p.Get(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -529,7 +476,7 @@ func TestPoolMultiplexesPipelinedConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1 != cl || c2 != cl || c3 != cl {
+	if c2 != c1 || c3 != c1 {
 		t.Fatal("multiplexed checkouts did not share the one pooled connection")
 	}
 	st := p.Stats()

@@ -20,10 +20,9 @@ var ErrPoolClosed = errors.New("fedrpc: pool closed")
 // exchange, up to Size connections per worker.
 //
 // Connections are dialed lazily and never beyond Size, but a connection is
-// not exclusively owned: once a client has proven its peer pipelines (see
-// Client.WindowCap), up to W checkouts multiplex onto it — their tagged
-// exchanges interleave on the wire — before the pool dials another
-// connection. A checkout beyond Size×W waits (FIFO) for a checkin, giving
+// not exclusively owned: up to W checkouts (Client.WindowCap) multiplex
+// onto it — their tagged exchanges interleave on the wire — before the
+// pool dials another connection. A checkout beyond Size×W waits (FIFO) for a checkin, giving
 // natural backpressure that pairs with the service's admission control.
 // Broken clients are handed out as-is — fedrpc.Client transparently redials
 // on its next Call, so the pool needs no health bookkeeping of its own.
@@ -64,7 +63,7 @@ func (p *Pool) Addr() string { return p.addr }
 func (p *Pool) Size() int { return p.size }
 
 // Get checks a client out of the pool: an idle one if available, a lease
-// multiplexed onto a live pipelining connection with window headroom, a
+// multiplexed onto a live connection with window headroom, a
 // freshly dialed one while fewer than Size exist, otherwise it waits until
 // a checkin (FIFO) or ctx dies. The caller must return the client with Put
 // when its exchange completes — broken or not.

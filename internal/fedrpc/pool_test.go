@@ -244,15 +244,11 @@ func TestServerMaxConnsRejectsWithBackoff(t *testing.T) {
 		t.Fatalf("worker.conns = %d, want 1", v)
 	}
 
-	// A second connection is over the cap: the server parks then drops it,
-	// so the call fails instead of hanging.
-	c2, err := Dial(s.Addr(), Options{IOTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if _, err := c2.CallOne(Request{Type: Get, ID: 1}); err == nil {
-		t.Fatal("over-limit connection served a call")
+	// A second connection is over the cap: the server parks then drops it
+	// without a handshake, so the dial fails instead of hanging.
+	if c2, err := Dial(s.Addr(), Options{DialTimeout: 2 * time.Second}); err == nil {
+		c2.Close()
+		t.Fatal("over-limit connection completed a handshake")
 	}
 	if v := reg.Counter("worker.conn_rejects").Value(); v == 0 {
 		t.Fatal("worker.conn_rejects not incremented")

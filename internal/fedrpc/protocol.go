@@ -3,10 +3,9 @@
 // exchanged between a coordinator and standing federated workers. A single
 // RPC carries a sequence of requests and returns one response per request;
 // the coordinator issues RPCs to all workers in parallel. Transport is TCP
-// with a negotiated encoding — binary framing (gob control envelope + raw
-// float64 slabs, see wire.go) between current peers, pure gob with older
-// ones — optionally TLS-encrypted (the paper's SSL setting) and optionally
-// shaped by package netem for WAN experiments.
+// with one wire format (gob control envelope + raw float64 slabs, see
+// wire.go), optionally TLS-encrypted (the paper's SSL setting) and
+// optionally shaped by package netem for WAN experiments.
 package fedrpc
 
 import (
@@ -96,8 +95,7 @@ type Request struct {
 }
 
 // Response codes classify failures beyond the human-readable Err string.
-// Old peers never set Code (gob zero-fills missing fields), so zero must
-// always mean "no machine-readable class" — matching their behavior.
+// Zero means "no machine-readable class".
 const (
 	// CodeNone is the zero value: no failure class attached.
 	CodeNone = 0

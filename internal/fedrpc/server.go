@@ -46,7 +46,6 @@ type Server struct {
 	handler     Handler
 	ioTimeout   time.Duration
 	idleTimeout time.Duration
-	forceGob    bool
 	maxConns    int
 	reg         *obs.Registry
 	cancel      context.CancelFunc
@@ -74,7 +73,6 @@ func Serve(addr string, h Handler, opts Options) (*Server, error) {
 		handler:     h,
 		ioTimeout:   timeout(opts.IOTimeout, DefaultIOTimeout),
 		idleTimeout: timeout(opts.IdleTimeout, DefaultIdleTimeout),
-		forceGob:    opts.ForceGob,
 		maxConns:    opts.MaxConns,
 		reg:         opts.metrics(),
 		conns:       map[net.Conn]struct{}{},
@@ -155,45 +153,31 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.reg.Gauge("worker.conns").Add(-1)
 	}()
 	// Registered after the cleanup defer, so it runs first (LIFO): every
-	// in-flight tagged batch finishes and flushes its reply before the
-	// connection closes, even when the read side exits on EOF.
+	// in-flight batch finishes and flushes its reply before the connection
+	// closes, even when the read side exits on EOF.
 	var hwg sync.WaitGroup
 	defer hwg.Wait()
 	bw := bufio.NewWriterSize(conn, 1<<16)
 	br := bufio.NewReaderSize(conn, 1<<16)
 
-	// Format sniff: a current client opens the stream with the 5-byte
-	// framing prelude, whose 0x00 lead byte can never begin a gob message,
-	// so one peeked byte distinguishes the formats without consuming
-	// anything from a legacy peer's stream. ForceGob skips the sniff
-	// entirely, behaving exactly like a pre-framing build (the client's
-	// prelude then desyncs the gob decoder below and the connection dies,
-	// which is precisely the legacy behavior clients fall back from).
-	useBinary := false
-	if !s.forceGob {
-		if s.idleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
+	if s.idleTimeout > 0 {
+		_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
+	}
+	if s.ioTimeout > 0 {
+		_ = conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
+	}
+	if err := serverHandshake(br, bw); err != nil {
+		// A peer that vanished before its first byte is nothing to log.
+		if !errors.Is(err, io.EOF) {
+			log.Printf("fedrpc: handshake from %s: %v", conn.RemoteAddr(), err)
 		}
-		lead, err := br.Peek(1)
-		if err != nil {
-			return // peer vanished before the first byte; nothing to log
-		}
-		if lead[0] == wirePrelude[0] {
-			if s.ioTimeout > 0 {
-				_ = conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
-			}
-			if err := serverHandshake(br, bw); err != nil {
-				log.Printf("fedrpc: handshake from %s: %v", conn.RemoteAddr(), err)
-				return
-			}
-			useBinary = true
-		}
+		return
 	}
 
 	enc := gob.NewEncoder(bw)
 	dec := gob.NewDecoder(br)
 
-	// Replies from concurrently executing tagged batches are written one at
+	// Replies from concurrently executing batches are written one at
 	// a time under a write token (a channel, not a mutex: gob encoding can
 	// block on the network and must never happen under a lock). wfail
 	// poisons the connection after the first write failure so later replies
@@ -209,13 +193,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.ioTimeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
 		}
-		var werr error
-		if useBinary {
-			werr = writeReply(enc, bw, resps, int64(elapsed), tag)
-		} else {
-			werr = enc.Encode(rpcReply{Responses: resps, ExecNanos: int64(elapsed), Tag: tag})
-		}
-		if werr != nil {
+		if werr := writeReply(enc, bw, resps, int64(elapsed), tag); werr != nil {
 			log.Printf("fedrpc: encode to %s: %v", conn.RemoteAddr(), werr)
 		} else if ferr := bw.Flush(); ferr != nil {
 			// A reply lost mid-write must leave a server-side trace, same
@@ -230,9 +208,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}
 
-	// sem bounds concurrently executing tagged batches (see
-	// serverInflightWindow); untagged batches run inline, preserving the
-	// strict read-execute-reply lock-step a legacy peer expects.
+	// sem bounds concurrently executing batches (see serverInflightWindow).
 	sem := make(chan struct{}, serverInflightWindow)
 	for {
 		// The read deadline doubles as the idle bound: a coordinator that
@@ -242,19 +218,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.idleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
 		}
-		var reqs []Request
-		var deadlineNanos int64
-		var tag uint64
-		var rerr error
-		if useBinary {
-			reqs, deadlineNanos, tag, rerr = readBatch(dec, br)
-		} else {
-			var env rpcEnvelope
-			rerr = dec.Decode(&env)
-			reqs = env.Requests
-			deadlineNanos = env.DeadlineNanos
-			tag = env.Tag
-		}
+		reqs, deadlineNanos, tag, rerr := readBatch(dec, br)
 		if rerr != nil {
 			if !errors.Is(rerr, io.EOF) && !errors.Is(rerr, net.ErrClosed) {
 				log.Printf("fedrpc: decode from %s: %v", conn.RemoteAddr(), rerr)
@@ -264,21 +228,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		if wfail.Load() {
 			return
 		}
-		if tag == 0 {
-			// Untagged: a lock-step peer. Execute inline and reply before
-			// reading the next envelope, exactly as the legacy server did.
-			start := time.Now()
-			resps := s.handleBatch(reqs, deadlineNanos)
-			elapsed := time.Since(start)
-			s.observe(reqs, elapsed)
-			writeOne(resps, elapsed, 0)
-			if wfail.Load() {
-				return
-			}
-			continue
-		}
-		// Tagged: execute concurrently; the reply carries the echoed tag so
-		// the client routes it regardless of completion order.
+		// Execute concurrently; the reply carries the echoed tag so the
+		// client routes it regardless of completion order.
 		sem <- struct{}{}
 		hwg.Add(1)
 		go func(reqs []Request, deadlineNanos int64, tag uint64) {
@@ -294,13 +245,12 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // handleBatch runs one request batch under the deadline the client put on
-// the wire (deadlineNanos, relative; 0 = none — every pre-deadline peer).
+// the wire (deadlineNanos, relative; 0 = none).
 //
 // With a deadline, the handler runs in its own goroutine so the reply can
 // be written the moment the budget expires: the client is waiting with a
 // budget-plus-grace I/O deadline of its own, and a typed reply that beats
-// that window keeps the connection (and its negotiated format) alive
-// instead of forcing a teardown-and-redial. A context-aware handler
+// that window keeps the connection alive instead of forcing a teardown-and-redial. A context-aware handler
 // (package worker) usually notices the expiry itself and returns typed
 // responses first; the select here is the backstop for a kernel too deep
 // in compute to check. The abandoned goroutine finishes its current op,

@@ -1,39 +1,35 @@
 package fedrpc
 
-// Binary wire framing (wire format v1).
+// The wire format (version 2) — the only one this package speaks.
 //
-// The legacy protocol gob-encodes entire request/response batches,
-// including dense float64 slabs, which makes encode/decode the dominant
-// phase of matrix-heavy RPCs (gob walks every value through reflection and
-// varint-compresses it). Format v1 splits each batch into
+// Gob-encoding whole batches, dense float64 slabs included, makes
+// encode/decode the dominant phase of matrix-heavy RPCs (gob walks every
+// value through reflection and varint-compresses it), so each batch is
 //
 //	[gob control envelope][raw slab][raw slab]...
 //
 // where the envelope (wireEnvelope / wireReply) carries everything small —
-// types, IDs, dims, errors, instructions, the batch epoch — and each
-// payload's Values ([]float64) and Bytes ([]byte) contents follow as raw
-// little-endian slabs written directly from (and read directly into) the
-// backing arrays. gob remains the envelope codec because it is
-// self-delimiting on a stream and never reads past a message boundary, so
-// raw slabs can interleave with gob messages on one buffered connection.
+// types, IDs, dims, errors, instructions, the call tag, the batch epoch —
+// and each payload's Values ([]float64) and Bytes ([]byte) contents follow
+// as raw little-endian slabs written directly from (and read directly
+// into) the backing arrays, each covered by a CRC-32C in its descriptor.
+// gob remains the envelope codec because it is self-delimiting on a stream
+// and never reads past a message boundary, so raw slabs can interleave
+// with gob messages on one buffered connection.
 //
-// Negotiation: a connection starts in the legacy gob format unless the
-// client sends the 5-byte prelude {0x00, 'X', 'D', 'R', version}. The
-// leading 0x00 can never begin a gob stream (a gob message starts with its
-// byte count, an unsigned value >= 1 whose first encoded byte is nonzero),
-// so a server can sniff one byte and serve both formats on the same port:
-// prelude seen -> echo its own prelude and speak v1; anything else -> pure
-// gob, exactly as before this format existed. A client that sends the
-// prelude to a pre-framing server sees the connection die (the old gob
-// decoder chokes on 0x00 and closes); it then redials once and falls back
-// to pure gob for good (see Client.dialTransport).
+// Handshake: the client opens every connection with the 5-byte prelude
+// {0x00, 'X', 'D', 'R', version} and the server answers with its own. The
+// versions must be equal; a server that sees another version still sends
+// its prelude before closing, so both ends report ErrWireVersion naming
+// the two versions instead of a bare EOF.
 //
 // The reply envelope carries the worker's instance epoch once per batch
 // instead of once per response; the client stamps it back onto every
-// decoded Response so the coordinator's restart detection is unchanged.
+// decoded Response.
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -41,22 +37,23 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"net"
-	"strings"
 	"sync"
-	"time"
 	"unsafe"
 
 	"exdra/internal/frame"
-	"exdra/internal/netem"
 )
 
-// wireVersion is the framing version this build speaks.
-const wireVersion byte = 1
+// wireVersion is the wire-format version this build speaks. Both ends of a
+// connection must match it exactly.
+const wireVersion byte = 2
 
-// wirePrelude is the 5-byte stream prelude: an impossible-for-gob first
-// byte, a magic tag, and the version byte.
+// wirePrelude is the 5-byte stream prelude: a magic tag and the version
+// byte.
 var wirePrelude = [5]byte{0x00, 'X', 'D', 'R', wireVersion}
+
+// ErrWireVersion marks a handshake with a peer that speaks another
+// wire-format version; the wrapping error names both versions.
+var ErrWireVersion = errors.New("fedrpc: wire version mismatch")
 
 // maxSlabBytes bounds a single decoded slab (16 GiB) so a corrupt or
 // hostile envelope cannot OOM the process with one forged length.
@@ -80,25 +77,15 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // wireEnvelope is the control message of one request batch: Request with
 // the slab contents (Payload.Values/Bytes) hoisted out. Keep wireRequest's
 // fields in sync with Request — TestWireRequestFieldParity enforces it.
-//
-// DeadlineNanos and Checksums ride the existing gob envelope without a
-// version bump: gob skips fields the receiver doesn't know and zero-fills
-// fields the sender didn't send, so an old peer simply sees no deadline and
-// no checksums — exactly the pre-deadline behavior.
 type wireEnvelope struct {
 	Requests []wireRequest
 	// DeadlineNanos is the relative time budget the caller grants this
 	// batch (nanoseconds from the moment the server decodes it). Zero means
-	// no deadline — the value an old peer's envelope decodes to.
+	// no deadline.
 	DeadlineNanos int64
-	// Checksums reports that every slab descriptor in this envelope carries
-	// a CRC-32C of its slab contents. Old peers send false (zero value) and
-	// their slabs are accepted unverified, as before.
-	Checksums bool
-	// Tag identifies this batch for pipelining: a nonzero per-connection
-	// call ID the server echoes on the matching reply, so replies may
-	// return out of order. Zero (what every pre-pipelining peer sends)
-	// means lock-step: replies arrive in request order, one at a time.
+	// Tag identifies this batch: a nonzero per-connection call ID the
+	// server echoes on the matching reply, so replies may return out of
+	// order. A zero tag is a protocol desync.
 	Tag uint64
 }
 
@@ -115,16 +102,12 @@ type wireRequest struct {
 }
 
 // wireReply is the control message of one response batch. Epoch is the
-// responding worker's instance epoch, stamped once per batch (the legacy
-// format repeats it on every response).
+// responding worker's instance epoch, stamped once per batch.
 type wireReply struct {
 	Responses []wireResponse
 	ExecNanos int64
 	Epoch     uint64
-	// Checksums mirrors wireEnvelope.Checksums for the reply direction.
-	Checksums bool
-	// Tag echoes the request envelope's call tag (see wireEnvelope.Tag);
-	// zero from peers that never learned to pipeline.
+	// Tag echoes the request envelope's call tag (see wireEnvelope.Tag).
 	Tag uint64
 }
 
@@ -152,7 +135,7 @@ type wirePayload struct {
 	NVals  int
 	NBytes int
 	// ValsCRC and BytesCRC are CRC-32C checksums of the two slabs' wire
-	// bytes, meaningful only when the enclosing envelope sets Checksums.
+	// bytes.
 	ValsCRC  uint32
 	BytesCRC uint32
 }
@@ -206,9 +189,9 @@ func writePayloadSlabs(w io.Writer, p Payload) error {
 // readPayload validates wp and reads its slabs into freshly allocated
 // destination arrays — never pooled ones: ownership transfers to the
 // decoded Payload (a PUT binds the slab into the symbol table as-is), so
-// recycling here would alias live objects. With verify set (the envelope
-// declared checksums) each slab's CRC-32C must match its descriptor.
-func readPayload(r io.Reader, wp wirePayload, verify bool) (Payload, error) {
+// recycling here would alias live objects. Each slab's CRC-32C must match
+// its descriptor.
+func readPayload(r io.Reader, wp wirePayload) (Payload, error) {
 	p := Payload{Kind: wp.Kind, Rows: wp.Rows, Cols: wp.Cols,
 		Scalar: wp.Scalar, Frame: wp.Frame}
 	if wp.NVals < -1 || int64(wp.NVals)*8 > maxSlabBytes {
@@ -226,7 +209,7 @@ func readPayload(r io.Reader, wp wirePayload, verify bool) (Payload, error) {
 		if err != nil {
 			return p, err
 		}
-		if verify && floatSlabCRC(vals) != wp.ValsCRC {
+		if floatSlabCRC(vals) != wp.ValsCRC {
 			return p, fmt.Errorf("fedrpc: values-slab checksum mismatch (%d values)", wp.NVals)
 		}
 	}
@@ -236,7 +219,7 @@ func readPayload(r io.Reader, wp wirePayload, verify bool) (Payload, error) {
 		if err != nil {
 			return p, err
 		}
-		if verify && crc32.Checksum(b, castagnoli) != wp.BytesCRC {
+		if crc32.Checksum(b, castagnoli) != wp.BytesCRC {
 			return p, fmt.Errorf("fedrpc: bytes-slab checksum mismatch (%d bytes)", wp.NBytes)
 		}
 	}
@@ -299,11 +282,11 @@ func readBytesAlloc(r io.Reader, n int) ([]byte, error) {
 
 // writeBatch frames one request batch: envelope, then slabs.
 // deadlineNanos is the relative call budget carried to the server (0 = no
-// deadline); tag is the pipelining call ID the server echoes on the reply
-// (0 = lock-step). The caller flushes the underlying writer.
+// deadline); tag is the nonzero call ID the server echoes on the reply.
+// The caller flushes the underlying writer.
 func writeBatch(enc *gob.Encoder, w io.Writer, reqs []Request, deadlineNanos int64, tag uint64) error {
 	env := wireEnvelope{Requests: make([]wireRequest, len(reqs)),
-		DeadlineNanos: deadlineNanos, Checksums: true, Tag: tag}
+		DeadlineNanos: deadlineNanos, Tag: tag}
 	for i, rq := range reqs {
 		env.Requests[i] = wireRequest{
 			Type: rq.Type, ID: rq.ID, Filename: rq.Filename,
@@ -323,16 +306,19 @@ func writeBatch(enc *gob.Encoder, w io.Writer, reqs []Request, deadlineNanos int
 }
 
 // readBatch decodes one framed request batch plus its relative deadline
-// (0 when the peer sent none — including every pre-deadline peer) and its
-// pipelining tag (0 from every lock-step peer).
+// (0 when the caller set none) and its call tag. An untagged batch could
+// not be answered and is rejected as a desync.
 func readBatch(dec *gob.Decoder, r io.Reader) ([]Request, int64, uint64, error) {
 	var env wireEnvelope
 	if err := dec.Decode(&env); err != nil {
 		return nil, 0, 0, err
 	}
+	if env.Tag == 0 {
+		return nil, 0, 0, errors.New("fedrpc: request batch without a call tag")
+	}
 	reqs := make([]Request, len(env.Requests))
 	for i, wr := range env.Requests {
-		data, err := readPayload(r, wr.Data, env.Checksums)
+		data, err := readPayload(r, wr.Data)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -350,8 +336,7 @@ func readBatch(dec *gob.Decoder, r io.Reader) ([]Request, int64, uint64, error) 
 // the whole batch, so the first nonzero stamp represents them all) into the
 // envelope. The caller flushes.
 func writeReply(enc *gob.Encoder, w io.Writer, resps []Response, execNanos int64, tag uint64) error {
-	rep := wireReply{Responses: make([]wireResponse, len(resps)), ExecNanos: execNanos,
-		Checksums: true, Tag: tag}
+	rep := wireReply{Responses: make([]wireResponse, len(resps)), ExecNanos: execNanos, Tag: tag}
 	for i, rs := range resps {
 		if rep.Epoch == 0 {
 			rep.Epoch = rs.Epoch
@@ -369,23 +354,23 @@ func writeReply(enc *gob.Encoder, w io.Writer, resps []Response, execNanos int64
 	return nil
 }
 
-// readReply decodes one framed response batch, stamping the envelope epoch
-// back onto every response so Response.Epoch keeps its documented meaning
-// for coordinators regardless of wire format.
-func readReply(dec *gob.Decoder, r io.Reader) (rpcReply, error) {
+// readReply decodes one framed response batch — the responses, the
+// server-side handler wall time and the echoed call tag — stamping the
+// envelope epoch back onto every response.
+func readReply(dec *gob.Decoder, r io.Reader) ([]Response, int64, uint64, error) {
 	var rep wireReply
 	if err := dec.Decode(&rep); err != nil {
-		return rpcReply{}, err
+		return nil, 0, 0, err
 	}
-	out := rpcReply{Responses: make([]Response, len(rep.Responses)), ExecNanos: rep.ExecNanos, Tag: rep.Tag}
+	resps := make([]Response, len(rep.Responses))
 	for i, wr := range rep.Responses {
-		data, err := readPayload(r, wr.Data, rep.Checksums)
+		data, err := readPayload(r, wr.Data)
 		if err != nil {
-			return rpcReply{}, err
+			return nil, 0, 0, err
 		}
-		out.Responses[i] = Response{OK: wr.OK, Err: wr.Err, Code: wr.Code, Data: data, Epoch: rep.Epoch}
+		resps[i] = Response{OK: wr.OK, Err: wr.Err, Code: wr.Code, Data: data, Epoch: rep.Epoch}
 	}
-	return out, nil
+	return resps, rep.ExecNanos, rep.Tag, nil
 }
 
 // --- raw float64 slab I/O -------------------------------------------------
@@ -479,90 +464,49 @@ func readFloatSlabPortable(r io.Reader, f []float64) error {
 	return nil
 }
 
-// --- negotiation ----------------------------------------------------------
+// --- handshake ------------------------------------------------------------
 
-// ackReadError marks a handshake failure that occurred while waiting for
-// the server's ack — i.e. after the prelude was written successfully. Only
-// this stage can signal a pre-framing peer (see peerRejectedPrelude); a
-// failure writing the prelude is an ordinary transport error.
-type ackReadError struct{ err error }
-
-func (e *ackReadError) Error() string { return "reading handshake ack: " + e.err.Error() }
-func (e *ackReadError) Unwrap() error { return e.err }
-
-// negotiate performs the client half of the version handshake on a fresh
-// connection: send the prelude, read the server's. It returns nil when the
-// peer acknowledged the binary format. The deadline (when nonzero) bounds
-// the whole handshake; the caller disarms it.
-func negotiate(conn net.Conn, deadline time.Duration) error {
-	if deadline > 0 {
-		_ = conn.SetDeadline(time.Now().Add(deadline))
-	}
-	if _, err := conn.Write(wirePrelude[:]); err != nil {
+// readPrelude reads the peer's prelude and checks it against ours. Another
+// version yields an error wrapping ErrWireVersion.
+func readPrelude(r io.Reader) error {
+	var got [5]byte
+	if _, err := io.ReadFull(r, got[:]); err != nil {
 		return err
 	}
-	var got [5]byte
-	if _, err := io.ReadFull(conn, got[:]); err != nil {
-		return &ackReadError{err: err}
-	}
-	if got[0] != wirePrelude[0] || got[1] != wirePrelude[1] ||
-		got[2] != wirePrelude[2] || got[3] != wirePrelude[3] {
+	if !bytes.Equal(got[:4], wirePrelude[:4]) {
 		return fmt.Errorf("fedrpc: bad handshake prelude % x", got)
 	}
-	if got[4] < 1 {
-		return fmt.Errorf("fedrpc: peer speaks framing version %d", got[4])
+	if got[4] != wireVersion {
+		return fmt.Errorf("%w: peer speaks v%d, this build v%d", ErrWireVersion, got[4], wireVersion)
 	}
-	// Both sides speak min(local, remote); only v1 exists, so any
-	// acknowledged version >= 1 means v1 frames flow.
 	return nil
 }
 
-// peerRejectedPrelude classifies a handshake failure as "pre-framing peer
-// slammed the stream shut on the prelude" — the gob decoder of an old
-// server errors on the 0x00 lead byte, logs, and closes the connection —
-// as opposed to a timeout, an injected netem fault, or a local close,
-// which are ordinary transport errors. Detection is conservative: the
-// prelude write must have succeeded (only the ack read can carry the
-// rejection signal), and only a clean stream end or a peer reset
-// qualifies.
-func peerRejectedPrelude(err error) bool {
-	var ack *ackReadError
-	if !errors.As(err, &ack) {
-		return false
+// negotiate performs the client half of the handshake on a fresh
+// connection: send the prelude, read the server's. The caller has armed
+// the connection deadline that bounds it.
+func negotiate(conn io.ReadWriter) error {
+	if _, err := conn.Write(wirePrelude[:]); err != nil {
+		return err
 	}
-	err = ack.err
-	if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		return false
-	}
-	if errors.Is(err, netem.ErrInjectedReset) {
-		return false // fault injection simulates flaky transport, not an old peer
-	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return true
-	}
-	// A RST surfaces as *net.OpError wrapping ECONNRESET/EPIPE; match on
-	// the syscall-agnostic string forms to stay portable.
-	s := err.Error()
-	return strings.Contains(s, "connection reset") || strings.Contains(s, "broken pipe")
+	return readPrelude(conn)
 }
 
-// serverHandshake completes the server half: consume the client prelude
-// already sniffed by the caller and echo our own. The bufio.Writer is
-// flushed eagerly so the client's handshake read returns before the first
-// request is even sent.
+// serverHandshake performs the server half: read the client's prelude and
+// answer with ours, flushed eagerly so the client's handshake read returns
+// before the first request is even sent. A client of another version still
+// gets the answer, so that it can name both versions too, and then the
+// error, on which the caller closes the connection.
 func serverHandshake(br *bufio.Reader, bw *bufio.Writer) error {
-	var got [5]byte
-	if _, err := io.ReadFull(br, got[:]); err != nil {
+	err := readPrelude(br)
+	if err != nil && !errors.Is(err, ErrWireVersion) {
 		return err
 	}
-	if got[1] != wirePrelude[1] || got[2] != wirePrelude[2] || got[3] != wirePrelude[3] {
-		return fmt.Errorf("fedrpc: bad client prelude % x", got)
+	if _, werr := bw.Write(wirePrelude[:]); werr != nil {
+		return werr
 	}
-	if got[4] < 1 {
-		return fmt.Errorf("fedrpc: client speaks framing version %d", got[4])
+	if werr := bw.Flush(); werr != nil {
+		return werr
 	}
-	if _, err := bw.Write(wirePrelude[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return err
 }

