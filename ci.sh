@@ -9,41 +9,30 @@
 #                      -json output piped into lintfmt, so the
 #                      machine-readable stream is exercised on every CI run
 #                      while the log keeps the "file:line: rule: msg" form;
-#   5. go test -race — full test suite under the race detector;
-#   6. fault tests   — the fault-injection/recovery suites re-run under
-#                      -race with -count=1: connection teardown, redial,
-#                      retry, and worker-restart/replay interleavings are
-#                      exactly where data races hide, so these never run
-#                      from cache (the pattern also covers the restart and
-#                      health-probing suites: Restart|Health|Epoch|..., and
-#                      the write-behind dispatch suites, which put the same
-#                      faults under merged batches: Deferred|Dispatch|Flush);
-#   7. obs tests     — the observability suites (metrics registry, RPC
-#                      spans, concurrent Stats/snapshot reads) re-run
-#                      uncached under -race for the same reason;
-#   8. chaos + deadline/breaker e2e — the byzantine chaos harness and the
-#                      stalled-worker deadline/breaker lifecycle re-run
-#                      uncached under -race (covered by the widened fault
-#                      pattern in step 6: Chaos|Deadline|Breaker|...);
-#   9. wire fuzz smoke — the Go-native fuzz targets for the wire decode
+#   5. go test -race -count=1 — the full test suite under the race
+#                      detector, never from cache: connection teardown,
+#                      redial, retry, restart/replay and prober
+#                      interleavings are exactly where data races hide, and
+#                      a cached pass says nothing about them;
+#   6. wire fuzz smoke — the Go-native fuzz targets for the wire decode
 #                      paths each run for 10s: forged lengths,
 #                      truncation, and corruption must error, never panic
 #                      or over-allocate;
-#  10. /metrics smoke — a real fedworker process is spawned with
+#   7. /metrics smoke — a real fedworker process is spawned with
 #                      -metrics-addr and its endpoint is scraped once;
-#  11. exdrad smoke   — the standing coordinator daemon is spawned over two
+#   8. exdrad smoke   — the standing coordinator daemon is spawned over two
 #                      real fedworker processes; two concurrent sessions are
 #                      opened over its HTTP API, each trains a seeded LM,
 #                      and the daemon's /metrics must export the serve.*
 #                      series (sessions, pool churn) while a worker exports
 #                      the worker.conns gauge;
-#  12. bench smoke    — expbench -smoke measures the BENCH_smoke.json rows
+#   9. bench smoke    — expbench -smoke measures the BENCH_smoke.json rows
 #                      (FedLAN transfer + LM) into a temp file and -compare
 #                      gates the fresh encode+decode phase seconds against
 #                      the committed snapshot at 2x, so a serialization
 #                      regression fails CI before it lands. The committed
 #                      snapshot moves only by explicit commit;
-#  13. pipeline gate  — expbench -exp pipeline measures the
+#  10. pipeline gate  — expbench -exp pipeline measures the
 #                      BENCH_pipeline.json rows (a depth-8 burst of GETs at
 #                      a 35 ms RTT, window 1 vs window 8) into a temp file
 #                      and -check-pipeline requires the pipelined burst
@@ -60,13 +49,7 @@ unformatted="$(gofmt -l .)"
 [ -z "$unformatted" ] || { echo "ci.sh: gofmt needed:" >&2; echo "$unformatted" >&2; exit 1; }
 go vet ./...
 go run ./cmd/exdralint -json ./... | go run ./cmd/lintfmt
-go test -race ./...
-go test -race -count=1 \
-  -run 'Reset|Retry|Redial|Fault|Fail|Stall|Drop|Broken|Timeout|Restart|Health|Epoch|Recover|Replay|Closed|Unrecover|CreationLog|Chaos|Deadline|Breaker|Cancel|Queued|Truncation|Corrupt|Session|Admission|Drain|Reap|Namespace|MaxConns|Pool|Pipeline|Window|Tag|OutOfOrder|Duplicate|Reclaim|Deferred|Dispatch|Flush' \
-  ./internal/netem/ ./internal/fedrpc/ ./internal/federated/ ./internal/fedtest/ ./internal/worker/ ./internal/fedserve/
-go test -race -count=1 \
-  -run 'Metrics|Span|Histogram|Snapshot|Slow|Instrument|Stats|Breakdown' \
-  ./internal/obs/ ./internal/fedrpc/ ./internal/fedtest/ ./internal/engine/ ./internal/bench/
+go test -race -count=1 ./...
 
 # Wire-protocol fuzz smoke: 10 seconds per decode path. A finding lands in
 # internal/fedrpc/testdata/fuzz/ and fails the run.

@@ -9,7 +9,7 @@
 //	exdra p2      -algo lm|ffn [-workers addr1,addr2 | -spawn 3] [-rows N] [-track dir]
 //	              [-retries N -retry-backoff 50ms] [-fault-resets N -fault-reset-after 16384]
 //	              [-recover] [-health-interval 5s]
-//	              [-call-timeout 5s] [-breaker-threshold 3 -breaker-cooldown 10s]
+//	              [-call-timeout 5s] [-breaker-threshold 3]
 //	exdra runs    -track dir [-metric r2]
 //	exdra table1
 package main
@@ -151,15 +151,15 @@ func recommend(args []string) {
 	}
 }
 
-// logRecoveryStats prints the coordinator's restart/health counters after a
-// federated run when recovery or probing was active.
-func logRecoveryStats(coord *federated.Coordinator, recovering bool, healthInterval time.Duration) {
-	if !recovering && healthInterval <= 0 {
+// printFedCounters prints the fed.* restart/probe counters after a federated
+// run when recovery or probing was active.
+func printFedCounters(p federated.Policy) {
+	if !p.Recover && p.ProbeInterval <= 0 && p.BreakerThreshold <= 0 {
 		return
 	}
-	s := coord.Stats()
+	n := func(name string) int64 { return obs.Default().Counter(name).Value() }
 	fmt.Printf("exdra: recovery stats: %d restarts detected, %d objects replayed, %d replay failures, %d/%d probes failed\n",
-		s.RestartsDetected, s.ObjectsReplayed, s.ReplayFailures, s.ProbeFailures, s.Probes)
+		n("fed.restarts_detected"), n("fed.objects_replayed"), n("fed.replay_failures"), n("fed.probe_failures"), n("fed.probes"))
 }
 
 func runP2(args []string) {
@@ -181,13 +181,11 @@ func runP2(args []string) {
 	recoverFlag := fs.Bool("recover", false,
 		"enable restart recovery: log object creations and replay them when a worker comes back with a new instance epoch")
 	healthInterval := fs.Duration("health-interval", 0,
-		"probe worker liveness every interval (0 = no probing); with -recover, restarted workers are repaired proactively")
+		"probe worker liveness every interval (0 = only with -breaker-threshold, every second); a restart the prober finds is replayed before the next dependent batch leaves")
 	callTimeout := fs.Duration("call-timeout", 0,
 		"per-batch deadline propagated to workers over the wire; a stalled worker fails the batch with DEADLINE_EXCEEDED instead of hanging (0 = no deadline)")
 	breakerThreshold := fs.Int("breaker-threshold", 0,
-		"open a worker's circuit breaker after N consecutive transport/deadline failures; while open, calls fail fast with ErrWorkerUnavailable until a health probe succeeds (0 = breaker disabled)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 0,
-		"with -breaker-threshold: also allow a half-open trial after this much time open, even without a health probe (0 = probe-driven recovery only)")
+		"open a worker's circuit breaker after N consecutive transport/deadline failures; while open, calls fail fast with ErrWorkerUnavailable until a health probe (always on with the breaker) succeeds (0 = breaker disabled)")
 	metricsAddr := fs.String("metrics-addr", "",
 		"serve /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9091; empty disables)")
 	slowRPC := fs.Duration("slow-rpc", 0,
@@ -205,11 +203,9 @@ func runP2(args []string) {
 		fmt.Printf("exdra: metrics on http://%s/metrics\n", ms.Addr())
 	}
 
-	retry := federated.RetryPolicy{}
-	if *retries > 0 {
-		retry = federated.RetryPolicy{
-			Attempts: *retries + 1, Backoff: *retryBackoff, MaxBackoff: 2 * time.Second, Seed: *faultSeed,
-		}
+	policy := federated.Policy{
+		Attempts: *retries + 1, Backoff: *retryBackoff, Seed: *faultSeed, CallTimeout: *callTimeout,
+		BreakerThreshold: *breakerThreshold, ProbeInterval: *healthInterval, Recover: *recoverFlag,
 	}
 	var faults *netem.Faults
 	if *faultResets > 0 {
@@ -242,10 +238,7 @@ func runP2(args []string) {
 	switch {
 	case *spawn > 0:
 		cl, err := fedtest.Start(fedtest.Config{
-			Workers: *spawn, Faults: faults, Retry: retry,
-			Recover: *recoverFlag, Health: federated.HealthPolicy{Interval: *healthInterval},
-			SlowRPC: *slowRPC, CallTimeout: *callTimeout,
-			Breaker: federated.BreakerPolicy{Threshold: *breakerThreshold, Cooldown: *breakerCooldown},
+			Workers: *spawn, Faults: faults, Policy: policy, SlowRPC: *slowRPC,
 		})
 		if err != nil {
 			log.Fatalf("exdra: spawn workers: %v", err)
@@ -265,20 +258,11 @@ func runP2(args []string) {
 			fmt.Printf("exdra: injected faults survived: %d resets, %d drops, %d stalls\n",
 				s.Resets, s.Drops, s.Stalls)
 		}
-		logRecoveryStats(cl.Coord, *recoverFlag, *healthInterval)
+		printFedCounters(policy)
 	case *workersFlag != "":
 		addrs := strings.Split(*workersFlag, ",")
-		coord := federated.NewCoordinator(fedrpc.Options{SlowRPC: *slowRPC})
+		coord := federated.NewCoordinator(fedrpc.Options{SlowRPC: *slowRPC}, policy)
 		defer coord.Close()
-		if retry.Attempts > 0 {
-			coord.SetRetryPolicy(retry)
-		}
-		coord.SetCallTimeout(*callTimeout)
-		if *breakerThreshold > 0 {
-			coord.SetBreakerPolicy(federated.BreakerPolicy{Threshold: *breakerThreshold, Cooldown: *breakerCooldown})
-		}
-		coord.EnableRecovery(*recoverFlag)
-		coord.StartHealth(federated.HealthPolicy{Interval: *healthInterval})
 		ff, err := federated.DistributeFrame(coord, fr, addrs, privacy.PrivateAggregation)
 		if err != nil {
 			log.Fatalf("exdra: distribute to %v: %v", addrs, err)
@@ -287,7 +271,7 @@ func runP2(args []string) {
 		if err != nil {
 			log.Fatalf("exdra: pipeline: %v", err)
 		}
-		logRecoveryStats(coord, *recoverFlag, *healthInterval)
+		printFedCounters(policy)
 	default:
 		if res, err = pipeline.RunP2Local(fr, y, cfg); err != nil {
 			log.Fatalf("exdra: pipeline: %v", err)

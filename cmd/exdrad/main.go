@@ -61,8 +61,8 @@ func main() {
 		"reap sessions with no in-flight work and no activity for this long (0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
 		"SIGTERM grace: how long to wait for in-flight batches before forced teardown")
-	callTimeout := flag.Duration("call-timeout", 0, "per-attempt RPC time budget for session coordinators (0 = none)")
-	retries := flag.Int("retries", 3, "max RPC attempts per call for session coordinators")
+	callTimeout := flag.Duration("call-timeout", 0, "time budget of each worker call, retries included; fixed fleet-wide at startup (0 = none)")
+	retries := flag.Int("retries", 3, "attempts per retry-safe batch after transport failures (50ms backoff doubling to 2s); restart recovery is always on")
 	metricsAddr := flag.String("metrics-addr", "",
 		"serve /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9090; empty disables)")
 	flag.Parse()
@@ -72,15 +72,14 @@ func main() {
 		log.Fatal("exdrad: -workers is required (comma-separated fedworker addresses)")
 	}
 
-	fleet := federated.NewFleet(fedrpc.Options{Window: *rpcWindow}, *poolSize)
+	fleet := federated.NewFleet(fedrpc.Options{Window: *rpcWindow}, *poolSize, federated.Policy{
+		Attempts: *retries, Backoff: 50 * time.Millisecond, CallTimeout: *callTimeout, Recover: true,
+	})
 	svc := fedserve.New(fleet, fedserve.Config{
 		MaxSessions:      *maxSessions,
 		MaxInFlight:      *maxInFlight,
 		MaxInFlightBytes: *maxInFlightBytes,
 		IdleTimeout:      *idleTimeout,
-		Retry:            federated.RetryPolicy{Attempts: *retries, Backoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second},
-		CallTimeout:      *callTimeout,
-		Recover:          true,
 	})
 
 	d := &daemon{svc: svc, addrs: addrs}

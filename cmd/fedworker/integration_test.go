@@ -63,7 +63,7 @@ func TestMultiProcessFederation(t *testing.T) {
 		waitReachable(t, addr)
 	}
 
-	coord := federated.NewCoordinator(fedrpc.Options{})
+	coord := federated.NewCoordinator(fedrpc.Options{}, federated.Policy{})
 	defer coord.Close()
 	fx, err := federated.ReadRowPartitioned(coord, []federated.ReadSpec{
 		{Addr: addrs[0], Filename: "data.bin", Privacy: privacy.PrivateAggregation},

@@ -72,7 +72,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	// Train a small federated LM through the worker so every metric layer
 	// (fedrpc client+server, worker dispatch) sees traffic.
 	clientReg := obs.New()
-	coord := federated.NewCoordinator(fedrpc.Options{Metrics: clientReg})
+	coord := federated.NewCoordinator(fedrpc.Options{Metrics: clientReg}, federated.Policy{})
 	defer coord.Close()
 	x, y := data.Regression(3, 200, 8, 0.05)
 	fx, err := federated.Distribute(coord, x, []string{addr}, federated.RowPartitioned, privacy.PrivateAggregation)

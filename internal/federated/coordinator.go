@@ -2,9 +2,7 @@ package federated
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,30 +10,6 @@ import (
 	"exdra/internal/fedrpc"
 	"exdra/internal/obs"
 )
-
-// RetryPolicy controls how the coordinator handles transport failures of
-// idempotent request batches: it redials the worker and re-issues the batch
-// with exponential backoff and seeded jitter. The zero value disables
-// retries (fail fast), preserving strict at-most-once semantics.
-type RetryPolicy struct {
-	// Attempts is the total number of tries per batch (<=1 means no
-	// retry).
-	Attempts int
-	// Backoff is the delay before the second attempt; it doubles per
-	// further attempt. Zero defaults to 50ms when Attempts > 1.
-	Backoff time.Duration
-	// MaxBackoff caps the exponential growth; zero means uncapped.
-	MaxBackoff time.Duration
-	// Seed feeds the jitter RNG, keeping retry schedules deterministic in
-	// tests (the dp.go convention for seeded randomness).
-	Seed int64
-}
-
-// DefaultRetryPolicy is a sensible WAN-facing policy: three attempts, 50ms
-// base backoff doubling to a 2s cap.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{Attempts: 3, Backoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second}
-}
 
 // RetryableBatch reports whether every request in the batch is safe to
 // re-issue after a transport failure, i.e. when the coordinator cannot know
@@ -64,35 +38,24 @@ func RetryableBatch(reqs []fedrpc.Request) bool {
 
 // Coordinator is one control program's view of the federation: it allocates
 // session-unique data IDs and issues RPCs to all workers in parallel (ExDRa
-// §4.1). With a RetryPolicy set it survives transient transport failures on
-// idempotent batches by redialing and re-issuing.
+// §4.1), every batch through the one failure funnel (sendCtx).
 //
-// Connections and circuit breakers live in a Fleet: the legacy constructor
-// NewCoordinator owns a private size-1 fleet (one connection per address,
-// exactly the pre-pool behavior), while Fleet.NewSession returns a
-// coordinator sharing a standing fleet with other sessions, its object IDs
-// scoped by a session namespace (fedrpc.MakeID) so concurrent sessions
-// never collide in a worker's symbol table.
+// Connections, worker health and the failure Policy live in a Fleet: the
+// constructor NewCoordinator owns a private size-1 fleet (one connection per
+// address), while Fleet.NewSession returns a coordinator sharing a standing
+// fleet with other sessions, its object IDs scoped by a session namespace
+// (fedrpc.MakeID) so concurrent sessions never collide in a worker's symbol
+// table.
 type Coordinator struct {
 	fleet    *Fleet
-	ownFleet bool  // Close tears the fleet down too (legacy constructor)
-	ns       int64 // session namespace; 0 = legacy unscoped
-	retry    RetryPolicy
-	// callTimeout, when positive, is the default per-attempt time budget:
-	// callCtx wraps any caller context that carries no deadline of its own
-	// in context.WithTimeout(ctx, callTimeout), so every RPC travels with a
-	// deadline even when the application code above never set one. Set
-	// before issuing operations (SetCallTimeout), like retry.
-	callTimeout time.Duration
+	ownFleet bool  // Close tears the fleet down too (NewCoordinator)
+	ns       int64 // session namespace; 0 = standalone, unscoped
 
 	mu      sync.Mutex
 	touched map[string]struct{} // worker addrs this session has used; guarded by mu
 	closed  bool                // guarded by mu
 	done    chan struct{}       // closed by Close; cancels retry backoffs
 	nextID  atomic.Int64
-
-	rngMu sync.Mutex
-	rng   *rand.Rand // jitter source; guarded by rngMu
 
 	// Write-behind dispatch (dispatch.go): one outbox of deferred requests
 	// per worker address. flushEveryOp is the tests' eager switch — every
@@ -103,31 +66,23 @@ type Coordinator struct {
 	boxes        map[string]*outbox // guarded by boxMu
 	flushEveryOp bool
 
-	// Restart-recovery state (recovery.go): the creation log per worker
-	// address behind recMu, plus the health prober's join handle and the
-	// observability counters behind Stats().
-	recovery bool // EnableRecovery: creation log + replay on epoch change
-	recMu    sync.Mutex
-	states   map[string]*workerState // guarded by recMu
-	probing  bool                    // a health prober goroutine is running (StartHealth); guarded by mu
-	healthWg sync.WaitGroup
+	// What this session created at each worker, and under which instance
+	// epoch (recovery.go).
+	recMu sync.Mutex
+	logs  map[string]*workerLog // guarded by recMu
 
-	statRestarts, statReplayed, statReplayFail atomic.Int64
-	statProbes, statProbeFail                  atomic.Int64
-
-	// reg mirrors the recovery/health counters and the retry funnel into
-	// the observability registry (fed.* metrics), alongside the RPC-level
-	// metrics the clients report themselves.
+	// reg is the fleet's observability registry: the fed.* series sit
+	// alongside the RPC-level metrics the clients report themselves.
 	reg *obs.Registry
 }
 
 // NewCoordinator creates a standalone coordinator owning a private fleet
 // with one connection per worker address; opts configure TLS and network
-// emulation for all worker connections. Retries are off by default — see
-// SetRetryPolicy. For many sessions over one shared fleet, use NewFleet +
-// Fleet.NewSession instead.
-func NewCoordinator(opts fedrpc.Options) *Coordinator {
-	return newCoordinator(NewFleet(opts, 1), true, 0)
+// emulation for all worker connections, policy its failure handling (the
+// zero Policy fails fast). For many sessions over one shared fleet, use
+// NewFleet + Fleet.NewSession instead.
+func NewCoordinator(opts fedrpc.Options, policy Policy) *Coordinator {
+	return newCoordinator(NewFleet(opts, 1, policy), true, 0)
 }
 
 // newCoordinator builds a coordinator view of f under namespace ns.
@@ -137,10 +92,9 @@ func newCoordinator(f *Fleet, ownFleet bool, ns int64) *Coordinator {
 		ownFleet: ownFleet,
 		ns:       ns,
 		touched:  map[string]struct{}{},
-		states:   map[string]*workerState{},
+		logs:     map[string]*workerLog{},
 		boxes:    map[string]*outbox{},
 		done:     make(chan struct{}),
-		rng:      rand.New(rand.NewSource(0)),
 		reg:      f.reg,
 	}
 	c.nextID.Store(1)
@@ -151,38 +105,18 @@ func newCoordinator(f *Fleet, ownFleet bool, ns int64) *Coordinator {
 func (c *Coordinator) Fleet() *Fleet { return c.fleet }
 
 // Namespace returns the session namespace scoping this coordinator's object
-// IDs (0 for a legacy standalone coordinator).
+// IDs (0 for a standalone coordinator).
 func (c *Coordinator) Namespace() int64 { return c.ns }
-
-// SetRetryPolicy configures transport-failure handling for idempotent
-// request batches. Call it before issuing federated operations.
-func (c *Coordinator) SetRetryPolicy(p RetryPolicy) {
-	c.retry = p
-	c.rngMu.Lock()
-	c.rng = rand.New(rand.NewSource(p.Seed))
-	c.rngMu.Unlock()
-}
-
-// SetCallTimeout sets the default per-attempt time budget for every RPC
-// whose caller context carries no deadline of its own (0 disables — calls
-// then rely on the transport's coarse I/O timeout alone). The budget
-// travels to the worker on the wire, bounds handler execution there, and
-// is never refunded by a retry: a deadline blowout fails the batch
-// immediately with fedrpc.ErrDeadlineExceeded. Call before issuing
-// federated operations.
-func (c *Coordinator) SetCallTimeout(d time.Duration) {
-	c.callTimeout = d
-}
 
 // NewID allocates a session-unique data ID, namespace-qualified so that
 // IDs from two sessions sharing a fleet can never collide in a worker's
-// symbol table (fedrpc.MakeID; a legacy coordinator's namespace is 0 and
-// its IDs are the bare sequence, exactly as before).
+// symbol table (fedrpc.MakeID; a standalone coordinator's namespace is 0 and
+// its IDs are the bare sequence).
 func (c *Coordinator) NewID() int64 { return fedrpc.MakeID(c.ns, c.nextID.Add(1)) }
 
-// pool returns addr's connection pool, marking the address as touched by
-// this session (the scope of ClearAll and the health prober).
-func (c *Coordinator) pool(addr string) (*fedrpc.Pool, error) {
+// site returns addr's fleet site, marking the address as touched by this
+// session (the scope of ClearAll).
+func (c *Coordinator) site(addr string) (*site, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -190,7 +124,7 @@ func (c *Coordinator) pool(addr string) (*fedrpc.Pool, error) {
 	}
 	c.touched[addr] = struct{}{}
 	c.mu.Unlock()
-	return c.fleet.pool(addr)
+	return c.fleet.site(addr)
 }
 
 // Client returns the stable shared connection to a worker address (the
@@ -203,200 +137,110 @@ func (c *Coordinator) Client(addr string) (*fedrpc.Client, error) {
 	if err := c.flushAddr(addr); err != nil {
 		return nil, err
 	}
-	return c.sharedClient(addr)
-}
-
-// sharedClient is Client without the flush, for the coordinator's own
-// repair path (Repair), which replays delivered objects and depends on
-// nothing that is still buffered.
-func (c *Coordinator) sharedClient(addr string) (*fedrpc.Client, error) {
-	pl, err := c.pool(addr)
+	st, err := c.site(addr)
 	if err != nil {
 		return nil, err
 	}
-	return pl.Shared(context.Background())
+	return st.pool.Shared(context.Background())
 }
 
 // call issues one request batch to addr, preceded by whatever is deferred
-// for that worker (exchange), through the retry policy: transport
-// failures of idempotent batches are retried with exponential backoff and
-// jitter after the broken client transparently redials. Worker-reported
-// per-request errors are never retried — they are deterministic application
-// errors, not transport faults.
-//
-// With recovery enabled (EnableRecovery), call is also the restart-repair
-// funnel: before each attempt it rematerializes any stale creation-log
-// entries the batch reads (ensureIDs), and after each exchange it folds the
-// reply's instance epoch into the per-worker state (observeEpoch). A
-// detected restart marks the worker's log stale and grants a free replay
-// round — bounded by maxRecoveries so a crash-looping worker surfaces as
-// ErrWorkerRestarted rather than an endless replay loop. With recovery
-// disabled, a detected restart under a batch that did not fully succeed
-// fails fast with ErrWorkerRestarted: retrying against an empty symbol
-// table could only produce misleading "unknown object" noise.
+// for that worker (exchange), through the failure funnel (sendCtx).
 func (c *Coordinator) call(addr string, reqs []fedrpc.Request) ([]fedrpc.Response, error) {
 	return c.exchange(context.Background(), addr, reqs)
 }
 
-// Call issues one request batch to addr through the session's retry,
-// breaker, and recovery machinery — the same funnel every built-in
-// federated operation uses. Callers composing their own operations (the
-// service layer, tests) use it instead of raw clients so their traffic
-// feeds the creation log and the worker's breaker like everything else.
+// Call issues one request batch to addr through the same funnel every
+// built-in federated operation uses. Callers composing their own operations
+// (the service layer, tests) use it instead of raw clients so their traffic
+// feeds the creation log and the worker's site like everything else.
 func (c *Coordinator) Call(addr string, reqs ...fedrpc.Request) ([]fedrpc.Response, error) {
 	return c.call(addr, reqs)
 }
 
-// sendCtx is the retry/recovery funnel under exchange, which hands it the
-// real request list of a merged batch: the context's obs span/op labels
-// flow through the RPC client into the span ring, and the retry funnel's
-// own events (retries, transport errors) are counted in the registry.
-//
-// Two failure classes cut the retry loop short. A deadline blowout —
-// locally (the context budget expired mid-exchange) or remotely (the
-// worker answered with the typed DEADLINE_EXCEEDED code) — returns
-// immediately with an error wrapping fedrpc.ErrDeadlineExceeded: the
-// caller's budget is spent, and N retries would multiply the wait to N×
-// the budget the caller asked for. And while the worker's circuit breaker
-// is open (breaker.go), attempts fail fast with ErrWorkerUnavailable
-// before touching the wire. Both classes still count as breaker failures,
-// so a worker that keeps blowing budgets trips its breaker just like one
-// that drops connections.
+// sendCtx is the failure funnel under exchange, which hands it the real
+// request list of a merged batch: the context's obs span/op labels flow
+// through the RPC client into the span ring. Each attempt is classified
+// once (attempt), settled into the worker's site and the fed.* counters
+// (Fleet.settle), and mapped to the next step by verdict — the only place
+// that decides between returning, retrying with backoff, replaying lost
+// state for free (bounded by maxRecoveries, so a crash-looping worker
+// surfaces as ErrWorkerRestarted), and failing. Worker-reported per-request
+// errors are never retried — they are deterministic application errors,
+// not faults.
 func (c *Coordinator) sendCtx(ctx context.Context, addr string, reqs []fedrpc.Request) ([]fedrpc.Response, error) {
-	isHealth := healthBatch(reqs)
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline && c.callTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.callTimeout)
-		defer cancel()
+	st, err := c.site(addr)
+	if err != nil {
+		return nil, err
 	}
-	attempts := c.retry.Attempts
-	if attempts < 1 || !RetryableBatch(reqs) {
-		attempts = 1
-	}
+	ctx, cancel := c.fleet.withBudget(ctx)
+	defer cancel()
+	wl := c.log(addr)
+	retrySafe := RetryableBatch(reqs)
 	var lastErr error
-	recoveries := 0
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			c.reg.Counter("fed.retries").Inc()
-			if err := c.backoff(attempt); err != nil {
+	for tries, replays := 1, 0; ; {
+		resps, class, epoch, err := c.attempt(ctx, st, wl, reqs, lastErr)
+		c.fleet.settle(st, class, epoch, false)
+		switch verdict(class, retrySafe, c.fleet.policy.Recover) {
+		case actDone:
+			return resps, nil
+		case actFatal:
+			return nil, err
+		case actReplay:
+			if replays++; replays > maxRecoveries {
+				return nil, fmt.Errorf("federated: %s: %w %d times during one operation (crash loop?)",
+					addr, ErrWorkerRestarted, replays)
+			}
+		case actRetry:
+			if tries >= c.fleet.policy.Attempts {
 				return nil, err
 			}
-		}
-		if err := c.breakerAllow(addr, isHealth); err != nil {
-			c.reg.Counter("fed.breaker.rejections").Inc()
-			if lastErr != nil {
-				// Mid-retry trip: the root cause outranks the load-shed.
-				return nil, fmt.Errorf("federated: %s: %w (after: %v)", addr, ErrWorkerUnavailable, lastErr)
+			c.reg.Counter("fed.retries").Inc()
+			if err := c.backoff(tries); err != nil {
+				return nil, err
 			}
-			return nil, fmt.Errorf("federated: %s: %w", addr, err)
+			tries++
 		}
-		resps, verdict, err := c.attemptCall(ctx, addr, reqs, isHealth)
-		switch verdict {
-		case attemptDone:
-			return resps, nil
-		case attemptFatal:
-			return nil, err
-		case attemptReplay:
-			recoveries++
-			if recoveries > maxRecoveries {
-				return nil, fmt.Errorf("federated: %s: %w %d times during one operation (crash loop?)",
-					addr, ErrWorkerRestarted, recoveries)
-			}
-			lastErr = err
-			attempt-- // the replay round is free: it is repair, not a retry
-		default: // attemptRetry
-			lastErr = err
-		}
+		lastErr = err
 	}
-	return nil, lastErr
 }
 
-// attemptVerdict classifies one attemptCall outcome for the retry loop.
-type attemptVerdict int
-
-const (
-	attemptDone   attemptVerdict = iota // success: return the responses
-	attemptFatal                        // unretryable: surface the error now
-	attemptRetry                        // transient: consume a retry attempt
-	attemptReplay                       // worker restarted: free repair round
-)
-
-// attemptCall runs one attempt of a batch against addr over a connection
-// checked out of the fleet pool for the duration of the exchange — the
-// whole reason sessions sharing a fleet do not serialize behind one
-// client's exchange lock. The checkout is returned on every path; a broken
-// client goes back too (its next user transparently redials).
-func (c *Coordinator) attemptCall(ctx context.Context, addr string, reqs []fedrpc.Request, isHealth bool) ([]fedrpc.Response, attemptVerdict, error) {
-	pl, err := c.pool(addr)
-	if err != nil {
-		return nil, attemptFatal, err // coordinator or fleet closed
+// attempt runs one attempt of a batch against a worker and classifies how it
+// ended; the second return is the reply's instance epoch when there was a
+// reply. Before the batch leaves, the session's state at the worker is
+// brought up to the site's epoch (revalidate); afterwards the reply's epoch
+// is compared with the one the batch was sent under, which is how a restart
+// nobody has seen yet is detected. lastErr is the previous attempt's
+// failure, kept matchable behind a breaker that tripped mid-retry.
+func (c *Coordinator) attempt(ctx context.Context, st *site, wl *workerLog, reqs []fedrpc.Request, lastErr error) ([]fedrpc.Response, outcome, uint64, error) {
+	addr := st.pool.Addr()
+	if c.fleet.policy.BreakerThreshold > 0 && !st.allow() {
+		if lastErr != nil {
+			return nil, outBreakerOpen, 0, fmt.Errorf("federated: %s: %w (after: %w)", addr, ErrWorkerUnavailable, lastErr)
+		}
+		return nil, outBreakerOpen, 0, fmt.Errorf("federated: %s: %w", addr, ErrWorkerUnavailable)
 	}
-	cl, err := pl.Get(ctx)
-	if err != nil {
-		// Dial failure or checkout starved past the caller's budget.
-		c.reg.Counter("fed.transport_errors").Inc()
-		c.breakerFailure(addr)
-		if ctx.Err() != nil {
-			return nil, attemptFatal, err // the budget is spent; never retry
-		}
-		return nil, attemptRetry, err
+	sentUnder := st.currentEpoch()
+	if class, epoch, err := c.revalidate(st, wl, sentUnder, reqs); class != outOK {
+		return nil, class, epoch, err
 	}
-	defer pl.Put(cl)
-	if c.recovery {
-		transient, err := c.ensureIDs(addr, cl, neededIDs(reqs), true)
-		if err != nil {
-			if !transient {
-				return nil, attemptFatal, err // ErrUnrecoverable or replay rejected
-			}
-			return nil, attemptRetry, err
-		}
+	resps, class, err := st.call(ctx, reqs)
+	if class != outOK {
+		return nil, class, 0, err
 	}
-	resps, err := cl.CallCtx(ctx, reqs...)
-	if err != nil {
-		// Call tore the broken transport down; the next attempt redials
-		// through the pooled client.
-		c.reg.Counter("fed.transport_errors").Inc()
-		c.breakerFailure(addr)
-		if errors.Is(err, fedrpc.ErrDeadlineExceeded) {
-			c.reg.Counter("fed.deadline_exceeded").Inc()
-			return nil, attemptFatal, err // the budget is spent; never retry
+	epoch := epochOf(resps)
+	if sentUnder != 0 && epoch != 0 && epoch != sentUnder {
+		if !allOK(resps) {
+			return nil, outRestartedPartial, epoch, fmt.Errorf("federated: %s: %w", addr, ErrWorkerRestarted)
 		}
-		if ctx.Err() != nil {
-			return nil, attemptFatal, err // cancelled caller: retrying is pointless
-		}
-		return nil, attemptRetry, err
+		// The batch fully succeeded on the fresh process — it read nothing
+		// that was lost (e.g. a READ/PUT-only batch). Accept it; what the
+		// session created earlier heals lazily, before the next batch that
+		// depends on it.
+		class = outRestartedOK
 	}
-	if i := deadlineIdx(resps); i >= 0 {
-		// The worker (or the server's reply backstop) abandoned the
-		// batch at budget expiry and said so with the typed code.
-		c.reg.Counter("fed.deadline_exceeded").Inc()
-		c.breakerFailure(addr)
-		return nil, attemptFatal, fmt.Errorf("federated: %s %s: %w: %s",
-			addr, reqs[i].Type, fedrpc.ErrDeadlineExceeded, resps[i].Err)
-	}
-	c.breakerSuccess(addr, isHealth)
-	if c.observeEpoch(addr, epochOf(resps)) {
-		if allOK(resps) {
-			// The batch fully succeeded on the fresh process — it read
-			// nothing that was lost (e.g. a READ/PUT-only batch, or a
-			// health ping). Accept it; the stale marks observeEpoch set
-			// will heal lazily on the next dependent operation.
-			c.recordBatch(addr, reqs, resps)
-			return resps, attemptDone, nil
-		}
-		if !c.recovery {
-			return nil, attemptFatal, fmt.Errorf("federated: %s: %w (recovery disabled)", addr, ErrWorkerRestarted)
-		}
-		if !RetryableBatch(reqs) {
-			// An EXEC_UDF batch interrupted by a restart: side effects
-			// cannot be replayed, so the session must fail fast.
-			return nil, attemptFatal, fmt.Errorf("federated: %s: EXEC_UDF batch interrupted by worker restart: %w",
-				addr, ErrUnrecoverable)
-		}
-		return nil, attemptReplay, fmt.Errorf("federated: %s: %w", addr, ErrWorkerRestarted)
-	}
-	c.recordBatch(addr, reqs, resps)
-	return resps, attemptDone, nil
+	c.record(wl, reqs, resps, epoch)
+	return resps, class, epoch, nil
 }
 
 // allOK reports whether every response in a reply succeeded.
@@ -409,30 +253,7 @@ func allOK(resps []fedrpc.Response) bool {
 	return true
 }
 
-// healthBatch reports whether every request is a HEALTH ping — probe
-// traffic, which bypasses the circuit breaker (it is the recovery signal)
-// and feeds its open → half-open transition on success.
-func healthBatch(reqs []fedrpc.Request) bool {
-	for _, r := range reqs {
-		if r.Type != fedrpc.Health {
-			return false
-		}
-	}
-	return len(reqs) > 0
-}
-
-// deadlineIdx returns the index of the first response carrying the typed
-// DEADLINE_EXCEEDED code, or -1.
-func deadlineIdx(resps []fedrpc.Response) int {
-	for i, r := range resps {
-		if r.Code == fedrpc.CodeDeadlineExceeded {
-			return i
-		}
-	}
-	return -1
-}
-
-// callOne issues a single request through the retry policy, converting a
+// callOne issues a single request through the funnel, converting a
 // per-request failure into an error.
 func (c *Coordinator) callOne(addr string, req fedrpc.Request) (fedrpc.Response, error) {
 	resps, err := c.call(addr, []fedrpc.Request{req})
@@ -440,20 +261,14 @@ func (c *Coordinator) callOne(addr string, req fedrpc.Request) (fedrpc.Response,
 		return fedrpc.Response{}, err
 	}
 	if !resps[0].OK {
-		if resps[0].Code == fedrpc.CodeDeadlineExceeded {
-			// Normally typed upstream by attemptCall; kept here so a typed
-			// reply can never lose its class on this path either.
-			return resps[0], fmt.Errorf("federated: %s %s: %w: %s",
-				addr, req.Type, fedrpc.ErrDeadlineExceeded, resps[0].Err)
-		}
 		return resps[0], fmt.Errorf("federated: %s %s: %s", addr, req.Type, resps[0].Err)
 	}
 	return resps[0], nil
 }
 
-// Fetch retrieves one worker object by ID through the retry (and, when
-// enabled, recovery) path. A GET for an object whose creation log survived
-// a restart transparently replays the object first.
+// Fetch retrieves one worker object by ID. With Policy.Recover, a GET for an
+// object whose creation log survived a restart transparently replays the
+// object first.
 func (c *Coordinator) Fetch(addr string, id int64) (fedrpc.Payload, error) {
 	resp, err := c.callOne(addr, fedrpc.Request{Type: fedrpc.Get, ID: id})
 	if err != nil {
@@ -478,29 +293,27 @@ func (c *Coordinator) ExecUDF(addr string, call *fedrpc.UDFCall) (fedrpc.Payload
 	return resp.Data, nil
 }
 
-// backoff waits before retry attempt a (1-based): Backoff doubled per extra
-// attempt, capped at MaxBackoff, jittered to [0.5x, 1.5x) from the seeded
-// RNG. It returns early when the coordinator is closed, so shutdown is
-// never stuck behind a retry schedule.
-func (c *Coordinator) backoff(attempt int) error {
-	d := c.retry.Backoff
+// delay is the un-jittered wait before retry attempt a (1-based): Backoff
+// doubled per extra attempt, capped at maxBackoff.
+func (p Policy) delay(attempt int) time.Duration {
+	d := p.Backoff
 	if d <= 0 {
-		d = 50 * time.Millisecond
+		d = defaultBackoff
 	}
-	for i := 1; i < attempt; i++ {
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
-		if max := c.retry.MaxBackoff; max > 0 && d >= max {
-			d = max
-			break
-		}
 	}
-	if max := c.retry.MaxBackoff; max > 0 && d > max {
-		d = max
+	if d > maxBackoff {
+		d = maxBackoff
 	}
-	c.rngMu.Lock()
-	jitter := 0.5 + c.rng.Float64()
-	c.rngMu.Unlock()
-	t := time.NewTimer(time.Duration(float64(d) * jitter))
+	return d
+}
+
+// backoff waits out the jittered delay before retry attempt a. It returns
+// early when the coordinator is closed, so shutdown is never stuck behind a
+// retry schedule.
+func (c *Coordinator) backoff(attempt int) error {
+	t := time.NewTimer(c.fleet.jitter(c.fleet.policy.delay(attempt)))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -512,8 +325,8 @@ func (c *Coordinator) backoff(attempt int) error {
 
 // BytesSent returns the total bytes sent to all workers over this
 // coordinator's fleet. Sessions sharing a fleet share its wires, so the
-// count is fleet-wide; a legacy standalone coordinator's private fleet
-// makes it exactly the old per-coordinator number.
+// count is fleet-wide; a standalone coordinator's private fleet makes it
+// the per-coordinator number.
 func (c *Coordinator) BytesSent() int64 { return c.fleet.BytesSent() }
 
 // BytesReceived returns the total bytes received from all workers over
@@ -534,8 +347,8 @@ func (c *Coordinator) touchedAddrs() []string {
 // ClearAll sends CLEAR to every worker this session has touched, releasing
 // the session's symbol-table objects. The CLEAR travels with the session
 // namespace in its ID field, so on a shared fleet it removes only this
-// session's bindings; a legacy coordinator's namespace is 0, which keeps
-// the old clear-everything semantics. Deferred requests are dropped first,
+// session's bindings; a standalone coordinator's namespace is 0, which
+// clears everything. Deferred requests are dropped first,
 // never sent after the CLEAR: everything they would create or remove lives
 // in the namespace the CLEAR empties (a deferred failure dropped here is
 // moot for the same reason).
@@ -552,12 +365,10 @@ func (c *Coordinator) ClearAll() error {
 
 // Close cancels in-flight retry backoffs, drops whatever is still deferred
 // (a closed coordinator sends nothing more; ClearAll is the teardown that
-// releases worker objects), joins the health prober if one is running, and
-// — for a standalone coordinator owning its fleet — closes every worker
-// connection. A session on a shared fleet leaves the fleet untouched: its
-// wires belong to every other session too. It is idempotent. The prober join
-// happens outside c.mu: the prober's probes go through pool/call, which take
-// c.mu themselves.
+// releases worker objects), and — for a standalone coordinator owning its
+// fleet — closes the fleet: every worker connection and the prober. A
+// session on a shared fleet leaves the fleet untouched: its wires belong to
+// every other session too. It is idempotent.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -571,5 +382,4 @@ func (c *Coordinator) Close() {
 	if c.ownFleet {
 		c.fleet.Close()
 	}
-	c.healthWg.Wait()
 }

@@ -32,15 +32,16 @@ func TestCreatedIDs(t *testing.T) {
 }
 
 func TestBackoffJitterIsSeeded(t *testing.T) {
-	delays := func(seed int64) []float64 {
-		c := NewCoordinator(fedrpc.Options{})
-		defer c.Close()
-		c.SetRetryPolicy(RetryPolicy{Attempts: 4, Backoff: time.Millisecond, Seed: seed})
-		var out []float64
+	delays := func(seed int64) []time.Duration {
+		f := NewFleet(fedrpc.Options{}, 1, Policy{Seed: seed})
+		defer f.Close()
+		var out []time.Duration
 		for i := 0; i < 4; i++ {
-			c.rngMu.Lock()
-			out = append(out, c.rng.Float64())
-			c.rngMu.Unlock()
+			d := f.jitter(time.Second)
+			if d < time.Second/2 || d >= 3*time.Second/2 {
+				t.Fatalf("jittered second = %v, want within [0.5s, 1.5s)", d)
+			}
+			out = append(out, d)
 		}
 		return out
 	}
@@ -53,11 +54,11 @@ func TestBackoffJitterIsSeeded(t *testing.T) {
 }
 
 // TestCloseCancelsRetryBackoff pins the shutdown contract: a coordinator
-// stuck in a long retry backoff returns promptly when closed instead of
-// sleeping out the schedule.
+// in a retry backoff (at least a second here: the 2s cap, jittered down to
+// half at most) returns promptly when closed instead of sleeping it out.
 func TestCloseCancelsRetryBackoff(t *testing.T) {
-	c := NewCoordinator(fedrpc.Options{DialTimeout: 100 * time.Millisecond})
-	c.SetRetryPolicy(RetryPolicy{Attempts: 3, Backoff: time.Hour, Seed: 1})
+	c := NewCoordinator(fedrpc.Options{DialTimeout: 100 * time.Millisecond},
+		Policy{Attempts: 3, Backoff: time.Hour, Seed: 1})
 	errc := make(chan error, 1)
 	go func() {
 		// 127.0.0.1:1 refuses fast, sending call into its first backoff.
@@ -74,23 +75,26 @@ func TestCloseCancelsRetryBackoff(t *testing.T) {
 		if !strings.Contains(err.Error(), "closed") {
 			t.Fatalf("want a closed-coordinator error, got: %v", err)
 		}
-	case <-time.After(5 * time.Second):
+	case <-time.After(500 * time.Millisecond):
 		t.Fatal("Close did not cancel the retry backoff")
 	}
 }
 
 func TestBackoffGrowthAndCap(t *testing.T) {
-	c := NewCoordinator(fedrpc.Options{})
-	defer c.Close()
-	c.SetRetryPolicy(RetryPolicy{Attempts: 5, Backoff: 10 * time.Millisecond, MaxBackoff: 20 * time.Millisecond, Seed: 1})
-	// Attempt 3 would be 40ms unclamped; the cap plus max jitter (1.5x)
-	// bounds the wait at 30ms.
-	start := time.Now()
-	if err := c.backoff(3); err != nil {
-		t.Fatal(err)
+	p := Policy{Backoff: 10 * time.Millisecond}
+	for attempt, want := range map[int]time.Duration{
+		1: 10 * time.Millisecond, 2: 20 * time.Millisecond, 3: 40 * time.Millisecond,
+		9: 2 * time.Second, 64: 2 * time.Second, // the fixed cap, however long the schedule
+	} {
+		if got := p.delay(attempt); got != want {
+			t.Errorf("delay before retry %d = %v, want %v", attempt, got, want)
+		}
 	}
-	if d := time.Since(start); d > 200*time.Millisecond {
-		t.Fatalf("backoff ignored MaxBackoff: waited %v", d)
+	if got := (Policy{}).delay(1); got != 50*time.Millisecond {
+		t.Errorf("default base backoff = %v, want 50ms", got)
+	}
+	if got := (Policy{Backoff: time.Hour}).delay(1); got != 2*time.Second {
+		t.Errorf("base backoff above the cap = %v, want 2s", got)
 	}
 }
 

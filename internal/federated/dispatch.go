@@ -170,7 +170,7 @@ func (c *Coordinator) dropPending() {
 // failed call.
 //
 // Deferred requests are PUT/EXEC_INST only, so a merged batch has the
-// retry class of its own part: RetryableBatch, neededIDs and recordBatch
+// retry class of its own part: RetryableBatch, neededIDs and record
 // see the real request list, and mergeRetrySafe keeps that list as safe to
 // re-issue as its requests are one by one. Under an EXEC_UDF that class is
 // fail-fast, and

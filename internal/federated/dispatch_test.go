@@ -748,8 +748,7 @@ func TestDeferredBatchSurvivesLostReply(t *testing.T) {
 	x := randMat(31, 12, 3)
 	want := x.Unary(matrix.UAbs).Scale(2)
 	for _, eager := range []bool{true, false} {
-		coord := federated.NewCoordinator(fedrpc.Options{})
-		coord.SetRetryPolicy(federated.RetryPolicy{Attempts: 4, Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
+		coord := federated.NewCoordinator(fedrpc.Options{}, federated.Policy{Attempts: 4, Backoff: time.Millisecond})
 		coord.SetFlushEveryOp(eager)
 		fx, err := federated.Distribute(coord, x, []string{proxy.ln.Addr().String()}, federated.RowPartitioned, privacy.Public)
 		if err != nil {

@@ -8,9 +8,7 @@ import (
 )
 
 func recCoord() *Coordinator {
-	c := NewCoordinator(fedrpc.Options{})
-	c.EnableRecovery(true)
-	return c
+	return NewCoordinator(fedrpc.Options{}, Policy{Recover: true})
 }
 
 func okResps(n int) []fedrpc.Response {
@@ -40,8 +38,8 @@ func TestCreationLogLifecycle(t *testing.T) {
 		{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "mm", Inputs: []int64{1, 2}, Output: 3}},
 		{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{2}}},
 	}
-	c.recordBatch(addr, reqs, okResps(len(reqs)))
-	s := c.state(addr)
+	s := c.log(addr)
+	c.record(s, reqs, okResps(len(reqs)), 1)
 	if len(s.records) != 3 {
 		t.Fatalf("log holds %d records, want 3 (dead broadcast retained for live dependent)", len(s.records))
 	}
@@ -49,9 +47,9 @@ func TestCreationLogLifecycle(t *testing.T) {
 		t.Fatal("rmvar'd broadcast should be recorded dead, not dropped: object 3 depends on it")
 	}
 	// Killing the dependent releases the dead dependency too.
-	c.recordBatch(addr, []fedrpc.Request{
+	c.record(s, []fedrpc.Request{
 		{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{3}}},
-	}, okResps(1))
+	}, okResps(1), 1)
 	if len(s.records) != 1 {
 		t.Fatalf("log holds %d records after dependent died, want only the live PUT", len(s.records))
 	}
@@ -59,59 +57,30 @@ func TestCreationLogLifecycle(t *testing.T) {
 		t.Fatal("live PUT record was dropped")
 	}
 	// Failed requests must not enter the log.
-	c.recordBatch(addr, []fedrpc.Request{{Type: fedrpc.Put, ID: 9}}, []fedrpc.Response{{OK: false, Err: "boom"}})
+	c.record(s, []fedrpc.Request{{Type: fedrpc.Put, ID: 9}}, []fedrpc.Response{{OK: false, Err: "boom"}}, 1)
 	if s.records[9] != nil {
 		t.Fatal("failed PUT entered the creation log")
 	}
 }
 
-// TestObserveEpoch: first contact records, same epoch is quiet, a changed
-// epoch marks every record stale and counts a restart.
-func TestObserveEpoch(t *testing.T) {
-	c := recCoord()
-	defer c.Close()
-	const addr = "w0"
-	c.recordBatch(addr, []fedrpc.Request{{Type: fedrpc.Put, ID: 1}}, okResps(1))
-	if c.observeEpoch(addr, 0) {
-		t.Fatal("unstamped responses must not signal a restart")
-	}
-	if c.observeEpoch(addr, 7) {
-		t.Fatal("first contact is not a restart")
-	}
-	if c.observeEpoch(addr, 7) {
-		t.Fatal("same epoch is not a restart")
-	}
-	if !c.observeEpoch(addr, 8) {
-		t.Fatal("epoch change under a known address must signal a restart")
-	}
-	s := c.state(addr)
-	if s.records[1].fresh {
-		t.Fatal("records must be marked stale on restart")
-	}
-	if got := c.Stats().RestartsDetected; got != 1 {
-		t.Fatalf("RestartsDetected = %d, want 1", got)
-	}
-}
-
-// TestPlanReplayTopologicalOrder: replay re-issues creations dependencies
-// first, includes stale dead dependencies of the needed object, and lists
-// them for the trailing rmvar.
+// TestPlanReplayTopologicalOrder: records stamped with another epoch than
+// the worker's current one are stale; replay re-issues their creations
+// dependencies first, includes stale dead dependencies of the needed object,
+// and lists them for the trailing rmvar.
 func TestPlanReplayTopologicalOrder(t *testing.T) {
 	c := recCoord()
 	defer c.Close()
-	const addr = "w0"
-	c.recordBatch(addr, []fedrpc.Request{
+	s := c.log("w0")
+	c.record(s, []fedrpc.Request{
 		{Type: fedrpc.Put, ID: 1},
 		{Type: fedrpc.Put, ID: 2},
 		{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "mm", Inputs: []int64{1, 2}, Output: 3}},
 		{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{2}}},
-	}, okResps(4))
-	c.observeEpoch(addr, 7)
-	if !c.observeEpoch(addr, 8) {
-		t.Fatal("restart not detected")
+	}, okResps(4), 7)
+	if plan, _, err := c.planReplay(s, []int64{3}, 7); err != nil || len(plan) != 0 {
+		t.Fatalf("records valid under the current epoch produced a plan: %v, %v", plan, err)
 	}
-	s := c.state(addr)
-	plan, dead, err := c.planReplay(s, []int64{3}, true)
+	plan, dead, err := c.planReplay(s, []int64{3}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,33 +93,74 @@ func TestPlanReplayTopologicalOrder(t *testing.T) {
 	if len(dead) != 1 || dead[0] != 2 {
 		t.Fatalf("dead temps to re-remove = %v, want [2]", dead)
 	}
-	// Fresh objects need no replay.
-	plan2, _, err := c.planReplay(s, []int64{99}, true)
+	// A record replayed under the new epoch is valid again; its stale
+	// neighbours are not.
+	s.records[1].epoch = 8
+	if plan, _, _ = c.planReplay(s, []int64{1}, 8); len(plan) != 0 {
+		t.Fatalf("replayed record planned again: %v", plan)
+	}
+	if plan, _, _ = c.planReplay(s, []int64{3}, 8); len(plan) != 2 {
+		t.Fatalf("plan after a partial replay has %d records, want 2 (PUT 2 + mm)", len(plan))
+	}
+	// Untracked objects need no replay.
+	plan2, _, err := c.planReplay(s, []int64{99}, 8)
 	if err != nil || len(plan2) != 0 {
 		t.Fatalf("untracked ID produced a plan: %v, %v", plan2, err)
 	}
 }
 
-// TestPlanReplayUnrecoverable: a needed EXEC_UDF-created object fails
-// strict planning with the typed error and is skipped by best-effort
-// repair planning.
+// TestPlanReplayUnrecoverable: a needed EXEC_UDF-created object that is
+// stale fails planning with the typed error.
 func TestPlanReplayUnrecoverable(t *testing.T) {
 	c := recCoord()
 	defer c.Close()
-	const addr = "w0"
-	c.recordBatch(addr, []fedrpc.Request{
+	s := c.log("w0")
+	c.record(s, []fedrpc.Request{
 		{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{Name: "mkstate", Output: 5}},
-	}, okResps(1))
-	c.observeEpoch(addr, 7)
-	c.observeEpoch(addr, 8)
-	s := c.state(addr)
-	_, _, err := c.planReplay(s, []int64{5}, true)
-	if !errors.Is(err, ErrUnrecoverable) {
-		t.Fatalf("strict plan over UDF state = %v, want ErrUnrecoverable", err)
+	}, okResps(1), 7)
+	if _, _, err := c.planReplay(s, []int64{5}, 7); err != nil {
+		t.Fatalf("UDF state under its own epoch needs no replay, got %v", err)
 	}
-	plan, _, err := c.planReplay(s, []int64{5}, false)
-	if err != nil || len(plan) != 0 {
-		t.Fatalf("best-effort plan must skip UDF state, got %v, %v", plan, err)
+	_, _, err := c.planReplay(s, []int64{5}, 8)
+	if !errors.Is(err, ErrUnrecoverable) {
+		t.Fatalf("plan over lost UDF state = %v, want ErrUnrecoverable", err)
+	}
+}
+
+// TestStaleWithoutRecovery: with recovery off the session keeps only the
+// epoch of its last exchange. Once the site has moved past it, a batch that
+// reads anything fails before it is sent — once — and a batch that only
+// creates goes through.
+func TestStaleWithoutRecovery(t *testing.T) {
+	c := NewCoordinator(fedrpc.Options{}, Policy{})
+	defer c.Close()
+	st, err := c.site("w0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := c.log("w0")
+	get := []fedrpc.Request{{Type: fedrpc.Get, ID: 1}}
+	put := []fedrpc.Request{{Type: fedrpc.Put, ID: 2}}
+	if class, _, err := c.revalidate(st, s, 0, get); class != outOK {
+		t.Fatalf("first contact: %v, %v", class, err)
+	}
+	c.record(s, put, okResps(1), 7)
+	if len(s.records) != 0 {
+		t.Fatal("the zero policy keeps no creation log")
+	}
+	if class, _, err := c.revalidate(st, s, 7, get); class != outOK {
+		t.Fatalf("same epoch: %v, %v", class, err)
+	}
+	class, _, err := c.revalidate(st, s, 8, get)
+	if class != outUnrecoverable || !errors.Is(err, ErrWorkerRestarted) {
+		t.Fatalf("read after a restart = %v, %v; want outUnrecoverable wrapping ErrWorkerRestarted", class, err)
+	}
+	if class, _, err := c.revalidate(st, s, 8, get); class != outOK {
+		t.Fatalf("the restart is reported once: %v, %v", class, err)
+	}
+	c.record(s, put, okResps(1), 8)
+	if class, _, err := c.revalidate(st, s, 9, put); class != outOK {
+		t.Fatalf("a create-only batch reads nothing that was lost: %v, %v", class, err)
 	}
 }
 
@@ -158,7 +168,7 @@ func TestPlanReplayUnrecoverable(t *testing.T) {
 // across map iteration order (attrs sorted) and distinguishes different
 // computations.
 func TestInstTraceDeterminism(t *testing.T) {
-	s := &workerState{records: map[int64]*creationRec{
+	s := &workerLog{records: map[int64]*creationRec{
 		1: {trace: "file#a.csv"},
 	}}
 	inst := func(attrs map[string]string) *fedrpc.Instruction {

@@ -47,9 +47,9 @@ func TestRetryRecoversFromInjectedResets(t *testing.T) {
 	faults := netem.NewFaults(netem.FaultConfig{
 		Seed: 7, ConnResets: 3, ResetAfterBytes: 16 << 10, ResetPerAddr: true,
 	})
-	coord := federated.NewCoordinator(fedrpc.Options{Netem: netem.Config{Faults: faults}})
+	coord := federated.NewCoordinator(fedrpc.Options{Netem: netem.Config{Faults: faults}},
+		federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1})
 	defer coord.Close()
-	coord.SetRetryPolicy(federated.RetryPolicy{Attempts: 3, Backoff: time.Millisecond, Seed: 1})
 
 	x := randMat(3, 600, 27)
 	fx, err := federated.Distribute(coord, x, cl.Addrs, federated.RowPartitioned, privacy.Public)
@@ -74,9 +74,8 @@ func TestRetryRecoversFromInjectedResets(t *testing.T) {
 func TestNoRetryFailsFastWithoutLeaks(t *testing.T) {
 	cl := startCluster(t, 3)
 	faults := netem.NewFaults(netem.FaultConfig{Seed: 7, ConnResets: 1, ResetAfterBytes: 16 << 10})
-	coord := federated.NewCoordinator(fedrpc.Options{Netem: netem.Config{Faults: faults}})
-	defer coord.Close()
-	// Zero-value retry policy: fail fast.
+	coord := federated.NewCoordinator(fedrpc.Options{Netem: netem.Config{Faults: faults}}, federated.Policy{})
+	defer coord.Close() // zero policy: fail fast
 
 	x := randMat(3, 600, 27)
 	_, err := federated.Distribute(coord, x, cl.Addrs, federated.RowPartitioned, privacy.Public)
@@ -181,7 +180,7 @@ func TestClientDialCoalesces(t *testing.T) {
 			_, _ = io.CopyN(c, c, 5)
 		}
 	}()
-	coord := federated.NewCoordinator(fedrpc.Options{})
+	coord := federated.NewCoordinator(fedrpc.Options{}, federated.Policy{})
 	defer coord.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -205,7 +204,7 @@ func TestClientDialCoalesces(t *testing.T) {
 // workers proceed (satellite 2).
 func TestSlowDialDoesNotBlockCoordinator(t *testing.T) {
 	cl := startCluster(t, 1)
-	coord := federated.NewCoordinator(fedrpc.Options{DialTimeout: 2 * time.Second})
+	coord := federated.NewCoordinator(fedrpc.Options{DialTimeout: 2 * time.Second}, federated.Policy{})
 	defer coord.Close()
 	dialDone := make(chan struct{})
 	go func() {

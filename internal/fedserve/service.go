@@ -66,11 +66,6 @@ type Config struct {
 	// ReapInterval is the reaper's scan period (default IdleTimeout/4,
 	// floored at 100ms). Only meaningful with IdleTimeout > 0.
 	ReapInterval time.Duration
-	// Retry, CallTimeout, and Recover configure each session's coordinator
-	// like their fedtest counterparts.
-	Retry       federated.RetryPolicy
-	CallTimeout time.Duration
-	Recover     bool
 	// Metrics is the registry the serve.* series report into (nil uses
 	// obs.Default()).
 	Metrics *obs.Registry
@@ -147,11 +142,6 @@ func (s *Service) Open() (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg.Retry != (federated.RetryPolicy{}) {
-		coord.SetRetryPolicy(s.cfg.Retry)
-	}
-	coord.SetCallTimeout(s.cfg.CallTimeout)
-	coord.EnableRecovery(s.cfg.Recover)
 	sess := &Session{id: id, svc: s, coord: coord, lastUsed: time.Now()}
 
 	s.mu.Lock()

@@ -84,11 +84,11 @@ func TestChaosLMTrainingUnderByzantineFaults(t *testing.T) {
 				StallThenReset:     true,
 			})
 			cl, err := fedtest.Start(fedtest.Config{
-				Workers:     3,
-				Faults:      faults,
-				Retry:       federated.RetryPolicy{Attempts: 8, Backoff: time.Millisecond, Seed: seed},
-				CallTimeout: 5 * time.Second,
-				Metrics:     obs.New(),
+				Workers: 3,
+				Faults:  faults,
+				Policy: federated.Policy{Attempts: 8, Backoff: time.Millisecond, Seed: seed,
+					CallTimeout: 5 * time.Second},
+				Metrics: obs.New(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -192,12 +192,13 @@ func TestChaosPipelinedSessionsUnderResets(t *testing.T) {
 				ResetJitter:     0.5,
 			})
 			cl, err := fedtest.Start(fedtest.Config{
-				Workers:     3,
-				Window:      8,
-				PoolSize:    1, // both sessions share one pipelined conn per worker
-				Faults:      faults,
-				CallTimeout: 5 * time.Second,
-				Metrics:     obs.New(),
+				Workers:  3,
+				Window:   8,
+				PoolSize: 1, // both sessions share one pipelined conn per worker
+				Faults:   faults,
+				Policy: federated.Policy{Attempts: 8, Backoff: time.Millisecond, Seed: seed,
+					CallTimeout: 5 * time.Second, Recover: true},
+				Metrics: obs.New(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -215,9 +216,6 @@ func TestChaosPipelinedSessionsUnderResets(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(sess.Close)
-				sess.SetRetryPolicy(federated.RetryPolicy{Attempts: 8, Backoff: time.Millisecond, Seed: seed + int64(s)})
-				sess.SetCallTimeout(5 * time.Second)
-				sess.EnableRecovery(true)
 				go func(c *federated.Coordinator) {
 					fx, err := federated.Distribute(c, x, cl.Addrs, federated.RowPartitioned, privacy.Public)
 					if err != nil {

@@ -37,7 +37,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 //  2. The deadline blowout trips the worker's circuit breaker; the next
 //     operation fails fast with ErrWorkerUnavailable without touching the
 //     wire.
-//  3. The stall clears; the health prober's next successful HEALTH probe
+//  3. The stall clears; the fleet prober's next answered HEALTH probe
 //     moves the breaker to half-open.
 //  4. Full LM training then completes — the first real call is the
 //     half-open trial and closes the breaker — with weights bitwise-equal
@@ -53,17 +53,19 @@ func TestStalledWorkerDeadlineBreakerRecovery(t *testing.T) {
 	})
 	reg := obs.New()
 	cl, err := fedtest.Start(fedtest.Config{
-		Workers:     1,
-		Faults:      faults,
-		CallTimeout: budget,
-		Breaker:     federated.BreakerPolicy{Threshold: 1}, // no Cooldown: probe-only recovery
-		Metrics:     reg,
+		Workers: 1,
+		Faults:  faults,
+		// The prober is on because the breaker is. Its rounds are kept out
+		// of phases 1-2 (under a second): phase 3 asks for one explicitly.
+		Policy:  federated.Policy{CallTimeout: budget, BreakerThreshold: 1, ProbeInterval: time.Hour},
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
 	addr := cl.Addrs[0]
+	fleet := cl.Coord.Fleet()
 
 	x, y := data.Regression(4, 600, 20, 0.05)
 
@@ -78,7 +80,7 @@ func TestStalledWorkerDeadlineBreakerRecovery(t *testing.T) {
 	if elapsed > 2*budget {
 		t.Fatalf("stalled batch took %v, want within 2x the %v budget", elapsed, budget)
 	}
-	if got := cl.Coord.BreakerState(addr); got != "open" {
+	if got := fleet.BreakerState(addr); got != "open" {
 		t.Fatalf("breaker after deadline blowout = %q, want open", got)
 	}
 
@@ -101,12 +103,14 @@ func TestStalledWorkerDeadlineBreakerRecovery(t *testing.T) {
 		t.Fatalf("fed.breaker.open_count = %d, want 1 while open", reg.Gauge("fed.breaker.open_count").Value())
 	}
 
-	// Phase 3: the stall was one-shot and its budget is spent; start the
-	// prober and wait for its HEALTH probe to half-open the breaker.
-	cl.Coord.StartHealth(federated.HealthPolicy{Interval: 15 * time.Millisecond, Jitter: 0.3, Seed: 5})
-	waitFor(t, 5*time.Second, "health probe to half-open the breaker", func() bool {
-		return cl.Coord.BreakerState(addr) == "half-open"
-	})
+	// Phase 3: the stall was one-shot and its budget is spent; a HEALTH
+	// probe gets through and half-opens the breaker.
+	if err := fleet.Ping(addr); err != nil {
+		t.Fatalf("probe after the stall cleared: %v", err)
+	}
+	if got := fleet.BreakerState(addr); got != "half-open" {
+		t.Fatalf("breaker after an answered probe = %q, want half-open", got)
+	}
 
 	// Phase 4: training completes; the first call is the half-open trial.
 	fx, err := federated.Distribute(cl.Coord, x, cl.Addrs, federated.RowPartitioned, privacy.Public)
@@ -117,7 +121,7 @@ func TestStalledWorkerDeadlineBreakerRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-recovery training failed: %v", err)
 	}
-	if got := cl.Coord.BreakerState(addr); got != "closed" {
+	if got := fleet.BreakerState(addr); got != "closed" {
 		t.Fatalf("breaker after successful trial = %q, want closed", got)
 	}
 	if reg.Counter("fed.breaker.half_opens").Value() < 1 || reg.Counter("fed.breaker.closes").Value() < 1 {
@@ -147,5 +151,60 @@ func TestStalledWorkerDeadlineBreakerRecovery(t *testing.T) {
 
 	if s := faults.Stats(); s.Stalls != 1 {
 		t.Fatalf("fault stats = %+v, want the one planned stall", s)
+	}
+}
+
+// TestBreakerRecoversWithoutProbeInterval: a breaker with no probe interval
+// configured still recovers — turning the breaker on starts the fleet prober
+// at its default pace, so an open breaker can never be a dead end. And when
+// the breaker trips between two attempts of one call, the load-shed error
+// still matches the fault that tripped it.
+func TestBreakerRecoversWithoutProbeInterval(t *testing.T) {
+	faults := netem.NewFaults(netem.FaultConfig{Seed: 11, ConnResets: 1, ResetAfterBytes: 4 << 10})
+	reg := obs.New()
+	cl, err := fedtest.Start(fedtest.Config{
+		Workers: 1,
+		Faults:  faults,
+		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1, BreakerThreshold: 1},
+		Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	addr := cl.Addrs[0]
+	fleet := cl.Coord.Fleet()
+
+	// The reset fails attempt 1 and trips the breaker; attempt 2 is shed.
+	x, _ := data.Regression(4, 600, 20, 0.05)
+	_, err = federated.Distribute(cl.Coord, x, cl.Addrs, federated.RowPartitioned, privacy.Public)
+	if !errors.Is(err, federated.ErrWorkerUnavailable) {
+		t.Fatalf("error = %v, want to wrap ErrWorkerUnavailable", err)
+	}
+	if !errors.Is(err, netem.ErrInjectedReset) {
+		t.Fatalf("the reset that tripped the breaker is not matchable behind it: %v", err)
+	}
+	if got := fleet.BreakerState(addr); got != "open" {
+		t.Fatalf("breaker after the reset = %q, want open", got)
+	}
+	waitFor(t, 10*time.Second, "the fleet prober to half-open the breaker", func() bool {
+		return fleet.BreakerState(addr) == "half-open"
+	})
+	fx, err := federated.Distribute(cl.Coord, x, cl.Addrs, federated.RowPartitioned, privacy.Public)
+	if err != nil {
+		t.Fatalf("distribute after recovery: %v", err)
+	}
+	back, err := fx.Consolidate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.EqualApprox(x, 0) {
+		t.Fatal("round trip after recovery corrupted data")
+	}
+	if got := fleet.BreakerState(addr); got != "closed" {
+		t.Fatalf("breaker after the trial = %q, want closed", got)
+	}
+	if n := reg.Counter("fed.probes").Value(); n < 1 {
+		t.Fatal("the fleet prober never fired")
 	}
 }

@@ -95,11 +95,11 @@ func TestChaosDeferredScriptsUnderByzantineFaults(t *testing.T) {
 			})
 			reg := obs.New()
 			cl, err := fedtest.Start(fedtest.Config{
-				Workers:     3,
-				Faults:      faults,
-				Retry:       federated.RetryPolicy{Attempts: 8, Backoff: time.Millisecond, Seed: seed},
-				CallTimeout: 5 * time.Second,
-				Metrics:     reg,
+				Workers: 3,
+				Faults:  faults,
+				Policy: federated.Policy{Attempts: 8, Backoff: time.Millisecond, Seed: seed,
+					CallTimeout: 5 * time.Second},
+				Metrics: reg,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -155,8 +155,8 @@ func TestChaosDeferredScriptsUnderByzantineFaults(t *testing.T) {
 func TestDeferredBatchSurvivesRestartReplay(t *testing.T) {
 	cl, err := fedtest.Start(fedtest.Config{
 		Workers: 3,
-		Retry:   federated.RetryPolicy{Attempts: 3, Backoff: time.Millisecond, Seed: 1},
-		Recover: true,
+		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1, Recover: true},
+		Metrics: obs.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,10 +188,7 @@ func TestDeferredBatchSurvivesRestartReplay(t *testing.T) {
 	if !got.EqualApprox(want, 0) {
 		t.Fatal("result after replay under a merged batch is not bitwise-equal to the local product")
 	}
-	s := cl.Coord.Stats()
-	if s.RestartsDetected < 1 || s.ObjectsReplayed < 1 || s.ReplayFailures != 0 {
-		t.Fatalf("stats = %+v, want a detected restart, replayed objects, no replay failure", s)
-	}
+	checkReplayed(t, cl.Registry())
 
 	// The deferred creations are in the log: after another restart the
 	// chain X -> PUT v -> mm -> abs replays from it.
@@ -228,7 +225,7 @@ func TestDeferredBatchDeadlineIsTyped(t *testing.T) {
 		StallFor:        30 * time.Second,
 		StallAfterBytes: 8 << 10, // armed by the 12.8 KB distribute, fires on the next write: the merged batch
 	})
-	cl, err := fedtest.Start(fedtest.Config{Workers: 1, Faults: faults, CallTimeout: budget})
+	cl, err := fedtest.Start(fedtest.Config{Workers: 1, Faults: faults, Policy: federated.Policy{CallTimeout: budget}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +265,7 @@ func TestDeferredRidingWithUDFIsNeverRetried(t *testing.T) {
 	cl, err := fedtest.Start(fedtest.Config{
 		Workers: 1,
 		Faults:  faults,
-		Retry:   federated.RetryPolicy{Attempts: 3, Backoff: time.Millisecond, Seed: 1},
+		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1},
 		Metrics: reg,
 	})
 	if err != nil {

@@ -34,22 +34,9 @@ type Config struct {
 	// recovery paths. The same *Faults can be inspected afterwards via
 	// Stats() to assert the faults actually fired.
 	Faults *netem.Faults
-	// Retry configures the coordinator's retry policy; the zero value
-	// keeps retries off (fail fast).
-	Retry federated.RetryPolicy
-	// Recover enables the coordinator's creation log and lineage replay,
-	// so RestartWorker mid-run is survivable (pair with Retry).
-	Recover bool
-	// Health starts the coordinator's periodic liveness probing when
-	// Interval > 0.
-	Health federated.HealthPolicy
-	// Breaker configures the coordinator's per-worker circuit breakers;
-	// the zero value keeps them off.
-	Breaker federated.BreakerPolicy
-	// CallTimeout bounds each coordinator→worker RPC when the caller's
-	// context carries no deadline of its own; the budget travels to the
-	// worker on the wire. Zero leaves calls unbounded.
-	CallTimeout time.Duration
+	// Policy is the failure model of both the standalone Coord and every
+	// session of Fleet (federated.Policy); the zero value fails fast.
+	Policy federated.Policy
 	// SlowRPC makes the coordinator log every RPC slower than this
 	// threshold with its full phase breakdown (0 disables).
 	SlowRPC time.Duration
@@ -60,7 +47,7 @@ type Config struct {
 	Metrics *obs.Registry
 	// PoolSize is the number of pooled connections per worker address in
 	// the cluster's shared Fleet (default 1). It sizes Fleet sessions only;
-	// the legacy Coord keeps its private one-connection-per-address fleet.
+	// Coord keeps its private one-connection-per-address fleet.
 	PoolSize int
 	// MaxConns caps concurrently served connections per worker (0 =
 	// unlimited), exercising the accept-limit path.
@@ -138,20 +125,8 @@ func Start(cfg Config) (*Cluster, error) {
 		cl.Addrs = append(cl.Addrs, srv.Addr())
 		cl.baseDirs = append(cl.baseDirs, dir)
 	}
-	cl.Coord = federated.NewCoordinator(clientOpts)
-	if cfg.Retry != (federated.RetryPolicy{}) {
-		cl.Coord.SetRetryPolicy(cfg.Retry)
-	}
-	cl.Coord.EnableRecovery(cfg.Recover)
-	if cfg.Breaker != (federated.BreakerPolicy{}) {
-		cl.Coord.SetBreakerPolicy(cfg.Breaker)
-	}
-	cl.Coord.SetCallTimeout(cfg.CallTimeout)
-	cl.Coord.StartHealth(cfg.Health)
-	cl.Fleet = federated.NewFleet(clientOpts, cfg.PoolSize)
-	if cfg.Breaker != (federated.BreakerPolicy{}) {
-		cl.Fleet.SetBreakerPolicy(cfg.Breaker)
-	}
+	cl.Coord = federated.NewCoordinator(clientOpts, cfg.Policy)
+	cl.Fleet = federated.NewFleet(clientOpts, cfg.PoolSize, cfg.Policy)
 	return cl, nil
 }
 

@@ -16,15 +16,14 @@ import (
 
 // TestConcurrentStatsAndMetricsDuringHealth exercises every observability
 // read path while a federation is under full load: a training loop drives
-// RPCs, the health prober fires every few milliseconds, and goroutines
-// hammer Coordinator.Stats() plus metrics-registry snapshots/rendering the
-// whole time. Run under -race this pins down that the counters and the
-// registry are safe for concurrent access.
+// RPCs, the fleet prober fires every few milliseconds, and goroutines
+// hammer the fed.* counters, the site state and metrics-registry
+// snapshots/rendering the whole time. Run under -race this pins down that
+// the site and the registry are safe for concurrent access.
 func TestConcurrentStatsAndMetricsDuringHealth(t *testing.T) {
 	cl, err := fedtest.Start(fedtest.Config{
 		Workers: 2,
-		Recover: true,
-		Health:  federated.HealthPolicy{Interval: 2 * time.Millisecond},
+		Policy:  federated.Policy{Recover: true, BreakerThreshold: 3, ProbeInterval: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,9 +48,8 @@ func TestConcurrentStatsAndMetricsDuringHealth(t *testing.T) {
 					return
 				default:
 				}
-				s := cl.Coord.Stats()
-				if s.Probes < 0 || s.ProbeFailures > s.Probes {
-					t.Errorf("inconsistent stats under load: %+v", s)
+				if s := cl.Coord.Fleet().BreakerState(cl.Addrs[0]); s != "closed" {
+					t.Errorf("breaker of a healthy worker is %q under load", s)
 					return
 				}
 				snap := obs.Default().Snapshot()
@@ -70,10 +68,10 @@ func TestConcurrentStatsAndMetricsDuringHealth(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	if s := cl.Coord.Stats(); s.Probes == 0 {
-		t.Fatalf("health prober never fired: %+v", s)
-	}
 	snap := obs.Default().Snapshot()
+	if snap.Counters["fed.probes"] == 0 {
+		t.Fatal("fleet prober never fired")
+	}
 	if snap.Counters["rpc.client.calls"] == 0 {
 		t.Fatal("training produced no rpc.client.calls metric")
 	}

@@ -2,6 +2,7 @@ package fedtest_test
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"exdra/internal/fedtest"
 	"exdra/internal/matrix"
 	"exdra/internal/netem"
+	"exdra/internal/obs"
 	"exdra/internal/privacy"
 	"exdra/internal/worker"
 )
@@ -75,8 +77,8 @@ func TestLMTrainingSurvivesWorkerRestart(t *testing.T) {
 
 	cl, err := fedtest.Start(fedtest.Config{
 		Workers: 3,
-		Retry:   federated.RetryPolicy{Attempts: 3, Backoff: time.Millisecond, Seed: 1},
-		Recover: true,
+		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1, Recover: true},
+		Metrics: obs.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,15 +140,19 @@ func checkRecoveredRun(t *testing.T, cl *fedtest.Cluster, res *algo.LMResult, er
 	if !res.Weights.EqualApprox(want, 0) {
 		t.Fatal("recovered training is not bitwise-equal to the fault-free run")
 	}
-	s := cl.Coord.Stats()
-	if s.RestartsDetected < 1 {
-		t.Fatalf("stats = %+v, want at least one detected restart", s)
-	}
-	if s.ObjectsReplayed < 1 {
-		t.Fatalf("stats = %+v, want at least one replayed object", s)
-	}
-	if s.ReplayFailures != 0 {
-		t.Fatalf("stats = %+v, want zero replay failures", s)
+	checkReplayed(t, cl.Registry())
+}
+
+// checkReplayed asserts the fed.* counters of a run that healed a restart: a
+// detected restart, replayed objects, no replay the worker rejected.
+func checkReplayed(t *testing.T, reg *obs.Registry) {
+	t.Helper()
+	restarts := reg.Counter("fed.restarts_detected").Value()
+	replayed := reg.Counter("fed.objects_replayed").Value()
+	rejected := reg.Counter("fed.replay_failures").Value()
+	if restarts < 1 || replayed < 1 || rejected != 0 {
+		t.Fatalf("%d restarts detected, %d objects replayed, %d replay failures; want >= 1, >= 1, 0",
+			restarts, replayed, rejected)
 	}
 }
 
@@ -158,7 +164,7 @@ func checkRecoveredRun(t *testing.T, cl *fedtest.Cluster, res *algo.LMResult, er
 func TestRestartFailsFastWithoutRecovery(t *testing.T) {
 	cl, err := fedtest.Start(fedtest.Config{
 		Workers: 3,
-		Retry:   federated.RetryPolicy{Attempts: 3, Backoff: time.Millisecond, Seed: 1},
+		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,8 +203,7 @@ func TestRestartFailsFastWithoutRecovery(t *testing.T) {
 func TestUDFStateUnrecoverable(t *testing.T) {
 	cl, err := fedtest.Start(fedtest.Config{
 		Workers: 1,
-		Retry:   federated.RetryPolicy{Attempts: 3, Backoff: time.Millisecond, Seed: 1},
-		Recover: true,
+		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1, Recover: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,8 +241,7 @@ func TestExecUDFNotRetried(t *testing.T) {
 	cl, err := fedtest.Start(fedtest.Config{
 		Workers: 1,
 		Faults:  faults,
-		Retry:   federated.RetryPolicy{Attempts: 3, Backoff: time.Millisecond, Seed: 1},
-		Recover: true,
+		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1, Recover: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,16 +265,31 @@ func TestExecUDFNotRetried(t *testing.T) {
 	}
 }
 
-// TestHealthProbingDetectsRestart: the background prober alone — no
-// foreground operation — detects a restarted worker via the epoch
-// handshake and proactively repairs its lost partition, so the next
-// operation finds the state already rebuilt.
+// dataRequests sums the rpc.client.requests.* counters over every request
+// type but HEALTH: the requests sessions sent, whatever the prober did.
+func dataRequests(reg *obs.Registry) int64 {
+	var n int64
+	for name, v := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "rpc.client.requests.") && !strings.HasSuffix(name, ".HEALTH") {
+			n += v
+		}
+	}
+	return n
+}
+
+// TestHealthProbingDetectsRestart: the fleet prober alone — no foreground
+// operation — detects a restarted worker via the epoch handshake. The
+// session's next operation then finds its partition stamped with an epoch
+// the site has moved past and replays it before its batch leaves: the
+// operation costs its usual requests plus the one replayed PUT, and no
+// worker ever answers "unknown object".
 func TestHealthProbingDetectsRestart(t *testing.T) {
+	reg := obs.New()
 	cl, err := fedtest.Start(fedtest.Config{
 		Workers: 2,
-		Retry:   federated.RetryPolicy{Attempts: 3, Backoff: time.Millisecond, Seed: 1},
-		Recover: true,
-		Health:  federated.HealthPolicy{Interval: 2 * time.Millisecond},
+		Policy: federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1, Recover: true,
+			ProbeInterval: 2 * time.Millisecond},
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -278,30 +297,105 @@ func TestHealthProbingDetectsRestart(t *testing.T) {
 	t.Cleanup(cl.Close)
 
 	x, _ := data.Regression(4, 100, 8, 0.05)
-	_, err = federated.Distribute(cl.Coord, x, cl.Addrs, federated.RowPartitioned, privacy.PrivateAggregation)
+	fx, err := federated.Distribute(cl.Coord, x, cl.Addrs, federated.RowPartitioned, privacy.PrivateAggregation)
 	if err != nil {
 		t.Fatal(err)
+	}
+	before := dataRequests(reg)
+	want, err := fx.Sum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sumCost := dataRequests(reg) - before
+
+	if err := cl.RestartWorker(1); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the prober to detect the restart", func() bool {
+		return reg.Counter("fed.restarts_detected").Value() >= 1
+	})
+	if n := reg.Counter("fed.objects_replayed").Value(); n != 0 {
+		t.Fatalf("%d objects replayed before any operation needed them", n)
+	}
+
+	before = dataRequests(reg)
+	got, err := fx.Sum()
+	if err != nil {
+		t.Fatalf("sum after the restart: %v", err)
+	}
+	if got != want {
+		t.Fatalf("sum after replay = %v, want %v (bitwise)", got, want)
+	}
+	if cost := dataRequests(reg) - before; cost != sumCost+1 {
+		t.Fatalf("sum after the restart cost %d requests, want its usual %d plus the one replayed PUT", cost, sumCost)
+	}
+	if n := reg.Counter("worker.errors").Value(); n != 0 {
+		t.Fatalf("workers rejected %d requests: a batch left before its inputs were replayed", n)
+	}
+	if n := reg.Counter("fed.restarts_detected").Value(); n != 1 {
+		t.Fatalf("fed.restarts_detected = %d, want 1", n)
+	}
+	if n := reg.Counter("fed.retries").Value(); n != 0 {
+		t.Fatalf("fed.retries = %d: probes and replay rounds are not retries", n)
+	}
+}
+
+// TestRestartCountedOnceAcrossSessions: two sessions share one fleet and
+// each holds a partitioned matrix when a worker restarts. The restart is one
+// event in /metrics — counted where the site's epoch changes, not once per
+// session that notices — and both sessions still replay their own logs to
+// results bitwise-equal to the ones from before the restart.
+func TestRestartCountedOnceAcrossSessions(t *testing.T) {
+	reg := obs.New()
+	cl, err := fedtest.Start(fedtest.Config{
+		Workers: 2,
+		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1, Recover: true},
+		Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+
+	x, y := data.Regression(4, 300, 12, 0.05)
+	train := func(fx *federated.Matrix) *matrix.Dense {
+		t.Helper()
+		res, err := algo.LM(fx, y, algo.LMConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Weights
+	}
+	var fxs []*federated.Matrix
+	var want []*matrix.Dense
+	for i := 0; i < 2; i++ {
+		sess, err := cl.Fleet.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sess.Close)
+		fx, err := federated.Distribute(sess, x, cl.Addrs, federated.RowPartitioned, privacy.PrivateAggregation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fxs = append(fxs, fx)
+		want = append(want, train(fx))
 	}
 	if err := cl.RestartWorker(1); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s := cl.Coord.Stats()
-		if s.RestartsDetected >= 1 && s.ObjectsReplayed >= 1 {
-			break
+	for i, fx := range fxs {
+		if got := train(fx); !got.EqualApprox(want[i], 0) {
+			t.Fatalf("session %d: training after the restart is not bitwise-equal to before", i)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("prober did not detect and repair the restart in time: stats = %+v", s)
-		}
-		time.Sleep(time.Millisecond)
 	}
-	// The prober repaired the partition off the critical path: the fresh
-	// worker holds it again without any foreground operation.
-	if n := cl.Workers[1].NumObjects(); n != 1 {
-		t.Fatalf("restarted worker holds %d objects after proactive repair, want 1", n)
+	if n := reg.Counter("fed.restarts_detected").Value(); n != 1 {
+		t.Fatalf("fed.restarts_detected = %d after one restart seen by two sessions, want 1", n)
 	}
-	if h := cl.Coord.WorkerHealth(); !h[cl.Addrs[0]] || !h[cl.Addrs[1]] {
-		t.Fatalf("worker health = %v, want both healthy", h)
+	if n := reg.Counter("fed.objects_replayed").Value(); n < 2 {
+		t.Fatalf("fed.objects_replayed = %d, want each session's partition replayed", n)
+	}
+	if n := reg.Counter("fed.replay_failures").Value(); n != 0 {
+		t.Fatalf("fed.replay_failures = %d, want 0", n)
 	}
 }

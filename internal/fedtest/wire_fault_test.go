@@ -29,7 +29,7 @@ func TestBinaryTransferSurvivesMidSlabResets(t *testing.T) {
 	cl, err := fedtest.Start(fedtest.Config{
 		Workers: 3,
 		Faults:  faults,
-		Retry:   federated.RetryPolicy{Attempts: 3, Backoff: time.Millisecond, Seed: 1},
+		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

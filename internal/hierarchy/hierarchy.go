@@ -51,7 +51,7 @@ func udfMount(w *worker.Worker, call *fedrpc.UDFCall) (fedrpc.Payload, error) {
 	if err := worker.DecodeArgs(call.Args, &args); err != nil {
 		return fedrpc.Payload{}, err
 	}
-	coord := federated.NewCoordinator(fedrpc.Options{})
+	coord := federated.NewCoordinator(fedrpc.Options{}, federated.Policy{})
 	specs := make([]federated.ReadSpec, len(args.Specs))
 	for i, s := range args.Specs {
 		specs[i] = federated.ReadSpec{Addr: s.Addr, Filename: s.Filename, Privacy: privacy.Level(s.Privacy)}
