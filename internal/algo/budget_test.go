@@ -128,8 +128,9 @@ func objectCounts(cl *fedtest.Cluster) []int {
 
 // TestAlgorithmCallBudgets pins how many RPCs the scripts cost per worker,
 // so that batching cannot regress without a timing in sight: LM one call
-// per CG iteration, L2SVM two per outer iteration, one K-Means Lloyd step
-// three, PCA three in total. rpc.client.calls repeats exactly.
+// per CG iteration, L2SVM two per outer iteration, MLogReg one per CG step
+// whatever the class count, one K-Means Lloyd step three, PCA three in
+// total. rpc.client.calls repeats exactly.
 func TestAlgorithmCallBudgets(t *testing.T) {
 	reg := obs.New()
 	cl, err := fedtest.Start(fedtest.Config{Workers: 2, Metrics: reg})
@@ -166,6 +167,27 @@ func TestAlgorithmCallBudgets(t *testing.T) {
 	must(err)
 	if budget := workers * int64(2*svm.Iterations+1); n > budget {
 		t.Errorf("L2SVM: %d calls for %d outer iterations, budget %d (2 per worker per iteration + the initial gradient)", n, svm.Iterations, budget)
+	}
+
+	// MLogReg: per Newton step one call for P, one for the gradient, and
+	// one per CG step for all classes together — so the count does not
+	// grow with the number of classes.
+	cfg := algo.MLogRegConfig{MaxOuterIter: 3, MaxInnerIter: 5}
+	var mlrCalls []int64
+	for _, k := range []int{4, 8} {
+		x, y = data.MultiClass(4, 200, 8, k)
+		fx = federate(t, cl, x)
+		var mlr *algo.MLogRegResult
+		n = calls(func() { mlr, err = algo.MLogReg(fx, y, cfg) })
+		must(err)
+		if budget := workers * int64(mlr.OuterIters*(2+cfg.MaxInnerIter)); n > budget {
+			t.Errorf("MLogReg, %d classes: %d calls for %d Newton steps, budget %d (2 + 1 per CG step per worker per Newton step)",
+				k, n, mlr.OuterIters, budget)
+		}
+		mlrCalls = append(mlrCalls, n)
+	}
+	if mlrCalls[0] != mlrCalls[1] {
+		t.Errorf("MLogReg: %d calls for 4 classes, %d for 8: a CG step should cost the same for any number of classes", mlrCalls[0], mlrCalls[1])
 	}
 
 	x, _ = data.Blobs(5, 200, 6, 4, 0.5)

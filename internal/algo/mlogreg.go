@@ -66,49 +66,88 @@ func MLogReg(x engine.Mat, y *matrix.Dense, cfg MLogRegConfig) (res *MLogRegResu
 		xw := engine.MatMul(x, w)
 		sm := engine.Softmax(xw)
 		p := engine.Local(sm)
-		engine.Free(xw, sm)
+		engine.Free(xw)
 
 		// Gradient G = t(X) %*% (P - Y1) + lambda*W.
 		g := engine.Local(engine.TMatMul(x, p.Sub(yOne)))
 		g.AxpyInPlace(lambda, w)
 		if g.Norm2() < tol {
+			engine.Free(sm)
 			break
 		}
 
-		// Newton direction per class via CG with Hessian-vector products
-		// Hv = X⊤(q ⊙ (Xv)) + lambda v, q = p_c(1-p_c) — the paper's inner
-		// X⊤(w ⊙ (Xv)) pattern, one fused federated mmchain per iteration.
-		for c := 0; c < k; c++ {
-			q := matrix.NewDense(n, 1)
-			for i := 0; i < n; i++ {
-				pc := p.At(i, c)
-				q.Set(i, 0, pc*(1-pc)+1e-8)
-			}
-			gc := g.SliceCols(c, c+1)
-			dir := matrix.NewDense(d, 1)
-			r := gc.Neg()
-			pv := r.Clone()
-			rs := matrix.Dot(r, r)
-			for inner := 0; inner < maxInner && rs > 1e-16; inner++ {
-				hv := engine.MMChain(x, pv, q)
-				hv.AxpyInPlace(lambda, pv)
-				alpha := rs / matrix.Dot(pv, hv)
-				dir.AxpyInPlace(alpha, pv)
-				r.AxpyInPlace(-alpha, hv)
-				rsNew := matrix.Dot(r, r)
-				beta := rsNew / rs
-				for i, rv := range r.Data() {
-					pv.Data()[i] = rv + beta*pv.Data()[i]
-				}
-				rs = rsNew
-				innerTotal++
-			}
-			for i := 0; i < d; i++ {
-				w.Set(i, c, w.At(i, c)+dir.At(i, 0))
-			}
-		}
+		// Hessian weights Q = P ⊙ (1-P) + 1e-8, one column per class, made
+		// where P is: three deferred element-wise ops, no round trip.
+		omp := engine.BinaryScalar(matrix.OpSub, sm, 1, true)
+		pq := engine.Mul(sm, omp)
+		engine.Free(sm, omp)
+		q := engine.BinaryScalar(matrix.OpAdd, pq, 1e-8, false)
+		engine.Free(pq)
+
+		innerTotal += newtonDirections(x, q, g, w, lambda, maxInner)
+		engine.Free(q)
 	}
 	return &MLogRegResult{Weights: w, OuterIters: outer, InnerIters: innerTotal}, nil
+}
+
+// newtonDirections solves the k per-class Newton systems (X⊤ diag(q_c) X +
+// lambda I) dir_c = -g_c by CG and adds each dir_c to column c of w. The k
+// recurrences run in lock-step: one step evaluates the Hessian-vector
+// products of every class still iterating as one fused mmchain
+// X⊤(Q ⊙ (X V)) — the paper's inner X⊤(w ⊙ (Xv)), one round trip for all
+// classes — where a class that has stopped is a zero column of V. Each
+// class's arithmetic is the single-class recurrence in its own order, so no
+// result depends on which classes share a step. It returns the CG
+// iterations summed over classes.
+func newtonDirections(x, q engine.Mat, g, w *matrix.Dense, lambda float64, maxInner int) int {
+	d, k := g.Rows(), g.Cols()
+	type class struct {
+		dir, r, pv *matrix.Dense
+		rs         float64
+		iters      int
+	}
+	cls := make([]class, k)
+	for c := range cls {
+		r := g.SliceCols(c, c+1).Neg()
+		cls[c] = class{dir: matrix.NewDense(d, 1), r: r, pv: r.Clone(), rs: matrix.Dot(r, r)}
+	}
+	for {
+		v := matrix.NewDense(d, k)
+		var live []int
+		for c, s := range cls {
+			if s.iters < maxInner && s.rs > 1e-16 {
+				v.SetSlice(0, c, s.pv)
+				live = append(live, c)
+			}
+		}
+		if len(live) == 0 {
+			break
+		}
+		hvs := engine.MMChain(x, v, q)
+		for _, c := range live {
+			s := &cls[c]
+			hv := hvs.SliceCols(c, c+1)
+			hv.AxpyInPlace(lambda, s.pv)
+			alpha := s.rs / matrix.Dot(s.pv, hv)
+			s.dir.AxpyInPlace(alpha, s.pv)
+			s.r.AxpyInPlace(-alpha, hv)
+			rsNew := matrix.Dot(s.r, s.r)
+			beta := rsNew / s.rs
+			for i, rv := range s.r.Data() {
+				s.pv.Data()[i] = rv + beta*s.pv.Data()[i]
+			}
+			s.rs = rsNew
+			s.iters++
+		}
+	}
+	total := 0
+	for c, s := range cls {
+		for i := 0; i < d; i++ {
+			w.Set(i, c, w.At(i, c)+s.dir.At(i, 0))
+		}
+		total += s.iters
+	}
+	return total
 }
 
 // Predict returns the 1-based predicted class per row.

@@ -1,8 +1,10 @@
 package engine_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"exdra/internal/engine"
@@ -42,14 +44,34 @@ func TestKernelDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := matrix.Randn(rng, 20, 5, 0, 1)
 	v := matrix.Randn(rng, 5, 1, 0, 1)
-	w := matrix.Randn(rng, 20, 1, 0, 1)
 	fx := fed(t, cl, x, privacy.Public)
 
 	if !engine.TSMM(fx).EqualApprox(engine.TSMM(x), 1e-9) {
 		t.Error("tsmm dispatch")
 	}
-	if !engine.MMChain(fx, v, w).EqualApprox(engine.MMChain(x, v, w), 1e-9) {
-		t.Error("mmchain dispatch")
+	for _, k := range []int{1, 4} {
+		vk := matrix.Randn(rng, 5, k, 0, 1)
+		w := matrix.Randn(rng, 20, k, 0, 1)
+		fw := fed(t, cl, w, privacy.Public)
+		want := x.MMChain(vk, w)
+		if !engine.MMChain(fx, vk, fw).EqualApprox(want, 1e-9) {
+			t.Errorf("k=%d: mmchain dispatch, federated x and w", k)
+		}
+		if !engine.MMChain(x, vk, fw).EqualApprox(want, 0) {
+			t.Errorf("k=%d: mmchain dispatch, local x and federated w", k)
+		}
+		if !engine.MMChain(fx, vk, nil).EqualApprox(x.MMChain(vk, nil), 1e-9) {
+			t.Errorf("k=%d: mmchain dispatch, federated x without w", k)
+		}
+		// A local w beside a federated x is not a second path: it fails.
+		err := func() (err error) {
+			defer engine.Guard(&err)
+			engine.MMChain(fx, vk, w)
+			return nil
+		}()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("federated 20x5 needs a federated w co-partitioned with it, have *matrix.Dense 20x%d", k)) {
+			t.Errorf("k=%d: local w with federated x: %v", k, err)
+		}
 	}
 	lt := engine.Local(engine.Transpose(x))
 	ft := engine.Local(engine.Transpose(fx))

@@ -164,16 +164,31 @@ func TSMM(x Mat) *matrix.Dense {
 	}
 }
 
-// MMChain computes t(x) %*% (w * (x %*% v)) fused (w may be nil).
-func MMChain(x Mat, v, w *matrix.Dense) *matrix.Dense {
+// MMChain computes t(x) %*% (w * (x %*% v)) fused, for the k columns of v
+// at once (w nil or rows x k). A local x takes any w (a federated one is
+// consolidated); a federated x takes a nil w or a federated one
+// co-partitioned with it, which stays at the workers.
+func MMChain(x Mat, v *matrix.Dense, w Mat) *matrix.Dense {
 	if done := timeOp("mmchain"); done != nil {
 		defer done()
 	}
 	switch m := x.(type) {
 	case *matrix.Dense:
-		return m.MMChain(v, w)
+		if w == nil {
+			return m.MMChain(v, nil)
+		}
+		return m.MMChain(v, Local(w))
 	case *federated.Matrix:
-		return must(m.MMChain(v, w))
+		switch fw := w.(type) {
+		case nil:
+			return must(m.MMChain(v, nil))
+		case *federated.Matrix:
+			return must(m.MMChain(v, fw))
+		default:
+			fail(fmt.Errorf("engine: mmchain of federated %dx%d needs a federated w co-partitioned with it, have %T %dx%d",
+				m.Rows(), m.Cols(), w, w.Rows(), w.Cols()))
+			return nil
+		}
 	default:
 		fail(fmt.Errorf("engine: mmchain on %T", x))
 		return nil

@@ -133,8 +133,10 @@ func table1Script(t *testing.T, cl *fedtest.Cluster) results {
 	out.local(t, "tsmm", d, err)
 	d, err = fx.MMChain(v.SliceCols(0, 1), nil)
 	out.local(t, "mmchain", d, err)
-	d, err = fx.MMChain(v.SliceCols(0, 1), w)
+	d, err = fx.MMChain(v.SliceCols(0, 1), dist(w, cl.Addrs, federated.RowPartitioned))
 	out.local(t, "mmchain weighted", d, err)
+	d, err = fx.MMChain(randMat(108, 6, 3), dist(pos(109, 24, 3), cl.Addrs, federated.RowPartitioned))
+	out.local(t, "mmchain weighted k=3", d, err)
 	d, err = fo.AlignedTMM(fx)
 	out.local(t, "aligned tmm", d, err)
 	_, d, err = cx.MatVec(v)

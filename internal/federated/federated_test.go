@@ -188,21 +188,57 @@ func TestTSMMAndMMChain(t *testing.T) {
 	if !got.EqualApprox(x.TSMM(), 1e-9) {
 		t.Fatal("fed tsmm")
 	}
-	v := randMat(10, 4, 1)
-	w := randMat(11, 25, 1)
-	mc, err := fx.MMChain(v, w)
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range []int{1, 4} {
+		v := randMat(10, 4, k)
+		w := randMat(11, 25, k)
+		mc, err := fx.MMChain(v, distribute(t, cl, w, federated.RowPartitioned))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mc.EqualApprox(x.MMChain(v, w), 1e-9) {
+			t.Fatalf("k=%d: fed mmchain weighted", k)
+		}
+		mc2, err := fx.MMChain(v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mc2.EqualApprox(x.MMChain(v, nil), 1e-9) {
+			t.Fatalf("k=%d: fed mmchain unweighted", k)
+		}
 	}
-	if !mc.EqualApprox(x.MMChain(v, w), 1e-9) {
-		t.Fatal("fed mmchain weighted")
+}
+
+// TestMMChainRejectsMisplacedWeights: the weights of a federated mmchain
+// must be a federated matrix co-partitioned with X with one column per
+// right-hand side; anything else is an error that names the shapes.
+func TestMMChainRejectsMisplacedWeights(t *testing.T) {
+	cl := startCluster(t, 3)
+	x := randMat(9, 24, 4)
+	fx := distribute(t, cl, x, federated.RowPartitioned)
+	v := randMat(10, 4, 2)
+	w := randMat(11, 24, 2)
+	onTwo := func(s federated.Scheme) *federated.Matrix {
+		m, err := federated.Distribute(cl.Coord, w, cl.Addrs[:2], s, privacy.PrivateAggregation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	mc2, err := fx.MMChain(v, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mc2.EqualApprox(x.MMChain(v, nil), 1e-9) {
-		t.Fatal("fed mmchain unweighted")
+	for _, c := range []struct {
+		name string
+		v    *matrix.Dense
+		w    *federated.Matrix
+		want string
+	}{
+		{"column-partitioned w", v, onTwo(federated.ColPartitioned), "w is 24x2 column-partitioned in 2 partitions"},
+		{"differently split w", v, onTwo(federated.RowPartitioned), "w is 24x2 row-partitioned in 2 partitions"},
+		{"w with 2 columns for 1", v.SliceCols(0, 1), distribute(t, cl, w, federated.RowPartitioned), "want 24x1 co-partitioned with X 24x4"},
+		{"v with 3 rows", randMat(12, 3, 2), nil, "v is 3x2, want 4xk"},
+	} {
+		_, err := fx.MMChain(c.v, c.w)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to say %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -150,45 +150,50 @@ func (m *Matrix) TSMM() (*matrix.Dense, error) {
 	return sum, nil
 }
 
-// MMChain computes the fused t(X) %*% (w * (X %*% v)) (w may be nil) with a
-// single broadcast of v (and sliced w), one fused per-partition kernel, and
-// coordinator-side summation — the inner pattern of LM and MLogReg.
-func (m *Matrix) MMChain(v, w *matrix.Dense) (*matrix.Dense, error) {
+// MMChain computes the fused t(X) %*% (w * (X %*% v)) for k right-hand
+// sides at once: v is cols x k, and w is nil or a federated rows x k matrix
+// co-partitioned with X, so each worker's w partition is referenced by ID
+// where it already lives (the pairing of AlignedTMM). One batch per worker
+// — PUT v, mmchain, GET, rmvar — and the coordinator sums the cols x k
+// partials: the inner pattern of LM (k = 1, no w) and of MLogReg (one
+// column per class, its weights resident at the workers).
+func (m *Matrix) MMChain(v *matrix.Dense, w *Matrix) (*matrix.Dense, error) {
 	if m.Scheme() != RowPartitioned {
-		return nil, fmt.Errorf("federated: mmchain requires row partitioning")
+		return nil, fmt.Errorf("federated: mmchain requires row partitioning, X is %s", m.Scheme())
 	}
-	if v.Rows() != m.Cols() {
-		return nil, fmt.Errorf("federated: mmchain v is %dx%d, want %dx1", v.Rows(), v.Cols(), m.Cols())
+	if v.Rows() != m.Cols() || v.Cols() < 1 {
+		return nil, fmt.Errorf("federated: mmchain v is %dx%d, want %dxk for X %dx%d",
+			v.Rows(), v.Cols(), m.Cols(), m.Rows(), m.Cols())
 	}
-	resps, err := m.c.parallelCall("mmchain", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	parts, ws := m.fm.Partitions, []Partition(nil)
+	if w != nil {
+		if w.Scheme() != RowPartitioned || !AlignedRows(m.fm, w.fm) || w.Cols() != v.Cols() {
+			return nil, fmt.Errorf("federated: mmchain w is %dx%d %s in %d partitions, want %dx%d co-partitioned with X %dx%d %s in %d partitions",
+				w.Rows(), w.Cols(), w.Scheme(), len(w.fm.Partitions), m.Rows(), v.Cols(),
+				m.Rows(), m.Cols(), m.Scheme(), len(m.fm.Partitions))
+		}
+		parts, ws = m.fm.sorted(), w.fm.sorted()
+	}
+	resps, err := m.c.parallelCall("mmchain", parts, func(i int, p Partition) []fedrpc.Request {
 		vid, oid := m.c.NewID(), m.c.NewID()
-		reqs := []fedrpc.Request{
-			{Type: fedrpc.Put, ID: vid, Data: fedrpc.MatrixPayload(v)},
-		}
 		inputs := []int64{p.DataID, vid}
-		clean := []int64{vid}
 		if w != nil {
-			wid := m.c.NewID()
-			ws := w.SliceRows(p.Range.RowBeg, p.Range.RowEnd)
-			reqs = append(reqs, fedrpc.Request{Type: fedrpc.Put, ID: wid, Data: fedrpc.MatrixPayload(ws)})
-			inputs = append(inputs, wid)
-			clean = append(clean, wid)
+			inputs = append(inputs, ws[i].DataID)
 		}
-		clean = append(clean, oid)
-		reqs = append(reqs,
-			fedrpc.Request{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
+		return []fedrpc.Request{
+			{Type: fedrpc.Put, ID: vid, Data: fedrpc.MatrixPayload(v)},
+			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "mmchain", Inputs: inputs, Output: oid}},
-			fedrpc.Request{Type: fedrpc.Get, ID: oid},
-			rmvar(clean...),
-		)
-		return reqs
+			{Type: fedrpc.Get, ID: oid},
+			rmvar(vid, oid),
+		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	sum := matrix.NewDense(m.Cols(), 1)
+	sum := matrix.NewDense(m.Cols(), v.Cols())
 	for _, rs := range resps {
-		sum.AddInPlace(rs[len(rs)-2].Data.Matrix())
+		sum.AddInPlace(rs[2].Data.Matrix())
 	}
 	return sum, nil
 }

@@ -285,8 +285,11 @@ func (s *Server) handleBatch(reqs []Request, deadlineNanos int64) []Response {
 }
 
 // safeHandle converts handler panics into error responses so a malformed
-// instruction cannot take down a standing worker. Context-aware handlers
-// get ctx; plain handlers are called as before.
+// instruction cannot take down a standing worker. It is the backstop for
+// handlers that do not recover themselves: it can only fail the whole
+// batch, so package worker recovers per request and a panic never reaches
+// here from it. Context-aware handlers get ctx; plain handlers are called
+// as before.
 func (s *Server) safeHandle(ctx context.Context, reqs []Request) (resps []Response) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -201,8 +201,8 @@ func DefaultAnalyzers() []*Analyzer {
 		NoPanicAnalyzer([]string{
 			// Matrix shape-check kernels are the one sanctioned panic site:
 			// a shape mismatch is a programming error in the caller, the
-			// kernels sit on hot paths, and the federated server converts
-			// worker-side panics into error responses (fedrpc safeHandle).
+			// kernels sit on hot paths, and the worker converts a panic in
+			// one request into that request's error response.
 			"exdra/internal/matrix",
 		}),
 		GobErrAnalyzer(),

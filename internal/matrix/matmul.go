@@ -103,50 +103,119 @@ func tsmmBand(m, out *Dense, rb, re int) {
 // MMChain computes the fused matrix-multiplication chain
 // t(X) %*% (w * (X %*% v)) when w is non-nil, or t(X) %*% (X %*% v) when w
 // is nil — the pattern used by LM and MLogReg inner loops (SystemDS mmchain).
+// v may hold k right-hand sides (cols x k, with w nil or rows x k): column c
+// of the result is bit for bit the chain of v[,c] and w[,c] alone — same row
+// bands, same j-ascending dot order, same skip of a zero dot — so one pass
+// over X serves k independent Hessian-vector products.
 func (m *Dense) MMChain(v, w *Dense) *Dense {
-	if m.cols != v.rows || v.cols != 1 {
-		panic("matrix: mmchain requires v of shape cols x 1")
+	if m.cols != v.rows || v.cols < 1 {
+		panic(fmt.Sprintf("matrix: mmchain of %dx%d needs v of shape %dxk, have %dx%d",
+			m.rows, m.cols, m.cols, v.rows, v.cols))
 	}
-	if w != nil && (w.rows != m.rows || w.cols != 1) {
-		panic("matrix: mmchain requires w of shape rows x 1")
+	if w != nil && (w.rows != m.rows || w.cols != v.cols) {
+		panic(fmt.Sprintf("matrix: mmchain of %dx%d with v %dx%d needs w of shape %dx%d, have %dx%d",
+			m.rows, m.cols, v.rows, v.cols, m.rows, v.cols, w.rows, w.cols))
 	}
-	n, k := m.rows, m.cols
+	n, d, k := m.rows, m.cols, v.cols
+	// Right-hand sides and partials are held column by column (k x d; for
+	// k == 1 that is v's own layout), so every column runs over contiguous
+	// memory and a row of X is read from memory once for all k.
+	vt := v.data
+	if k > 1 {
+		vt = v.Transpose().data
+	}
+	weight := func(i, c int) float64 {
+		if w == nil {
+			return 1 // exact: x*1 == x bit for bit
+		}
+		return w.data[i*k+c]
+	}
 	threads := threadsFor(n)
 	chunk := (n + threads - 1) / threads
-	partials := make([]*Dense, threads)
-	parallelFor(threads, chunk*k*2, func(lo, hi int) {
+	partials := make([][]float64, threads)
+	parallelFor(threads, chunk*d*k*2, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			rb, re := band(t, chunk, n)
 			if rb >= re {
 				continue
 			}
-			p := NewDense(k, 1)
+			p := make([]float64, k*d)
 			for i := rb; i < re; i++ {
-				row := m.Row(i)
-				dot := 0.0
-				for j, a := range row {
-					dot += a * v.data[j]
+				row := m.data[i*d : (i+1)*d]
+				c := 0
+				for ; c+4 <= k; c += 4 {
+					mmchainRow4(row, vt[c*d:(c+4)*d], p[c*d:(c+4)*d],
+						[4]float64{weight(i, c), weight(i, c+1), weight(i, c+2), weight(i, c+3)})
 				}
-				if w != nil {
-					dot *= w.data[i]
-				}
-				if dot == 0 {
-					continue
-				}
-				for j, a := range row {
-					p.data[j] += a * dot
+				for ; c < k; c++ {
+					axpyNonzero(p[c*d:(c+1)*d], row, dot(row, vt[c*d:(c+1)*d])*weight(i, c))
 				}
 			}
 			partials[t] = p
 		}
 	})
-	out := NewDense(k, 1)
+	out := NewDense(k, d)
 	for _, p := range partials {
-		if p != nil {
-			out.AddInPlace(p)
+		for i, x := range p {
+			out.data[i] += x
 		}
 	}
-	return out
+	if k == 1 {
+		out.rows, out.cols = d, 1
+		return out
+	}
+	return out.Transpose()
+}
+
+// mmchainRow4 is the chain of one row of X for four right-hand sides (v and
+// p hold four consecutive length-d columns). The four dots accumulate side
+// by side — independent chains, each in j-ascending order.
+func mmchainRow4(row, v, p []float64, w [4]float64) {
+	d := len(row)
+	v0, v1, v2, v3 := v[:d], v[d:2*d], v[2*d:3*d], v[3*d:4*d]
+	var d0, d1, d2, d3 float64
+	for j, a := range row {
+		d0 += a * v0[j]
+		d1 += a * v1[j]
+		d2 += a * v2[j]
+		d3 += a * v3[j]
+	}
+	d0, d1, d2, d3 = d0*w[0], d1*w[1], d2*w[2], d3*w[3]
+	p0, p1, p2, p3 := p[:d], p[d:2*d], p[2*d:3*d], p[3*d:4*d]
+	if d0 == 0 || d1 == 0 || d2 == 0 || d3 == 0 {
+		axpyNonzero(p0, row, d0)
+		axpyNonzero(p1, row, d1)
+		axpyNonzero(p2, row, d2)
+		axpyNonzero(p3, row, d3)
+		return
+	}
+	for j, a := range row {
+		p0[j] += a * d0
+		p1[j] += a * d1
+		p2[j] += a * d2
+		p3[j] += a * d3
+	}
+}
+
+// dot returns the j-ascending inner product of row and v[:len(row)].
+func dot(row, v []float64) float64 {
+	v = v[:len(row)]
+	s := 0.0
+	for j, a := range row {
+		s += a * v[j]
+	}
+	return s
+}
+
+// axpyNonzero adds s*row into p, and nothing at all when s is zero.
+func axpyNonzero(p, row []float64, s float64) {
+	if s == 0 {
+		return
+	}
+	p = p[:len(row)]
+	for j, a := range row {
+		p[j] += a * s
+	}
 }
 
 // Transpose returns t(m), blocked for cache locality.

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -291,6 +292,69 @@ func TestMMChainEqualsExplicit(t *testing.T) {
 	want2 := x.Transpose().MatMul(x.MatMul(v))
 	if !got2.EqualApprox(want2, 1e-10) {
 		t.Fatal("mmchain without weights")
+	}
+}
+
+// TestMMChainMultiColumnIsPerColumn: column c of a k-column chain is bit for
+// bit the single-column chain of v[,c] and w[,c], under one thread and
+// under four, with and without weights, when a column of v is all zeros
+// (a converged CG class), and when zero rows of X or zero weights make
+// single dots vanish.
+func TestMMChainMultiColumnIsPerColumn(t *testing.T) {
+	defer SetParallelism(SetParallelism(1))
+	rng := rand.New(rand.NewSource(17))
+	x := Randn(rng, 1000, 12, 0, 1)
+	for j := 0; j < x.cols; j++ {
+		x.Set(37, j, 0)
+	}
+	for _, threads := range []int{1, 4} {
+		SetParallelism(threads)
+		for _, k := range []int{1, 2, 4, 7} {
+			v := Randn(rng, x.cols, k, 0, 1)
+			for j := 0; j < v.rows; j++ {
+				v.Set(j, k/2, 0)
+			}
+			wk := Randn(rng, x.rows, k, 0, 1)
+			for i := 0; i < x.rows; i += 9 {
+				wk.Set(i, (i/9)%k, 0)
+			}
+			for _, w := range []*Dense{nil, wk} {
+				got := x.MMChain(v, w)
+				if got.rows != x.cols || got.cols != k {
+					t.Fatalf("threads=%d k=%d: result is %dx%d, want %dx%d", threads, k, got.rows, got.cols, x.cols, k)
+				}
+				for c := 0; c < k; c++ {
+					var wc *Dense
+					if w != nil {
+						wc = w.SliceCols(c, c+1)
+					}
+					want := x.MMChain(v.SliceCols(c, c+1), wc)
+					for j := 0; j < x.cols; j++ {
+						if g, e := got.At(j, c), want.At(j, 0); math.Float64bits(g) != math.Float64bits(e) {
+							t.Fatalf("threads=%d k=%d weighted=%v: cell (%d,%d) is %v, single-column chain gives %v",
+								threads, k, w != nil, j, c, g, e)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkMMChain times the fused chain on one worker's lan-train
+// partition (20000x100) for one and for four right-hand sides.
+func BenchmarkMMChain(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := Randn(rng, 20000, 100, 0, 1)
+	for _, k := range []int{1, 4} {
+		v := Randn(rng, x.cols, k, 0, 1)
+		w := Rand(rng, x.rows, k, 0, 1)
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.SetBytes(int64(8 * x.Size()))
+			for i := 0; i < b.N; i++ {
+				_ = x.MMChain(v, w)
+			}
+		})
 	}
 }
 

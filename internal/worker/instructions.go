@@ -243,6 +243,9 @@ func (w *Worker) execInst(inst *fedrpc.Instruction) (*matrix.Dense, privacy.Leve
 		if err != nil {
 			return nil, 0, err
 		}
+		if a.Cols() != b.Rows() {
+			return nil, 0, fmt.Errorf("%dx%d %%*%% %dx%d: inner dimensions differ", a.Rows(), a.Cols(), b.Rows(), b.Cols())
+		}
 		// Matrix-multiplication outputs are inner products over the shared
 		// dimension — aggregates in the sense of §2.3 (like gradients).
 		// Fine-grained leakage analysis (e.g. unit-vector probes) is
@@ -271,6 +274,13 @@ func (w *Worker) execInst(inst *fedrpc.Instruction) (*matrix.Dense, privacy.Leve
 				return nil, 0, err
 			}
 		}
+		if v.Rows() != a.Cols() {
+			return nil, 0, fmt.Errorf("X is %dx%d, v is %dx%d: want %d rows in v", a.Rows(), a.Cols(), v.Rows(), v.Cols(), a.Cols())
+		}
+		if wt != nil && (wt.Rows() != a.Rows() || wt.Cols() != v.Cols()) {
+			return nil, 0, fmt.Errorf("X is %dx%d, v is %dx%d, w is %dx%d: want w %dx%d",
+				a.Rows(), a.Cols(), v.Rows(), v.Cols(), wt.Rows(), wt.Cols(), a.Rows(), v.Cols())
+		}
 		return aggregating(a.MMChain(v, wt), nil)
 
 	case "tmm": // t(A) %*% B partial (aligned federated matmul, e.g. t(P) %*% X)
@@ -281,6 +291,9 @@ func (w *Worker) execInst(inst *fedrpc.Instruction) (*matrix.Dense, privacy.Leve
 		b, err := w.Matrix(inst.Inputs[1])
 		if err != nil {
 			return nil, 0, err
+		}
+		if a.Rows() != b.Rows() {
+			return nil, 0, fmt.Errorf("t(%dx%d) %%*%% %dx%d: row counts differ", a.Rows(), a.Cols(), b.Rows(), b.Cols())
 		}
 		return aggregating(a.Transpose().MatMul(b), nil)
 

@@ -271,7 +271,7 @@ func (w *Worker) HandleContext(ctx context.Context, reqs []fedrpc.Request) []fed
 			continue
 		}
 		start := time.Now()
-		resps[i] = w.handleOne(ctx, req)
+		resps[i] = w.handleRecovered(ctx, req)
 		w.observe(req, resps[i], time.Since(start))
 		// Every response — success or failure — carries the instance
 		// epoch, so restart detection needs no extra round trip.
@@ -300,6 +300,20 @@ func (w *Worker) observe(req fedrpc.Request, resp fedrpc.Response, elapsed time.
 	}
 	w.Metrics.Histogram("worker.handle_seconds."+req.Type.String(), obs.LatencyBuckets).
 		Observe(elapsed.Seconds())
+}
+
+// handleRecovered runs one request and turns a panic in it (a kernel's
+// shape check, say) into that request's error response. Only the offending
+// request fails: the ones before it in the batch — deferred operations the
+// coordinator merged ahead of it — have executed and keep their replies,
+// and the ones after it still run.
+func (w *Worker) handleRecovered(ctx context.Context, req fedrpc.Request) (resp fedrpc.Response) {
+	defer func() {
+		if r := recover(); r != nil {
+			resp = fedrpc.Errorf("%s: worker panic: %v", req.Type, r)
+		}
+	}()
+	return w.handleOne(ctx, req)
 }
 
 func (w *Worker) handleOne(ctx context.Context, req fedrpc.Request) fedrpc.Response {

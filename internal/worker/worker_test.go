@@ -7,6 +7,7 @@ import (
 	"exdra/internal/fedrpc"
 	"exdra/internal/frame"
 	"exdra/internal/matrix"
+	"exdra/internal/obs"
 	"exdra/internal/privacy"
 )
 
@@ -194,6 +195,63 @@ func TestBatchSemantics(t *testing.T) {
 	})
 	if !resps[0].OK || resps[1].OK || !resps[2].OK {
 		t.Fatalf("batch: %+v", resps)
+	}
+}
+
+// TestFailingRequestFailsAlone: one bad instruction in a batch served over
+// the wire fails that request only — the requests before it (under
+// write-behind dispatch, the deferred operations merged ahead of it) have
+// executed and keep their OK replies, the ones after it still run. A
+// mis-shaped mmchain is a plain error naming the shapes; a kernel that
+// panics anyway fails only its own request, and worker.errors counts one
+// error per bad request.
+func TestFailingRequestFailsAlone(t *testing.T) {
+	w := New("")
+	w.Metrics = obs.New()
+	srv, err := fedrpc.Serve("127.0.0.1:0", w, fedrpc.Options{Metrics: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := fedrpc.Dial(srv.Addr(), fedrpc.Options{Metrics: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	put(t, w, 1, matrix.Fill(6, 3, 1), privacy.Public)
+	put(t, w, 2, matrix.Fill(4, 1, 1), privacy.Public) // v with 4 rows for a 6x3 X
+	put(t, w, 3, matrix.Fill(5, 1, 1), privacy.Public) // 5 rows: no cbind with X
+
+	for _, bad := range []struct {
+		inst    fedrpc.Instruction
+		wantErr string
+	}{
+		{fedrpc.Instruction{Opcode: "mmchain", Inputs: []int64{1, 2}, Output: 11}, "X is 6x3, v is 4x1"},
+		{fedrpc.Instruction{Opcode: "cbind", Inputs: []int64{1, 3}, Output: 12}, "worker panic"},
+	} {
+		a := matrix.Fill(2, 2, 7)
+		inst := bad.inst
+		resps, err := c.Call(
+			fedrpc.Request{Type: fedrpc.Put, ID: 10, Data: fedrpc.MatrixPayload(a)},
+			fedrpc.Request{Type: fedrpc.ExecInst, Inst: &inst},
+			fedrpc.Request{Type: fedrpc.Get, ID: 10},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resps[0].OK || resps[1].OK || !resps[2].OK {
+			t.Fatalf("%s: replies OK=%v,%v,%v (%q, %q, %q), want true,false,true", inst.Opcode,
+				resps[0].OK, resps[1].OK, resps[2].OK, resps[0].Err, resps[1].Err, resps[2].Err)
+		}
+		if !strings.Contains(resps[1].Err, bad.wantErr) {
+			t.Errorf("%s: error %q does not say %q", inst.Opcode, resps[1].Err, bad.wantErr)
+		}
+		if got := resps[2].Data.Matrix(); got == nil || !got.EqualApprox(a, 0) {
+			t.Errorf("%s: GET after the failing request returned %v", inst.Opcode, got)
+		}
+	}
+	if n := w.Metrics.Counter("worker.errors").Value(); n != 2 {
+		t.Errorf("worker.errors = %d, want 2", n)
 	}
 }
 
