@@ -14,25 +14,29 @@
 #                      redial, retry, restart/replay and prober
 #                      interleavings are exactly where data races hide, and
 #                      a cached pass says nothing about them;
-#   6. wire fuzz smoke — the Go-native fuzz targets for the wire decode
+#   6. kernel benchmarks — the internal/matrix benchmarks run one iteration
+#                      each, so every kernel benchmark compiles and executes
+#                      on every run instead of rotting (timings are not
+#                      gated);
+#   7. wire fuzz smoke — the Go-native fuzz targets for the wire decode
 #                      paths each run for 10s: forged lengths,
 #                      truncation, and corruption must error, never panic
 #                      or over-allocate;
-#   7. /metrics smoke — a real fedworker process is spawned with
+#   8. /metrics smoke — a real fedworker process is spawned with
 #                      -metrics-addr and its endpoint is scraped once;
-#   8. exdrad smoke   — the standing coordinator daemon is spawned over two
+#   9. exdrad smoke   — the standing coordinator daemon is spawned over two
 #                      real fedworker processes; two concurrent sessions are
 #                      opened over its HTTP API, each trains a seeded LM,
 #                      and the daemon's /metrics must export the serve.*
 #                      series (sessions, pool churn) while a worker exports
 #                      the worker.conns gauge;
-#   9. bench smoke    — expbench -smoke measures the BENCH_smoke.json rows
+#  10. bench smoke    — expbench -smoke measures the BENCH_smoke.json rows
 #                      (FedLAN transfer + LM) into a temp file and -compare
 #                      gates the fresh encode+decode phase seconds against
 #                      the committed snapshot at 2x, so a serialization
 #                      regression fails CI before it lands. The committed
 #                      snapshot moves only by explicit commit;
-#  10. pipeline gate  — expbench -exp pipeline measures the
+#  11. pipeline gate  — expbench -exp pipeline measures the
 #                      BENCH_pipeline.json rows (a depth-8 burst of GETs at
 #                      a 35 ms RTT, window 1 vs window 8) into a temp file
 #                      and -check-pipeline requires the pipelined burst
@@ -50,6 +54,10 @@ unformatted="$(gofmt -l .)"
 go vet ./...
 go run ./cmd/exdralint -json ./... | go run ./cmd/lintfmt
 go test -race -count=1 ./...
+
+# Kernel benchmarks: one iteration each, so they keep compiling and running.
+go test -run '^$' -bench . -benchtime 1x ./internal/matrix
+echo "ci.sh: kernel benchmarks ran"
 
 # Wire-protocol fuzz smoke: 10 seconds per decode path. A finding lands in
 # internal/fedrpc/testdata/fuzz/ and fails the run.

@@ -45,7 +45,7 @@ func PCA(x engine.Mat, cfg PCAConfig) (res *PCAResult, proj engine.Mat, err erro
 	if !cfg.SkipCentering {
 		means = collect(engine.ColAgg(matrix.AggMean, x)) // 1 x cols
 		// cov = (t(X)X - n * t(mu) mu) / (n-1)
-		mm := means.Transpose().MatMul(means).Scale(n)
+		mm := means.TMatMul(means).Scale(n)
 		cov = xtx.Sub(mm)
 	}
 	cov = cov.Scale(1 / (n - 1))

@@ -236,7 +236,7 @@ func (w *Workloads) LMLowerBound() (Measurement, error) {
 	// fused mmchain per iteration.
 	v := matrix.NewDense(w.Scale.Cols, 1)
 	start := time.Now()
-	w.XReg.Transpose().MatMul(w.YReg)
+	w.XReg.TMatMul(w.YReg)
 	for i := 0; i < iters; i++ {
 		w.XReg.MMChain(v, nil)
 	}

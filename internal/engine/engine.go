@@ -136,7 +136,7 @@ func TMatMul(a, b Mat) Mat {
 	}
 	switch x := a.(type) {
 	case *matrix.Dense:
-		return x.Transpose().MatMul(Local(b))
+		return x.TMatMul(Local(b))
 	case *federated.Matrix:
 		if fb, ok := b.(*federated.Matrix); ok {
 			return must(x.AlignedTMM(fb))

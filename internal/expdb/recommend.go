@@ -93,7 +93,7 @@ func NewRecommender(store *Store, metric string, lambda float64) (*Recommender, 
 	for i := 0; i < embedDim; i++ {
 		a.Set(i, i, a.At(i, i)+lambda)
 	}
-	b := x.Transpose().MatMul(y)
+	b := x.TMatMul(y)
 	w, ok := matrix.SolveCholesky(a, b)
 	if !ok {
 		w, _ = matrix.SolveCG(a, b, 1e-10, 4*embedDim)

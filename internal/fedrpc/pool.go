@@ -128,14 +128,12 @@ func (p *Pool) Get(ctx context.Context) (*Client, error) {
 // reclaim returns a handoff that raced the waiter's cancellation to the
 // pool. The cancelled waiter never used the client, so this is not a
 // checkout: no serve.pool.checkouts increment — Put alone rebalances the
-// lease the handoff carried over.
+// lease the handoff carried over. The receive blocks: whoever dequeued w
+// (Put, a failed dial, Close) sends on it or closes it right after
+// releasing p.mu, and a non-blocking receive in that window lost the lease.
 func (p *Pool) reclaim(w chan *Client) {
-	select {
-	case cl := <-w:
-		if cl != nil {
-			p.Put(cl)
-		}
-	default:
+	if cl := <-w; cl != nil {
+		p.Put(cl)
 	}
 }
 

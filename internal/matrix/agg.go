@@ -121,8 +121,8 @@ func (m *Dense) RowAgg(op AggOp) *Dense {
 	return out
 }
 
-// ColAgg aggregates each column, returning a 1 x cols vector.
-func (m *Dense) ColAgg(op AggOp) *Dense {
+// colStates builds every column's aggregation state in one row-major pass.
+func (m *Dense) colStates() []aggState {
 	states := make([]aggState, m.cols)
 	for j := range states {
 		states[j] = newAggState()
@@ -133,9 +133,30 @@ func (m *Dense) ColAgg(op AggOp) *Dense {
 			states[j].add(v)
 		}
 	}
+	return states
+}
+
+// ColAgg aggregates each column, returning a 1 x cols vector.
+func (m *Dense) ColAgg(op AggOp) *Dense {
 	out := NewDense(1, m.cols)
-	for j := range states {
-		out.data[j] = states[j].result(op)
+	for j, s := range m.colStates() {
+		out.data[j] = s.result(op)
+	}
+	return out
+}
+
+// ColPartialAggs returns the 4 x cols column partials [sum; sumsq; min; max]
+// from one pass over m; row r is bit for bit ColAgg of AggSum, AggSumSq,
+// AggMin and AggMax respectively. Partitions' partials merge like
+// PartialAgg's tuples.
+func (m *Dense) ColPartialAggs() *Dense {
+	c := m.cols
+	out := NewDense(4, c)
+	for j, s := range m.colStates() {
+		out.data[j] = s.sum
+		out.data[c+j] = s.sumSq
+		out.data[2*c+j] = s.mn
+		out.data[3*c+j] = s.mx
 	}
 	return out
 }

@@ -10,7 +10,9 @@ const blockSize = 64
 
 // MatMul returns m %*% b. The kernel is cache-blocked over the inner
 // dimension and parallelized over row bands, mirroring the role of a BLAS
-// dgemm in SystemDS' local backend.
+// dgemm in SystemDS' local backend. A one-column b (X %*% v) is one dot per
+// row instead: k-ascending with the same zero skip, so bit for bit the
+// blocked loop's result.
 func (m *Dense) MatMul(b *Dense) *Dense {
 	if m.cols != b.rows {
 		panic(fmt.Sprintf("matrix: matmul shape mismatch %dx%d %%*%% %dx%d",
@@ -18,29 +20,131 @@ func (m *Dense) MatMul(b *Dense) *Dense {
 	}
 	out := NewDense(m.rows, b.cols)
 	n, k, p := m.rows, m.cols, b.cols
-	parallelFor(n, k*p, func(lo, hi int) {
-		for kb := 0; kb < k; kb += blockSize {
-			kEnd := kb + blockSize
-			if kEnd > k {
-				kEnd = k
-			}
+	if p == 1 {
+		v := b.data
+		parallelFor(n, k, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				arow := m.data[i*k : (i+1)*k]
-				orow := out.data[i*p : (i+1)*p]
-				for kk := kb; kk < kEnd; kk++ {
-					a := arow[kk]
-					if a == 0 {
-						continue
-					}
-					brow := b.data[kk*p : (kk+1)*p]
-					for j, bv := range brow {
-						orow[j] += a * bv
+				s := 0.0
+				for kk, a := range m.data[i*k : (i+1)*k] {
+					if a != 0 {
+						s += a * v[kk]
 					}
 				}
+				out.data[i] = s
+			}
+		})
+		return out
+	}
+	parallelFor(n, k*p, func(lo, hi int) { matMulBand(m, b, out, lo, hi) })
+	return out
+}
+
+// matMulBand accumulates rows [lo, hi) of m %*% b into out, blocked over the
+// inner dimension.
+func matMulBand(m, b, out *Dense, lo, hi int) {
+	k, p := m.cols, b.cols
+	for kb := 0; kb < k; kb += blockSize {
+		kEnd := kb + blockSize
+		if kEnd > k {
+			kEnd = k
+		}
+		for i := lo; i < hi; i++ {
+			arow := m.data[i*k : (i+1)*k]
+			orow := out.data[i*p : (i+1)*p]
+			for kk := kb; kk < kEnd; kk++ {
+				a := arow[kk]
+				if a == 0 {
+					continue
+				}
+				brow := b.data[kk*p : (kk+1)*p]
+				for j, bv := range brow {
+					orow[j] += a * bv
+				}
+			}
+		}
+	}
+}
+
+// tmmGroup is the column-band granularity of TMatMul: eight output rows of
+// a one-column result fill one 64-byte cache line, so no two bands share one.
+const tmmGroup = 8
+
+// TMatMul returns t(m) %*% b without materialising t(m): it walks m
+// row-major and, for every nonzero m[r,i], adds m[r,i]*b[r,] into output row
+// i. Bands run over m's columns — the output's rows — in whole tmmGroups,
+// never over m's rows with partials, so every output cell accumulates in
+// row-ascending order with the zero skip of MatMul over the transpose: bit
+// for bit that result at any parallelism.
+func (m *Dense) TMatMul(b *Dense) *Dense {
+	if m.rows != b.rows {
+		panic(fmt.Sprintf("matrix: tmatmul shape mismatch t(%dx%d) %%*%% %dx%d",
+			m.rows, m.cols, b.rows, b.cols))
+	}
+	n, k, p := m.rows, m.cols, b.cols
+	out := NewDense(k, p)
+	parallelFor((k+tmmGroup-1)/tmmGroup, tmmGroup*n*p, func(lo, hi int) {
+		cb, ce := lo*tmmGroup, min(hi*tmmGroup, k)
+		if p == 1 {
+			o := out.data[cb:ce]
+			for r, bv := range b.data {
+				for i, a := range m.data[r*k+cb : r*k+ce] {
+					if a != 0 {
+						o[i] += a * bv
+					}
+				}
+			}
+			return
+		}
+		// Four rows of m at a time, so an output row is loaded and stored
+		// once per four contributions.
+		mrow := func(r int) []float64 { return m.data[r*k+cb : r*k+ce] }
+		brow := func(r int) []float64 { return b.data[r*p : (r+1)*p] }
+		orow := func(i int) []float64 { return out.data[(cb+i)*p : (cb+i+1)*p] }
+		r := 0
+		for ; r+4 <= n; r += 4 {
+			m0, m1, m2, m3 := mrow(r), mrow(r+1), mrow(r+2), mrow(r+3)
+			b0, b1, b2, b3 := brow(r), brow(r+1), brow(r+2), brow(r+3)
+			for i := range m0 {
+				tmmRows4(orow(i), b0, b1, b2, b3, m0[i], m1[i], m2[i], m3[i])
+			}
+		}
+		for ; r < n; r++ {
+			for i, a := range mrow(r) {
+				tmmRow(orow(i), brow(r), a)
 			}
 		}
 	})
 	return out
+}
+
+// tmmRow adds a*brow into orow, and nothing at all when a is zero.
+func tmmRow(orow, brow []float64, a float64) {
+	if a == 0 {
+		return
+	}
+	brow = brow[:len(orow)]
+	for j := range orow {
+		orow[j] += a * brow[j]
+	}
+}
+
+// tmmRows4 adds four consecutive rows' contributions a_q*b_q into orow. When
+// none of the a_q is zero each cell takes the four in one pass, added in
+// row order exactly as four tmmRow calls would add them; otherwise it is
+// those four calls.
+func tmmRows4(orow, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
+	if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+		tmmRow(orow, b0, a0)
+		tmmRow(orow, b1, a1)
+		tmmRow(orow, b2, a2)
+		tmmRow(orow, b3, a3)
+		return
+	}
+	d := len(orow)
+	b0, b1, b2, b3 = b0[:d], b1[:d], b2[:d], b3[:d]
+	for j, o := range orow {
+		orow[j] = o + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+	}
 }
 
 // TSMM returns the transpose-self matrix multiplication t(m) %*% m,

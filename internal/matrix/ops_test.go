@@ -358,6 +358,48 @@ func BenchmarkMMChain(b *testing.B) {
 	}
 }
 
+// benchSink keeps the kernel benchmarks' results live.
+var benchSink *Dense
+
+// BenchmarkTMatMul times t(X) %*% B on the same partition for the p of a
+// vector (LM's t(X)y, L2SVM's gradient), of a few clusters or classes, and
+// of a wide right-hand side.
+func BenchmarkTMatMul(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := Randn(rng, 20000, 100, 0, 1)
+	for _, p := range []int{1, 4, 64} {
+		rhs := Randn(rng, x.rows, p, 0, 1)
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			b.SetBytes(int64(8 * x.Size()))
+			for i := 0; i < b.N; i++ {
+				benchSink = x.TMatMul(rhs)
+			}
+		})
+	}
+}
+
+// BenchmarkMatVec times X %*% v on the same partition (L2SVM's Xd).
+func BenchmarkMatVec(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := Randn(rng, 20000, 100, 0, 1)
+	v := Randn(rng, x.cols, 1, 0, 1)
+	b.SetBytes(int64(8 * x.Size()))
+	for i := 0; i < b.N; i++ {
+		benchSink = x.MatMul(v)
+	}
+}
+
+// BenchmarkColPartialAggs times the column partials of uac_partial
+// (colMeans, colSDs) on the same partition.
+func BenchmarkColPartialAggs(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := Randn(rng, 20000, 100, 0, 1)
+	b.SetBytes(int64(8 * x.Size()))
+	for i := 0; i < b.N; i++ {
+		benchSink = x.ColPartialAggs()
+	}
+}
+
 func TestTransposeRoundTrip(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(8))

@@ -90,6 +90,7 @@ func TestConcurrentSetParallelism(t *testing.T) {
 				_ = a.MatMul(v)
 				_ = a.MMChain(v, nil)
 				_ = a.TSMM()
+				_ = a.TMatMul(a)
 			}
 		}()
 	}

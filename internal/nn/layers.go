@@ -30,7 +30,7 @@ func (a *affine) Forward(x *matrix.Dense) *matrix.Dense {
 }
 
 func (a *affine) Backward(dout *matrix.Dense) *matrix.Dense {
-	a.dw = a.x.Transpose().MatMul(dout)
+	a.dw = a.x.TMatMul(dout)
 	a.db = dout.ColSums()
 	return dout.MatMul(a.w.Transpose())
 }

@@ -59,6 +59,48 @@ func TestCompactAndTransparentAccess(t *testing.T) {
 	}
 }
 
+// TestCompactedOperandsEqualDense: tmm, mm and uac_partial over a compacted
+// X give exactly what the dense X gives — t(X) %*% B as the transposing
+// form, X %*% v as the blocked product, and the column partials as four
+// ColAggs plus the count row.
+func TestCompactedOperandsEqualDense(t *testing.T) {
+	w := New("")
+	rng := rand.New(rand.NewSource(4))
+	x := onehot(rng, 400, 12)
+	b := matrix.Randn(rng, x.Rows(), 3, 0, 1)
+	v := matrix.Randn(rng, x.Cols(), 1, 0, 1)
+	put(t, w, 1, x, privacy.Public)
+	put(t, w, 2, b, privacy.Public)
+	put(t, w, 3, v, privacy.Public)
+	cases := []struct {
+		op     string
+		inputs []int64
+		want   *matrix.Dense
+	}{
+		{"tmm", []int64{1, 2}, x.Transpose().MatMul(b)},
+		{"mm", []int64{1, 3}, x.MatMul(v)},
+		{"uac_partial", []int64{1}, matrix.RBind(x.ColAgg(matrix.AggSum), x.ColAgg(matrix.AggSumSq),
+			x.ColAgg(matrix.AggMin), x.ColAgg(matrix.AggMax), matrix.Fill(1, x.Cols(), float64(x.Rows())))},
+	}
+	for i, c := range cases {
+		w.Compact(1.5)
+		if e, _ := w.Get(1); e.Comp == nil {
+			t.Fatalf("%s: X is not compacted", c.op)
+		}
+		out := int64(10 + i)
+		if r := exec(t, w, fedrpc.Instruction{Opcode: c.op, Inputs: c.inputs, Output: out}); !r.OK {
+			t.Fatalf("%s: %s", c.op, r.Err)
+		}
+		got, err := w.Matrix(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.EqualApprox(c.want, 0) {
+			t.Fatalf("%s over compacted X differs from the dense result", c.op)
+		}
+	}
+}
+
 func TestCompactGetDecompresses(t *testing.T) {
 	w := New("")
 	rng := rand.New(rand.NewSource(2))

@@ -295,7 +295,7 @@ func (w *Worker) execInst(inst *fedrpc.Instruction) (*matrix.Dense, privacy.Leve
 		if a.Rows() != b.Rows() {
 			return nil, 0, fmt.Errorf("t(%dx%d) %%*%% %dx%d: row counts differ", a.Rows(), a.Cols(), b.Rows(), b.Cols())
 		}
-		return aggregating(a.Transpose().MatMul(b), nil)
+		return aggregating(a.TMatMul(b), nil)
 
 	case "t":
 		a, err := w.Matrix(inst.Inputs[0])
@@ -318,13 +318,7 @@ func (w *Worker) execInst(inst *fedrpc.Instruction) (*matrix.Dense, privacy.Leve
 		if err != nil {
 			return nil, 0, err
 		}
-		out := matrix.RBind(
-			a.ColAgg(matrix.AggSum),
-			a.ColAgg(matrix.AggSumSq),
-			a.ColAgg(matrix.AggMin),
-			a.ColAgg(matrix.AggMax),
-			matrix.Fill(1, a.Cols(), float64(a.Rows())),
-		)
+		out := matrix.RBind(a.ColPartialAggs(), matrix.Fill(1, a.Cols(), float64(a.Rows())))
 		return aggregating(out, nil)
 
 	case "softmax":
