@@ -133,58 +133,47 @@ type ReadSpec struct {
 // files at the federated sites (read-on-demand, §4.1): each worker READs
 // its file locally; only the dimensions travel to the coordinator.
 func ReadRowPartitioned(c *Coordinator, specs []ReadSpec) (*Matrix, error) {
-	type meta struct {
-		id         int64
-		rows, cols int
+	fm, err := readSites(c, specs)
+	if err != nil {
+		return nil, err
 	}
-	metas := make([]meta, len(specs))
-	// read reports the IDs bound so far (including the in-flight one) so an
-	// abort can reclaim them.
-	read := func(upto int) []Partition {
-		parts := make([]Partition, 0, upto+1)
-		for j := 0; j <= upto; j++ {
-			parts = append(parts, Partition{Addr: specs[j].Addr, DataID: metas[j].id})
-		}
-		return parts
-	}
-	for i, spec := range specs {
-		id := c.NewID()
-		metas[i].id = id
-		resps, err := c.call(spec.Addr, []fedrpc.Request{
-			{Type: fedrpc.Read, ID: id, Filename: spec.Filename, Privacy: int(spec.Privacy)},
-			{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{Name: "obj_dims", Inputs: []int64{id}}},
-		})
-		if err != nil {
-			c.sweep(read(i))
-			return nil, err
-		}
-		for _, r := range resps {
-			if !r.OK {
-				c.sweep(read(i))
-				return nil, fmt.Errorf("federated: read %s at %s: %s", spec.Filename, spec.Addr, r.Err)
-			}
-		}
-		dims := resps[1].Data.Matrix()
-		metas[i] = meta{id: id, rows: int(dims.At(0, 0)), cols: int(dims.At(0, 1))}
-	}
-	fm := FedMap{}
-	row := 0
-	for i, spec := range specs {
-		if i == 0 {
-			fm.Cols = metas[i].cols
-		} else if metas[i].cols != fm.Cols {
-			return nil, fmt.Errorf("federated: %s has %d columns, want %d",
-				spec.Filename, metas[i].cols, fm.Cols)
-		}
-		fm.Partitions = append(fm.Partitions, Partition{
-			Range:  Range{RowBeg: row, RowEnd: row + metas[i].rows, ColBeg: 0, ColEnd: metas[i].cols},
-			Addr:   spec.Addr,
-			DataID: metas[i].id,
-		})
-		row += metas[i].rows
-	}
-	fm.Rows = row
 	return FromMap(c, fm)
+}
+
+// readSites READs every site's file in one parallel round, each batch a
+// READ plus obj_dims so that only the dimensions travel, and stacks the
+// files row-wise. On any failure — a site's, reported for the lowest-indexed
+// one, or sites that disagree on the column count — no READ binding is left
+// at any site.
+func readSites(c *Coordinator, specs []ReadSpec) (FedMap, error) {
+	parts := make([]Partition, len(specs))
+	for i, spec := range specs {
+		parts[i] = Partition{Addr: spec.Addr, DataID: c.NewID()}
+	}
+	resps, err := c.parallelCall("read", parts, func(i int, p Partition) []fedrpc.Request {
+		return []fedrpc.Request{
+			{Type: fedrpc.Read, ID: p.DataID, Filename: specs[i].Filename, Privacy: int(specs[i].Privacy)},
+			{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{Name: "obj_dims", Inputs: []int64{p.DataID}}},
+		}
+	})
+	if err != nil {
+		return FedMap{}, err
+	}
+	fm := FedMap{Partitions: parts}
+	for i, rs := range resps {
+		dims := rs[1].Data.Matrix()
+		rows, cols := int(dims.At(0, 0)), int(dims.At(0, 1))
+		if i == 0 {
+			fm.Cols = cols
+		} else if cols != fm.Cols {
+			c.sweep(parts)
+			return FedMap{}, fmt.Errorf("federated: %s at %s has %d columns, want %d",
+				specs[i].Filename, specs[i].Addr, cols, fm.Cols)
+		}
+		parts[i].Range = Range{RowBeg: fm.Rows, RowEnd: fm.Rows + rows, ColBeg: 0, ColEnd: cols}
+		fm.Rows += rows
+	}
+	return fm, nil
 }
 
 // Consolidate transfers all partitions to the coordinator and assembles the

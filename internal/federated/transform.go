@@ -71,44 +71,10 @@ func DistributeFrame(c *Coordinator, fr *frame.Frame, addrs []string, level priv
 // ReadFrames builds a row-partitioned federated frame from raw CSV files at
 // the federated sites without moving raw data.
 func ReadFrames(c *Coordinator, specs []ReadSpec) (*Frame, error) {
-	fm := FedMap{}
-	row := 0
-	for i, spec := range specs {
-		id := c.NewID()
-		// abort reclaims the frames already read, plus the in-flight ID.
-		abort := func() {
-			parts := append([]Partition(nil), fm.Partitions...)
-			c.sweep(append(parts, Partition{Addr: spec.Addr, DataID: id}))
-		}
-		resps, err := c.call(spec.Addr, []fedrpc.Request{
-			{Type: fedrpc.Read, ID: id, Filename: spec.Filename, Privacy: int(spec.Privacy)},
-			{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{Name: "obj_dims", Inputs: []int64{id}}},
-		})
-		if err != nil {
-			abort()
-			return nil, err
-		}
-		for _, r := range resps {
-			if !r.OK {
-				abort()
-				return nil, fmt.Errorf("federated: read %s at %s: %s", spec.Filename, spec.Addr, r.Err)
-			}
-		}
-		dims := resps[1].Data.Matrix()
-		rows, cols := int(dims.At(0, 0)), int(dims.At(0, 1))
-		if i == 0 {
-			fm.Cols = cols
-		} else if cols != fm.Cols {
-			return nil, fmt.Errorf("federated: %s has %d columns, want %d", spec.Filename, cols, fm.Cols)
-		}
-		fm.Partitions = append(fm.Partitions, Partition{
-			Range:  Range{RowBeg: row, RowEnd: row + rows, ColBeg: 0, ColEnd: cols},
-			Addr:   spec.Addr,
-			DataID: id,
-		})
-		row += rows
+	fm, err := readSites(c, specs)
+	if err != nil {
+		return nil, err
 	}
-	fm.Rows = row
 	return &Frame{c: c, fm: fm}, nil
 }
 
