@@ -7,6 +7,7 @@ package frame
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // ValueType enumerates the supported column value types.
@@ -106,9 +107,9 @@ func (c *Column) AsString(i int) string {
 	}
 	switch c.Type {
 	case Float64:
-		return fmt.Sprintf("%g", c.Floats[i])
+		return strconv.FormatFloat(c.Floats[i], 'g', -1, 64)
 	case Int64:
-		return fmt.Sprintf("%d", c.Ints[i])
+		return strconv.FormatInt(c.Ints[i], 10)
 	case String:
 		return c.Strings[i]
 	case Boolean:
