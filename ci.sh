@@ -19,9 +19,11 @@
 #                      on every run instead of rotting (timings are not
 #                      gated);
 #   7. fuzz smoke     — the Go-native fuzz targets each run for 10s: the
-#                      two wire decode paths (forged lengths, truncation,
-#                      and corruption must error, never panic or
-#                      over-allocate) and the raw CSV reader, which must
+#                      two one-batch wire decode paths and the multi-tag
+#                      stream decoder (forged lengths, truncation,
+#                      corruption and torn interleaves of chunk frames must
+#                      error, never panic or over-allocate) and the raw CSV
+#                      reader, which must
 #                      fail where the old ReadAll reader fails and
 #                      otherwise parse to the frame that oracle builds,
 #                      bit for bit;
@@ -66,6 +68,7 @@ echo "ci.sh: kernel benchmarks ran"
 # testdata/fuzz/ and fails the run.
 go test -run='^$' -fuzz='^FuzzWireEnvelope$' -fuzztime=10s ./internal/fedrpc/
 go test -run='^$' -fuzz='^FuzzWireReply$' -fuzztime=10s ./internal/fedrpc/
+go test -run='^$' -fuzz='^FuzzWireStream$' -fuzztime=10s ./internal/fedrpc/
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/frame/
 echo "ci.sh: fuzz smoke passed"
 

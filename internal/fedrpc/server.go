@@ -140,7 +140,9 @@ func (s *Server) rejectConn(conn net.Conn) {
 // serverInflightWindow caps concurrently executing batches per connection.
 // It backstops a runaway pipelining client: past the cap the read loop stops
 // pulling envelopes off the wire, so backpressure reaches the sender through
-// TCP flow control rather than unbounded handler goroutines.
+// TCP flow control rather than unbounded handler goroutines. It also caps
+// the batches whose slabs are still arriving (more is a desync), which is
+// why a client's window is clamped to it.
 const serverInflightWindow = 64
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -158,7 +160,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	var hwg sync.WaitGroup
 	defer hwg.Wait()
 	bw := bufio.NewWriterSize(conn, 1<<16)
-	br := bufio.NewReaderSize(conn, 1<<16)
+	br := bufio.NewReaderSize(conn, frameReadBuf)
 
 	if s.idleTimeout > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
@@ -175,32 +177,53 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 
 	enc := gob.NewEncoder(bw)
-	dec := gob.NewDecoder(br)
+	rd := newFrameReader[wireEnvelope](br, serverInflightWindow)
 
-	// Replies from concurrently executing batches are written one at
-	// a time under a write token (a channel, not a mutex: gob encoding can
-	// block on the network and must never happen under a lock). wfail
-	// poisons the connection after the first write failure so later replies
-	// don't log a cascade against a stream already known dead.
+	// Replies from concurrently executing batches share the stream under a
+	// write token (a channel, not a mutex: encoding can block on the
+	// network and must never happen under a lock). A reply gives the token
+	// up between its chunks (frameWriter.yield), so the envelope and short
+	// slabs of a waiting reply go out before a bulk reply's next chunk.
+	// wfail poisons the connection after the first write failure so later
+	// replies don't log a cascade against a stream already known dead.
 	wtok := make(chan struct{}, 1)
 	var wfail atomic.Bool
-	writeOne := func(resps []Response, elapsed time.Duration, tag uint64) {
+	take := func() bool {
 		wtok <- struct{}{}
-		defer func() { <-wtok }()
 		if wfail.Load() {
-			return
+			return false
 		}
 		if s.ioTimeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
 		}
-		if werr := writeReply(enc, bw, resps, int64(elapsed), tag); werr != nil {
+		return true
+	}
+	writeOne := func(resps []Response, elapsed time.Duration, tag uint64) {
+		defer func() { <-wtok }()
+		if !take() {
+			return
+		}
+		fw := &frameWriter{bw: bw, w: conn, enc: enc, tag: tag, yield: func() error {
+			<-wtok
+			if !take() {
+				return errWriterPoisoned
+			}
+			return nil
+		}}
+		werr := writeReply(fw, resps, int64(elapsed))
+		switch {
+		case errors.Is(werr, errWriterPoisoned):
+			return
+		case werr != nil:
 			log.Printf("fedrpc: encode to %s: %v", conn.RemoteAddr(), werr)
-		} else if ferr := bw.Flush(); ferr != nil {
+		default:
+			ferr := bw.Flush()
+			if ferr == nil {
+				return
+			}
 			// A reply lost mid-write must leave a server-side trace, same
 			// as an encode failure: the client only sees a dead stream.
 			log.Printf("fedrpc: flush to %s: %v", conn.RemoteAddr(), ferr)
-		} else {
-			return
 		}
 		// A partial reply desyncs the stream for every batch on it: poison
 		// the writer and close the connection to unblock the read loop.
@@ -218,7 +241,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.idleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
 		}
-		reqs, deadlineNanos, tag, rerr := readBatch(dec, br)
+		reqs, deadlineNanos, tag, rerr := readBatch(rd)
 		if rerr != nil {
 			if !errors.Is(rerr, io.EOF) && !errors.Is(rerr, net.ErrClosed) {
 				log.Printf("fedrpc: decode from %s: %v", conn.RemoteAddr(), rerr)
@@ -243,6 +266,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		}(reqs, deadlineNanos, tag)
 	}
 }
+
+// errWriterPoisoned ends a reply whose connection another reply's write
+// failure already closed.
+var errWriterPoisoned = errors.New("fedrpc: connection writer poisoned")
 
 // handleBatch runs one request batch under the deadline the client put on
 // the wire (deadlineNanos, relative; 0 = none).

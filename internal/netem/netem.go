@@ -328,8 +328,8 @@ type conn struct {
 	// Guarded by mu.
 	nextFree time.Time
 	// lastWrite tracks burst boundaries: a write more than burstGap after
-	// the previous one is a new message burst and pays one-way latency.
-	// Guarded by mu.
+	// the previous one returned is a new message burst and pays one-way
+	// latency. Guarded by mu.
 	lastWrite time.Time
 	// wdeadline mirrors the most recent SetDeadline/SetWriteDeadline so
 	// the emulated delay can be cut short when the caller's deadline
@@ -403,13 +403,23 @@ func (c *conn) Write(p []byte) (int, error) {
 		return 0, c.opErr("write", err)
 	}
 	now := time.Now()
+	newBurst := now.Sub(c.lastWrite) > burstGap
 	var wait time.Duration
-	if c.cfg.RTT > 0 && now.Sub(c.lastWrite) > burstGap {
+	if c.cfg.RTT > 0 && newBurst {
 		wait += c.cfg.RTT / 2
 	}
 	if c.cfg.BandwidthBps > 0 {
-		if c.nextFree.Before(now) {
-			c.nextFree = now
+		// A new burst finds the link idle. Within a burst the link keeps
+		// up to burstGap of backlog, as a socket buffer would: the late
+		// wake-up of the previous write's delay is not idle link time, so
+		// a sender that writes in pieces gets the same bandwidth as one
+		// that writes the whole message at once.
+		floor := now
+		if !newBurst {
+			floor = now.Add(-burstGap)
+		}
+		if c.nextFree.Before(floor) {
+			c.nextFree = floor
 		}
 		busy := time.Duration(float64(len(p)) / c.cfg.BandwidthBps * float64(time.Second))
 		c.nextFree = c.nextFree.Add(busy)
@@ -434,6 +444,11 @@ func (c *conn) Write(p []byte) (int, error) {
 		if err := c.delay(wait, deadline); err != nil {
 			return 0, err
 		}
+		// The burst continues from when the caller got control back,
+		// however late the timer woke it.
+		c.mu.Lock()
+		c.lastWrite = time.Now()
+		c.mu.Unlock()
 	}
 	if stallReset {
 		// The stall window elapsed without the caller's deadline firing;
@@ -577,6 +592,25 @@ func remoteKey(c net.Conn) string {
 
 func (c *conn) opErr(op string, err error) error {
 	return &net.OpError{Op: op, Net: "netem", Addr: c.Conn.RemoteAddr(), Err: err}
+}
+
+// Read reads from the underlying connection. Once an injected fault has
+// killed the connection, a failed read reports that fault rather than the
+// closed-connection error its teardown left behind, so both halves of the
+// connection fail with the same typed cause.
+//
+//lint:ignore netdeadline shaping shim; the read deadline belongs to the fedrpc endpoints, which set it through this wrapper
+func (c *conn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err != nil {
+		c.mu.Lock()
+		broken := c.broken
+		c.mu.Unlock()
+		if broken != nil {
+			err = c.opErr("read", broken)
+		}
+	}
+	return n, err
 }
 
 // Close interrupts any in-flight emulated delay and closes the underlying

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"errors"
+	"io"
 	"net"
 	"os"
 	"testing"
@@ -109,6 +110,51 @@ func TestBandwidthThrottling(t *testing.T) {
 	}
 	if d > 500*time.Millisecond {
 		t.Fatalf("throttling too aggressive: %v", d)
+	}
+}
+
+// TestBandwidthIndependentOfWriteSize: a sender that writes a message in
+// 64 KiB pieces gets the bandwidth of one that writes it whole. Each
+// piece's emulated delay wakes its writer late by the timer's slack; that
+// lateness is not idle link time, so it must not add up over the pieces.
+func TestBandwidthIndependentOfWriteSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-sensitive link emulation")
+	}
+	c, s := pipeConns(t)
+	go func() { _, _ = io.Copy(io.Discard, s) }()
+	// 20 MB/s: 2 MB occupies the link for 100 ms.
+	wc := Wrap(c, Config{RTT: 10 * time.Millisecond, BandwidthBps: 20e6})
+	payload := make([]byte, 2<<20)
+	send := func(piece int) time.Duration {
+		time.Sleep(10 * time.Millisecond) // a new burst
+		start := time.Now()
+		for off := 0; off < len(payload); off += piece {
+			if _, err := wc.Write(payload[off : off+piece]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	whole, pieces := send(len(payload)), send(64<<10)
+	t.Logf("2 MB at 20 MB/s: one write %v, 32 writes %v", whole, pieces)
+	if pieces > whole+20*time.Millisecond {
+		t.Fatalf("32 writes took %v against %v for one: every write's timer slack became idle link time", pieces, whole)
+	}
+}
+
+// TestReadReportsInjectedFault: once an injected fault killed the
+// connection, a read on it fails with that fault, not with the bare
+// closed-connection error the teardown leaves behind.
+func TestReadReportsInjectedFault(t *testing.T) {
+	c, _ := pipeConns(t)
+	faults := NewFaults(FaultConfig{Truncations: 1, TruncateAfterBytes: 2})
+	wc := Wrap(c, Config{Faults: faults})
+	if _, err := wc.Write([]byte("slab")); !errors.Is(err, ErrInjectedTruncation) {
+		t.Fatalf("want injected truncation, got %v", err)
+	}
+	if _, err := wc.Read(make([]byte, 4)); !errors.Is(err, ErrInjectedTruncation) {
+		t.Fatalf("read after the truncation = %v, want ErrInjectedTruncation", err)
 	}
 }
 
