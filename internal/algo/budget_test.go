@@ -128,9 +128,10 @@ func objectCounts(cl *fedtest.Cluster) []int {
 
 // TestAlgorithmCallBudgets pins how many RPCs the scripts cost per worker,
 // so that batching cannot regress without a timing in sight: LM one call
-// per CG iteration, L2SVM two per outer iteration, MLogReg one per CG step
-// whatever the class count, one K-Means Lloyd step three, PCA three in
-// total. rpc.client.calls repeats exactly.
+// per CG iteration, L2SVM two per outer iteration, MLogReg one per Newton
+// step plus one per CG step whatever the class count, one K-Means Lloyd step
+// one, PCA one in total; and a whole PrivateAggregation K-Means run of one
+// step five calls on two workers. rpc.client.calls repeats exactly.
 func TestAlgorithmCallBudgets(t *testing.T) {
 	reg := obs.New()
 	cl, err := fedtest.Start(fedtest.Config{Workers: 2, Metrics: reg})
@@ -169,9 +170,10 @@ func TestAlgorithmCallBudgets(t *testing.T) {
 		t.Errorf("L2SVM: %d calls for %d outer iterations, budget %d (2 per worker per iteration + the initial gradient)", n, svm.Iterations, budget)
 	}
 
-	// MLogReg: per Newton step one call for P, one for the gradient, and
-	// one per CG step for all classes together — so the count does not
-	// grow with the number of classes.
+	// MLogReg: per Newton step one call for the gradient, P - Y made at the
+	// workers, and one per CG step for all classes together — so the count
+	// does not grow with the number of classes. The one-hot Y rides with
+	// the first gradient read.
 	cfg := algo.MLogRegConfig{MaxOuterIter: 3, MaxInnerIter: 5}
 	var mlrCalls []int64
 	for _, k := range []int{4, 8} {
@@ -180,8 +182,8 @@ func TestAlgorithmCallBudgets(t *testing.T) {
 		var mlr *algo.MLogRegResult
 		n = calls(func() { mlr, err = algo.MLogReg(fx, y, cfg) })
 		must(err)
-		if budget := workers * int64(mlr.OuterIters*(2+cfg.MaxInnerIter)); n > budget {
-			t.Errorf("MLogReg, %d classes: %d calls for %d Newton steps, budget %d (2 + 1 per CG step per worker per Newton step)",
+		if budget := workers * int64(mlr.OuterIters*(1+cfg.MaxInnerIter)); n > budget {
+			t.Errorf("MLogReg, %d classes: %d calls for %d Newton steps, budget %d (1 + 1 per CG step per worker per Newton step)",
 				k, n, mlr.OuterIters, budget)
 		}
 		mlrCalls = append(mlrCalls, n)
@@ -190,22 +192,34 @@ func TestAlgorithmCallBudgets(t *testing.T) {
 		t.Errorf("MLogReg: %d calls for 4 classes, %d for 8: a CG step should cost the same for any number of classes", mlrCalls[0], mlrCalls[1])
 	}
 
+	// K-Means: sum(P*D), colSums(P) and t(P) %*% X of a Lloyd step are
+	// read together, with sum(X^2) when that is still pending.
 	x, _ = data.Blobs(5, 200, 6, 4, 0.5)
 	fx = federate(t, cl, x)
 	n = calls(func() {
 		defer engine.Guard(&err)
-		algo.KMeansStep(fx, x.SliceRows(0, 4), 0)
+		algo.KMeansStep(fx, x.SliceRows(0, 4), engine.QueueAgg(matrix.AggSum, fx))
 	})
 	must(err)
-	if budget := 3 * workers; n > budget {
-		t.Errorf("K-Means: one Lloyd step cost %d calls, budget %d (3 per worker)", n, budget)
+	if budget := workers; n > budget {
+		t.Errorf("K-Means: one Lloyd step cost %d calls, budget %d (1 per worker)", n, budget)
+	}
+
+	// A whole run of one step under PrivateAggregation: the refused row
+	// sample at one worker carries that worker's share of sum(X^2), the
+	// fallback's colMeans and colSDs take one call per worker, so does the
+	// step.
+	n = calls(func() { _, err = algo.KMeans(fx, algo.KMeansConfig{K: 4, MaxIterations: 1, Seed: 3}) })
+	must(err)
+	if budget := int64(5); n > budget {
+		t.Errorf("K-Means: a one-step PrivateAggregation run cost %d calls on 2 workers, budget %d", n, budget)
 	}
 
 	var proj engine.Mat
 	n = calls(func() { _, proj, err = algo.PCA(fx, algo.PCAConfig{K: 3}) })
 	must(err)
-	if budget := 3 * workers; n > budget {
-		t.Errorf("PCA: %d calls, budget %d (3 per worker in total)", n, budget)
+	if budget := workers; n > budget {
+		t.Errorf("PCA: %d calls, budget %d (1 per worker: t(X)X and colMeans together)", n, budget)
 	}
 	engine.Free(proj)
 }

@@ -32,7 +32,8 @@ type KMeansResult struct {
 //
 // On federated X, the first multiplication yields an aligned federated
 // intermediate, the element-wise steps stay federated, and only the
-// aggregates colSums(P) and t(P) %*% X are consolidated.
+// aggregates sum(P*D), colSums(P) and t(P) %*% X are consolidated — read
+// together, so a Lloyd step costs one round trip per worker.
 func KMeans(x engine.Mat, cfg KMeansConfig) (res *KMeansResult, err error) {
 	defer engine.Guard(&err)
 	k := cfg.K
@@ -52,8 +53,10 @@ func KMeans(x engine.Mat, cfg KMeansConfig) (res *KMeansResult, err error) {
 		tol = 1e-6
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	// sum(X^2) waits until a later read forces it: a step's, or any call
+	// that reaches its worker first.
 	xx := engine.Binary(matrix.OpMul, x, x)
-	xsq := engine.Agg(matrix.AggSum, xx)
+	xsq := engine.QueueAgg(matrix.AggSum, xx)
 	engine.Free(xx)
 
 	best := &KMeansResult{WCSS: math.Inf(1)}
@@ -79,8 +82,9 @@ func KMeans(x engine.Mat, cfg KMeansConfig) (res *KMeansResult, err error) {
 }
 
 // kmeansStep performs one Lloyd iteration and returns the new centroids and
-// the within-cluster sum of squares under the current assignment.
-func kmeansStep(x engine.Mat, c *matrix.Dense, xsq float64) (*matrix.Dense, float64) {
+// the within-cluster sum of squares under the current assignment. Its three
+// reads, and sum(X^2) if that is still pending, are fetched together.
+func kmeansStep(x engine.Mat, c *matrix.Dense, xsq *engine.Scalar) (*matrix.Dense, float64) {
 	k := c.Rows()
 	// D = -2 * (X %*% t(C)) + t(rowSums(C^2))  (squared distances up to the
 	// row-constant ||x||^2, which does not affect the argmin).
@@ -93,13 +97,16 @@ func kmeansStep(x engine.Mat, c *matrix.Dense, xsq float64) (*matrix.Dense, floa
 	p0 := engine.Binary(matrix.OpLe, d, dm)
 	prs := engine.RowAgg(matrix.AggSum, p0)
 	p := engine.Div(p0, prs)
-	// WCSS = sum(X^2) + sum(P * D) (adding back the row constants).
-	pd := engine.Mul(p, d)
-	wcss := xsq + engine.Sum(pd)
+	// WCSS = sum(X^2) + sum(P * D) (adding back the row constants);
 	// C_new = (t(P) %*% X) / t(P_denom).
-	pden := collect(engine.ColAgg(matrix.AggSum, p)) // 1 x K
-	ptx := engine.Local(engine.TMatMul(p, x))        // K x cols
-	cNew := ptx.Div(pden.Transpose())
+	pd := engine.Mul(p, d)
+	spd := engine.QueueAgg(matrix.AggSum, pd)
+	pdenH := engine.QueueColAgg(matrix.AggSum, p) // 1 x K
+	ptxH := engine.QueueTMatMul(p, x)             // K x cols
+	engine.Fetch(xsq, spd, pdenH, ptxH)
+	wcss := xsq.Value() + spd.Value()
+	pden := pdenH.Value()
+	cNew := ptxH.Value().Div(pden.Transpose())
 	// Re-seed empty clusters at their previous centroid.
 	for i := 0; i < k; i++ {
 		if pden.At(0, i) == 0 {
@@ -121,8 +128,9 @@ func initCentroids(rng *rand.Rand, x engine.Mat, k int) *matrix.Dense {
 	if c := trySampleRows(rng, x, k); c != nil {
 		return c
 	}
-	means := collect(engine.ColAgg(matrix.AggMean, x))
-	sds := collect(engine.ColAgg(matrix.AggSD, x))
+	mh, sh := engine.QueueColAgg(matrix.AggMean, x), engine.QueueColAgg(matrix.AggSD, x)
+	engine.Fetch(mh, sh)
+	means, sds := mh.Value(), sh.Value()
 	c := matrix.NewDense(k, x.Cols())
 	for i := 0; i < k; i++ {
 		for j := 0; j < x.Cols(); j++ {

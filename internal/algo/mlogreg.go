@@ -26,7 +26,11 @@ type MLogRegResult struct {
 // loops (as the paper describes): an outer Newton loop and an inner
 // conjugate-gradient loop whose every iteration evaluates the
 // Hessian-vector product X⊤(q ⊙ (Xv)) over the federated X. Labels y are
-// 1-based class indices held at the coordinator.
+// 1-based class indices held at the coordinator; on federated X their
+// one-hot matrix is placed beside X once per call, so the n x classes
+// probabilities P never leave the workers: a Newton step reads the gradient
+// X⊤(P - Y) and one Hessian-vector product per CG step, each a round trip
+// that carries only cols x classes aggregates.
 func MLogReg(x engine.Mat, y *matrix.Dense, cfg MLogRegConfig) (res *MLogRegResult, err error) {
 	defer engine.Guard(&err)
 	lambda := cfg.Lambda
@@ -52,24 +56,27 @@ func MLogReg(x engine.Mat, y *matrix.Dense, cfg MLogRegConfig) (res *MLogRegResu
 	n, d := x.Rows(), x.Cols()
 	w := matrix.NewDense(d, k)
 
-	// One-hot targets at the coordinator.
+	// One-hot targets, placed once beside X: the gradient's P - Y is then
+	// made where P is, and only t(X) %*% (P - Y) travels. A worker that
+	// holds X and W and could receive P - Y can recover Y from it anyway.
 	yOne := matrix.NewDense(n, k)
 	for i := 0; i < n; i++ {
 		yOne.Set(i, int(y.At(i, 0))-1, 1)
 	}
+	yx := engine.Colocate(yOne, x)
 
 	outer, innerTotal := 0, 0
 	for ; outer < maxOuter; outer++ {
-		// Class probabilities P = softmax(X %*% W): the product stays
-		// federated; the per-class columns consolidate as aggregates only
-		// via the gradient below.
+		// Class probabilities P = softmax(X %*% W) and D = P - Y stay
+		// federated; they consolidate as aggregates only via the gradient.
 		xw := engine.MatMul(x, w)
 		sm := engine.Softmax(xw)
-		p := engine.Local(sm)
+		pmy := engine.Sub(sm, yx)
 		engine.Free(xw)
 
 		// Gradient G = t(X) %*% (P - Y1) + lambda*W.
-		g := engine.Local(engine.TMatMul(x, p.Sub(yOne)))
+		g := engine.Local(engine.TMatMul(x, pmy))
+		engine.Free(pmy)
 		g.AxpyInPlace(lambda, w)
 		if g.Norm2() < tol {
 			engine.Free(sm)
@@ -87,6 +94,7 @@ func MLogReg(x engine.Mat, y *matrix.Dense, cfg MLogRegConfig) (res *MLogRegResu
 		innerTotal += newtonDirections(x, q, g, w, lambda, maxInner)
 		engine.Free(q)
 	}
+	engine.Free(yx)
 	return &MLogRegResult{Weights: w, OuterIters: outer, InnerIters: innerTotal}, nil
 }
 

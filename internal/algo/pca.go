@@ -26,8 +26,8 @@ type PCAResult struct {
 
 // PCA is the non-iterative algorithm of §6.2: it computes the covariance
 // from the federated aggregate t(X) %*% X (one federated tsmm) plus column
-// means, eigen-decomposes at the coordinator, and projects the data via a
-// second matrix multiplication.
+// means, read together in one round trip, eigen-decomposes at the
+// coordinator, and projects the data via a second matrix multiplication.
 func PCA(x engine.Mat, cfg PCAConfig) (res *PCAResult, proj engine.Mat, err error) {
 	defer engine.Guard(&err)
 	k := cfg.K
@@ -39,14 +39,17 @@ func PCA(x engine.Mat, cfg PCAConfig) (res *PCAResult, proj engine.Mat, err erro
 	}
 	n := float64(x.Rows())
 
-	xtx := engine.TSMM(x)
-	var means *matrix.Dense
-	cov := xtx
-	if !cfg.SkipCentering {
-		means = collect(engine.ColAgg(matrix.AggMean, x)) // 1 x cols
+	xtx := engine.QueueTSMM(x)
+	var means, cov *matrix.Dense
+	if cfg.SkipCentering {
+		cov = xtx.Value()
+	} else {
+		mh := engine.QueueColAgg(matrix.AggMean, x) // 1 x cols
+		engine.Fetch(xtx, mh)
+		means = mh.Value()
 		// cov = (t(X)X - n * t(mu) mu) / (n-1)
 		mm := means.TMatMul(means).Scale(n)
-		cov = xtx.Sub(mm)
+		cov = xtx.Value().Sub(mm)
 	}
 	cov = cov.Scale(1 / (n - 1))
 

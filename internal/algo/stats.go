@@ -8,13 +8,15 @@ import (
 // CorrelationMatrix computes the Pearson correlation matrix of the columns
 // of X — one of the pre-processing steps §6.3 lists for the remaining use
 // case pipelines. On federated X it needs exactly one federated tsmm plus
-// column aggregates; the raw data never moves.
+// column aggregates, read together in one round trip; the raw data never
+// moves.
 func CorrelationMatrix(x engine.Mat) (out *matrix.Dense, err error) {
 	defer engine.Guard(&err)
 	n := float64(x.Rows())
-	xtx := engine.TSMM(x)
-	means := collect(engine.ColAgg(matrix.AggMean, x))
-	sds := collect(engine.ColAgg(matrix.AggSD, x))
+	xtxH := engine.QueueTSMM(x)
+	meansH, sdsH := engine.QueueColAgg(matrix.AggMean, x), engine.QueueColAgg(matrix.AggSD, x)
+	engine.Fetch(xtxH, meansH, sdsH)
+	xtx, means, sds := xtxH.Value(), meansH.Value(), sdsH.Value()
 	d := x.Cols()
 	out = matrix.NewDense(d, d)
 	for i := 0; i < d; i++ {

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"exdra/internal/engine"
+	"exdra/internal/fedtest"
 	"exdra/internal/matrix"
+	"exdra/internal/obs"
 	"exdra/internal/privacy"
 )
 
@@ -145,6 +147,45 @@ func TestUnknownMatTypeFails(t *testing.T) {
 		}()
 		if err == nil {
 			t.Errorf("%s accepted unknown matrix type", name)
+		}
+	}
+}
+
+// TestFetchDispatch: handles queued on local input hold their value at once;
+// on federated input one Fetch delivers them all in one call per worker,
+// bitwise what the eager operations return, and a handle fetched twice or
+// read after the group costs nothing more.
+func TestFetchDispatch(t *testing.T) {
+	reg := obs.New()
+	cl, err := fedtest.Start(fedtest.Config{Workers: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	rng := rand.New(rand.NewSource(9))
+	x := matrix.Randn(rng, 20, 5, 0, 1)
+	y := matrix.Randn(rng, 20, 2, 0, 1)
+	fx := fed(t, cl, x, privacy.Public)
+	for _, in := range []engine.Mat{x, fx} {
+		sum, cols := engine.QueueAgg(matrix.AggSum, in), engine.QueueColAgg(matrix.AggSD, in)
+		xty, xtx := engine.QueueTMatMul(in, y), engine.QueueTSMM(in)
+		before := reg.Snapshot()
+		engine.Fetch(sum, cols, xty, xtx)
+		engine.Fetch(sum, xtx)
+		got := []*matrix.Dense{matrix.Fill(1, 1, sum.Value()), cols.Value(), xty.Value(), xtx.Value()}
+		calls := int64(0)
+		if engine.IsFederated(in) {
+			calls = int64(len(cl.Addrs))
+		}
+		if n := reg.Snapshot().Diff(before).Counters["rpc.client.calls"]; n != calls {
+			t.Errorf("federated=%v: two fetches of four handles cost %d calls, want %d", engine.IsFederated(in), n, calls)
+		}
+		want := []*matrix.Dense{matrix.Fill(1, 1, engine.Agg(matrix.AggSum, in)),
+			engine.Local(engine.ColAgg(matrix.AggSD, in)), engine.Local(engine.TMatMul(in, y)), engine.TSMM(in)}
+		for i := range want {
+			if !got[i].EqualApprox(want[i], 0) {
+				t.Errorf("federated=%v: handle %d differs from the eager operation", engine.IsFederated(in), i)
+			}
 		}
 	}
 }

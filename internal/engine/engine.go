@@ -134,18 +134,7 @@ func TMatMul(a, b Mat) Mat {
 	if done := timeOp("tmm"); done != nil {
 		defer done()
 	}
-	switch x := a.(type) {
-	case *matrix.Dense:
-		return x.TMatMul(Local(b))
-	case *federated.Matrix:
-		if fb, ok := b.(*federated.Matrix); ok {
-			return must(x.AlignedTMM(fb))
-		}
-		return must(x.TMatVec(Local(b)))
-	default:
-		fail(fmt.Errorf("engine: tmatmul on %T", a))
-		return nil
-	}
+	return queueTMatMul(a, b).Value()
 }
 
 // TSMM computes t(x) %*% x (always a local cols x cols aggregate).
@@ -153,15 +142,7 @@ func TSMM(x Mat) *matrix.Dense {
 	if done := timeOp("tsmm"); done != nil {
 		defer done()
 	}
-	switch m := x.(type) {
-	case *matrix.Dense:
-		return m.TSMM()
-	case *federated.Matrix:
-		return must(m.TSMM())
-	default:
-		fail(fmt.Errorf("engine: tsmm on %T", x))
-		return nil
-	}
+	return queueTSMM(x).Value()
 }
 
 // MMChain computes t(x) %*% (w * (x %*% v)) fused, for the k columns of v
@@ -191,6 +172,25 @@ func MMChain(x Mat, v *matrix.Dense, w Mat) *matrix.Dense {
 		}
 	default:
 		fail(fmt.Errorf("engine: mmchain on %T", x))
+		return nil
+	}
+}
+
+// Colocate places local y beside x: y itself when x is local; when x is
+// federated, a federated y row-partitioned like x
+// (federated.Matrix.Colocate), so element-wise operations between the two
+// run where x lives.
+func Colocate(y *matrix.Dense, x Mat) Mat {
+	if done := timeOp("colocate"); done != nil {
+		defer done()
+	}
+	switch m := x.(type) {
+	case *matrix.Dense:
+		return y
+	case *federated.Matrix:
+		return must(m.Colocate(y))
+	default:
+		fail(fmt.Errorf("engine: colocate beside %T", x))
 		return nil
 	}
 }
@@ -290,15 +290,7 @@ func Agg(op matrix.AggOp, a Mat) float64 {
 	if done := timeOp("agg"); done != nil {
 		defer done()
 	}
-	switch x := a.(type) {
-	case *matrix.Dense:
-		return x.Agg(op)
-	case *federated.Matrix:
-		return must(x.AggFull(op))
-	default:
-		fail(fmt.Errorf("engine: agg on %T", a))
-		return 0
-	}
+	return queueAgg(op, a).Value()
 }
 
 // Sum computes the sum of all cells.

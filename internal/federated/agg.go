@@ -12,7 +12,16 @@ import (
 // (sum, sumsq, min, max, n) which the coordinator combines — only
 // aggregates travel, never raw data.
 func (m *Matrix) AggFull(op matrix.AggOp) (float64, error) {
-	resps, err := m.c.parallelCall("agg "+op.String(), m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	v, err := m.QueueAggFull(op).Get()
+	if err != nil {
+		return 0, err
+	}
+	return v.At(0, 0), nil
+}
+
+// QueueAggFull is AggFull as a pending read (Fetch); its value is 1 x 1.
+func (m *Matrix) QueueAggFull(op matrix.AggOp) *Value {
+	return m.c.queue("agg "+op.String(), m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		oid := m.c.NewID()
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
@@ -20,17 +29,15 @@ func (m *Matrix) AggFull(op matrix.AggOp) (float64, error) {
 			{Type: fedrpc.Get, ID: oid},
 			rmvar(oid),
 		}
+	}, func(resps [][]fedrpc.Response) (*matrix.Dense, error) {
+		n := len(resps)
+		sums, sumSqs, mins, maxs, counts := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]int, n)
+		for i, rs := range resps {
+			t := rs[1].Data.Matrix()
+			sums[i], sumSqs[i], mins[i], maxs[i], counts[i] = t.At(0, 0), t.At(0, 1), t.At(0, 2), t.At(0, 3), int(t.At(0, 4))
+		}
+		return matrix.Fill(1, 1, matrix.CombinePartialAggs(op, sums, sumSqs, mins, maxs, counts)), nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	n := len(resps)
-	sums, sumSqs, mins, maxs, counts := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]int, n)
-	for i, rs := range resps {
-		t := rs[1].Data.Matrix()
-		sums[i], sumSqs[i], mins[i], maxs[i], counts[i] = t.At(0, 0), t.At(0, 1), t.At(0, 2), t.At(0, 3), int(t.At(0, 4))
-	}
-	return matrix.CombinePartialAggs(op, sums, sumSqs, mins, maxs, counts), nil
 }
 
 // Sum returns the sum of all cells.
@@ -62,17 +69,23 @@ func (m *Matrix) RowAgg(op matrix.AggOp) (*Matrix, *matrix.Dense, error) {
 		// the transposed view — equivalently, fetch per-partition row
 		// partials and merge. Only sum/min/max/mean compose from row
 		// partials without sumsq; use the 5-tuple per row.
-		local, err := m.colPartRowAgg(op)
+		local, err := m.QueueRowAgg(op).Get()
 		return nil, local, err
 	default:
 		return nil, nil, fmt.Errorf("federated: rowAgg on irregular partitioning unsupported")
 	}
 }
 
-// colPartRowAgg combines row aggregates across column partitions by
-// fetching per-partition (rows x 5) partial tuples.
-func (m *Matrix) colPartRowAgg(op matrix.AggOp) (*matrix.Dense, error) {
-	resps, err := m.c.parallelCall("rowAgg "+op.String(), m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+// QueueRowAgg is RowAgg of column-partitioned data as a pending read
+// (Fetch): per-partition rows x 5 partial tuples combined into the local
+// rows x 1 vector. On row partitions the result stays federated and is no
+// read.
+func (m *Matrix) QueueRowAgg(op matrix.AggOp) *Value {
+	name := "rowAgg " + op.String()
+	if m.Scheme() != ColPartitioned {
+		return failedValue(name, fmt.Errorf("federated: a row aggregate read needs column partitioning, have %s", m.Scheme()))
+	}
+	return m.c.queue(name, m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		// Partial tuples per row: transpose then uac_partial gives 5 x rows.
 		tid, oid := m.c.NewID(), m.c.NewID()
 		return []fedrpc.Request{
@@ -83,12 +96,10 @@ func (m *Matrix) colPartRowAgg(op matrix.AggOp) (*matrix.Dense, error) {
 			{Type: fedrpc.Get, ID: oid},
 			rmvar(tid, oid),
 		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return combineTupleColumns(op, resps, m.Rows(), func(i int) *matrix.Dense {
-		return resps[i][2].Data.Matrix()
+	}, func(resps [][]fedrpc.Response) (*matrix.Dense, error) {
+		return combineTupleColumns(op, resps, m.Rows(), func(i int) *matrix.Dense {
+			return resps[i][2].Data.Matrix()
+		})
 	})
 }
 
@@ -98,25 +109,11 @@ func (m *Matrix) colPartRowAgg(op matrix.AggOp) (*matrix.Dense, error) {
 func (m *Matrix) ColAgg(op matrix.AggOp) (*Matrix, *matrix.Dense, error) {
 	switch m.Scheme() {
 	case RowPartitioned:
-		resps, err := m.c.parallelCall("colAgg "+op.String(), m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
-			oid := m.c.NewID()
-			return []fedrpc.Request{
-				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-					Opcode: "uac_partial", Inputs: []int64{p.DataID}, Output: oid}},
-				{Type: fedrpc.Get, ID: oid},
-				rmvar(oid),
-			}
-		})
+		local, err := m.QueueColAgg(op).Get()
 		if err != nil {
 			return nil, nil, err
 		}
-		local, err := combineTupleColumns(op, resps, m.Cols(), func(i int) *matrix.Dense {
-			return resps[i][1].Data.Matrix()
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return nil, local.Transpose(), nil
+		return nil, local, nil
 	case ColPartitioned:
 		// Per partition: transpose, aggregate the rows of the transposed
 		// view (a colrange x 1 vector), and transpose that back so the
@@ -144,6 +141,32 @@ func (m *Matrix) ColAgg(op matrix.AggOp) (*Matrix, *matrix.Dense, error) {
 	default:
 		return nil, nil, fmt.Errorf("federated: colAgg on irregular partitioning unsupported")
 	}
+}
+
+// QueueColAgg is ColAgg of row-partitioned data as a pending read (Fetch);
+// its value is the local 1 x cols vector.
+func (m *Matrix) QueueColAgg(op matrix.AggOp) *Value {
+	name := "colAgg " + op.String()
+	if m.Scheme() != RowPartitioned {
+		return failedValue(name, fmt.Errorf("federated: a column aggregate read needs row partitioning, have %s", m.Scheme()))
+	}
+	return m.c.queue(name, m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+		oid := m.c.NewID()
+		return []fedrpc.Request{
+			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
+				Opcode: "uac_partial", Inputs: []int64{p.DataID}, Output: oid}},
+			{Type: fedrpc.Get, ID: oid},
+			rmvar(oid),
+		}
+	}, func(resps [][]fedrpc.Response) (*matrix.Dense, error) {
+		local, err := combineTupleColumns(op, resps, m.Cols(), func(i int) *matrix.Dense {
+			return resps[i][1].Data.Matrix()
+		})
+		if err != nil {
+			return nil, err
+		}
+		return local.Transpose(), nil
+	})
 }
 
 // combineTupleColumns merges per-partition 5 x n tuple matrices

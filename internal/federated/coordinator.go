@@ -65,6 +65,7 @@ type Coordinator struct {
 	boxMu        sync.Mutex
 	boxes        map[string]*outbox // guarded by boxMu
 	flushEveryOp bool
+	reads        atomic.Uint64 // sequence of queued reads: their program order (fetch.go)
 
 	// What this session created at each worker, and under which instance
 	// epoch (recovery.go).

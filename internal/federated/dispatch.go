@@ -2,6 +2,7 @@ package federated
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -15,39 +16,93 @@ import (
 // reply — a broadcast + instruction whose output stays federated, an rmvar —
 // costs no round trip of its own: its requests are appended to the target
 // worker's outbox and travel with the next call that needs a value from
-// that worker (exchange). Eager dispatch is the same path with an outbox
-// that happens to be empty.
+// that worker (exchange). A read waits in the same outbox with a reply slot
+// (fetch.go) until it is forced, alone or in a group; eager dispatch is the
+// same path with an outbox that happens to hold nothing else.
 
 // The outbox is bounded by two fixed constants. They are not options: the
 // buffer only ever holds the small broadcast operands and instructions of
-// reply-less operations, so any value comfortably above one script
-// iteration's worth and far below a partition behaves the same. A batch
-// that does not fit is sent at once, as every batch was before deferral —
-// multi-MB Distribute-sized PUTs therefore never wait in the buffer.
+// reply-less operations and the reads of one script step before they are
+// forced, so any value comfortably above one step's worth and far below a
+// partition behaves the same. A batch that does not fit is sent at once, as
+// every batch was before deferral — multi-MB Distribute-sized PUTs
+// therefore never wait in the buffer.
 const (
-	maxPendingRequests = 64
+	maxPendingRequests = 128
 	maxPendingBytes    = 256 << 10
 )
 
 // flushBatchBuckets bounds the fed.flush_batch_requests histogram: a merged
-// batch holds at most maxPendingRequests deferred requests plus the
-// flushing call's own.
-var flushBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
+// batch holds at most maxPendingRequests pending requests plus the flushing
+// call's own.
+var flushBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // deferredReq is one buffered request and the operation that issued it (the
 // name a failure is reported under when the request finally executes).
+// reply is the slot of the read the request belongs to, nil for a reply-less
+// request: the exchange that carries a read's batch hands its responses over
+// there instead of to its own caller.
 type deferredReq struct {
-	req fedrpc.Request
-	op  string
+	req   fedrpc.Request
+	op    string
+	reply *reply
 }
+
+// reply is where one partition's share of a read waits for the exchange
+// that carries it. It is filled once, with the batch's responses or with the
+// failure that lost them; every path that takes a read out of the outbox
+// fills its slot (sendMerged, sendNow, dropPending), so waiting on one never
+// outlasts the carrying call's deadline.
+type reply struct {
+	done  chan struct{} // closed when filled
+	mu    sync.Mutex
+	resps []fedrpc.Response // guarded by mu
+	err   error             // guarded by mu
+}
+
+func newReply() *reply { return &reply{done: make(chan struct{})} }
+
+// fill records the outcome of the exchange that carried the batch; a slot
+// already filled keeps its first outcome.
+func (r *reply) fill(resps []fedrpc.Response, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	select {
+	case <-r.done:
+	default:
+		r.resps, r.err = resps, err
+		close(r.done)
+	}
+}
+
+// filled reports whether an exchange has carried the batch.
+func (r *reply) filled() bool {
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// wait returns the slot's outcome once it is filled.
+func (r *reply) wait() ([]fedrpc.Response, error) {
+	<-r.done
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.resps, r.err
+}
+
+// errDropped fills the slots of reads that teardown discarded unsent.
+var errDropped = errors.New("federated: read dropped unsent by ClearAll or Close")
 
 // outbox is one worker's FIFO of deferred requests.
 type outbox struct {
 	// order keeps per-worker program order on the wire, where pooled and
 	// pipelined connections would otherwise let a later call overtake the
 	// batch that carries earlier deferred requests: the exchange that takes
-	// the pending requests holds it exclusively until its reply arrived,
-	// exchanges that found the outbox empty share it.
+	// pending writes holds it exclusively until its reply arrived,
+	// exchanges that found only reads or nothing pending share it.
 	order sync.RWMutex
 
 	mu    sync.Mutex
@@ -83,21 +138,21 @@ func (c *Coordinator) boxAddrs() []string {
 	return addrs
 }
 
-// push appends one operation's requests, or reports false when they may not
+// push appends one operation's requests — a read's with its reply slot rep,
+// a reply-less operation's with nil — or reports false when they may not
 // wait or do not fit under the caps (the caller then sends pending ++ reqs
-// right away). A
-// buffered PUT owns a copy of its payload, so a script that mutates the
-// broadcast operand in place after the operation returned cannot change
-// what is eventually sent.
-func (b *outbox) push(op string, reqs []fedrpc.Request) bool {
+// right away). A buffered PUT owns a copy of its payload, so a script that
+// mutates the broadcast operand in place after the operation returned cannot
+// change what is eventually sent.
+func (b *outbox) push(op string, reqs []fedrpc.Request, rep *reply) bool {
 	size := 0
 	for _, r := range reqs {
 		switch {
-		case r.Type == fedrpc.ExecInst:
+		case r.Type == fedrpc.ExecInst, r.Type == fedrpc.Get:
 		case r.Type == fedrpc.Put && (r.Data.Kind == fedrpc.PayloadMatrix || r.Data.Kind == fedrpc.PayloadScalar):
 			size += 8 * len(r.Data.Values)
 		default:
-			// Only idempotent PUT/EXEC_INST requests wait: a buffered
+			// Only idempotent PUT/GET/EXEC_INST requests wait: a buffered
 			// EXEC_UDF would make every batch it rides in non-retryable,
 			// and frames and byte blobs are bulk data.
 			return false
@@ -112,29 +167,54 @@ func (b *outbox) push(op string, reqs []fedrpc.Request) bool {
 		if r.Type == fedrpc.Put {
 			r.Data.Values = append([]float64(nil), r.Data.Values...)
 		}
-		b.reqs = append(b.reqs, deferredReq{req: r, op: op})
+		b.reqs = append(b.reqs, deferredReq{req: r, op: op, reply: rep})
 	}
 	b.bytes += size
 	return true
 }
 
 // acquire enters the worker's send order and hands over the pending
-// requests. An empty outbox is entered shared and left alone: taking
-// requests that a concurrent operation pushed meanwhile under the shared
-// lock would let that operation's next call race the batch carrying them.
+// requests. Reads alone are taken under the shared order, as an empty
+// outbox is entered: a read's batch creates nothing a later call could need
+// (its temporaries are freed in the batch), so calls that carry no writes
+// may overlap, as eager calls always could. Any pending write takes the
+// order exclusively. Writes that a concurrent operation pushed after the
+// check are not taken under the shared lock — that would let that
+// operation's next call race the batch carrying them — but exclusively.
 func (b *outbox) acquire() (pend []deferredReq, release func()) {
-	b.mu.Lock()
-	empty := len(b.reqs) == 0
-	b.mu.Unlock()
-	if empty {
+	if b.readsOnly() {
 		b.order.RLock()
-		return nil, b.order.RUnlock
+		b.mu.Lock()
+		if onlyReads(b.reqs) {
+			pend, b.reqs, b.bytes = b.reqs, nil, 0
+			b.mu.Unlock()
+			return pend, b.order.RUnlock
+		}
+		b.mu.Unlock()
+		b.order.RUnlock()
 	}
 	b.order.Lock()
 	b.mu.Lock()
 	pend, b.reqs, b.bytes = b.reqs, nil, 0
 	b.mu.Unlock()
 	return pend, b.order.Unlock
+}
+
+// readsOnly reports whether everything pending is a read (or nothing is).
+func (b *outbox) readsOnly() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return onlyReads(b.reqs)
+}
+
+// onlyReads reports whether every request belongs to a read.
+func onlyReads(reqs []deferredReq) bool {
+	for _, d := range reqs {
+		if d.reply == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // unshift puts d in front of what is pending: the frees a batch held back
@@ -148,14 +228,19 @@ func (b *outbox) unshift(d deferredReq) {
 
 // dropPending discards every worker's pending requests; only the teardown
 // paths (ClearAll, Close) use it, where the namespace CLEAR makes them moot.
+// A dropped read fails with errDropped rather than wait for an exchange
+// that will never carry it.
 func (c *Coordinator) dropPending() {
+	var dropped []deferredReq
 	c.boxMu.Lock()
-	defer c.boxMu.Unlock()
 	for _, b := range c.boxes {
 		b.mu.Lock()
+		dropped = append(dropped, b.reqs...)
 		b.reqs, b.bytes = nil, 0
 		b.mu.Unlock()
 	}
+	c.boxMu.Unlock()
+	deliver(dropped, nil, errDropped)
 }
 
 // exchange is the one way a request batch reaches a worker: it sends
@@ -166,19 +251,20 @@ func (c *Coordinator) dropPending() {
 // A deferred request that fails at the worker surfaces here, wrapped with
 // the name of the operation that issued it; the flushing call then fails
 // even if its own requests succeeded (its callers reclaim what those
-// created). A transport failure loses the whole merged batch, like any
-// failed call.
+// created). A pending read's batch gets its responses in its reply slot,
+// failed ones included: they are its reader's to report. A transport
+// failure loses the whole merged batch, like any failed call, and every
+// read in it gets that error.
 //
-// Deferred requests are PUT/EXEC_INST only, so a merged batch has the
-// retry class of its own part: RetryableBatch, neededIDs and record
-// see the real request list, and mergeRetrySafe keeps that list as safe to
-// re-issue as its requests are one by one. Under an EXEC_UDF that class is
-// fail-fast, and
-// the policy is merge, not flush-then-send: the pending requests ride with
-// the UDF in one batch that is never retried (a UDF must not run twice), so
-// a transport failure there loses them with the UDF instead of costing
-// every UDF call a round trip of its own to protect requests whose
-// operations fail with it anyway.
+// Deferred requests and pending reads are PUT/GET/EXEC_INST only, so a
+// merged batch has the retry class of its own part: RetryableBatch,
+// neededIDs and record see the real request list, and mergeRetrySafe keeps
+// that list as safe to re-issue as its requests are one by one. Under an
+// EXEC_UDF that class is fail-fast, and the policy is merge, not
+// flush-then-send: the pending requests ride with the UDF in one batch that
+// is never retried (a UDF must not run twice), so a transport failure there
+// loses them with the UDF instead of costing every UDF call a round trip of
+// its own to protect requests whose operations fail with it anyway.
 func (c *Coordinator) exchange(ctx context.Context, addr string, own []fedrpc.Request) ([]fedrpc.Response, error) {
 	pend, release := c.box(addr).acquire()
 	// The send order is held across the exchange by design: it is what
@@ -196,22 +282,23 @@ func (c *Coordinator) exchange(ctx context.Context, addr string, own []fedrpc.Re
 	return c.sendMerged(ctx, addr, pend, own)
 }
 
-// mergeRetrySafe builds the batch pend ++ own, with the operation name of
-// each pending request it kept, such that re-issuing the batch after a lost
-// reply is safe. Every request is idempotent on its own (RetryableBatch),
-// and so was every batch while an operation was a batch; a window that
-// consumes an object an earlier batch delivered and then frees it —
-// [b = f(a); rmvar a; GET b] — is not: executed once, its retry finds a
+// mergeRetrySafe builds the batch pend ++ own, with the pending entries it
+// kept (each with the request as sent), such that re-issuing the batch after
+// a lost reply is safe. Every request is idempotent on its own
+// (RetryableBatch), and so was every batch while an operation was a batch; a
+// window that consumes an object an earlier batch delivered and then frees
+// it — [b = f(a); rmvar a; GET b] — is not: executed once, its retry finds a
 // gone. Such an rmvar input is taken out and returned in late, to lead the
 // worker's next batch, where nothing reads it any more. Objects the batch
 // itself creates before reading them are rebuilt by the retry and may be
-// freed in place.
-func mergeRetrySafe(pend []deferredReq, own []fedrpc.Request) (merged []fedrpc.Request, ops []string, late []int64) {
+// freed in place. A read's requests keep their places, emptied rmvars
+// included, so its responses line up with its batch.
+func mergeRetrySafe(pend []deferredReq, own []fedrpc.Request) (merged []fedrpc.Request, kept []deferredReq, late []int64) {
 	merged = make([]fedrpc.Request, 0, len(pend)+len(own))
 	created, read := map[int64]bool{}, map[int64]bool{}
 	// add appends r less the frees that must wait; an rmvar left with
-	// nothing to free is dropped unless its reply is one the caller indexes.
-	add := func(r fedrpc.Request, droppable bool) bool {
+	// nothing to free is dropped unless its reply is one a caller indexes.
+	add := func(r fedrpc.Request, droppable bool) (fedrpc.Request, bool) {
 		if r.Type == fedrpc.ExecInst && r.Inst != nil && r.Inst.Opcode == "rmvar" {
 			var keep []int64
 			for _, id := range r.Inst.Inputs {
@@ -223,7 +310,7 @@ func mergeRetrySafe(pend []deferredReq, own []fedrpc.Request) (merged []fedrpc.R
 			}
 			if len(keep) < len(r.Inst.Inputs) {
 				if len(keep) == 0 && droppable {
-					return false
+					return r, false
 				}
 				r = rmvar(keep...)
 			}
@@ -239,40 +326,79 @@ func mergeRetrySafe(pend []deferredReq, own []fedrpc.Request) (merged []fedrpc.R
 			}
 		}
 		merged = append(merged, r)
-		return true
+		return r, true
 	}
 	for _, d := range pend {
-		if add(d.req, true) {
-			ops = append(ops, d.op)
+		if r, ok := add(d.req, d.reply == nil); ok {
+			d.req = r
+			kept = append(kept, d)
 		}
 	}
 	for _, r := range own {
 		add(r, false)
 	}
-	return merged, ops, late
+	return merged, kept, late
 }
 
-// sendMerged sends pend ++ own as one batch and strips the pending replies.
+// deliver hands each read in reqs its share of an exchange's outcome: its
+// contiguous run of responses, or err when the exchange lost them.
+func deliver(reqs []deferredReq, resps []fedrpc.Response, err error) {
+	for i := 0; i < len(reqs); {
+		j := i + 1
+		for j < len(reqs) && reqs[j].reply == reqs[i].reply {
+			j++
+		}
+		if rep := reqs[i].reply; rep != nil {
+			if err != nil {
+				rep.fill(nil, err)
+			} else {
+				rep.fill(resps[i:j], nil)
+			}
+		}
+		i = j
+	}
+}
+
+// sendMerged sends pend ++ own as one batch, hands the pending reads their
+// responses and returns own's. A batch that carried reply-less requests is
+// a flush: it is counted as one, its span says how many rode along, and it
+// fails if one of them failed at the worker. A pending read's own failure
+// is its reader's to report (Fetch), not the carrier's.
 func (c *Coordinator) sendMerged(ctx context.Context, addr string, pend []deferredReq, own []fedrpc.Request) ([]fedrpc.Response, error) {
-	merged, ops, late := mergeRetrySafe(pend, own)
+	merged, kept, late := mergeRetrySafe(pend, own)
 	if len(late) > 0 {
 		c.box(addr).unshift(deferredReq{req: rmvar(late...), op: "free"})
 	}
-	c.reg.Counter("fed.flushes").Inc()
-	c.reg.Histogram("fed.flush_batch_requests", flushBatchBuckets).Observe(float64(len(merged)))
-	// Tag the call's span, so /debug/rpcs explains a 9-request batch.
-	ctx = obs.WithSpan(ctx, &obs.Span{Deferred: len(ops)})
-	resps, err := c.sendCtx(ctx, addr, merged)
-	if err != nil {
-		return nil, fmt.Errorf("federated: batch carrying %d deferred requests (first: %s): %w",
-			len(pend), pend[0].op, err)
-	}
-	for i, op := range ops {
-		if !resps[i].OK {
-			return nil, fmt.Errorf("federated: deferred %s at %s: %s: %s", op, addr, merged[i].Type, resps[i].Err)
+	deferred, first := 0, ""
+	for _, d := range kept {
+		if d.reply == nil {
+			if deferred == 0 {
+				first = d.op
+			}
+			deferred++
 		}
 	}
-	return resps[len(ops):], nil
+	if deferred > 0 {
+		c.reg.Counter("fed.flushes").Inc()
+		c.reg.Histogram("fed.flush_batch_requests", flushBatchBuckets).Observe(float64(len(merged)))
+		// Tag the call's span, so /debug/rpcs explains a 9-request batch.
+		ctx = obs.WithSpan(ctx, &obs.Span{Deferred: deferred})
+	}
+	resps, err := c.sendCtx(ctx, addr, merged)
+	if err != nil {
+		if deferred > 0 {
+			err = fmt.Errorf("federated: batch carrying %d deferred requests (first: %s): %w", deferred, first, err)
+		}
+		deliver(kept, nil, err)
+		return nil, err
+	}
+	deliver(kept, resps, nil)
+	for i, d := range kept {
+		if d.reply == nil && !resps[i].OK {
+			return nil, fmt.Errorf("federated: deferred %s at %s: %s: %s", d.op, addr, merged[i].Type, resps[i].Err)
+		}
+	}
+	return resps[len(kept):], nil
 }
 
 // flushAddr sends addr's pending requests now. Frees the first batch held
@@ -321,19 +447,6 @@ func buildAll(parts []Partition, build func(i int, p Partition) []fedrpc.Request
 	return batches
 }
 
-// parallelCall issues, for each partition, the request batch produced by
-// build — preceded by whatever is deferred for that worker — in parallel
-// across workers, and returns the responses in partition order. It is the
-// dispatch of operations that read their replies. Any transport or
-// per-request failure aborts with the error of the lowest-indexed failing
-// partition (deterministic reporting regardless of goroutine completion
-// order); worker-side objects the aborted operation had already created on
-// other partitions are reclaimed (sweep), so a failed federated operation
-// does not leak PUT/READ/output bindings.
-func (c *Coordinator) parallelCall(op string, parts []Partition, build func(i int, p Partition) []fedrpc.Request) ([][]fedrpc.Response, error) {
-	return c.sendAll(op, parts, buildAll(parts, build), nil)
-}
-
 // deferCall is parallelCall for operations that discard their replies: each
 // partition's batch is buffered at its worker's outbox and the operation
 // returns at once. A batch that does not fit under the caps is sent
@@ -341,18 +454,26 @@ func (c *Coordinator) parallelCall(op string, parts []Partition, build func(i in
 // request surfaces at the exchange that carries it, named op.
 func (c *Coordinator) deferCall(op string, parts []Partition, build func(i int, p Partition) []fedrpc.Request) error {
 	batches := buildAll(parts, build)
-	buffered := make([]bool, len(parts))
-	n, all := 0, true
+	var now []int
+	n := 0
 	for i, p := range parts {
-		if buffered[i] = c.box(p.Addr).push(op, batches[i]); buffered[i] {
+		if c.box(p.Addr).push(op, batches[i], nil) {
 			n += len(batches[i])
 		} else {
-			all = false
+			now = append(now, i)
 		}
 	}
 	c.reg.Counter("fed.deferred_requests").Add(int64(n))
-	if !all {
-		if _, err := c.sendAll(op, parts, batches, buffered); err != nil {
+	errs := make([]error, len(parts))
+	c.sendNow(op, parts, batches, now, func(i int, resps []fedrpc.Response, err error) {
+		if err == nil {
+			err = firstFailure(parts[i].Addr, batches[i], resps)
+		}
+		errs[i] = err
+	})
+	for _, err := range errs {
+		if err != nil {
+			c.sweep(createdAll(parts, batches))
 			return err
 		}
 	}
@@ -362,45 +483,20 @@ func (c *Coordinator) deferCall(op string, parts []Partition, build func(i int, 
 	return nil
 }
 
-// sendAll sends batches[i] to parts[i] for every partition not marked skip
-// (already buffered), in parallel.
-func (c *Coordinator) sendAll(op string, parts []Partition, batches [][]fedrpc.Request, skip []bool) ([][]fedrpc.Response, error) {
-	out := make([][]fedrpc.Response, len(parts))
-	errs := make([]error, len(parts))
+// sendNow sends batches[i] to parts[i] for every i in now, in parallel, each
+// with what is pending at its worker, and hands each outcome to done.
+func (c *Coordinator) sendNow(op string, parts []Partition, batches [][]fedrpc.Request, now []int,
+	done func(i int, resps []fedrpc.Response, err error)) {
 	var wg sync.WaitGroup
-	for i, p := range parts {
-		if skip != nil && skip[i] {
-			continue
-		}
+	for _, i := range now {
 		wg.Add(1)
-		go func(i int, addr string) {
+		go func(i int) {
 			defer wg.Done()
-			resps, err := c.exchange(obs.WithOp(context.Background(), op), addr, batches[i])
-			if err == nil {
-				for ri, r := range resps {
-					if !r.OK {
-						err = fmt.Errorf("federated: %s %s: %s", addr, batches[i][ri].Type, r.Err)
-						break
-					}
-				}
-			}
-			out[i], errs[i] = resps, err
-		}(i, p.Addr)
+			resps, err := c.exchange(obs.WithOp(context.Background(), op), parts[i].Addr, batches[i])
+			done(i, resps, err)
+		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			var created []Partition
-			for i, p := range parts {
-				for _, id := range createdIDs(batches[i]) {
-					created = append(created, Partition{Addr: p.Addr, DataID: id})
-				}
-			}
-			c.sweep(created)
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // remove defers one rmvar per worker over the given (Addr, DataID) pairs.

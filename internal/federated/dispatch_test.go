@@ -1,6 +1,7 @@
 package federated_test
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -791,4 +792,267 @@ func TestDeferredBatchSurvivesLostReply(t *testing.T) {
 		wantNoObjects(t, cl, fmt.Sprintf("after the run (eager=%v)", eager))
 		coord.Close()
 	}
+}
+
+// table1Reads queues, on the inputs of table1Script, every operation of that
+// script that returns a value at the coordinator, and returns the pending
+// values by the names table1Script records them under. The median is not
+// among them: its bisection is a chain of reads, each depending on the last.
+// The wsloss chain's deferred intermediates are freed behind its read.
+func table1Reads(t *testing.T, cl *fedtest.Cluster) map[string]*federated.Value {
+	c := cl.Coord
+	pos := func(seed int64, r, k int) *matrix.Dense {
+		return randMat(seed, r, k).Apply(math.Abs).AddScalar(0.5)
+	}
+	xp, other := pos(100, 24, 6), pos(103, 24, 6)
+	dist := func(x *matrix.Dense, s federated.Scheme) *federated.Matrix {
+		m, err := federated.Distribute(c, x, cl.Addrs, s, privacy.Public)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	fx, fo := dist(xp, federated.RowPartitioned), dist(other, federated.RowPartitioned)
+	cx := dist(xp, federated.ColPartitioned)
+	v, b, w := randMat(101, 6, 2), randMat(102, 24, 2), pos(106, 24, 1)
+	fw, fw3 := dist(w, federated.RowPartitioned), dist(pos(109, 24, 3), federated.RowPartitioned)
+
+	reads := map[string]*federated.Value{
+		"tmm":                  fx.QueueTMatVec(b),
+		"tsmm":                 fx.QueueTSMM(),
+		"mmchain":              fx.QueueMMChain(v.SliceCols(0, 1), nil),
+		"mmchain weighted":     fx.QueueMMChain(v.SliceCols(0, 1), fw),
+		"mmchain weighted k=3": fx.QueueMMChain(randMat(108, 6, 3), fw3),
+		"aligned tmm":          fo.QueueAlignedTMM(fx),
+		"colpart mm":           cx.QueueMatVec(v),
+		"colpart tmm":          cx.QueueTMatVec(b),
+		"colpart rowAgg":       cx.QueueRowAgg(matrix.AggSum),
+	}
+	for _, op := range []matrix.AggOp{matrix.AggSum, matrix.AggMin, matrix.AggMax,
+		matrix.AggMean, matrix.AggVar, matrix.AggSD} {
+		reads["agg "+op.String()] = fx.QueueAggFull(op)
+		reads["colAgg "+op.String()] = fx.QueueColAgg(op)
+	}
+	uv := randMat(104, 24, 2).MatMul(randMat(105, 6, 2).Transpose())
+	fuv, err := fx.BinaryLocal(matrix.OpSub, uv, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sq, err := fuv.Binary(matrix.OpMul, fuv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads["wsloss chain"] = sq.QueueAggFull(matrix.AggSum)
+	if err := federated.Free(fuv, sq); err != nil {
+		t.Fatal(err)
+	}
+	return reads
+}
+
+// TestFetchGroupEqualsOneByOneTable1Dispatch: every read of the Table 1
+// script, forced as one fetch group, is bitwise what it is forced one by one,
+// costs one call per worker, and leaves no temporary at any worker.
+func TestFetchGroupEqualsOneByOneTable1Dispatch(t *testing.T) {
+	reg := obs.New()
+	cl, err := fedtest.Start(fedtest.Config{Workers: 3, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	oneByOne := table1Script(t, cl)
+	if err := cl.Coord.ClearAll(); err != nil {
+		t.Fatal(err)
+	}
+	wantNoObjects(t, cl, "after ClearAll")
+
+	reads := table1Reads(t, cl)
+	inputs := make([]int, len(cl.Workers))
+	for i, w := range cl.Workers {
+		inputs[i] = w.NumObjects()
+	}
+	group := make([]*federated.Value, 0, len(reads))
+	for _, v := range reads {
+		group = append(group, v)
+	}
+	before := reg.Snapshot()
+	if err := federated.Fetch(group...); err != nil {
+		t.Fatal(err)
+	}
+	if n, want := reg.Snapshot().Diff(before).Counters["rpc.client.calls"], int64(len(cl.Workers)); n != want {
+		t.Errorf("a group of %d reads cost %d calls, want %d (one per worker)", len(group), n, want)
+	}
+	fetched := results{}
+	for name, v := range reads {
+		d, err := v.Get()
+		fetched.local(t, name, d, err)
+	}
+	one := results{}
+	for name := range reads {
+		one[name] = oneByOne[name]
+	}
+	wantSameBits(t, one, fetched)
+	for i, w := range cl.Workers {
+		if n := w.NumObjects(); n != inputs[i] {
+			t.Errorf("worker %d holds %d objects after the group, %d inputs", i, n, inputs[i])
+		}
+	}
+	if err := cl.Coord.ClearAll(); err != nil {
+		t.Fatal(err)
+	}
+	wantNoObjects(t, cl, "after ClearAll")
+}
+
+// TestFetchUnforcedReadDispatch: a read nobody forces is delivered by the
+// next exchange that reaches its workers, for free, and leaks nothing; one
+// that teardown drops unsent fails instead of waiting.
+func TestFetchUnforcedReadDispatch(t *testing.T) {
+	reg := obs.New()
+	cl, err := fedtest.Start(fedtest.Config{Workers: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	x := randMat(41, 30, 4)
+	fx, err := federated.Distribute(cl.Coord, x, cl.Addrs, federated.RowPartitioned, privacy.Public)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fx.AggFull(matrix.AggSum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := fx.QueueAggFull(matrix.AggSum)
+	if _, _, err := fx.ColAgg(matrix.AggMax); err != nil { // an unrelated read carries it
+		t.Fatal(err)
+	}
+	before := reg.Snapshot()
+	got, err := sum.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Snapshot().Diff(before).Counters["rpc.client.calls"]; n != 0 {
+		t.Errorf("a read already carried cost %d calls to get", n)
+	}
+	if math.Float64bits(got.At(0, 0)) != math.Float64bits(want) {
+		t.Errorf("carried read = %v, forced alone %v", got.At(0, 0), want)
+	}
+	for i, w := range cl.Workers {
+		if n := w.NumObjects(); n != 1 {
+			t.Errorf("worker %d holds %d objects, want only its input", i, n)
+		}
+	}
+
+	dropped := fx.QueueTSMM()
+	if err := cl.Coord.ClearAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dropped.Get(); err == nil {
+		t.Fatal("a read dropped by ClearAll delivered a value")
+	}
+	wantNoObjects(t, cl, "after ClearAll")
+}
+
+// TestFetchPendingReadSurvivesFailedCarrierDispatch is K-Means' init under
+// PrivateAggregation: sum(X^2) is queued at every worker, then a row sample
+// at one worker is refused. The refused call carried that worker's share of
+// the sum, which must still be delivered, so the sum later costs only the
+// other worker's call.
+func TestFetchPendingReadSurvivesFailedCarrierDispatch(t *testing.T) {
+	reg := obs.New()
+	cl, err := fedtest.Start(fedtest.Config{Workers: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	x := randMat(42, 20, 3)
+	fx, err := federated.Distribute(cl.Coord, x, cl.Addrs, federated.RowPartitioned, privacy.PrivateAggregation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xx, err := fx.Binary(matrix.OpMul, fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := xx.AggFull(matrix.AggSum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xsq := xx.QueueAggFull(matrix.AggSum)
+	row, err := fx.Slice(2, 3, 0, 3) // at the first worker only
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := row.Consolidate(); err == nil || !strings.Contains(err.Error(), "privacy") {
+		t.Fatalf("the row sample was not refused: %v", err)
+	}
+	before := reg.Snapshot()
+	got, err := xsq.Get()
+	if err != nil {
+		t.Fatalf("the read that rode with the refused call: %v", err)
+	}
+	if n := reg.Snapshot().Diff(before).Counters["rpc.client.calls"]; n != 1 {
+		t.Errorf("the rest of the read cost %d calls, want 1 (the worker the refused call did not reach)", n)
+	}
+	if math.Float64bits(got.At(0, 0)) != math.Float64bits(want) {
+		t.Errorf("sum(X^2) = %v, forced alone %v", got.At(0, 0), want)
+	}
+	if err := federated.Free(fx, xx, row); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Coord.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	wantNoObjects(t, cl, "after freeing everything")
+}
+
+// TestFetchReportsFirstFailedReadDispatch: a group with two failing reads
+// fails with the first in program order — here the one whose failure is at
+// the later worker — typed; every value keeps its own outcome.
+func TestFetchReportsFirstFailedReadDispatch(t *testing.T) {
+	cl := startCluster(t, 2)
+	x := randMat(43, 20, 3)
+	pub, err := federated.Distribute(cl.Coord, x, cl.Addrs, federated.RowPartitioned, privacy.Public)
+	if err != nil {
+		t.Fatal(err)
+	}
+	priv, err := federated.Distribute(cl.Coord, x, cl.Addrs, federated.RowPartitioned, privacy.Private)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Public rows at the first worker, private ones at the second: only
+	// the second refuses the sum.
+	mixed := pub.Map()
+	mixed.Partitions[1] = priv.Map().Partitions[1]
+	half, err := federated.FromMap(cl.Coord, mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dangling := pub.Map()
+	dangling.Partitions[0].DataID = 999999
+	ghost, err := federated.FromMap(cl.Coord, dangling)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ok := pub.QueueAggFull(matrix.AggMax)
+	refused := half.QueueAggFull(matrix.AggSum)
+	missing := ghost.QueueColAgg(matrix.AggSum)
+	err = federated.Fetch(missing, ok, refused)
+	var re *federated.ReadError
+	if !errors.As(err, &re) || re.Op != "agg sum" || !strings.Contains(err.Error(), cl.Addrs[1]) || !strings.Contains(err.Error(), "privacy") {
+		t.Fatalf("group error = %v, want the refused sum at %s as a *ReadError", err, cl.Addrs[1])
+	}
+	if got, err := ok.Get(); err != nil || got.At(0, 0) != x.Max() {
+		t.Errorf("the healthy read of the group: %v, %v", got, err)
+	}
+	if _, err := missing.Get(); !errors.As(err, &re) || re.Op != "colAgg sum" || !strings.Contains(err.Error(), cl.Addrs[0]) {
+		t.Errorf("the second failed read: %v", err)
+	}
+	if err := federated.Free(pub, priv); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Coord.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	wantNoObjects(t, cl, "after freeing the inputs")
 }

@@ -14,7 +14,8 @@ import (
 // federated operation is one request batch per worker, with broadcast
 // intermediates cleaned up via rmvar in the same batch; operations whose
 // result stays federated buffer their batch (deferCall) and cost no round
-// trip of their own, operations that return a value send it (parallelCall).
+// trip of their own, operations that return a value queue it as a read and
+// force it (fetch.go), alone or with other reads.
 
 // MatVec computes X %*% v for local v (matrix-vector, or matrix-matrix with
 // a small right-hand side). For row-partitioned X the full v is broadcast
@@ -46,28 +47,38 @@ func (m *Matrix) MatVec(v *matrix.Dense) (*Matrix, *matrix.Dense, error) {
 		})
 		return out, nil, nil
 	case ColPartitioned:
-		resps, err := m.c.parallelCall("matvec", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
-			bid, oid := m.c.NewID(), m.c.NewID()
-			vs := v.SliceRows(p.Range.ColBeg, p.Range.ColEnd)
-			return []fedrpc.Request{
-				{Type: fedrpc.Put, ID: bid, Data: fedrpc.MatrixPayload(vs)},
-				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-					Opcode: "mm", Inputs: []int64{p.DataID, bid}, Output: oid}},
-				{Type: fedrpc.Get, ID: oid},
-				rmvar(bid, oid),
-			}
-		})
-		if err != nil {
-			return nil, nil, err
+		local, err := m.QueueMatVec(v).Get()
+		return nil, local, err
+	default:
+		return nil, nil, fmt.Errorf("federated: matvec on irregular partitioning unsupported")
+	}
+}
+
+// QueueMatVec is MatVec of column-partitioned data as a pending read
+// (Fetch); its value is the local rows x k sum. On row partitions the
+// product stays federated and is no read.
+func (m *Matrix) QueueMatVec(v *matrix.Dense) *Value {
+	if m.Scheme() != ColPartitioned || v.Rows() != m.Cols() {
+		return failedValue("matvec", fmt.Errorf("federated: a matvec read needs column partitioning and %d rows, have %s and %dx%d",
+			m.Cols(), m.Scheme(), v.Rows(), v.Cols()))
+	}
+	return m.c.queue("matvec", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+		bid, oid := m.c.NewID(), m.c.NewID()
+		vs := v.SliceRows(p.Range.ColBeg, p.Range.ColEnd)
+		return []fedrpc.Request{
+			{Type: fedrpc.Put, ID: bid, Data: fedrpc.MatrixPayload(vs)},
+			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
+				Opcode: "mm", Inputs: []int64{p.DataID, bid}, Output: oid}},
+			{Type: fedrpc.Get, ID: oid},
+			rmvar(bid, oid),
 		}
+	}, func(resps [][]fedrpc.Response) (*matrix.Dense, error) {
 		sum := matrix.NewDense(m.Rows(), v.Cols())
 		for _, rs := range resps {
 			sum.AddInPlace(rs[2].Data.Matrix())
 		}
-		return nil, sum, nil
-	default:
-		return nil, nil, fmt.Errorf("federated: matvec on irregular partitioning unsupported")
-	}
+		return sum, nil
+	})
 }
 
 // TMatVec computes t(X) %*% b for local b with nrow(b) == nrow(X) — the
@@ -75,12 +86,17 @@ func (m *Matrix) MatVec(v *matrix.Dense) (*Matrix, *matrix.Dense, error) {
 // slice-broadcast by row ranges; partial cols x k results are summed at the
 // coordinator.
 func (m *Matrix) TMatVec(b *matrix.Dense) (*matrix.Dense, error) {
+	return m.QueueTMatVec(b).Get()
+}
+
+// QueueTMatVec is TMatVec as a pending read (Fetch).
+func (m *Matrix) QueueTMatVec(b *matrix.Dense) *Value {
 	if b.Rows() != m.Rows() {
-		return nil, fmt.Errorf("federated: tmatvec %dx%d by %dx%d", m.Rows(), m.Cols(), b.Rows(), b.Cols())
+		return failedValue("tmatvec", fmt.Errorf("federated: tmatvec %dx%d by %dx%d", m.Rows(), m.Cols(), b.Rows(), b.Cols()))
 	}
 	switch m.Scheme() {
 	case RowPartitioned:
-		resps, err := m.c.parallelCall("tmatvec", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+		return m.c.queue("tmatvec", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 			bid, oid := m.c.NewID(), m.c.NewID()
 			bs := b.SliceRows(p.Range.RowBeg, p.Range.RowEnd)
 			return []fedrpc.Request{
@@ -90,19 +106,17 @@ func (m *Matrix) TMatVec(b *matrix.Dense) (*matrix.Dense, error) {
 				{Type: fedrpc.Get, ID: oid},
 				rmvar(bid, oid),
 			}
+		}, func(resps [][]fedrpc.Response) (*matrix.Dense, error) {
+			sum := matrix.NewDense(m.Cols(), b.Cols())
+			for _, rs := range resps {
+				sum.AddInPlace(rs[2].Data.Matrix())
+			}
+			return sum, nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		sum := matrix.NewDense(m.Cols(), b.Cols())
-		for _, rs := range resps {
-			sum.AddInPlace(rs[2].Data.Matrix())
-		}
-		return sum, nil
 	case ColPartitioned:
 		// Each partition computes t(X_j) %*% b over all rows; results stack
 		// by column ranges.
-		resps, err := m.c.parallelCall("tmatvec", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+		return m.c.queue("tmatvec", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 			bid, oid := m.c.NewID(), m.c.NewID()
 			return []fedrpc.Request{
 				{Type: fedrpc.Put, ID: bid, Data: fedrpc.MatrixPayload(b)},
@@ -111,27 +125,30 @@ func (m *Matrix) TMatVec(b *matrix.Dense) (*matrix.Dense, error) {
 				{Type: fedrpc.Get, ID: oid},
 				rmvar(bid, oid),
 			}
+		}, func(resps [][]fedrpc.Response) (*matrix.Dense, error) {
+			out := matrix.NewDense(m.Cols(), b.Cols())
+			for i, rs := range resps {
+				out.SetSlice(m.fm.Partitions[i].Range.ColBeg, 0, rs[2].Data.Matrix())
+			}
+			return out, nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		out := matrix.NewDense(m.Cols(), b.Cols())
-		for i, rs := range resps {
-			out.SetSlice(m.fm.Partitions[i].Range.ColBeg, 0, rs[2].Data.Matrix())
-		}
-		return out, nil
 	default:
-		return nil, fmt.Errorf("federated: tmatvec on irregular partitioning unsupported")
+		return failedValue("tmatvec", fmt.Errorf("federated: tmatvec on irregular partitioning unsupported"))
 	}
 }
 
 // TSMM computes t(X) %*% X by summing per-partition tsmm partials at the
 // coordinator (row-partitioned only; the result is a cols x cols aggregate).
 func (m *Matrix) TSMM() (*matrix.Dense, error) {
+	return m.QueueTSMM().Get()
+}
+
+// QueueTSMM is TSMM as a pending read (Fetch).
+func (m *Matrix) QueueTSMM() *Value {
 	if m.Scheme() != RowPartitioned {
-		return nil, fmt.Errorf("federated: tsmm requires row partitioning, have %s", m.Scheme())
+		return failedValue("tsmm", fmt.Errorf("federated: tsmm requires row partitioning, have %s", m.Scheme()))
 	}
-	resps, err := m.c.parallelCall("tsmm", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	return m.c.queue("tsmm", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		oid := m.c.NewID()
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
@@ -139,15 +156,13 @@ func (m *Matrix) TSMM() (*matrix.Dense, error) {
 			{Type: fedrpc.Get, ID: oid},
 			rmvar(oid),
 		}
+	}, func(resps [][]fedrpc.Response) (*matrix.Dense, error) {
+		sum := matrix.NewDense(m.Cols(), m.Cols())
+		for _, rs := range resps {
+			sum.AddInPlace(rs[1].Data.Matrix())
+		}
+		return sum, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	sum := matrix.NewDense(m.Cols(), m.Cols())
-	for _, rs := range resps {
-		sum.AddInPlace(rs[1].Data.Matrix())
-	}
-	return sum, nil
 }
 
 // MMChain computes the fused t(X) %*% (w * (X %*% v)) for k right-hand
@@ -158,23 +173,28 @@ func (m *Matrix) TSMM() (*matrix.Dense, error) {
 // partials: the inner pattern of LM (k = 1, no w) and of MLogReg (one
 // column per class, its weights resident at the workers).
 func (m *Matrix) MMChain(v *matrix.Dense, w *Matrix) (*matrix.Dense, error) {
+	return m.QueueMMChain(v, w).Get()
+}
+
+// QueueMMChain is MMChain as a pending read (Fetch).
+func (m *Matrix) QueueMMChain(v *matrix.Dense, w *Matrix) *Value {
 	if m.Scheme() != RowPartitioned {
-		return nil, fmt.Errorf("federated: mmchain requires row partitioning, X is %s", m.Scheme())
+		return failedValue("mmchain", fmt.Errorf("federated: mmchain requires row partitioning, X is %s", m.Scheme()))
 	}
 	if v.Rows() != m.Cols() || v.Cols() < 1 {
-		return nil, fmt.Errorf("federated: mmchain v is %dx%d, want %dxk for X %dx%d",
-			v.Rows(), v.Cols(), m.Cols(), m.Rows(), m.Cols())
+		return failedValue("mmchain", fmt.Errorf("federated: mmchain v is %dx%d, want %dxk for X %dx%d",
+			v.Rows(), v.Cols(), m.Cols(), m.Rows(), m.Cols()))
 	}
 	parts, ws := m.fm.Partitions, []Partition(nil)
 	if w != nil {
 		if w.Scheme() != RowPartitioned || !AlignedRows(m.fm, w.fm) || w.Cols() != v.Cols() {
-			return nil, fmt.Errorf("federated: mmchain w is %dx%d %s in %d partitions, want %dx%d co-partitioned with X %dx%d %s in %d partitions",
+			return failedValue("mmchain", fmt.Errorf("federated: mmchain w is %dx%d %s in %d partitions, want %dx%d co-partitioned with X %dx%d %s in %d partitions",
 				w.Rows(), w.Cols(), w.Scheme(), len(w.fm.Partitions), m.Rows(), v.Cols(),
-				m.Rows(), m.Cols(), m.Scheme(), len(m.fm.Partitions))
+				m.Rows(), m.Cols(), m.Scheme(), len(m.fm.Partitions)))
 		}
 		parts, ws = m.fm.sorted(), w.fm.sorted()
 	}
-	resps, err := m.c.parallelCall("mmchain", parts, func(i int, p Partition) []fedrpc.Request {
+	return m.c.queue("mmchain", parts, func(i int, p Partition) []fedrpc.Request {
 		vid, oid := m.c.NewID(), m.c.NewID()
 		inputs := []int64{p.DataID, vid}
 		if w != nil {
@@ -187,28 +207,29 @@ func (m *Matrix) MMChain(v *matrix.Dense, w *Matrix) (*matrix.Dense, error) {
 			{Type: fedrpc.Get, ID: oid},
 			rmvar(vid, oid),
 		}
+	}, func(resps [][]fedrpc.Response) (*matrix.Dense, error) {
+		sum := matrix.NewDense(m.Cols(), v.Cols())
+		for _, rs := range resps {
+			sum.AddInPlace(rs[2].Data.Matrix())
+		}
+		return sum, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	sum := matrix.NewDense(m.Cols(), v.Cols())
-	for _, rs := range resps {
-		sum.AddInPlace(rs[2].Data.Matrix())
-	}
-	return sum, nil
 }
 
 // AlignedTMM computes t(P) %*% X for two co-partitioned federated matrices
 // (e.g. the K-Means centroid update of Example 3): each worker multiplies
 // its aligned partitions locally, and the coordinator sums the aggregates.
 func (p *Matrix) AlignedTMM(x *Matrix) (*matrix.Dense, error) {
+	return p.QueueAlignedTMM(x).Get()
+}
+
+// QueueAlignedTMM is AlignedTMM as a pending read (Fetch).
+func (p *Matrix) QueueAlignedTMM(x *Matrix) *Value {
 	if !AlignedRows(p.fm, x.fm) {
-		return nil, fmt.Errorf("federated: matrices are not co-partitioned")
+		return failedValue("alignedTMM", fmt.Errorf("federated: matrices are not co-partitioned"))
 	}
 	ps, xs := p.fm.sorted(), x.fm.sorted()
-	parts := make([]Partition, len(ps))
-	copy(parts, ps)
-	resps, err := p.c.parallelCall("alignedTMM", parts, func(i int, pp Partition) []fedrpc.Request {
+	return p.c.queue("alignedTMM", ps, func(i int, pp Partition) []fedrpc.Request {
 		oid := p.c.NewID()
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
@@ -216,15 +237,13 @@ func (p *Matrix) AlignedTMM(x *Matrix) (*matrix.Dense, error) {
 			{Type: fedrpc.Get, ID: oid},
 			rmvar(oid),
 		}
+	}, func(resps [][]fedrpc.Response) (*matrix.Dense, error) {
+		sum := matrix.NewDense(p.Cols(), x.Cols())
+		for _, rs := range resps {
+			sum.AddInPlace(rs[1].Data.Matrix())
+		}
+		return sum, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	sum := matrix.NewDense(p.Cols(), x.Cols())
-	for _, rs := range resps {
-		sum.AddInPlace(rs[1].Data.Matrix())
-	}
-	return sum, nil
 }
 
 // Transpose transposes each partition in place at its worker and flips the

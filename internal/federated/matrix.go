@@ -122,6 +122,29 @@ func DistributeWithColumns(c *Coordinator, x *matrix.Dense, addrs []string, sche
 	return FromMap(c, fm)
 }
 
+// Colocate places the rows of local y at m's workers, partitioned like m's
+// rows, so that element-wise operations pair them with m where m lives. The
+// PUTs are deferred like any reply-less operation: a y small enough for the
+// outbox rides with the next read instead of costing a round trip. y is
+// placed Public, since it comes from the coordinator.
+func (m *Matrix) Colocate(y *matrix.Dense) (*Matrix, error) {
+	if m.Scheme() != RowPartitioned || y.Rows() != m.Rows() {
+		return nil, fmt.Errorf("federated: colocate %dx%d beside %dx%d %s, want as many rows and row partitioning",
+			y.Rows(), y.Cols(), m.Rows(), m.Cols(), m.Scheme())
+	}
+	ids := m.newIDs()
+	err := m.c.deferCall("colocate", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+		return []fedrpc.Request{{Type: fedrpc.Put, ID: ids[i], Privacy: int(privacy.Public),
+			Data: fedrpc.MatrixPayload(y.SliceRows(p.Range.RowBeg, p.Range.RowEnd))}}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return m.derive(m.Rows(), y.Cols(), ids, func(r Range) Range {
+		return Range{RowBeg: r.RowBeg, RowEnd: r.RowEnd, ColBeg: 0, ColEnd: y.Cols()}
+	}), nil
+}
+
 // ReadSpec names one raw file at one federated site.
 type ReadSpec struct {
 	Addr     string

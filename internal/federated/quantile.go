@@ -22,14 +22,14 @@ func (m *Matrix) Quantile(q, tol float64) (float64, error) {
 	if q < 0 || q > 1 {
 		return 0, fmt.Errorf("federated: quantile %g out of [0,1]", q)
 	}
-	lo, err := m.AggFull(matrix.AggMin)
-	if err != nil {
+	// The range's two ends are one exchange.
+	minV, maxV := m.QueueAggFull(matrix.AggMin), m.QueueAggFull(matrix.AggMax)
+	if err := Fetch(minV, maxV); err != nil {
 		return 0, err
 	}
-	hi, err := m.AggFull(matrix.AggMax)
-	if err != nil {
-		return 0, err
-	}
+	loM, _ := minV.Get()
+	hiM, _ := maxV.Get()
+	lo, hi := loM.At(0, 0), hiM.At(0, 0)
 	if lo == hi {
 		return lo, nil
 	}

@@ -299,3 +299,105 @@ func TestDeferredRidingWithUDFIsNeverRetried(t *testing.T) {
 		t.Fatalf("fed.flushes = %d, want 1 (the deferred request rode with the UDF)", n)
 	}
 }
+
+// fetchGroup queues the reads of a K-Means-style step over a deferred
+// broadcast of b, forces them as one group, and returns each read's value
+// and error.
+func fetchGroup(coord *federated.Coordinator, addrs []string, x, b *matrix.Dense) (vals []*matrix.Dense, errs []error, err error) {
+	fx, err := federated.Distribute(coord, x, addrs, federated.RowPartitioned, privacy.Public)
+	if err != nil {
+		return nil, nil, err
+	}
+	d, err := fx.BinaryLocal(matrix.OpAdd, b, false) // deferred: rides with the group
+	if err != nil {
+		return nil, nil, err
+	}
+	group := []*federated.Value{
+		d.QueueAggFull(matrix.AggSum), d.QueueColAgg(matrix.AggSum), fx.QueueTSMM(), d.QueueAlignedTMM(fx),
+	}
+	ferr := federated.Fetch(group...)
+	for _, v := range group {
+		val, err := v.Get()
+		vals, errs = append(vals, val), append(errs, err)
+	}
+	if err := federated.Free(fx, d); err != nil {
+		return nil, nil, err
+	}
+	return vals, errs, ferr
+}
+
+// TestFetchGroupUnderConnectionResets: a connection reset while a fetch
+// group's batch is on the wire either heals by retry into the fault-free
+// values, bit for bit, or fails every read of the group with a typed error —
+// never a hang — and no object is left at any worker either way.
+func TestFetchGroupUnderConnectionResets(t *testing.T) {
+	xs, _ := data.Regression(6, 200, 6, 0.1)
+	b := matrix.Fill(200, 6, 0.25) // 9.6 KB, so the group's batch crosses the reset threshold
+	ref, err := fedtest.Start(fedtest.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := fetchGroup(ref.Coord, ref.Addrs, xs, b)
+	ref.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, attempts := range []int{1, 3} {
+		faults := netem.NewFaults(netem.FaultConfig{ConnResets: 2, ResetAfterBytes: 8 << 10, ResetPerAddr: true})
+		cl, err := fedtest.Start(fedtest.Config{Workers: 2, Faults: faults,
+			Policy: federated.Policy{Attempts: attempts, Backoff: time.Millisecond, Seed: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		type outcome struct {
+			vals []*matrix.Dense
+			errs []error
+			err  error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			vals, errs, err := fetchGroup(cl.Coord, cl.Addrs, xs, b)
+			done <- outcome{vals, errs, err}
+		}()
+		var res outcome
+		select {
+		case res = <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("attempts=%d: the fetch group hung under a connection reset", attempts)
+		}
+		if faults.Stats().Resets == 0 {
+			t.Fatalf("attempts=%d: no reset fired", attempts)
+		}
+		if res.err == nil {
+			for i, v := range res.vals {
+				if !v.EqualApprox(want[i], 0) {
+					t.Errorf("attempts=%d: read %d healed to a different value", attempts, i)
+				}
+			}
+		} else {
+			if !chaosTypedErr(res.err) {
+				t.Errorf("attempts=%d: group failed with an untyped error: %v", attempts, res.err)
+			}
+			if len(res.errs) != len(want) {
+				t.Fatalf("attempts=%d: the reset hit before the group: %v", attempts, res.err)
+			}
+			for i, err := range res.errs {
+				if !chaosTypedErr(err) {
+					t.Errorf("attempts=%d: read %d of the failed group: %v, want a typed error", attempts, i, err)
+				}
+			}
+		}
+		if (res.err == nil) != (attempts > 1) {
+			t.Errorf("attempts=%d: group error %v; one reset per worker should fail a fail-fast policy and be retried away otherwise", attempts, res.err)
+		}
+		if err := cl.Coord.Flush(); err != nil {
+			t.Fatalf("attempts=%d: %v", attempts, err)
+		}
+		for i, w := range cl.Workers {
+			if n := w.NumObjects(); n != 0 {
+				t.Errorf("attempts=%d: worker %d holds %d objects", attempts, i, n)
+			}
+		}
+		cl.Close()
+	}
+}
