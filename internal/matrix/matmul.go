@@ -5,14 +5,15 @@ import (
 	"math"
 )
 
-// blockSize is the cache-blocking tile edge for the matmul kernels.
+// blockSize is the cache-blocking tile edge of Transpose.
 const blockSize = 64
 
-// MatMul returns m %*% b. The kernel is cache-blocked over the inner
-// dimension and parallelized over row bands, mirroring the role of a BLAS
-// dgemm in SystemDS' local backend. A one-column b (X %*% v) is one dot per
-// row instead: k-ascending with the same zero skip, so bit for bit the
-// blocked loop's result.
+// MatMul returns m %*% b, parallelized over row bands, mirroring the role of
+// a BLAS dgemm in SystemDS' local backend. Every output cell accumulates its
+// terms k-ascending from zero and skips a zero cell of m, as the textbook
+// i-k-j loop does; the kernels only choose how many independent cells one
+// sweep carries in locals, so the result is bit for bit that loop's at any
+// parallelism.
 func (m *Dense) MatMul(b *Dense) *Dense {
 	if m.cols != b.rows {
 		panic(fmt.Sprintf("matrix: matmul shape mismatch %dx%d %%*%% %dx%d",
@@ -21,46 +22,103 @@ func (m *Dense) MatMul(b *Dense) *Dense {
 	out := NewDense(m.rows, b.cols)
 	n, k, p := m.rows, m.cols, b.cols
 	if p == 1 {
-		v := b.data
-		parallelFor(n, k, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				s := 0.0
-				for kk, a := range m.data[i*k : (i+1)*k] {
-					if a != 0 {
-						s += a * v[kk]
-					}
-				}
-				out.data[i] = s
-			}
-		})
+		parallelFor(n, k, func(lo, hi int) { matVecBand(m, b.data, out.data, lo, hi) })
 		return out
 	}
 	parallelFor(n, k*p, func(lo, hi int) { matMulBand(m, b, out, lo, hi) })
 	return out
 }
 
-// matMulBand accumulates rows [lo, hi) of m %*% b into out, blocked over the
-// inner dimension.
+// matVecBand sets out[lo:hi] to the dots of m's rows with v: four rows'
+// k-ascending chains side by side, each skipping its own zero cells.
+func matVecBand(m *Dense, v, out []float64, lo, hi int) {
+	k := m.cols
+	v = v[:k]
+	row := func(i int) []float64 { return m.data[i*k : (i+1)*k][:len(v)] }
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		r0, r1, r2, r3 := row(i), row(i+1), row(i+2), row(i+3)
+		var s0, s1, s2, s3 float64
+		for kk, x := range v {
+			if a := r0[kk]; a != 0 {
+				s0 += a * x
+			}
+			if a := r1[kk]; a != 0 {
+				s1 += a * x
+			}
+			if a := r2[kk]; a != 0 {
+				s2 += a * x
+			}
+			if a := r3[kk]; a != 0 {
+				s3 += a * x
+			}
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
+	}
+	for ; i < hi; i++ {
+		s := 0.0
+		for kk, a := range row(i) {
+			if a != 0 {
+				s += a * v[kk]
+			}
+		}
+		out[i] = s
+	}
+}
+
+// matMulBand sets rows [lo, hi) of out to those of m %*% b. A sweep runs a
+// tile of two output rows by four output columns over all of k in locals,
+// so one load of b feeds two cells and one load of m four: eight
+// accumulators, four b values and two m values fill the sixteen SSE
+// registers, where a four-by-four tile spills.
 func matMulBand(m, b, out *Dense, lo, hi int) {
 	k, p := m.cols, b.cols
-	for kb := 0; kb < k; kb += blockSize {
-		kEnd := kb + blockSize
-		if kEnd > k {
-			kEnd = k
-		}
-		for i := lo; i < hi; i++ {
-			arow := m.data[i*k : (i+1)*k]
-			orow := out.data[i*p : (i+1)*p]
-			for kk := kb; kk < kEnd; kk++ {
-				a := arow[kk]
-				if a == 0 {
-					continue
+	i := lo
+	for ; i+2 <= hi; i += 2 {
+		a0 := m.data[i*k : (i+1)*k]
+		a1 := m.data[(i+1)*k : (i+2)*k][:len(a0)]
+		o0 := out.data[i*p : (i+1)*p]
+		o1 := out.data[(i+1)*p : (i+2)*p]
+		j := 0
+		for ; j+4 <= p; j += 4 {
+			var c00, c01, c02, c03, c10, c11, c12, c13 float64
+			for kk, x0 := range a0 {
+				bb := b.data[kk*p+j : kk*p+j+4]
+				b0, b1, b2, b3 := bb[0], bb[1], bb[2], bb[3]
+				if x0 != 0 {
+					c00 += x0 * b0
+					c01 += x0 * b1
+					c02 += x0 * b2
+					c03 += x0 * b3
 				}
-				brow := b.data[kk*p : (kk+1)*p]
-				for j, bv := range brow {
-					orow[j] += a * bv
+				if x1 := a1[kk]; x1 != 0 {
+					c10 += x1 * b0
+					c11 += x1 * b1
+					c12 += x1 * b2
+					c13 += x1 * b3
 				}
 			}
+			o0[j], o0[j+1], o0[j+2], o0[j+3] = c00, c01, c02, c03
+			o1[j], o1[j+1], o1[j+2], o1[j+3] = c10, c11, c12, c13
+		}
+		for ; j < p; j++ {
+			var c0, c1 float64
+			for kk, x0 := range a0 {
+				bv := b.data[kk*p+j]
+				if x0 != 0 {
+					c0 += x0 * bv
+				}
+				if x1 := a1[kk]; x1 != 0 {
+					c1 += x1 * bv
+				}
+			}
+			o0[j], o1[j] = c0, c1
+		}
+	}
+	if i < hi {
+		orow := out.data[i*p : (i+1)*p]
+		for kk, a := range m.data[i*k : (i+1)*k] {
+			tmmRow(orow, b.data[kk*p:(kk+1)*p], a)
 		}
 	}
 }
@@ -84,20 +142,13 @@ func (m *Dense) TMatMul(b *Dense) *Dense {
 	out := NewDense(k, p)
 	parallelFor((k+tmmGroup-1)/tmmGroup, tmmGroup*n*p, func(lo, hi int) {
 		cb, ce := lo*tmmGroup, min(hi*tmmGroup, k)
+		// Four rows of m at a time, so an output cell or row is loaded and
+		// stored once per four contributions.
+		mrow := func(r int) []float64 { return m.data[r*k+cb : r*k+ce] }
 		if p == 1 {
-			o := out.data[cb:ce]
-			for r, bv := range b.data {
-				for i, a := range m.data[r*k+cb : r*k+ce] {
-					if a != 0 {
-						o[i] += a * bv
-					}
-				}
-			}
+			tmatVecBand(out.data[cb:ce], b.data, mrow)
 			return
 		}
-		// Four rows of m at a time, so an output row is loaded and stored
-		// once per four contributions.
-		mrow := func(r int) []float64 { return m.data[r*k+cb : r*k+ce] }
 		brow := func(r int) []float64 { return b.data[r*p : (r+1)*p] }
 		orow := func(i int) []float64 { return out.data[(cb+i)*p : (cb+i+1)*p] }
 		r := 0
@@ -115,6 +166,43 @@ func (m *Dense) TMatMul(b *Dense) *Dense {
 		}
 	})
 	return out
+}
+
+// tmatVecBand adds t(m[,cb:ce]) %*% y into o, where mrow(r) is row r of
+// m[,cb:ce]: each cell takes four rows' terms per load and store, in row
+// order, each skipped when its cell of m is zero.
+func tmatVecBand(o, y []float64, mrow func(r int) []float64) {
+	n := len(y)
+	r := 0
+	for ; r+4 <= n; r += 4 {
+		m0 := mrow(r)
+		m1, m2, m3 := mrow(r + 1)[:len(m0)], mrow(r + 2)[:len(m0)], mrow(r + 3)[:len(m0)]
+		y0, y1, y2, y3 := y[r], y[r+1], y[r+2], y[r+3]
+		o := o[:len(m0)]
+		for i, s := range o {
+			if a := m0[i]; a != 0 {
+				s += a * y0
+			}
+			if a := m1[i]; a != 0 {
+				s += a * y1
+			}
+			if a := m2[i]; a != 0 {
+				s += a * y2
+			}
+			if a := m3[i]; a != 0 {
+				s += a * y3
+			}
+			o[i] = s
+		}
+	}
+	for ; r < n; r++ {
+		y0 := y[r]
+		for i, a := range mrow(r) {
+			if a != 0 {
+				o[i] += a * y0
+			}
+		}
+	}
 }
 
 // tmmRow adds a*brow into orow, and nothing at all when a is zero.
@@ -187,19 +275,23 @@ func (m *Dense) TSMM() *Dense {
 }
 
 // tsmmBand accumulates t(m[rb:re,]) %*% m[rb:re,] into the upper triangle
-// of out.
+// of out, four rows of m per pass over an output row (tmmRows4), so every
+// cell adds its rows' terms in row order with the zero skip of one row at a
+// time.
 func tsmmBand(m, out *Dense, rb, re int) {
 	n := m.cols
-	for r := rb; r < re; r++ {
+	orow := func(i int) []float64 { return out.data[i*n+i : (i+1)*n] }
+	r := rb
+	for ; r+4 <= re; r += 4 {
+		m0, m1, m2, m3 := m.Row(r), m.Row(r+1), m.Row(r+2), m.Row(r+3)
+		for i, a0 := range m0 {
+			tmmRows4(orow(i), m0[i:], m1[i:], m2[i:], m3[i:], a0, m1[i], m2[i], m3[i])
+		}
+	}
+	for ; r < re; r++ {
 		row := m.Row(r)
 		for i, a := range row {
-			if a == 0 {
-				continue
-			}
-			orow := out.data[i*n : (i+1)*n]
-			for j := i; j < n; j++ {
-				orow[j] += a * row[j]
-			}
+			tmmRow(orow(i), row[i:], a)
 		}
 	}
 }
@@ -244,15 +336,34 @@ func (m *Dense) MMChain(v, w *Dense) *Dense {
 				continue
 			}
 			p := make([]float64, k*d)
-			for i := rb; i < re; i++ {
-				row := m.data[i*d : (i+1)*d]
-				c := 0
-				for ; c+4 <= k; c += 4 {
-					mmchainRow4(row, vt[c*d:(c+4)*d], p[c*d:(c+4)*d],
-						[4]float64{weight(i, c), weight(i, c+1), weight(i, c+2), weight(i, c+3)})
+			row := func(i int) []float64 { return m.data[i*d : (i+1)*d] }
+			i := rb
+			switch {
+			case k == 1:
+				for ; i+4 <= re; i += 4 {
+					mmchainRows4(m.data[i*d:(i+4)*d], vt, p,
+						[4]float64{weight(i, 0), weight(i+1, 0), weight(i+2, 0), weight(i+3, 0)})
 				}
-				for ; c < k; c++ {
-					axpyNonzero(p[c*d:(c+1)*d], row, dot(row, vt[c*d:(c+1)*d])*weight(i, c))
+			case k >= 4:
+				for ; i+2 <= re; i += 2 {
+					r0, r1 := row(i), row(i+1)
+					c := 0
+					for ; c+4 <= k; c += 4 {
+						mmchainRows2x4(r0, r1, vt[c*d:(c+4)*d], p[c*d:(c+4)*d],
+							[4]float64{weight(i, c), weight(i, c+1), weight(i, c+2), weight(i, c+3)},
+							[4]float64{weight(i+1, c), weight(i+1, c+1), weight(i+1, c+2), weight(i+1, c+3)})
+					}
+					for ; c < k; c++ {
+						pc, vc := p[c*d:(c+1)*d], vt[c*d:(c+1)*d]
+						axpyNonzero(pc, r0, dot(r0, vc)*weight(i, c))
+						axpyNonzero(pc, r1, dot(r1, vc)*weight(i+1, c))
+					}
+				}
+			}
+			for ; i < re; i++ {
+				r := row(i)
+				for c := 0; c < k; c++ {
+					axpyNonzero(p[c*d:(c+1)*d], r, dot(r, vt[c*d:(c+1)*d])*weight(i, c))
 				}
 			}
 			partials[t] = p
@@ -271,33 +382,75 @@ func (m *Dense) MMChain(v, w *Dense) *Dense {
 	return out.Transpose()
 }
 
-// mmchainRow4 is the chain of one row of X for four right-hand sides (v and
-// p hold four consecutive length-d columns). The four dots accumulate side
-// by side — independent chains, each in j-ascending order.
-func mmchainRow4(row, v, p []float64, w [4]float64) {
-	d := len(row)
-	v0, v1, v2, v3 := v[:d], v[d:2*d], v[2*d:3*d], v[3*d:4*d]
+// mmchainRows4 is the chain of four consecutive rows of X (rows holds
+// them) for one right-hand side v. The four dots accumulate side by side —
+// independent chains, each in j-ascending order — and each cell of p then
+// takes the four rows' terms in row order, each skipped when its scaled dot
+// is zero.
+func mmchainRows4(rows, v, p []float64, w [4]float64) {
+	d := len(v)
+	p = p[:d]
+	r0, r1, r2, r3 := rows[:d], rows[d:2*d], rows[2*d:3*d], rows[3*d:4*d]
 	var d0, d1, d2, d3 float64
-	for j, a := range row {
-		d0 += a * v0[j]
-		d1 += a * v1[j]
-		d2 += a * v2[j]
-		d3 += a * v3[j]
+	for j, x := range v {
+		d0 += r0[j] * x
+		d1 += r1[j] * x
+		d2 += r2[j] * x
+		d3 += r3[j] * x
 	}
-	d0, d1, d2, d3 = d0*w[0], d1*w[1], d2*w[2], d3*w[3]
-	p0, p1, p2, p3 := p[:d], p[d:2*d], p[2*d:3*d], p[3*d:4*d]
-	if d0 == 0 || d1 == 0 || d2 == 0 || d3 == 0 {
-		axpyNonzero(p0, row, d0)
-		axpyNonzero(p1, row, d1)
-		axpyNonzero(p2, row, d2)
-		axpyNonzero(p3, row, d3)
+	s0, s1, s2, s3 := d0*w[0], d1*w[1], d2*w[2], d3*w[3]
+	if s0 == 0 || s1 == 0 || s2 == 0 || s3 == 0 {
+		axpyNonzero(p, r0, s0)
+		axpyNonzero(p, r1, s1)
+		axpyNonzero(p, r2, s2)
+		axpyNonzero(p, r3, s3)
 		return
 	}
-	for j, a := range row {
-		p0[j] += a * d0
-		p1[j] += a * d1
-		p2[j] += a * d2
-		p3[j] += a * d3
+	for j, o := range p {
+		p[j] = o + r0[j]*s0 + r1[j]*s1 + r2[j]*s2 + r3[j]*s3
+	}
+}
+
+// mmchainRows2x4 is the chain of two consecutive rows of X for four
+// right-hand sides (v and p hold four consecutive length-d columns). The
+// eight dots accumulate side by side, each in j-ascending order, and each
+// cell of p then takes its two rows' terms in row order, each skipped when
+// its scaled dot is zero; one pass over the two rows updates all four
+// columns of p.
+func mmchainRows2x4(r0, r1, v, p []float64, w0, w1 [4]float64) {
+	d := len(r0)
+	r1 = r1[:d]
+	v0, v1, v2, v3 := v[:d], v[d:2*d], v[2*d:3*d], v[3*d:4*d]
+	var d00, d01, d02, d03, d10, d11, d12, d13 float64
+	for j, a := range r0 {
+		x0, x1, x2, x3 := v0[j], v1[j], v2[j], v3[j]
+		d00 += a * x0
+		d01 += a * x1
+		d02 += a * x2
+		d03 += a * x3
+		b := r1[j]
+		d10 += b * x0
+		d11 += b * x1
+		d12 += b * x2
+		d13 += b * x3
+	}
+	s00, s01, s02, s03 := d00*w0[0], d01*w0[1], d02*w0[2], d03*w0[3]
+	s10, s11, s12, s13 := d10*w1[0], d11*w1[1], d12*w1[2], d13*w1[3]
+	p0, p1, p2, p3 := p[:d], p[d:2*d], p[2*d:3*d], p[3*d:4*d]
+	if s00 == 0 || s01 == 0 || s02 == 0 || s03 == 0 ||
+		s10 == 0 || s11 == 0 || s12 == 0 || s13 == 0 {
+		for c, s := range [4][2]float64{{s00, s10}, {s01, s11}, {s02, s12}, {s03, s13}} {
+			axpyNonzero(p[c*d:(c+1)*d], r0, s[0])
+			axpyNonzero(p[c*d:(c+1)*d], r1, s[1])
+		}
+		return
+	}
+	for j, a := range r0 {
+		b := r1[j]
+		p0[j] = p0[j] + a*s00 + b*s10
+		p1[j] = p1[j] + a*s01 + b*s11
+		p2[j] = p2[j] + a*s02 + b*s12
+		p3[j] = p3[j] + a*s03 + b*s13
 	}
 }
 

@@ -389,6 +389,32 @@ func BenchmarkMatVec(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMul times X %*% B for an FFN batch (256x100 %*% 100x64) and
+// for K-Means' distances on a lan-train partition (20000x100 %*% 100x8).
+func BenchmarkMatMul(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range []struct{ n, k, p int }{{256, 100, 64}, {20000, 100, 8}} {
+		x := Randn(rng, s.n, s.k, 0, 1)
+		rhs := Randn(rng, s.k, s.p, 0, 1)
+		b.Run(fmt.Sprintf("%dx%dx%d", s.n, s.k, s.p), func(b *testing.B) {
+			b.SetBytes(int64(8 * x.Size()))
+			for i := 0; i < b.N; i++ {
+				benchSink = x.MatMul(rhs)
+			}
+		})
+	}
+}
+
+// BenchmarkTSMM times t(X) %*% X on a lan-train partition (PCA).
+func BenchmarkTSMM(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := Randn(rng, 20000, 100, 0, 1)
+	b.SetBytes(int64(8 * x.Size()))
+	for i := 0; i < b.N; i++ {
+		benchSink = x.TSMM()
+	}
+}
+
 // BenchmarkColPartialAggs times the column partials of uac_partial
 // (colMeans, colSDs) on the same partition.
 func BenchmarkColPartialAggs(b *testing.B) {

@@ -360,6 +360,10 @@ type conn struct {
 	// broken is the sticky error after an injected fault killed the conn.
 	// Guarded by mu.
 	broken error
+	// late is a running estimate of how much later than asked a delay
+	// hands control back to the writer, the wake-up lateness that Write
+	// discounts from the one-way latency. Guarded by mu.
+	late time.Duration
 }
 
 // burstGap separates message bursts for latency accounting. Writes closer
@@ -406,7 +410,11 @@ func (c *conn) Write(p []byte) (int, error) {
 	newBurst := now.Sub(c.lastWrite) > burstGap
 	var wait time.Duration
 	if c.cfg.RTT > 0 && newBurst {
-		wait += c.cfg.RTT / 2
+		// Discount the expected wake-up lateness, which the delay adds
+		// back, by at most a tenth, so a box too loaded to wake up on
+		// time still shows a slow link rather than hiding it.
+		oneWay := c.cfg.RTT / 2
+		wait += oneWay - min(c.late, oneWay/10)
 	}
 	if c.cfg.BandwidthBps > 0 {
 		// A new burst finds the link idle. Within a burst the link keeps
@@ -570,14 +578,40 @@ func (c *conn) delay(d time.Duration, deadline time.Time) error {
 			return c.opErr("write", os.ErrDeadlineExceeded)
 		}
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-c.closed:
-		return c.opErr("write", net.ErrClosed)
+	start := time.Now()
+	if coarse := d - preciseTail; coarse > 0 {
+		t := time.NewTimer(coarse)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-c.closed:
+			return c.opErr("write", net.ErrClosed)
+		}
 	}
+	sleepUntil(start.Add(d))
+	// Fold the observed lateness into the estimate with weight 1/2: the
+	// estimate starts at zero on every connection and must settle within
+	// a few round trips.
+	late := max(time.Since(start)-d, 0)
+	c.mu.Lock()
+	c.late += (late - c.late) / 2
+	c.mu.Unlock()
+	return nil
+}
+
+// preciseTail is the end of a delay that sleepUntil waits out instead of an
+// interruptible runtime timer. An idle Go process wakes for a timer only at
+// its next whole millisecond (the poller waits in milliseconds), up to
+// ~1.2 ms late, which no discount under a tenth of a 5 ms delay can move;
+// the tail is long enough to cover that. Close does not cut the tail short.
+const preciseTail = 2 * time.Millisecond
+
+// sleepUntil blocks until t. This default waits on a runtime timer, so it
+// keeps the timer's lateness; on Linux sleep_linux.go replaces it with a
+// sleep that wakes on time.
+var sleepUntil = func(t time.Time) {
+	timer := time.NewTimer(time.Until(t))
+	<-timer.C
 }
 
 // remoteKey identifies the peer for per-address fault accounting: the

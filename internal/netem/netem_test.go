@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"testing"
 	"time"
 )
@@ -460,4 +461,46 @@ func TestResetJitterIsDeterministic(t *testing.T) {
 			t.Fatalf("jittered threshold %d outside [500,1500]", a[i])
 		}
 	}
+}
+
+// TestRTTMatchesConfigured: the median round trip of 15 exchanges over a
+// link shaped to 10 ms on both ends is within 5 % of 10 ms. Without the
+// lateness discount every one-way charge arrives a timer wake-up late.
+func TestRTTMatchesConfigured(t *testing.T) {
+	const rtt = 10 * time.Millisecond
+	c, s := pipeConns(t)
+	cfg := Config{RTT: rtt}
+	wc, ws := Wrap(c, cfg), Wrap(s, cfg)
+	go func() {
+		var b [1]byte
+		for {
+			if _, err := io.ReadFull(ws, b[:]); err != nil {
+				return
+			}
+			if _, err := ws.Write(b[:]); err != nil {
+				return
+			}
+		}
+	}()
+	rtts := make([]time.Duration, 15)
+	for i := range rtts {
+		// Exchanges closer together than burstGap would be one burst and
+		// skip the latency.
+		time.Sleep(2 * burstGap)
+		start := time.Now()
+		var b [1]byte
+		if _, err := wc.Write(b[:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(wc, b[:]); err != nil {
+			t.Fatal(err)
+		}
+		rtts[i] = time.Since(start)
+	}
+	slices.Sort(rtts)
+	med := rtts[len(rtts)/2]
+	if med < rtt*95/100 || med > rtt*105/100 {
+		t.Fatalf("median RTT %v, configured %v ± 5 %% (all: %v)", med, rtt, rtts)
+	}
+	t.Logf("median RTT %v", med)
 }

@@ -29,9 +29,12 @@ func (a *affine) Forward(x *matrix.Dense) *matrix.Dense {
 	return x.MatMul(a.w).Add(a.b)
 }
 
-func (a *affine) Backward(dout *matrix.Dense) *matrix.Dense {
+func (a *affine) Backward(dout *matrix.Dense, wantDX bool) *matrix.Dense {
 	a.dw = a.x.TMatMul(dout)
 	a.db = dout.ColSums()
+	if !wantDX {
+		return nil
+	}
 	return dout.MatMul(a.w.Transpose())
 }
 
@@ -48,7 +51,10 @@ func (r *relu) Forward(x *matrix.Dense) *matrix.Dense {
 	return x.Mul(r.mask)
 }
 
-func (r *relu) Backward(dout *matrix.Dense) *matrix.Dense {
+func (r *relu) Backward(dout *matrix.Dense, wantDX bool) *matrix.Dense {
+	if !wantDX {
+		return nil
+	}
 	return dout.Mul(r.mask)
 }
 
@@ -115,9 +121,12 @@ func (c *conv2d) Forward(x *matrix.Dense) *matrix.Dense {
 	return out
 }
 
-func (c *conv2d) Backward(dout *matrix.Dense) *matrix.Dense {
+func (c *conv2d) Backward(dout *matrix.Dense, wantDX bool) *matrix.Dense {
 	ls := c.spec
-	dx := matrix.NewDense(c.x.Rows(), c.x.Cols())
+	var dx *matrix.Dense
+	if wantDX {
+		dx = matrix.NewDense(c.x.Rows(), c.x.Cols())
+	}
 	c.dw = matrix.NewDense(ls.Filters, ls.Channels*ls.FilterSize*ls.FilterSize)
 	c.db = matrix.NewDense(1, ls.Filters)
 	for ex := 0; ex < c.x.Rows(); ex++ {
@@ -139,8 +148,10 @@ func (c *conv2d) Backward(dout *matrix.Dense) *matrix.Dense {
 								}
 								wi := (ch*ls.FilterSize + fi) * ls.FilterSize
 								c.dw.Set(f, wi+fj, c.dw.At(f, wi+fj)+g*c.inAt(c.x, ex, ch, ii, jj))
-								xi := (ch*ls.Height+ii)*ls.Width + jj
-								dx.Set(ex, xi, dx.At(ex, xi)+g*c.w.At(f, wi+fj))
+								if dx != nil {
+									xi := (ch*ls.Height+ii)*ls.Width + jj
+									dx.Set(ex, xi, dx.At(ex, xi)+g*c.w.At(f, wi+fj))
+								}
 							}
 						}
 					}
@@ -201,7 +212,10 @@ func (p *maxpool) Forward(x *matrix.Dense) *matrix.Dense {
 	return out
 }
 
-func (p *maxpool) Backward(dout *matrix.Dense) *matrix.Dense {
+func (p *maxpool) Backward(dout *matrix.Dense, wantDX bool) *matrix.Dense {
+	if !wantDX {
+		return nil
+	}
 	dx := matrix.NewDense(dout.Rows(), p.inCols)
 	for ex := 0; ex < dout.Rows(); ex++ {
 		for o := 0; o < dout.Cols(); o++ {

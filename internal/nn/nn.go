@@ -95,7 +95,10 @@ func CNNSpec(channels, height, width, filters, classes int) Spec {
 // server worker owns its own network instance).
 type Layer interface {
 	Forward(x *matrix.Dense) *matrix.Dense
-	Backward(dout *matrix.Dense) *matrix.Dense
+	// Backward sets the layer's gradients from dout, the loss gradient of
+	// its output, and returns the loss gradient of its input when wantDX is
+	// set, nil otherwise.
+	Backward(dout *matrix.Dense, wantDX bool) *matrix.Dense
 	Params() []*matrix.Dense
 	Grads() []*matrix.Dense
 }
@@ -145,6 +148,18 @@ func (n *Network) Forward(x *matrix.Dense) *matrix.Dense {
 // index vector under softmax cross-entropy, or a real target matrix under
 // MSE. Gradients accumulate into Grads().
 func (n *Network) Loss(x, y *matrix.Dense) float64 {
+	loss, dout := n.outputGrad(x, y)
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		// Layer 0's input gradient is the gradient of the data, which
+		// nothing reads.
+		dout = n.Layers[i].Backward(dout, i > 0)
+	}
+	return loss
+}
+
+// outputGrad runs the network forward on a batch and returns the loss and
+// its gradient with respect to the network's output.
+func (n *Network) outputGrad(x, y *matrix.Dense) (float64, *matrix.Dense) {
 	out := n.Forward(x)
 	var loss float64
 	var dout *matrix.Dense
@@ -170,10 +185,7 @@ func (n *Network) Loss(x, y *matrix.Dense) float64 {
 		//lint:ignore nopanic unreachable: NewNetwork validates Spec.Loss at construction
 		panic(fmt.Sprintf("nn: unknown loss %q", n.Spec.Loss))
 	}
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		dout = n.Layers[i].Backward(dout)
-	}
-	return loss
+	return loss, dout
 }
 
 // Params returns all trainable parameters in layer order.

@@ -17,7 +17,7 @@ func TestAffineForwardBackwardShapes(t *testing.T) {
 	if out.Rows() != 5 || out.Cols() != 3 {
 		t.Fatalf("forward shape %dx%d", out.Rows(), out.Cols())
 	}
-	dx := a.Backward(matrix.Fill(5, 3, 1))
+	dx := a.Backward(matrix.Fill(5, 3, 1), true)
 	if dx.Rows() != 5 || dx.Cols() != 4 {
 		t.Fatal("backward shape")
 	}
@@ -121,7 +121,7 @@ func TestConvOutputGeometry(t *testing.T) {
 	if pooled.Cols() != 4*14*14 {
 		t.Fatalf("pool output cols %d", pooled.Cols())
 	}
-	dx := p.Backward(matrix.Fill(2, pooled.Cols(), 1))
+	dx := p.Backward(matrix.Fill(2, pooled.Cols(), 1), true)
 	if dx.Cols() != out.Cols() {
 		t.Fatal("pool backward shape")
 	}
@@ -193,5 +193,61 @@ func TestOptimizerConfigs(t *testing.T) {
 	opt.Step(p, g)
 	if p[0].At(0, 0) != 0 {
 		t.Fatalf("sgd step: %g", p[0].At(0, 0))
+	}
+}
+
+// TestLossSkipsInputGradientBitwise: Loss no longer asks layer 0 for the
+// gradient of its input, and after one Loss and one optimiser step every
+// gradient and parameter is bit for bit what a network that still computes
+// it reaches, for the FFN and the CNN.
+func TestLossSkipsInputGradientBitwise(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		in   int
+	}{
+		{"ffn", FFNSpec(10, 32, 3, LossSoftmaxCE), 10},
+		{"cnn", CNNSpec(1, 6, 6, 2, 3), 36},
+	} {
+		rng := rand.New(rand.NewSource(9))
+		x := matrix.Randn(rng, 7, tc.in, 0, 1)
+		y := matrix.ColVector([]float64{1, 2, 3, 1, 2, 3, 1})
+		var nets [2]*Network
+		var opts [2]Optimizer
+		for i := range nets {
+			var err error
+			if nets[i], err = NewNetwork(tc.spec, rand.New(rand.NewSource(10))); err != nil {
+				t.Fatal(err)
+			}
+			if opts[i], err = NewOptimizer(OptimizerConfig{Kind: "nesterov", LR: 0.05, Mu: 0.9}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		loss := nets[0].Loss(x, y)
+		refLoss, dout := nets[1].outputGrad(x, y)
+		for i := len(nets[1].Layers) - 1; i >= 0; i-- {
+			dout = nets[1].Layers[i].Backward(dout, true)
+		}
+		if dout == nil || dout.Cols() != tc.in {
+			t.Fatalf("%s: the reference computed no input gradient", tc.name)
+		}
+		if math.Float64bits(loss) != math.Float64bits(refLoss) {
+			t.Fatalf("%s: loss %v, reference %v", tc.name, loss, refLoss)
+		}
+		for i := range opts {
+			opts[i].Step(nets[i].Params(), nets[i].Grads())
+		}
+		for _, pair := range [][2][]*matrix.Dense{
+			{nets[0].Grads(), nets[1].Grads()},
+			{nets[0].Params(), nets[1].Params()},
+		} {
+			for i, m := range pair[0] {
+				for j, v := range m.Data() {
+					if w := pair[1][i].Data()[j]; math.Float64bits(v) != math.Float64bits(w) {
+						t.Fatalf("%s: tensor %d cell %d is %v, reference %v", tc.name, i, j, v, w)
+					}
+				}
+			}
+		}
 	}
 }
