@@ -16,7 +16,6 @@
 package exdra_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"exdra/internal/bench"
@@ -243,40 +242,6 @@ func BenchmarkAblation_LineageReuse(b *testing.B) {
 	}
 	b.Run("with-reuse", func(b *testing.B) { run(b, 64) })
 	b.Run("without-reuse", func(b *testing.B) { run(b, 0) })
-}
-
-// BenchmarkAblation_Compression compares dense and dictionary-compressed
-// kernels on one-hot-dominated data — the §4.4 compression-of-intermediates
-// design choice (compressed matvec reads one code + one add per cell).
-func BenchmarkAblation_Compression(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	x := matrix.NewDense(20000, 64)
-	for i := 0; i < x.Rows(); i++ {
-		x.Set(i, rng.Intn(64), 1)
-	}
-	v := matrix.Randn(rng, 64, 1, 0, 1)
-	c := matrix.Compress(x)
-	b.Logf("compression ratio: %.1fx", c.CompressionRatio())
-	b.Run("dense-matvec", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			x.MatMul(v)
-		}
-	})
-	b.Run("compressed-matvec", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.MatVec(v)
-		}
-	})
-	b.Run("dense-colsums", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			x.ColSums()
-		}
-	})
-	b.Run("compressed-colsums", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.ColSums()
-		}
-	})
 }
 
 // BenchmarkAblation_SlicedBroadcast compares the sliced broadcast of a

@@ -5,10 +5,11 @@
 #   2. gofmt         — every file is canonically formatted;
 #   3. go vet        — stock static analysis;
 #   4. exdralint     — project-specific federation-runtime invariants
-#                      (see DESIGN.md, "Static analysis"); run through its
-#                      -json output piped into lintfmt, so the
-#                      machine-readable stream is exercised on every CI run
-#                      while the log keeps the "file:line: rule: msg" form;
+#                      (see DESIGN.md, "Static analysis"); any finding
+#                      prints as "file:line: rule: msg" and fails the run;
+#   4b. reachability — every package under internal/ is imported, directly
+#                      or not, by a binary, the benchmark or an example, so
+#                      an unreachable package cannot ship (DESIGN.md §5);
 #   5. go test -race -count=1 — the full test suite under the race
 #                      detector, never from cache: connection teardown,
 #                      redial, retry, restart/replay and prober
@@ -57,7 +58,17 @@ go build ./...
 unformatted="$(gofmt -l .)"
 [ -z "$unformatted" ] || { echo "ci.sh: gofmt needed:" >&2; echo "$unformatted" >&2; exit 1; }
 go vet ./...
-go run ./cmd/exdralint -json ./... | go run ./cmd/lintfmt
+go run ./cmd/exdralint ./...
+
+# Reachability: name every internal package no binary, benchmark or example
+# imports.
+reached="$(go list -deps ./cmd/... ./benchmark ./examples/...)"
+unreached=""
+for pkg in $(go list ./internal/...); do
+  grep -qx "$pkg" <<<"$reached" || unreached="$unreached $pkg"
+done
+[ -z "$unreached" ] || { echo "ci.sh: reached by no binary, benchmark or example:$unreached" >&2; exit 1; }
+echo "ci.sh: every internal package is reachable"
 go test -race -count=1 ./...
 
 # Kernel benchmarks: one iteration each, so they keep compiling and running.

@@ -14,12 +14,11 @@
 //
 // Usage:
 //
-//	exdralint [-json] [packages]
+//	exdralint [packages]
 //
 // Packages are go-style patterns relative to the module root ("./..." by
-// default). Findings print as "file:line: rule: message", or with -json as
-// a JSON array of {rule, file, line, message} objects; the exit status is 1
-// when there are findings, 2 on load errors, 0 on a clean tree. Suppress an
+// default). Findings print as "file:line: rule: message"; the exit status
+// is 1 when there are findings, 2 on load errors, 0 on a clean tree. Suppress an
 // individual finding with a justification:
 //
 //	//lint:ignore <rule> <reason>
@@ -28,7 +27,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -38,51 +36,21 @@ import (
 	"exdra/internal/lint"
 )
 
-// options are the parsed command-line settings.
-type options struct {
-	json     bool
-	patterns []string
-}
-
-// parseArgs parses argv (without the program name) into options. Usage and
-// flag errors are written to stderr.
-func parseArgs(argv []string, stderr io.Writer) (options, error) {
+// parseArgs parses argv (without the program name) into package patterns.
+// Usage and flag errors are written to stderr.
+func parseArgs(argv []string, stderr io.Writer) ([]string, error) {
 	fs := flag.NewFlagSet("exdralint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: exdralint [-json] [packages]\n")
-		fs.PrintDefaults()
+		fmt.Fprintf(stderr, "usage: exdralint [packages]\n")
 	}
-	var opts options
-	fs.BoolVar(&opts.json, "json", false, "emit findings as a JSON array of {rule, file, line, message}")
 	if err := fs.Parse(argv); err != nil {
-		return options{}, err
+		return nil, err
 	}
-	opts.patterns = fs.Args()
-	if len(opts.patterns) == 0 {
-		opts.patterns = []string{"./..."}
+	if fs.NArg() == 0 {
+		return []string{"./..."}, nil
 	}
-	return opts, nil
-}
-
-// jsonFinding is the machine-readable form of one finding.
-type jsonFinding struct {
-	Rule    string `json:"rule"`
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Message string `json:"message"`
-}
-
-// writeJSON renders findings as an indented JSON array (an empty array on a
-// clean tree, so consumers always get valid JSON).
-func writeJSON(w io.Writer, findings []lint.Finding) error {
-	out := make([]jsonFinding, len(findings))
-	for i, f := range findings {
-		out[i] = jsonFinding{Rule: f.Rule, File: f.Pos.Filename, Line: f.Pos.Line, Message: f.Msg}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return fs.Args(), nil
 }
 
 func main() {
@@ -92,7 +60,7 @@ func main() {
 // run is the testable body of main: parse, load, analyze, print. It returns
 // the process exit status (0 clean, 1 findings, 2 usage or load errors).
 func run(argv []string, stdout, stderr io.Writer) int {
-	opts, err := parseArgs(argv, stderr)
+	patterns, err := parseArgs(argv, stderr)
 	if err != nil {
 		return 2
 	}
@@ -107,7 +75,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "exdralint:", err)
 		return 2
 	}
-	pkgs, err := loader.LoadPatterns(opts.patterns)
+	pkgs, err := loader.LoadPatterns(patterns)
 	if err != nil {
 		fmt.Fprintln(stderr, "exdralint:", err)
 		return 2
@@ -118,15 +86,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	findings := lint.Run(pkgs, lint.DefaultAnalyzers())
-	if opts.json {
-		if err := writeJSON(stdout, findings); err != nil {
-			fmt.Fprintln(stderr, "exdralint:", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f)
-		}
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "exdralint: %d finding(s)\n", len(findings))

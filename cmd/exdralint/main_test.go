@@ -2,42 +2,32 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"exdra/internal/lint"
 )
 
 func TestParseArgsDefaults(t *testing.T) {
 	var stderr bytes.Buffer
-	opts, err := parseArgs(nil, &stderr)
+	patterns, err := parseArgs(nil, &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.json {
-		t.Error("json should default to false")
-	}
-	if len(opts.patterns) != 1 || opts.patterns[0] != "./..." {
-		t.Errorf("default patterns = %v, want [./...]", opts.patterns)
+	if len(patterns) != 1 || patterns[0] != "./..." {
+		t.Errorf("default patterns = %v, want [./...]", patterns)
 	}
 }
 
-func TestParseArgsJSONAndPatterns(t *testing.T) {
+func TestParseArgsPatterns(t *testing.T) {
 	var stderr bytes.Buffer
-	opts, err := parseArgs([]string{"-json", "./internal/fedrpc", "./internal/worker"}, &stderr)
+	patterns, err := parseArgs([]string{"./internal/fedrpc", "./internal/worker"}, &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opts.json {
-		t.Error("-json not parsed")
-	}
 	want := []string{"./internal/fedrpc", "./internal/worker"}
-	if len(opts.patterns) != 2 || opts.patterns[0] != want[0] || opts.patterns[1] != want[1] {
-		t.Errorf("patterns = %v, want %v", opts.patterns, want)
+	if len(patterns) != 2 || patterns[0] != want[0] || patterns[1] != want[1] {
+		t.Errorf("patterns = %v, want %v", patterns, want)
 	}
 }
 
@@ -48,38 +38,6 @@ func TestParseArgsBadFlag(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "usage: exdralint") {
 		t.Errorf("usage not printed on bad flag; stderr: %q", stderr.String())
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	findings := []lint.Finding{
-		{Rule: "lockhold", Pos: token.Position{Filename: "a/b.go", Line: 12}, Msg: "send on ch while holding s.mu"},
-		{Rule: "guardedby", Pos: token.Position{Filename: "c.go", Line: 3}, Msg: "x.n accessed without holding x.mu"},
-	}
-	var buf bytes.Buffer
-	if err := writeJSON(&buf, findings); err != nil {
-		t.Fatal(err)
-	}
-	var got []jsonFinding
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if len(got) != 2 {
-		t.Fatalf("decoded %d findings, want 2", len(got))
-	}
-	if got[0].Rule != "lockhold" || got[0].File != "a/b.go" || got[0].Line != 12 ||
-		got[0].Message != "send on ch while holding s.mu" {
-		t.Errorf("first finding round-tripped as %+v", got[0])
-	}
-}
-
-func TestWriteJSONEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeJSON(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(buf.String()) != "[]" {
-		t.Errorf("empty findings rendered as %q, want []", buf.String())
 	}
 }
 

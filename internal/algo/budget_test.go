@@ -31,7 +31,7 @@ func TestAlgorithmsFreeTheirIntermediates(t *testing.T) {
 	}
 	// Training runs under PrivateAggregation, as in the paper's setting;
 	// predictions are consolidated, so they get a Public copy of the input.
-	pr, pc, pm := public(xr), public(xc), public(xm)
+	pr, pc := public(xr), public(xc)
 	steps := []struct {
 		name string
 		x    *federated.Matrix
@@ -52,10 +52,7 @@ func TestAlgorithmsFreeTheirIntermediates(t *testing.T) {
 			return nil, err
 		}},
 		{"mlogreg", federate(t, cl, xm), func(x *federated.Matrix) (engine.Mat, error) {
-			res, err := algo.MLogReg(x, ym, algo.MLogRegConfig{MaxOuterIter: 3, MaxInnerIter: 4})
-			if err == nil {
-				_, err = res.Predict(pm)
-			}
+			_, err := algo.MLogReg(x, ym, algo.MLogRegConfig{MaxOuterIter: 3, MaxInnerIter: 4})
 			return nil, err
 		}},
 		// Under PrivateAggregation the row sampling is refused and K-Means
@@ -65,24 +62,12 @@ func TestAlgorithmsFreeTheirIntermediates(t *testing.T) {
 			return nil, err
 		}},
 		{"kmeans public", public(xb), func(x *federated.Matrix) (engine.Mat, error) {
-			res, err := algo.KMeans(x, algo.KMeansConfig{K: 4, MaxIterations: 3, Seed: 3})
-			if err == nil {
-				_, err = res.Assign(x)
-			}
+			_, err := algo.KMeans(x, algo.KMeansConfig{K: 4, MaxIterations: 3, Seed: 3})
 			return nil, err
 		}},
 		{"pca", federate(t, cl, xb), func(x *federated.Matrix) (engine.Mat, error) {
-			res, proj, err := algo.PCA(x, algo.PCAConfig{K: 3})
-			if err != nil {
-				return nil, err
-			}
-			again, err := res.Transform(x)
-			engine.Free(again)
+			_, proj, err := algo.PCA(x, algo.PCAConfig{K: 3})
 			return proj, err
-		}},
-		{"correlation", federate(t, cl, xb), func(x *federated.Matrix) (engine.Mat, error) {
-			_, err := algo.CorrelationMatrix(x)
-			return nil, err
 		}},
 	}
 	if err := cl.Coord.Flush(); err != nil {

@@ -166,16 +166,3 @@ func trySampleRows(rng *rand.Rand, x engine.Mat, k int) (c *matrix.Dense) {
 	}
 	return c
 }
-
-// Assign returns the 1-based cluster index per row of X under centroids.
-func (m *KMeansResult) Assign(x engine.Mat) (out *matrix.Dense, err error) {
-	defer engine.Guard(&err)
-	cs := m.Centroids.Mul(m.Centroids).RowSums().Transpose()
-	xc := engine.MatMul(x, m.Centroids.Transpose())
-	xc2 := engine.Scale(xc, -2)
-	d := engine.Binary(matrix.OpAdd, xc2, cs)
-	neg := engine.Scale(d, -1) // argmin distance = argmax of negated
-	assign := collect(engine.RowIndexMax(neg))
-	engine.Free(xc, xc2, d, neg)
-	return assign, nil
-}

@@ -157,24 +157,3 @@ func newtonDirections(x, q engine.Mat, g, w *matrix.Dense, lambda float64, maxIn
 	}
 	return total
 }
-
-// Predict returns the 1-based predicted class per row.
-func (m *MLogRegResult) Predict(x engine.Mat) (out *matrix.Dense, err error) {
-	defer engine.Guard(&err)
-	scores := engine.MatMul(x, m.Weights)
-	pred := collect(engine.RowIndexMax(scores))
-	engine.Free(scores)
-	return pred, nil
-}
-
-// ClassAccuracy computes the fraction of exact class matches for 1-based
-// class index vectors.
-func ClassAccuracy(pred, y *matrix.Dense) float64 {
-	correct := 0
-	for i, p := range pred.Data() {
-		if p == y.Data()[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(pred.Data()))
-}

@@ -63,12 +63,6 @@ func PCA(x engine.Mat, cfg PCAConfig) (res *PCAResult, proj engine.Mat, err erro
 	return res, res.project(x), nil
 }
 
-// Transform projects new data with the fitted components.
-func (m *PCAResult) Transform(x engine.Mat) (out engine.Mat, err error) {
-	defer engine.Guard(&err)
-	return m.project(x), nil
-}
-
 // project centers x (when the model was fitted centered) and multiplies by
 // the components; the centered intermediate is released, the projection is
 // the caller's.

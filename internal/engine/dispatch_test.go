@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"exdra/internal/engine"
+	"exdra/internal/federated"
 	"exdra/internal/fedtest"
 	"exdra/internal/matrix"
 	"exdra/internal/obs"
@@ -48,7 +49,7 @@ func TestKernelDispatch(t *testing.T) {
 	v := matrix.Randn(rng, 5, 1, 0, 1)
 	fx := fed(t, cl, x, privacy.Public)
 
-	if !engine.TSMM(fx).EqualApprox(engine.TSMM(x), 1e-9) {
+	if !engine.QueueTSMM(fx).Value().EqualApprox(engine.QueueTSMM(x).Value(), 1e-9) {
 		t.Error("tsmm dispatch")
 	}
 	for _, k := range []int{1, 4} {
@@ -75,11 +76,6 @@ func TestKernelDispatch(t *testing.T) {
 			t.Errorf("k=%d: local w with federated x: %v", k, err)
 		}
 	}
-	lt := engine.Local(engine.Transpose(x))
-	ft := engine.Local(engine.Transpose(fx))
-	if !lt.EqualApprox(ft, 0) {
-		t.Error("transpose dispatch")
-	}
 	// MatMul with a federated right-hand side consolidates it (§4.2).
 	fv := fed(t, cl, v, privacy.Public)
 	got := engine.Local(engine.MatMul(x, fv))
@@ -91,9 +87,6 @@ func TestKernelDispatch(t *testing.T) {
 func TestConvenienceWrappers(t *testing.T) {
 	a := matrix.FromRows([][]float64{{4, 9}})
 	b := matrix.FromRows([][]float64{{2, 3}})
-	if !engine.Add(a, b).(*matrix.Dense).EqualApprox(matrix.RowVector([]float64{6, 12}), 0) {
-		t.Error("Add")
-	}
 	if !engine.Sub(a, b).(*matrix.Dense).EqualApprox(matrix.RowVector([]float64{2, 6}), 0) {
 		t.Error("Sub")
 	}
@@ -105,9 +98,6 @@ func TestConvenienceWrappers(t *testing.T) {
 	}
 	if !engine.Scale(a, 0.5).(*matrix.Dense).EqualApprox(matrix.RowVector([]float64{2, 4.5}), 0) {
 		t.Error("Scale")
-	}
-	if !engine.Unary(matrix.USqrt, a).(*matrix.Dense).EqualApprox(matrix.RowVector([]float64{2, 3}), 0) {
-		t.Error("Unary")
 	}
 	if !engine.BinaryScalar(matrix.OpAdd, a, 1, false).(*matrix.Dense).EqualApprox(matrix.RowVector([]float64{5, 10}), 0) {
 		t.Error("BinaryScalar")
@@ -122,22 +112,18 @@ func (badMat) Cols() int { return 1 }
 
 func TestUnknownMatTypeFails(t *testing.T) {
 	funcs := map[string]func(){
-		"Local":       func() { engine.Local(badMat{}) },
-		"MatMul":      func() { engine.MatMul(badMat{}, matrix.Fill(1, 1, 1)) },
-		"TMatMul":     func() { engine.TMatMul(badMat{}, matrix.Fill(1, 1, 1)) },
-		"TSMM":        func() { engine.TSMM(badMat{}) },
-		"MMChain":     func() { engine.MMChain(badMat{}, matrix.Fill(1, 1, 1), nil) },
-		"Transpose":   func() { engine.Transpose(badMat{}) },
-		"Binary":      func() { engine.Binary(matrix.OpAdd, badMat{}, badMat{}) },
-		"Scalar":      func() { engine.BinaryScalar(matrix.OpAdd, badMat{}, 1, false) },
-		"Unary":       func() { engine.Unary(matrix.UAbs, badMat{}) },
-		"Softmax":     func() { engine.Softmax(badMat{}) },
-		"Agg":         func() { engine.Agg(matrix.AggSum, badMat{}) },
-		"RowAgg":      func() { engine.RowAgg(matrix.AggSum, badMat{}) },
-		"ColAgg":      func() { engine.ColAgg(matrix.AggSum, badMat{}) },
-		"RowIndexMax": func() { engine.RowIndexMax(badMat{}) },
-		"Slice":       func() { engine.Slice(badMat{}, 0, 1, 0, 1) },
-		"Replace":     func() { engine.Replace(badMat{}, 0, 1) },
+		"Local":     func() { engine.Local(badMat{}) },
+		"MatMul":    func() { engine.MatMul(badMat{}, matrix.Fill(1, 1, 1)) },
+		"TMatMul":   func() { engine.TMatMul(badMat{}, matrix.Fill(1, 1, 1)) },
+		"QueueTSMM": func() { engine.QueueTSMM(badMat{}) },
+		"MMChain":   func() { engine.MMChain(badMat{}, matrix.Fill(1, 1, 1), nil) },
+		"Binary":    func() { engine.Binary(matrix.OpAdd, badMat{}, badMat{}) },
+		"Scalar":    func() { engine.BinaryScalar(matrix.OpAdd, badMat{}, 1, false) },
+		"Softmax":   func() { engine.Softmax(badMat{}) },
+		"Agg":       func() { engine.Agg(matrix.AggSum, badMat{}) },
+		"RowAgg":    func() { engine.RowAgg(matrix.AggSum, badMat{}) },
+		"ColAgg":    func() { engine.ColAgg(matrix.AggSum, badMat{}) },
+		"Slice":     func() { engine.Slice(badMat{}, 0, 1, 0, 1) },
 	}
 	for name, fn := range funcs {
 		err := func() (err error) {
@@ -173,18 +159,19 @@ func TestFetchDispatch(t *testing.T) {
 		engine.Fetch(sum, cols, xty, xtx)
 		engine.Fetch(sum, xtx)
 		got := []*matrix.Dense{matrix.Fill(1, 1, sum.Value()), cols.Value(), xty.Value(), xtx.Value()}
+		_, isFed := in.(*federated.Matrix)
 		calls := int64(0)
-		if engine.IsFederated(in) {
+		if isFed {
 			calls = int64(len(cl.Addrs))
 		}
 		if n := reg.Snapshot().Diff(before).Counters["rpc.client.calls"]; n != calls {
-			t.Errorf("federated=%v: two fetches of four handles cost %d calls, want %d", engine.IsFederated(in), n, calls)
+			t.Errorf("federated=%v: two fetches of four handles cost %d calls, want %d", isFed, n, calls)
 		}
 		want := []*matrix.Dense{matrix.Fill(1, 1, engine.Agg(matrix.AggSum, in)),
-			engine.Local(engine.ColAgg(matrix.AggSD, in)), engine.Local(engine.TMatMul(in, y)), engine.TSMM(in)}
+			engine.Local(engine.ColAgg(matrix.AggSD, in)), engine.Local(engine.TMatMul(in, y)), engine.QueueTSMM(in).Value()}
 		for i := range want {
 			if !got[i].EqualApprox(want[i], 0) {
-				t.Errorf("federated=%v: handle %d differs from the eager operation", engine.IsFederated(in), i)
+				t.Errorf("federated=%v: handle %d differs from the eager operation", isFed, i)
 			}
 		}
 	}

@@ -64,12 +64,6 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-// IsFederated reports whether a matrix is federated.
-func IsFederated(a Mat) bool {
-	_, ok := a.(*federated.Matrix)
-	return ok
-}
-
 // Local returns a local view of a — the identity for dense matrices and a
 // privacy-checked consolidation for federated ones (§4.1 pin-into-memory).
 func Local(a Mat) *matrix.Dense {
@@ -137,14 +131,6 @@ func TMatMul(a, b Mat) Mat {
 	return queueTMatMul(a, b).Value()
 }
 
-// TSMM computes t(x) %*% x (always a local cols x cols aggregate).
-func TSMM(x Mat) *matrix.Dense {
-	if done := timeOp("tsmm"); done != nil {
-		defer done()
-	}
-	return queueTSMM(x).Value()
-}
-
 // MMChain computes t(x) %*% (w * (x %*% v)) fused, for the k columns of v
 // at once (w nil or rows x k). A local x takes any w (a federated one is
 // consolidated); a federated x takes a nil w or a federated one
@@ -195,22 +181,6 @@ func Colocate(y *matrix.Dense, x Mat) Mat {
 	}
 }
 
-// Transpose computes t(a).
-func Transpose(a Mat) Mat {
-	if done := timeOp("t"); done != nil {
-		defer done()
-	}
-	switch m := a.(type) {
-	case *matrix.Dense:
-		return m.Transpose()
-	case *federated.Matrix:
-		return must(m.Transpose())
-	default:
-		fail(fmt.Errorf("engine: transpose on %T", a))
-		return nil
-	}
-}
-
 // Binary applies an element-wise binary operation with broadcasting. Any
 // combination of local and federated operands is supported; fed-fed inputs
 // must be aligned or the second is consolidated (per §4.2).
@@ -249,22 +219,6 @@ func BinaryScalar(op matrix.BinaryOp, a Mat, s float64, swap bool) Mat {
 		return must(x.BinaryScalar(op, s, swap))
 	default:
 		fail(fmt.Errorf("engine: scalar op on %T", a))
-		return nil
-	}
-}
-
-// Unary applies an element-wise unary operation.
-func Unary(op matrix.UnaryOp, a Mat) Mat {
-	if done := timeOp("unary"); done != nil {
-		defer done()
-	}
-	switch x := a.(type) {
-	case *matrix.Dense:
-		return x.Unary(op)
-	case *federated.Matrix:
-		return must(x.Unary(op))
-	default:
-		fail(fmt.Errorf("engine: unary on %T", a))
 		return nil
 	}
 }
@@ -343,22 +297,6 @@ func ColAgg(op matrix.AggOp, a Mat) Mat {
 	}
 }
 
-// RowIndexMax returns the 1-based argmax column per row.
-func RowIndexMax(a Mat) Mat {
-	if done := timeOp("row_index_max"); done != nil {
-		defer done()
-	}
-	switch x := a.(type) {
-	case *matrix.Dense:
-		return x.RowIndexMax()
-	case *federated.Matrix:
-		return must(x.RowIndexMax())
-	default:
-		fail(fmt.Errorf("engine: rowIndexMax on %T", a))
-		return nil
-	}
-}
-
 // Slice extracts [rowBeg:rowEnd, colBeg:colEnd).
 func Slice(a Mat, rowBeg, rowEnd, colBeg, colEnd int) Mat {
 	if done := timeOp("slice"); done != nil {
@@ -375,26 +313,7 @@ func Slice(a Mat, rowBeg, rowEnd, colBeg, colEnd int) Mat {
 	}
 }
 
-// Replace substitutes pattern cells.
-func Replace(a Mat, pattern, repl float64) Mat {
-	if done := timeOp("replace"); done != nil {
-		defer done()
-	}
-	switch x := a.(type) {
-	case *matrix.Dense:
-		return x.Replace(pattern, repl)
-	case *federated.Matrix:
-		return must(x.Replace(pattern, repl))
-	default:
-		fail(fmt.Errorf("engine: replace on %T", a))
-		return nil
-	}
-}
-
 // Convenience element-wise wrappers, mirroring DML operators.
-
-// Add computes a + b.
-func Add(a, b Mat) Mat { return Binary(matrix.OpAdd, a, b) }
 
 // Sub computes a - b.
 func Sub(a, b Mat) Mat { return Binary(matrix.OpSub, a, b) }

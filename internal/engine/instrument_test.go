@@ -18,7 +18,7 @@ func TestInstrumentationHookObservesOps(t *testing.T) {
 	a := matrix.NewDense(4, 3)
 	b := matrix.NewDense(3, 2)
 	_ = engine.MatMul(a, b)
-	_ = engine.TSMM(a)
+	_ = engine.QueueTSMM(a).Value()
 	_ = engine.Sum(a)
 
 	snap := reg.Snapshot()
@@ -34,7 +34,7 @@ func TestInstrumentationOffByDefault(t *testing.T) {
 	seen := 0
 	engine.SetInstrumentation(func(string, time.Duration) { mu.Lock(); seen++; mu.Unlock() })
 	engine.SetInstrumentation(nil)
-	_ = engine.TSMM(matrix.NewDense(2, 2))
+	_ = engine.QueueTSMM(matrix.NewDense(2, 2)).Value()
 	mu.Lock()
 	defer mu.Unlock()
 	if seen != 0 {

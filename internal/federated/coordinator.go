@@ -130,7 +130,7 @@ func (c *Coordinator) site(addr string) (*site, error) {
 
 // Client returns the stable shared connection to a worker address (the
 // fleet pool's first client, lazily dialed) for callers that speak to a
-// worker directly — the parameter server, hierarchical gateways. Requests
+// worker directly, such as the parameter server. Requests
 // sent on it bypass the outbox, so whatever is deferred for addr is flushed
 // first: a raw call can never overtake a buffered creation it depends on,
 // and a deferred failure surfaces here rather than getting lost.

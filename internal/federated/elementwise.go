@@ -194,3 +194,37 @@ func (m *Matrix) IfElse(a, b *matrix.Dense) (*Matrix, error) {
 	}
 	return m.derive(m.Rows(), m.Cols(), outIDs, func(r Range) Range { return r }), nil
 }
+
+// CTableFed computes the contingency table of two aligned federated column
+// vectors by summing per-partition partial tables at the coordinator (the
+// federated ternary ctable of Table 1). Dimensions are capped at rowsCap x
+// colsCap, which must cover the value domain.
+func CTableFed(a, b *Matrix, rowsCap, colsCap int) (*matrix.Dense, error) {
+	if !AlignedRows(a.fm, b.fm) {
+		return nil, fmt.Errorf("federated: ctable requires aligned inputs")
+	}
+	if rowsCap <= 0 || colsCap <= 0 {
+		return nil, fmt.Errorf("federated: ctable requires explicit dimension caps")
+	}
+	as, bs := a.fm.sorted(), b.fm.sorted()
+	parts := make([]Partition, len(as))
+	copy(parts, as)
+	resps, err := a.c.parallelCall("ctable", parts, func(i int, p Partition) []fedrpc.Request {
+		oid := a.c.NewID()
+		return []fedrpc.Request{
+			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
+				Opcode: "ctable", Inputs: []int64{p.DataID, bs[i].DataID}, Output: oid,
+				Scalars: []float64{float64(rowsCap), float64(colsCap)}}},
+			{Type: fedrpc.Get, ID: oid},
+			rmvar(oid),
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := matrix.NewDense(rowsCap, colsCap)
+	for _, rs := range resps {
+		out.AddInPlace(rs[1].Data.Matrix())
+	}
+	return out, nil
+}

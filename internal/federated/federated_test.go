@@ -167,7 +167,7 @@ func TestTMatVec(t *testing.T) {
 	want := x.Transpose().MatMul(b)
 	for _, scheme := range []federated.Scheme{federated.RowPartitioned, federated.ColPartitioned} {
 		fx := distribute(t, cl, x, scheme)
-		got, err := fx.TMatVec(b)
+		got, err := fx.QueueTMatVec(b).Get()
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
@@ -181,7 +181,7 @@ func TestTSMMAndMMChain(t *testing.T) {
 	cl := startCluster(t, 3)
 	x := randMat(9, 25, 4)
 	fx := distribute(t, cl, x, federated.RowPartitioned)
-	got, err := fx.TSMM()
+	got, err := fx.QueueTSMM().Get()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestAlignedFederatedOps(t *testing.T) {
 		t.Fatal("aligned elementwise")
 	}
 	// Aligned t(P) %*% X (the K-Means centroid update pattern).
-	tmm, err := p.AlignedTMM(fx)
+	tmm, err := p.QueueAlignedTMM(fx).Get()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,6 +433,60 @@ func TestFederatedReorgOps(t *testing.T) {
 	}
 }
 
+func TestFederatedRemoveEmptyRows(t *testing.T) {
+	cl := startCluster(t, 3)
+	x := matrix.NewDense(12, 3)
+	for i := 0; i < 12; i += 2 { // rows 0,2,4,... non-empty
+		for j := 0; j < 3; j++ {
+			x.Set(i, j, float64(i+j+1))
+		}
+	}
+	fx, err := federated.Distribute(cl.Coord, x, cl.Addrs, federated.RowPartitioned, privacy.Public)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, err := fx.RemoveEmptyRows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := x.RemoveEmptyRows()
+	if compact.Rows() != want.Rows() {
+		t.Fatalf("kept %d rows, want %d", compact.Rows(), want.Rows())
+	}
+	got, err := compact.Consolidate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.EqualApprox(want, 0) {
+		t.Fatal("federated removeEmpty differs from local")
+	}
+}
+
+func TestCTableFed(t *testing.T) {
+	cl := startCluster(t, 2)
+	a := matrix.ColVector([]float64{1, 2, 2, 3, 1, 2})
+	b := matrix.ColVector([]float64{1, 1, 2, 1, 2, 2})
+	fa, err := federated.Distribute(cl.Coord, a, cl.Addrs, federated.RowPartitioned, privacy.PrivateAggregation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := federated.Distribute(cl.Coord, b, cl.Addrs, federated.RowPartitioned, privacy.PrivateAggregation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := federated.CTableFed(fa, fb, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := matrix.CTable(a, b, 3, 2)
+	if !got.EqualApprox(want, 0) {
+		t.Fatalf("ctable: %v want %v", got, want)
+	}
+	if _, err := federated.CTableFed(fa, fb, 0, 0); err == nil {
+		t.Fatal("missing caps accepted")
+	}
+}
+
 func TestFreeReleasesWorkerMemory(t *testing.T) {
 	cl := startCluster(t, 2)
 	x := randMat(21, 10, 2)
@@ -570,7 +624,7 @@ func TestKMeansInnerLoopPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptx, err := p.AlignedTMM(fx)
+	ptx, err := p.QueueAlignedTMM(fx).Get()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // to its worker's outbox with a reply slot, like a deferred write; whichever
 // exchange carries the batch fills the slot. Fetch forces a group of values
 // with one exchange per worker that still holds a share of them, and the
-// eager methods (AggFull, TSMM, ...) are a fetch of one, so independent
+// eager methods (AggFull, MMChain, ...) are a fetch of one, so independent
 // reads of a script step share one round trip and everything else costs
 // what it did.
 type Value struct {

@@ -145,9 +145,6 @@ func (f *Fleet) NewSession() (*Coordinator, error) {
 	return newCoordinator(f, false, ns), nil
 }
 
-// PoolSize returns the per-address connection bound.
-func (f *Fleet) PoolSize() int { return f.poolSize }
-
 // site returns (creating if needed) the per-worker state for addr. Pools
 // dial lazily, so creation under the lock touches no wire.
 func (f *Fleet) site(addr string) (*site, error) {

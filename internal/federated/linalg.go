@@ -81,15 +81,10 @@ func (m *Matrix) QueueMatVec(v *matrix.Dense) *Value {
 	})
 }
 
-// TMatVec computes t(X) %*% b for local b with nrow(b) == nrow(X) — the
-// vector-matrix pattern of Example 2. For row-partitioned X, b is
-// slice-broadcast by row ranges; partial cols x k results are summed at the
-// coordinator.
-func (m *Matrix) TMatVec(b *matrix.Dense) (*matrix.Dense, error) {
-	return m.QueueTMatVec(b).Get()
-}
-
-// QueueTMatVec is TMatVec as a pending read (Fetch).
+// QueueTMatVec computes t(X) %*% b for local b with nrow(b) == nrow(X) —
+// the vector-matrix pattern of Example 2 — as a pending read (Fetch). For
+// row-partitioned X, b is slice-broadcast by row ranges; partial cols x k
+// results are summed at the coordinator.
 func (m *Matrix) QueueTMatVec(b *matrix.Dense) *Value {
 	if b.Rows() != m.Rows() {
 		return failedValue("tmatvec", fmt.Errorf("federated: tmatvec %dx%d by %dx%d", m.Rows(), m.Cols(), b.Rows(), b.Cols()))
@@ -137,13 +132,9 @@ func (m *Matrix) QueueTMatVec(b *matrix.Dense) *Value {
 	}
 }
 
-// TSMM computes t(X) %*% X by summing per-partition tsmm partials at the
-// coordinator (row-partitioned only; the result is a cols x cols aggregate).
-func (m *Matrix) TSMM() (*matrix.Dense, error) {
-	return m.QueueTSMM().Get()
-}
-
-// QueueTSMM is TSMM as a pending read (Fetch).
+// QueueTSMM computes t(X) %*% X as a pending read (Fetch) by summing
+// per-partition tsmm partials at the coordinator (row-partitioned only; the
+// result is a cols x cols aggregate).
 func (m *Matrix) QueueTSMM() *Value {
 	if m.Scheme() != RowPartitioned {
 		return failedValue("tsmm", fmt.Errorf("federated: tsmm requires row partitioning, have %s", m.Scheme()))
@@ -168,7 +159,7 @@ func (m *Matrix) QueueTSMM() *Value {
 // MMChain computes the fused t(X) %*% (w * (X %*% v)) for k right-hand
 // sides at once: v is cols x k, and w is nil or a federated rows x k matrix
 // co-partitioned with X, so each worker's w partition is referenced by ID
-// where it already lives (the pairing of AlignedTMM). One batch per worker
+// where it already lives (the pairing of QueueAlignedTMM). One batch per worker
 // — PUT v, mmchain, GET, rmvar — and the coordinator sums the cols x k
 // partials: the inner pattern of LM (k = 1, no w) and of MLogReg (one
 // column per class, its weights resident at the workers).
@@ -216,14 +207,10 @@ func (m *Matrix) QueueMMChain(v *matrix.Dense, w *Matrix) *Value {
 	})
 }
 
-// AlignedTMM computes t(P) %*% X for two co-partitioned federated matrices
-// (e.g. the K-Means centroid update of Example 3): each worker multiplies
-// its aligned partitions locally, and the coordinator sums the aggregates.
-func (p *Matrix) AlignedTMM(x *Matrix) (*matrix.Dense, error) {
-	return p.QueueAlignedTMM(x).Get()
-}
-
-// QueueAlignedTMM is AlignedTMM as a pending read (Fetch).
+// QueueAlignedTMM computes t(P) %*% X for two co-partitioned federated
+// matrices (e.g. the K-Means centroid update of Example 3) as a pending read
+// (Fetch): each worker multiplies its aligned partitions locally, and the
+// coordinator sums the aggregates.
 func (p *Matrix) QueueAlignedTMM(x *Matrix) *Value {
 	if !AlignedRows(p.fm, x.fm) {
 		return failedValue("alignedTMM", fmt.Errorf("federated: matrices are not co-partitioned"))

@@ -297,3 +297,44 @@ func CBindFed(a, b *Matrix) (*Matrix, error) {
 	}
 	return FromMap(a.c, fm)
 }
+
+// RemoveEmptyRows drops all-zero rows per partition (DML removeEmpty,
+// margin="rows") and compacts the federation map accordingly. The output
+// stays federated; only per-partition kept-row counts travel.
+func (m *Matrix) RemoveEmptyRows() (*Matrix, error) {
+	if m.Scheme() != RowPartitioned {
+		return nil, fmt.Errorf("federated: removeEmpty(rows) requires row partitioning")
+	}
+	outIDs := m.newIDs()
+	resps, err := m.c.parallelCall("removeEmpty", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+		return []fedrpc.Request{
+			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
+				Opcode: "removeEmpty", Inputs: []int64{p.DataID}, Output: outIDs[i],
+				Attrs: map[string]string{"margin": "rows"}}},
+			{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{
+				Name: "obj_dims", Inputs: []int64{outIDs[i]}}},
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	fm := FedMap{Cols: m.Cols()}
+	row := 0
+	for i, p := range m.fm.Partitions {
+		kept := int(resps[i][1].Data.Matrix().At(0, 0))
+		if kept == 0 {
+			continue
+		}
+		fm.Partitions = append(fm.Partitions, Partition{
+			Range:  Range{RowBeg: row, RowEnd: row + kept, ColBeg: 0, ColEnd: m.Cols()},
+			Addr:   p.Addr,
+			DataID: outIDs[i],
+		})
+		row += kept
+	}
+	fm.Rows = row
+	if row == 0 {
+		return nil, fmt.Errorf("federated: removeEmpty produced an empty matrix")
+	}
+	return FromMap(m.c, fm)
+}

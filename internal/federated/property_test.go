@@ -44,7 +44,7 @@ func TestPropFederatedEqualsLocal(t *testing.T) {
 			got, err := fed.Consolidate()
 			return err == nil && got.EqualApprox(x.MatMul(v), 1e-9)
 		case 2: // tsmm
-			got, err := fx.TSMM()
+			got, err := fx.QueueTSMM().Get()
 			return err == nil && got.EqualApprox(x.TSMM(), 1e-8)
 		case 3: // scalar op + row aggregate
 			sq, err := fx.BinaryScalar(matrix.OpPow, 2, false)

@@ -23,13 +23,6 @@ import (
 // stays closed for good; callers distinguish the two with errors.Is.
 var ErrClosed = errors.New("fedrpc: client closed")
 
-// errSessionDetached is the teardown cause of a session retired by Redial
-// (or replaced after a drain): not a failure, just the end of that
-// transport's life. Calls never observe it — a detached session finishes
-// its in-flight calls before tearing down — only reserve waiters do, and
-// they retry on the successor session.
-var errSessionDetached = errors.New("fedrpc: session detached")
-
 // Default liveness bounds. They are backstops against dead peers, not
 // pacing mechanisms, so they are generous: the WAN setting of the paper
 // (~1.7 MB/s) still moves ~200 MB within the default I/O window.
@@ -142,9 +135,8 @@ func (e *sessionDeadError) Unwrap() error { return e.err }
 
 // session is one transport's lifetime: the connection, its codecs, the
 // in-flight call table, and the single reader goroutine demultiplexing
-// replies. A Client replaces its session wholesale on failure or Redial —
-// a gob stream cannot be resumed after a partial exchange — while draining
-// sessions finish their in-flight calls before closing.
+// replies. A Client replaces its session wholesale on failure — a gob
+// stream cannot be resumed after a partial exchange.
 type session struct {
 	c    *Client
 	conn net.Conn
@@ -162,8 +154,8 @@ type session struct {
 	// half of the duplex.
 	writeTok chan struct{}
 	// work wakes the reader (buffered, cap 1): signaled after every flush
-	// and on teardown/detach, so an idle session keeps no outstanding
-	// read and no read deadline.
+	// and on teardown, so an idle session keeps no outstanding read and no
+	// read deadline.
 	work chan struct{}
 
 	mu       sync.Mutex
@@ -172,7 +164,6 @@ type session struct {
 	active   int                     // reserved window slots; guarded by mu
 	awaited  int                     // flushed, not yet answered; guarded by mu
 	waiters  []chan struct{}         // calls queued for a window slot; guarded by mu
-	detached bool                    // draining: no new calls, in-flight finish; guarded by mu
 	dead     bool                    // torn down; guarded by mu
 	deadErr  error                   // teardown cause; guarded by mu
 }
@@ -185,15 +176,15 @@ type session struct {
 // A transport failure (encode, flush, decode, or timeout) leaves the gob
 // stream desynchronized, so the client tears the session down — failing
 // every in-flight call on it with that error — and marks itself broken
-// instead of silently reusing the dead stream; the next Call (or an explicit Redial) transparently
+// instead of silently reusing the dead stream; the next Call transparently
 // re-establishes the transport. The cumulative byte counters survive
 // reconnects.
 //
-// connMu guards only the session pointer set and is never held across I/O
+// connMu guards only the session pointer and is never held across I/O
 // or dialing; per-session state lives behind session.mu, acquired strictly
 // after connMu when both are needed. Close takes only connMu, then tears
-// every live session down — interrupting in-flight calls, which observe
-// the closed flag and surface ErrClosed.
+// the live session down — interrupting in-flight calls, which observe the
+// closed flag and surface ErrClosed.
 type Client struct {
 	addr      string
 	opts      Options
@@ -202,11 +193,10 @@ type Client struct {
 	window    int
 	reg       *obs.Registry
 
-	connMu   sync.Mutex
-	sess     *session              // active session; nil while broken; guarded by connMu
-	sessions map[*session]struct{} // every live session, draining included; guarded by connMu
-	dialing  chan struct{}         // closed when the in-flight dial settles; guarded by connMu
-	closed   bool                  // Close was called; distinguishes closed from broken; guarded by connMu
+	connMu  sync.Mutex
+	sess    *session      // live session; nil while broken; guarded by connMu
+	dialing chan struct{} // closed when the in-flight dial settles; guarded by connMu
+	closed  bool          // Close was called; distinguishes closed from broken; guarded by connMu
 
 	bytesOut atomic.Int64
 	bytesIn  atomic.Int64
@@ -223,7 +213,6 @@ func Dial(addr string, opts Options) (*Client, error) {
 		slowRPC:   opts.SlowRPC,
 		window:    window,
 		reg:       opts.metrics(),
-		sessions:  map[*session]struct{}{},
 	}
 	if _, err := c.dialSession(context.Background()); err != nil {
 		return nil, err
@@ -312,9 +301,6 @@ func (c *Client) newSession(conn net.Conn) *session {
 // multiplexing onto a live connection and dialing a new one.
 func (c *Client) WindowCap() int { return c.window }
 
-// Addr returns the worker address this client is connected to.
-func (c *Client) Addr() string { return c.addr }
-
 // Call sends a batch of requests as a single RPC and returns one response
 // per request. A transport failure returns an error; per-request failures
 // are reported in the responses.
@@ -354,9 +340,9 @@ func (c *Client) CallCtx(ctx context.Context, reqs ...Request) ([]Response, erro
 		span.ReqType = reqs[0].Type.String()
 	}
 
-	// A call can land on a session that died (or detached for a redial)
-	// between lookup and reservation; that touched no wire state, so try
-	// a successor session a bounded number of times before giving up.
+	// A call can land on a session that died between lookup and
+	// reservation; that touched no wire state, so try a successor session
+	// a bounded number of times before giving up.
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		s, err := c.session(ctx)
@@ -651,7 +637,6 @@ func (c *Client) dialSession(ctx context.Context) (*session, error) {
 	}
 	s := c.newSession(conn)
 	c.sess = s
-	c.sessions[s] = struct{}{}
 	c.connMu.Unlock()
 	return s, nil
 }
@@ -664,7 +649,6 @@ func (c *Client) failSession(s *session, err error) {
 	if c.sess == s {
 		c.sess = nil
 	}
-	delete(c.sessions, s)
 	c.connMu.Unlock()
 	s.teardown(err)
 }
@@ -702,36 +686,11 @@ func (c *Client) record(sp *obs.Span, reqs []Request, err error) {
 }
 
 // Broken reports whether the client currently has no live transport because
-// an earlier exchange failed. The next Call (or Redial) reconnects.
+// an earlier exchange failed. The next Call reconnects.
 func (c *Client) Broken() bool {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
 	return c.sess == nil && !c.closed
-}
-
-// Redial forces a fresh transport. The current session (if live) is
-// detached rather than yanked: calls already in flight on it finish on the
-// old connection, which closes itself once the last one drains, while the
-// fresh connection serves everything new. Byte counters are preserved.
-func (c *Client) Redial() error {
-	c.connMu.Lock()
-	if c.closed {
-		c.connMu.Unlock()
-		return fmt.Errorf("fedrpc: redial %s: %w", c.addr, ErrClosed)
-	}
-	old := c.sess
-	c.sess = nil
-	c.connMu.Unlock()
-	if old != nil {
-		old.detach()
-	}
-	if _, err := c.session(context.Background()); err != nil {
-		if errors.Is(err, ErrClosed) {
-			return fmt.Errorf("fedrpc: redial %s: %w", c.addr, ErrClosed)
-		}
-		return err
-	}
-	return nil
 }
 
 // CallOne sends a single request and returns its response, converting a
@@ -770,7 +729,7 @@ func (c *Client) BytesReceived() int64 { return c.bytesIn.Load() }
 // the underlying connections exactly once; repeated calls return nil.
 //
 // Close is prompt: it does not wait behind in-flight calls. Tearing the
-// sessions down interrupts their I/O, and those calls report ErrClosed.
+// session down interrupts their I/O, and those calls report ErrClosed.
 func (c *Client) Close() error {
 	c.connMu.Lock()
 	if c.closed {
@@ -778,16 +737,11 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	all := make([]*session, 0, len(c.sessions))
-	for s := range c.sessions {
-		all = append(all, s)
-	}
+	s := c.sess
 	c.sess = nil
-	c.sessions = map[*session]struct{}{}
 	c.connMu.Unlock()
-	err := fmt.Errorf("fedrpc: call to %s: %w", c.addr, ErrClosed)
-	for _, s := range all {
-		s.teardown(err)
+	if s != nil {
+		s.teardown(fmt.Errorf("fedrpc: call to %s: %w", c.addr, ErrClosed))
 	}
 	return nil
 }
@@ -807,10 +761,6 @@ func (s *session) reserve(ctx context.Context) error {
 			err := s.deadErr
 			s.mu.Unlock()
 			return &sessionDeadError{err: err}
-		}
-		if s.detached {
-			s.mu.Unlock()
-			return &sessionDeadError{err: errSessionDetached}
 		}
 		if s.active < s.c.window {
 			s.active++
@@ -842,12 +792,8 @@ func (s *session) unreserve() {
 	s.mu.Lock()
 	s.active--
 	waiters := s.takeWaitersLocked()
-	drained := s.detached && !s.dead && s.active == 0
 	s.mu.Unlock()
 	wakeAll(waiters)
-	if drained {
-		s.c.failSession(s, errSessionDetached)
-	}
 }
 
 // acquireWrite takes the write token, or gives up when ctx dies first (the
@@ -959,11 +905,6 @@ func (s *session) readLoop() {
 				s.mu.Unlock()
 				return
 			}
-			if s.detached && s.active == 0 {
-				s.mu.Unlock()
-				s.c.failSession(s, errSessionDetached)
-				return
-			}
 			s.mu.Unlock()
 			<-s.work
 			s.mu.Lock()
@@ -1012,39 +953,11 @@ func (s *session) readLoop() {
 		s.active--
 		s.awaited--
 		waiters := s.takeWaitersLocked()
-		drained := s.detached && s.active == 0
 		s.mu.Unlock()
 		wakeAll(waiters)
 		cr := call.in
 		cr.resps, cr.execNanos = b.env.responses(b.data), b.env.ExecNanos
 		call.done <- cr
-		if drained {
-			s.c.failSession(s, errSessionDetached)
-			return
-		}
-	}
-}
-
-// detach retires the session from new calls while letting in-flight ones
-// drain on the old connection; the last one out tears it down. An idle
-// session tears down immediately.
-func (s *session) detach() {
-	s.mu.Lock()
-	if s.dead || s.detached {
-		s.mu.Unlock()
-		return
-	}
-	s.detached = true
-	idle := s.active == 0
-	waiters := s.takeWaitersLocked()
-	s.mu.Unlock()
-	wakeAll(waiters)
-	select {
-	case s.work <- struct{}{}:
-	default:
-	}
-	if idle {
-		s.c.failSession(s, errSessionDetached)
 	}
 }
 

@@ -40,9 +40,6 @@ func TestCloseIdempotentAfterBroken(t *testing.T) {
 	if _, err := c.Call(Request{Type: Get, ID: 1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Call after Close = %v, want ErrClosed (no redial)", err)
 	}
-	if err := c.Redial(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Redial after Close = %v, want ErrClosed", err)
-	}
 }
 
 // TestCloseReturnsErrClosedTyped: a live client closed once also yields

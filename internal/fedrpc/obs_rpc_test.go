@@ -16,8 +16,8 @@ import (
 	"exdra/internal/obs"
 )
 
-// TestCallCloseRaceObservesErrClosed hammers Call and Redial from several
-// goroutines while Close lands mid-flight. Every Call must either succeed
+// TestCallCloseRaceObservesErrClosed hammers Call from several goroutines
+// while Close lands mid-flight. Every Call must either succeed
 // (it finished before Close) or report ErrClosed — never panic on a nil
 // conn, never silently redial past Close, and never surface a bare
 // transport error for a close-induced interruption. Run under -race.
@@ -50,16 +50,6 @@ func TestCallCloseRaceObservesErrClosed(t *testing.T) {
 				}
 			}()
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 3; i++ {
-				if err := c.Redial(); err != nil && !errors.Is(err, ErrClosed) {
-					raceErr.Store(err)
-					return
-				}
-			}
-		}()
 		time.Sleep(time.Duration(iter%5) * time.Millisecond)
 		if err := c.Close(); err != nil {
 			t.Fatalf("iter %d: close: %v", iter, err)
@@ -67,7 +57,7 @@ func TestCallCloseRaceObservesErrClosed(t *testing.T) {
 		close(stop)
 		wg.Wait()
 		if err := raceErr.Load(); err != nil {
-			t.Fatalf("iter %d: call/redial racing close got non-ErrClosed error: %v", iter, err)
+			t.Fatalf("iter %d: call racing close got non-ErrClosed error: %v", iter, err)
 		}
 		if _, err := c.Call(Request{Type: Clear}); !errors.Is(err, ErrClosed) {
 			t.Fatalf("iter %d: call after close = %v, want ErrClosed", iter, err)

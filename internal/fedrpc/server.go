@@ -86,9 +86,6 @@ func Serve(addr string, h Handler, opts Options) (*Server, error) {
 // Addr returns the bound listener address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Port returns the bound TCP port.
-func (s *Server) Port() int { return s.ln.Addr().(*net.TCPAddr).Port }
-
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {

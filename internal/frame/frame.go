@@ -205,15 +205,6 @@ func (f *Frame) Names() []string {
 	return out
 }
 
-// Schema returns the column value types in order.
-func (f *Frame) Schema() []ValueType {
-	out := make([]ValueType, len(f.cols))
-	for i, c := range f.cols {
-		out[i] = c.Type
-	}
-	return out
-}
-
 // SliceRows returns rows [beg, end) as a new frame.
 func (f *Frame) SliceRows(beg, end int) *Frame {
 	cols := make([]*Column, len(f.cols))
@@ -297,9 +288,4 @@ func StringColumn(name string, values []string) *Column {
 		c.NA = na
 	}
 	return c
-}
-
-// BoolColumn builds a Boolean column.
-func BoolColumn(name string, values []bool) *Column {
-	return &Column{Name: name, Type: Boolean, Bools: values}
 }

@@ -12,7 +12,7 @@ func sample() *Frame {
 		StringColumn("A", []string{"R101", "C7", "R102"}),
 		FloatColumn("B", []float64{2100, 5500, 1.5}),
 		IntColumn("N", []int64{1, 2, 3}),
-		BoolColumn("F", []bool{true, false, true}),
+		&Column{Name: "F", Type: Boolean, Bools: []bool{true, false, true}},
 	)
 }
 
@@ -42,7 +42,7 @@ func TestAccessors(t *testing.T) {
 	if got := f.Names(); strings.Join(got, ",") != "A,B,N,F" {
 		t.Fatalf("names %v", got)
 	}
-	if f.Schema()[1] != Float64 || f.Schema()[2] != Int64 {
+	if f.Column(1).Type != Float64 || f.Column(2).Type != Int64 {
 		t.Fatal("schema")
 	}
 	if f.Column(3).MustFloat(0) != 1 || f.Column(3).MustFloat(1) != 0 {
@@ -136,7 +136,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 	if got.Column(0).Type != String || got.Column(1).Type != Float64 ||
 		got.Column(2).Type != Int64 || got.Column(3).Type != Boolean {
-		t.Fatalf("type inference: %v", got.Schema())
+		t.Fatal("type inference")
 	}
 	if got.Column(1).MustFloat(2) != 1.5 {
 		t.Fatal("float cell")

@@ -133,9 +133,6 @@ func NewLoader(modDir string) (*Loader, error) {
 	}, nil
 }
 
-// ModulePath returns the module path of the loaded module.
-func (l *Loader) ModulePath() string { return l.modPath }
-
 func modulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)
 	if err != nil {

@@ -167,29 +167,11 @@ func (m *Dense) RowSums() *Dense { return m.RowAgg(AggSum) }
 // RowMins returns the rows x 1 vector of per-row minima.
 func (m *Dense) RowMins() *Dense { return m.RowAgg(AggMin) }
 
-// RowMaxs returns the rows x 1 vector of per-row maxima.
-func (m *Dense) RowMaxs() *Dense { return m.RowAgg(AggMax) }
-
-// RowMeans returns the rows x 1 vector of per-row means.
-func (m *Dense) RowMeans() *Dense { return m.RowAgg(AggMean) }
-
 // ColSums returns the 1 x cols vector of per-column sums.
 func (m *Dense) ColSums() *Dense { return m.ColAgg(AggSum) }
 
-// ColMins returns the 1 x cols vector of per-column minima.
-func (m *Dense) ColMins() *Dense { return m.ColAgg(AggMin) }
-
-// ColMaxs returns the 1 x cols vector of per-column maxima.
-func (m *Dense) ColMaxs() *Dense { return m.ColAgg(AggMax) }
-
 // ColMeans returns the 1 x cols vector of per-column means.
 func (m *Dense) ColMeans() *Dense { return m.ColAgg(AggMean) }
-
-// ColSDs returns the 1 x cols vector of per-column sample standard deviations.
-func (m *Dense) ColSDs() *Dense { return m.ColAgg(AggSD) }
-
-// ColVars returns the 1 x cols vector of per-column sample variances.
-func (m *Dense) ColVars() *Dense { return m.ColAgg(AggVar) }
 
 // RowIndexMax returns for each row the 1-based column index of its maximum
 // value (DML rowIndexMax semantics).

@@ -4,8 +4,7 @@ package matrix
 // dictionary coding, in the spirit of SystemDS' compressed linear algebra
 // that ExDRa §4.4 proposes running in federated workers' free cycles).
 // Columns with few distinct values — one-hot features, codes, sensor states
-// — compress to a small dictionary plus one code per cell; operations
-// execute directly on the compressed form where possible.
+// — compress to a small dictionary plus one code per cell.
 type Compressed struct {
 	rows, cols int
 	cols_      []compressedCol
@@ -74,63 +73,4 @@ func (c *Compressed) CompressionRatio() float64 {
 		return float64(dense) / float64(s)
 	}
 	return 1
-}
-
-// Sum computes the sum of all cells on the compressed form: per column,
-// count occurrences per dictionary entry.
-func (c *Compressed) Sum() float64 {
-	total := 0.0
-	for _, col := range c.cols_ {
-		counts := make([]int, len(col.dict))
-		for _, code := range col.codes {
-			counts[code]++
-		}
-		for k, v := range col.dict {
-			total += v * float64(counts[k])
-		}
-	}
-	return total
-}
-
-// ColSums computes per-column sums on the compressed form.
-func (c *Compressed) ColSums() *Dense {
-	out := NewDense(1, c.cols)
-	for j, col := range c.cols_ {
-		counts := make([]int, len(col.dict))
-		for _, code := range col.codes {
-			counts[code]++
-		}
-		s := 0.0
-		for k, v := range col.dict {
-			s += v * float64(counts[k])
-		}
-		out.data[j] = s
-	}
-	return out
-}
-
-// MatVec computes c %*% v for a dense vector/matrix v by accumulating
-// pre-scaled dictionary values per column — each cell costs one lookup and
-// one add, never a decompression.
-func (c *Compressed) MatVec(v *Dense) *Dense {
-	if v.rows != c.cols {
-		panic("matrix: compressed matvec shape mismatch")
-	}
-	out := NewDense(c.rows, v.cols)
-	for j, col := range c.cols_ {
-		for t := 0; t < v.cols; t++ {
-			scale := v.data[j*v.cols+t]
-			if scale == 0 {
-				continue
-			}
-			scaled := make([]float64, len(col.dict))
-			for k, dv := range col.dict {
-				scaled[k] = dv * scale
-			}
-			for i, code := range col.codes {
-				out.data[i*v.cols+t] += scaled[code]
-			}
-		}
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -38,23 +37,6 @@ func TestCompressRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCompressedOps(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(2))
-	m := oneHotLike(rng, 150, 9).Scale(3)
-	c := Compress(m)
-	if math.Abs(c.Sum()-m.Sum()) > 1e-12 {
-		t.Fatal("compressed sum")
-	}
-	if !c.ColSums().EqualApprox(m.ColSums(), 1e-12) {
-		t.Fatal("compressed colSums")
-	}
-	v := Randn(rng, 9, 2, 0, 1)
-	if !c.MatVec(v).EqualApprox(m.MatMul(v), 1e-10) {
-		t.Fatal("compressed matvec")
-	}
-}
-
 func TestPropCompressRoundTrip(t *testing.T) {
 	t.Parallel()
 	f := func(seed int64, r, cc uint8) bool {
@@ -64,8 +46,7 @@ func TestPropCompressRoundTrip(t *testing.T) {
 			m.data[i] = float64(rng.Intn(4)) // small value domain
 		}
 		c := Compress(m)
-		return c.Decompress().EqualApprox(m, 0) &&
-			math.Abs(c.Sum()-m.Sum()) < 1e-9
+		return c.Decompress().EqualApprox(m, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -103,15 +103,6 @@ func Randn(rng *rand.Rand, rows, cols int, mean, sd float64) *Dense {
 	return m
 }
 
-// Seq returns a column vector [from, from+incr, ...] with n entries.
-func Seq(from, incr float64, n int) *Dense {
-	m := NewDense(n, 1)
-	for i := 0; i < n; i++ {
-		m.data[i] = from + float64(i)*incr
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 

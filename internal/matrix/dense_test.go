@@ -63,17 +63,6 @@ func TestIdentityAndFill(t *testing.T) {
 	}
 }
 
-func TestSeq(t *testing.T) {
-	t.Parallel()
-	s := Seq(1, 2, 4)
-	want := []float64{1, 3, 5, 7}
-	for i, w := range want {
-		if s.At(i, 0) != w {
-			t.Fatalf("seq[%d]=%g want %g", i, s.At(i, 0), w)
-		}
-	}
-}
-
 func TestRandDeterministic(t *testing.T) {
 	t.Parallel()
 	a := Rand(rand.New(rand.NewSource(7)), 4, 4, 0, 1)

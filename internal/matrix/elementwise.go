@@ -35,7 +35,7 @@ const (
 // String returns the DML-style opcode for the operation.
 func (op BinaryOp) String() string {
 	names := [...]string{"+", "-", "*", "/", "^", "min", "max", "%%", "%/%",
-		"==", "!=", ">", ">=", "<", "<=", "&", "|", "xor", "log"}
+		"==", "!=", ">", ">=", "<", "<=", "&", "|", "xor", "log_b"}
 	if int(op) < len(names) {
 		return names[op]
 	}

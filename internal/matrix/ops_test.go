@@ -183,12 +183,6 @@ func TestAggregates(t *testing.T) {
 	if !m.RowMins().EqualApprox(ColVector([]float64{1, 4}), 0) {
 		t.Fatal("rowMins")
 	}
-	if !m.ColMaxs().EqualApprox(RowVector([]float64{4, 5, 6}), 0) {
-		t.Fatal("colMaxs")
-	}
-	if !m.RowMeans().EqualApprox(ColVector([]float64{2, 5}), 0) {
-		t.Fatal("rowMeans")
-	}
 	if !m.ColMeans().EqualApprox(RowVector([]float64{2.5, 3.5, 4.5}), 0) {
 		t.Fatal("colMeans")
 	}

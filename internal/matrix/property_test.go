@@ -85,23 +85,6 @@ func TestPropSliceRBindIdentity(t *testing.T) {
 	}
 }
 
-func TestPropCSRRoundTrip(t *testing.T) {
-	t.Parallel()
-	f := func(seed int64, r, c uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := genMatrix(rng, dims(r), dims(c))
-		for i := range m.data {
-			if rng.Float64() < 0.5 {
-				m.data[i] = 0
-			}
-		}
-		return FromDense(m).ToDense().EqualApprox(m, 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPropTSMMSymmetric(t *testing.T) {
 	t.Parallel()
 	f := func(seed int64, r, c uint8) bool {

@@ -9,48 +9,6 @@ import (
 	"testing"
 )
 
-func TestCSRRoundTrip(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(31))
-	m := Rand(rng, 20, 17, 0, 1)
-	// Zero out ~80% of cells to make it genuinely sparse.
-	for i := range m.Data() {
-		if rng.Float64() < 0.8 {
-			m.Data()[i] = 0
-		}
-	}
-	s := FromDense(m)
-	if !s.ToDense().EqualApprox(m, 0) {
-		t.Fatal("CSR round trip")
-	}
-	if s.Sparsity() != m.Sparsity() {
-		t.Fatal("sparsity mismatch")
-	}
-	if math.Abs(s.Sum()-m.Sum()) > 1e-12 {
-		t.Fatal("sum mismatch")
-	}
-}
-
-func TestCSRMatMul(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(32))
-	m := Rand(rng, 15, 11, 0, 1)
-	for i := range m.Data() {
-		if rng.Float64() < 0.7 {
-			m.Data()[i] = 0
-		}
-	}
-	b := Randn(rng, 11, 6, 0, 1)
-	s := FromDense(m)
-	if !s.MatMul(b).EqualApprox(m.MatMul(b), 1e-10) {
-		t.Fatal("sparse matmul")
-	}
-	b2 := Randn(rng, 15, 4, 0, 1)
-	if !s.TransposeMatMul(b2).EqualApprox(m.Transpose().MatMul(b2), 1e-10) {
-		t.Fatal("sparse t-matmul")
-	}
-}
-
 func TestBinaryIORoundTrip(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(33))

@@ -107,12 +107,6 @@ func (m *Dense) Apply(fn func(float64) float64) *Dense {
 	return out
 }
 
-// Exp returns element-wise e^m.
-func (m *Dense) Exp() *Dense { return m.Unary(UExp) }
-
-// Sqrt returns element-wise sqrt(m).
-func (m *Dense) Sqrt() *Dense { return m.Unary(USqrt) }
-
 // Sigmoid returns element-wise 1/(1+e^-m).
 func (m *Dense) Sigmoid() *Dense { return m.Unary(USigmoid) }
 

@@ -244,13 +244,6 @@ func (in *Instance) RegisterSink(name string, sink *FileSink) {
 	in.sinks[name] = sink
 }
 
-// Sink returns a registered sink.
-func (in *Instance) Sink(name string) *FileSink {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.sinks[name]
-}
-
 // place assigns each operator to the least-loaded node with capacity.
 func (in *Instance) place(q *Query) (*Placement, error) {
 	p := &Placement{Query: q.Name}
@@ -325,31 +318,4 @@ func (in *Instance) Deploy(q *Query) (*Placement, error) {
 		}
 	}
 	return placement, nil
-}
-
-// Undeploy removes a query and releases its operator load (topology
-// re-optimization for the remaining queries happens on the next Deploy).
-func (in *Instance) Undeploy(name string) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	q, ok := in.queries[name]
-	if !ok {
-		return
-	}
-	p := in.placements[name]
-	for i, op := range q.Ops {
-		cost := op.Cost
-		if cost == 0 {
-			cost = 1
-		}
-		for _, n := range in.nodes {
-			if n.ID == p.Ops[i] {
-				n.mu.Lock()
-				n.load -= cost
-				n.mu.Unlock()
-			}
-		}
-	}
-	delete(in.queries, name)
-	delete(in.placements, name)
 }

@@ -107,11 +107,6 @@ func TestPlacementRespectsCapacity(t *testing.T) {
 	if _, err := in.Deploy(q2); err == nil {
 		t.Fatal("over-capacity placement accepted")
 	}
-	// Undeploying releases load for re-optimization.
-	in.Undeploy("q")
-	if _, err := in.Deploy(q2); err != nil {
-		t.Fatalf("redeploy after undeploy: %v", err)
-	}
 }
 
 func TestDeployErrors(t *testing.T) {

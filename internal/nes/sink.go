@@ -26,11 +26,6 @@ type FileSink struct {
 	path         string
 	file         *os.File      // guarded by mu
 	w            *bufio.Writer // guarded by mu
-	// stats are the incrementally maintained per-channel aggregates over
-	// the retained tuples (ExDRa §4.4, incremental maintenance of cached
-	// intermediates under appends and retention-driven deletions).
-	// Guarded by mu.
-	stats *matrix.IncrementalStats
 }
 
 // NewFileSink creates a sink retaining up to retentionTuples tuples and, if
@@ -49,24 +44,13 @@ func NewFileSink(path string, retentionTuples int, age int64) (*FileSink, error)
 	return s, nil
 }
 
-// Append adds one tuple, enforcing retention and maintaining the
-// incremental channel statistics.
+// Append adds one tuple, enforcing retention.
 func (s *FileSink) Append(t Tuple) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stats == nil {
-		s.stats = matrix.NewIncrementalStats(len(t.Values))
-	}
 	s.buf = append(s.buf, t)
-	s.stats.Append(t.Values)
-	evict := func(n int) {
-		for _, old := range s.buf[:n] {
-			s.stats.Remove(old.Values)
-		}
-		s.buf = s.buf[n:]
-	}
 	if s.retentionTuples > 0 && len(s.buf) > s.retentionTuples {
-		evict(len(s.buf) - s.retentionTuples)
+		s.buf = s.buf[len(s.buf)-s.retentionTuples:]
 	}
 	if s.retentionAge > 0 {
 		newest := s.buf[len(s.buf)-1].TS
@@ -74,7 +58,7 @@ func (s *FileSink) Append(t Tuple) {
 		for cut < len(s.buf) && s.buf[cut].TS < newest-s.retentionAge {
 			cut++
 		}
-		evict(cut)
+		s.buf = s.buf[cut:]
 	}
 	if s.w != nil {
 		s.w.WriteString(strconv.FormatInt(t.TS, 10))
@@ -108,36 +92,6 @@ func (s *FileSink) Snapshot() *matrix.Dense {
 		copy(out.Row(i), t.Values)
 	}
 	return out
-}
-
-// Stats returns the incrementally maintained per-channel statistics of the
-// retained tuples. Min/max are rebuilt from the buffer only when a
-// retention eviction removed an extremum; means and standard deviations are
-// always O(1) reads.
-func (s *FileSink) Stats() *matrix.IncrementalStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stats == nil {
-		s.stats = matrix.NewIncrementalStats(0)
-	}
-	if s.stats.NeedsRebuild() {
-		rows := make([][]float64, len(s.buf))
-		for i, t := range s.buf {
-			rows[i] = t.Values
-		}
-		s.stats.Rebuild(rows)
-	}
-	return s.stats
-}
-
-// Flush persists buffered file output.
-func (s *FileSink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.w == nil {
-		return nil
-	}
-	return s.w.Flush()
 }
 
 // Close flushes and closes the backing file.

@@ -221,17 +221,6 @@ func (n *Network) SetParams(params []*matrix.Dense) error {
 	return nil
 }
 
-// CloneParams deep-copies the current parameters (the "model" the
-// parameter server broadcasts).
-func (n *Network) CloneParams() []*matrix.Dense {
-	ps := n.Params()
-	out := make([]*matrix.Dense, len(ps))
-	for i, p := range ps {
-		out[i] = p.Clone()
-	}
-	return out
-}
-
 // Predict returns the 1-based argmax class per row (softmax networks).
 func (n *Network) Predict(x *matrix.Dense) *matrix.Dense {
 	return n.Forward(x).RowIndexMax()

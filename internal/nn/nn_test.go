@@ -158,26 +158,25 @@ func TestFFNLearnsMultiClass(t *testing.T) {
 	}
 }
 
-func TestSetCloneParams(t *testing.T) {
+func TestSetParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a, _ := NewNetwork(FFNSpec(3, 4, 2, LossSoftmaxCE), rng)
 	b, _ := NewNetwork(FFNSpec(3, 4, 2, LossSoftmaxCE), rng)
-	if err := b.SetParams(a.CloneParams()); err != nil {
+	if err := b.SetParams(a.Params()); err != nil {
 		t.Fatal(err)
 	}
 	x := matrix.Randn(rng, 5, 3, 0, 1)
 	if !a.Forward(x).EqualApprox(b.Forward(x), 0) {
 		t.Fatal("SetParams did not copy")
 	}
-	// Clone is deep: mutating the clone must not affect the source.
-	cp := a.CloneParams()
-	cp[0].Set(0, 0, 999)
-	if a.Params()[0].At(0, 0) == 999 {
-		t.Fatal("CloneParams aliases")
+	// The copy is deep: mutating the source must not affect the target.
+	a.Params()[0].Set(0, 0, 999)
+	if b.Params()[0].At(0, 0) == 999 {
+		t.Fatal("SetParams aliases")
 	}
 	// Mismatched shapes rejected.
 	c, _ := NewNetwork(FFNSpec(3, 5, 2, LossSoftmaxCE), rng)
-	if err := c.SetParams(a.CloneParams()); err == nil {
+	if err := c.SetParams(a.Params()); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"net"
@@ -99,11 +98,4 @@ func (ms *MetricsServer) handleSpans(w http.ResponseWriter, _ *http.Request) {
 	if err := ms.reg.WriteSpans(w); err != nil {
 		log.Printf("obs: render /debug/rpcs: %v", err)
 	}
-}
-
-// Shutdown is like Close but drains in-flight requests until ctx expires.
-func (ms *MetricsServer) Shutdown(ctx context.Context) error {
-	err := ms.srv.Shutdown(ctx)
-	ms.wg.Wait()
-	return err
 }

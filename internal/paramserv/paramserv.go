@@ -30,14 +30,6 @@ const (
 	ASP
 )
 
-// String returns the strategy name.
-func (u UpdateType) String() string {
-	if u == ASP {
-		return "ASP"
-	}
-	return "BSP"
-}
-
 // Config mirrors the paramserv built-in function's arguments.
 type Config struct {
 	// Spec is the network architecture (the "model" list of weight/bias

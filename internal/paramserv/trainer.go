@@ -10,13 +10,8 @@ import (
 	"exdra/internal/worker"
 )
 
-// FederatedTrainer is the stateful variant of TrainFederated for streaming
-// deployments (§5.1): training proceeds epoch by epoch, and between epochs
-// the session can be re-bound to each site's current data snapshot —
-// "federated workers can seamlessly handle the removal or append of new
-// batches according to the configured retention periods. However, changing
-// data sizes require coordination to obtain imbalance ratios for
-// replication and weight adjustments."
+// FederatedTrainer is the stateful variant of TrainFederated: PS sessions
+// are set up at the workers once, and training proceeds epoch by epoch.
 type FederatedTrainer struct {
 	cfg      Config
 	coord    *federated.Coordinator
@@ -108,57 +103,6 @@ func (t *FederatedTrainer) TrainEpochs(n int) error {
 		return trainFedASP(cfg, t.coord, t.parts, t.stateIDs, t.weights, t.srv, t.res)
 	}
 	return trainFedBSP(cfg, t.coord, t.parts, t.stateIDs, t.weights, t.srv, t.res)
-}
-
-// Refresh re-binds every worker session to the new snapshot (same sites,
-// possibly different row counts — e.g. after a retention window slid),
-// re-coordinating imbalance ratios and aggregation weights from the new
-// partition sizes.
-func (t *FederatedTrainer) Refresh(fx *federated.Matrix, y *matrix.Dense) error {
-	if fx.Scheme() != federated.RowPartitioned {
-		return fmt.Errorf("paramserv: refresh requires row-partitioned features")
-	}
-	parts := fx.Map().Partitions
-	if len(parts) != len(t.parts) {
-		return fmt.Errorf("paramserv: refresh with %d partitions, trained with %d", len(parts), len(t.parts))
-	}
-	for i := range parts {
-		if parts[i].Addr != t.parts[i].Addr {
-			return fmt.Errorf("paramserv: refresh partition %d moved from %s to %s",
-				i, t.parts[i].Addr, parts[i].Addr)
-		}
-	}
-	if y.Rows() != fx.Rows() {
-		return fmt.Errorf("paramserv: %d labels for %d rows", y.Rows(), fx.Rows())
-	}
-	sizes := partitionSizes(parts)
-	factors, weights := replication(sizes, t.cfg.Balance)
-	t.weights = weights
-	for i, p := range parts {
-		yid := t.coord.NewID()
-		args, err := worker.EncodeArgs(RefreshArgs{
-			XID: p.DataID, YID: yid, Replicate: factors[i],
-		})
-		if err != nil {
-			return err
-		}
-		resps, err := t.coord.Call(p.Addr,
-			fedrpc.Request{Type: fedrpc.Put, ID: yid,
-				Data: fedrpc.MatrixPayload(y.SliceRows(p.Range.RowBeg, p.Range.RowEnd))},
-			fedrpc.Request{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{
-				Name: "ps_refresh", Inputs: []int64{t.stateIDs[i]}, Args: args}},
-		)
-		if err != nil {
-			return err
-		}
-		for _, r := range resps {
-			if !r.OK {
-				return fmt.Errorf("paramserv: refresh at %s: %s", p.Addr, r.Err)
-			}
-		}
-	}
-	t.parts = parts
-	return nil
 }
 
 // Result returns the training state (the network tracks the live global

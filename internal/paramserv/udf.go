@@ -18,7 +18,6 @@ import (
 func init() {
 	worker.MustRegisterUDF("ps_setup", udfPSSetup)
 	worker.MustRegisterUDF("ps_run", udfPSRun)
-	worker.MustRegisterUDF("ps_refresh", udfPSRefresh)
 }
 
 // session is a PS worker's execution context, stored in the symbol table as
@@ -71,51 +70,6 @@ func udfPSSetup(w *worker.Worker, call *fedrpc.UDFCall) (fedrpc.Payload, error) 
 	}
 	w.Put(call.Output, &worker.Entry{Obj: sess})
 	return fedrpc.ScalarPayload(float64(x.Rows() * rep)), nil
-}
-
-// RefreshArgs rebind a PS session to the site's current data snapshot —
-// the §5.1 stream-ingestion extension where federated workers "seamlessly
-// handle the removal or append of new batches according to the configured
-// retention periods". XID/YID name the refreshed feature/label objects;
-// Replicate carries the re-coordinated imbalance factor.
-type RefreshArgs struct {
-	XID, YID  int64
-	Replicate int
-}
-
-// udfPSRefresh swaps the session's training data for the current snapshot
-// and reports the new (replicated) local row count so the server can adjust
-// aggregation weights.
-func udfPSRefresh(w *worker.Worker, call *fedrpc.UDFCall) (fedrpc.Payload, error) {
-	e, err := w.Get(call.Inputs[0])
-	if err != nil {
-		return fedrpc.Payload{}, err
-	}
-	sess, ok := e.Obj.(*session)
-	if !ok {
-		return fedrpc.Payload{}, fmt.Errorf("ps_refresh: object %d is not a PS session", call.Inputs[0])
-	}
-	var args RefreshArgs
-	if err := worker.DecodeArgs(call.Args, &args); err != nil {
-		return fedrpc.Payload{}, err
-	}
-	x, err := w.Matrix(args.XID)
-	if err != nil {
-		return fedrpc.Payload{}, fmt.Errorf("ps_refresh features: %w", err)
-	}
-	y, err := w.Matrix(args.YID)
-	if err != nil {
-		return fedrpc.Payload{}, fmt.Errorf("ps_refresh labels: %w", err)
-	}
-	if y.Rows() != x.Rows() {
-		return fedrpc.Payload{}, fmt.Errorf("ps_refresh: %d labels for %d rows", y.Rows(), x.Rows())
-	}
-	sess.x, sess.y = x, y
-	if args.Replicate >= 1 {
-		sess.replicate = args.Replicate
-	}
-	sess.idx, sess.pos = nil, 0 // force a reshuffle on the next epoch
-	return fedrpc.ScalarPayload(float64(x.Rows() * sess.replicate)), nil
 }
 
 func udfPSRun(w *worker.Worker, call *fedrpc.UDFCall) (fedrpc.Payload, error) {

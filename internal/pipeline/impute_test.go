@@ -1,14 +1,12 @@
 package pipeline_test
 
 import (
-	"math"
 	"testing"
 
 	"exdra/internal/federated"
 	"exdra/internal/fedtest"
 	"exdra/internal/frame"
 	"exdra/internal/matrix"
-	"exdra/internal/pipeline"
 	"exdra/internal/privacy"
 	"exdra/internal/transform"
 )
@@ -87,82 +85,5 @@ func TestFederatedImputeModeAndFD(t *testing.T) {
 	}
 	if got["X"] != 3 || got["Y"] != 3 {
 		t.Fatalf("fd-imputed distribution %v", got)
-	}
-}
-
-func TestMICEImputesCategoricalAndNumeric(t *testing.T) {
-	// Categorical class depends on the numeric features; numeric column v2
-	// depends linearly on v1.
-	n := 200
-	v1 := make([]float64, n)
-	v2 := make([]float64, n)
-	cls := make([]string, n)
-	for i := 0; i < n; i++ {
-		v1[i] = float64(i%17) - 8
-		v2[i] = 3*v1[i] + 1
-		if v1[i] > 0 {
-			cls[i] = "hi"
-		} else {
-			cls[i] = "lo"
-		}
-	}
-	// Poke holes.
-	missCls := []int{5, 40, 77}
-	missNum := []int{9, 100}
-	for _, i := range missCls {
-		cls[i] = ""
-	}
-	for _, i := range missNum {
-		v2[i] = math.NaN()
-	}
-	fr := frame.MustNew(
-		frame.FloatColumn("v1", v1),
-		frame.FloatColumn("v2", v2),
-		frame.StringColumn("class", cls),
-	)
-	out, err := pipeline.ImputeMICE(fr, pipeline.MICEConfig{
-		Columns: []string{"class", "v2"},
-		Rounds:  1,
-		Spec: transform.Spec{Columns: []transform.ColumnSpec{
-			{Name: "class", Method: transform.Recode, OneHot: true},
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := out.ColumnByName("class")
-	for _, i := range missCls {
-		want := "lo"
-		if v1[i] > 0 {
-			want = "hi"
-		}
-		if c.AsString(i) != want {
-			t.Fatalf("row %d class imputed %q want %q", i, c.AsString(i), want)
-		}
-	}
-	nv := out.ColumnByName("v2")
-	for _, i := range missNum {
-		want := 3*v1[i] + 1
-		if math.Abs(nv.MustFloat(i)-want) > 0.5 {
-			t.Fatalf("row %d v2 imputed %g want %g", i, nv.MustFloat(i), want)
-		}
-	}
-	// No-missing column is a no-op.
-	same, err := pipeline.ImputeMICE(out, pipeline.MICEConfig{Columns: []string{"class"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same.ColumnByName("class").AsString(5) != c.AsString(5) {
-		t.Fatal("no-op changed data")
-	}
-}
-
-func TestMICEErrors(t *testing.T) {
-	fr := frame.MustNew(frame.StringColumn("c", []string{"", "", "x"}))
-	if _, err := pipeline.ImputeMICE(fr, pipeline.MICEConfig{Columns: []string{"c"}}); err == nil {
-		t.Fatal("too few complete rows accepted")
-	}
-	if _, err := pipeline.ImputeMICE(fr, pipeline.MICEConfig{Columns: []string{"nope"}}); err == nil {
-		t.Fatal("missing column accepted")
 	}
 }

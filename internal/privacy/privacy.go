@@ -1,15 +1,9 @@
 // Package privacy implements the federated privacy models of ExDRa §2.3 and
 // §4.1: coarse- and fine-grained data-exchange constraints attached to
-// federated data, constraint propagation through operations, and a
-// differential-privacy mechanism for aggregates (one of the paper's
-// privacy-enhancing technologies).
+// federated data and constraint propagation through operations.
 package privacy
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-)
+import "fmt"
 
 // Level is a coarse-grained data-exchange constraint.
 type Level int
@@ -87,28 +81,4 @@ func CheckTransfer(l Level, what string) error {
 		return nil
 	}
 	return &ErrViolation{Level: l, What: what}
-}
-
-// LaplaceMechanism adds Laplace(sensitivity/epsilon) noise to value — the
-// classic epsilon-differentially-private release of a numeric aggregate.
-// A non-positive epsilon is a budget misconfiguration and is reported as
-// an error: releasing the raw value instead would be a privacy violation,
-// and panicking would let one bad request take down a standing worker.
-func LaplaceMechanism(rng *rand.Rand, value, sensitivity, epsilon float64) (float64, error) {
-	if epsilon <= 0 {
-		return 0, fmt.Errorf("privacy: epsilon must be positive, got %g", epsilon)
-	}
-	b := sensitivity / epsilon
-	u := rng.Float64() - 0.5
-	return value - b*math.Copysign(math.Log(1-2*math.Abs(u)), u), nil
-}
-
-// GaussianMechanism adds N(0, sigma^2) noise calibrated for
-// (epsilon, delta)-differential privacy.
-func GaussianMechanism(rng *rand.Rand, value, sensitivity, epsilon, delta float64) (float64, error) {
-	if epsilon <= 0 || delta <= 0 || delta >= 1 {
-		return 0, fmt.Errorf("privacy: invalid epsilon/delta (%g, %g)", epsilon, delta)
-	}
-	sigma := sensitivity * math.Sqrt(2*math.Log(1.25/delta)) / epsilon
-	return value + sigma*rng.NormFloat64(), nil
 }

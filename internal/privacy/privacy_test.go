@@ -1,10 +1,6 @@
 package privacy
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestLevelOrderingAndMax(t *testing.T) {
 	if Max(Public, Private) != Private || Max(PrivateAggregation, Public) != PrivateAggregation {
@@ -55,58 +51,4 @@ func asViolation(err error, out **ErrViolation) bool {
 		*out = v
 	}
 	return ok
-}
-
-func TestLaplaceMechanismStatistics(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 20000
-	eps, sens := 1.0, 2.0
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v, err := LaplaceMechanism(rng, 10, sens, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := v - 10
-		sum += d
-		sumSq += d * d
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	wantVar := 2 * (sens / eps) * (sens / eps) // Var(Laplace(b)) = 2b^2
-	if math.Abs(mean) > 0.1 {
-		t.Fatalf("biased noise: mean %g", mean)
-	}
-	if math.Abs(variance-wantVar)/wantVar > 0.15 {
-		t.Fatalf("variance %g want %g", variance, wantVar)
-	}
-}
-
-func TestGaussianMechanismStatistics(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	const n = 20000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v, err := GaussianMechanism(rng, 0, 1, 1, 1e-5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += v
-	}
-	if math.Abs(sum/n) > 0.2 {
-		t.Fatalf("biased gaussian noise: %g", sum/n)
-	}
-}
-
-func TestMechanismRejectsBadBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	if _, err := LaplaceMechanism(rng, 0, 1, 0); err == nil {
-		t.Fatal("LaplaceMechanism accepted epsilon=0")
-	}
-	if _, err := GaussianMechanism(rng, 0, 1, 0, 0.1); err == nil {
-		t.Fatal("GaussianMechanism accepted epsilon=0")
-	}
-	if _, err := GaussianMechanism(rng, 0, 1, 1, 1.5); err == nil {
-		t.Fatal("GaussianMechanism accepted delta=1.5")
-	}
 }

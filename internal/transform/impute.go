@@ -12,8 +12,7 @@ import (
 // via robust functional dependencies (A -> C). Both are two-pass federated
 // algorithms: workers compute aggregate counts, the coordinator derives the
 // imputation rule, and workers apply it locally (see
-// federated.Frame.ImputeMode / ImputeFD). MICE-style model-based imputation
-// builds on the ML algorithms and lives in package pipeline.
+// federated.Frame.ImputeMode / ImputeFD).
 
 // CategoryCounts counts the non-NULL values of a categorical column.
 func CategoryCounts(f *frame.Frame, col string) (map[string]int, error) {

@@ -213,11 +213,6 @@ func (w *Worker) PutMatrix(id int64, m *matrix.Dense, level privacy.Level) {
 	w.Put(id, &Entry{Mat: m, Level: level})
 }
 
-// PutFrame binds a frame under a privacy level.
-func (w *Worker) PutFrame(id int64, f *frame.Frame, level privacy.Level) {
-	w.Put(id, &Entry{Fr: f, Level: level})
-}
-
 // Remove deletes bindings. IDs without a binding are ignored, so rmvar is
 // idempotent: a retried cleanup, or a best-effort sweep after an aborted
 // parallel operation, never fails on work already done.
