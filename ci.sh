@@ -27,7 +27,10 @@
 #                      reader, which must
 #                      fail where the old ReadAll reader fails and
 #                      otherwise parse to the frame that oracle builds,
-#                      bit for bit;
+#                      bit for bit; and the aggregate kernels, whose every
+#                      op (full, row, column and partials, with and
+#                      without an op) must equal the all-statistics
+#                      reference pass bit for bit on NaN, ±Inf and ±0;
 #   8. /metrics smoke — a real fedworker process is spawned with
 #                      -metrics-addr and its endpoint is scraped once;
 #   9. exdrad smoke   — the standing coordinator daemon is spawned over two
@@ -81,6 +84,7 @@ go test -run='^$' -fuzz='^FuzzWireEnvelope$' -fuzztime=10s ./internal/fedrpc/
 go test -run='^$' -fuzz='^FuzzWireReply$' -fuzztime=10s ./internal/fedrpc/
 go test -run='^$' -fuzz='^FuzzWireStream$' -fuzztime=10s ./internal/fedrpc/
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/frame/
+go test -run='^$' -fuzz='^FuzzAggKernels$' -fuzztime=10s ./internal/matrix/
 echo "ci.sh: fuzz smoke passed"
 
 # /metrics smoke test: boot a real worker with the endpoint enabled, scrape

@@ -8,9 +8,9 @@ import (
 )
 
 // AggFull computes a full aggregation (sum, min, max, mean, var, sd) over
-// the federated matrix. Workers return partial aggregation tuples
-// (sum, sumsq, min, max, n) which the coordinator combines — only
-// aggregates travel, never raw data.
+// the federated matrix. Each worker returns only the partial statistics op
+// reads (partialInst) and the coordinator combines them — only aggregates
+// travel, never raw data.
 func (m *Matrix) AggFull(op matrix.AggOp) (float64, error) {
 	v, err := m.QueueAggFull(op).Get()
 	if err != nil {
@@ -23,21 +23,36 @@ func (m *Matrix) AggFull(op matrix.AggOp) (float64, error) {
 func (m *Matrix) QueueAggFull(op matrix.AggOp) *Value {
 	return m.c.queue("agg "+op.String(), m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		oid := m.c.NewID()
-		return []fedrpc.Request{
-			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-				Opcode: "ua_partial", Inputs: []int64{p.DataID}, Output: oid}},
-			{Type: fedrpc.Get, ID: oid},
-			rmvar(oid),
-		}
+		return []fedrpc.Request{partialInst("ua_partial", op, p.DataID, oid), {Type: fedrpc.Get, ID: oid}, rmvar(oid)}
 	}, func(resps [][]fedrpc.Response) (*matrix.Dense, error) {
-		n := len(resps)
-		sums, sumSqs, mins, maxs, counts := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]int, n)
-		for i, rs := range resps {
-			t := rs[1].Data.Matrix()
-			sums[i], sumSqs[i], mins[i], maxs[i], counts[i] = t.At(0, 0), t.At(0, 1), t.At(0, 2), t.At(0, 3), int(t.At(0, 4))
-		}
-		return matrix.Fill(1, 1, matrix.CombinePartialAggs(op, sums, sumSqs, mins, maxs, counts)), nil
+		return m.combinePartials(op, resps, 1, 1, func(r Range) int { return r.NumRows() * r.NumCols() })
 	})
+}
+
+// partialInst is the instruction that computes, from input, the partial
+// statistics op reads (matrix.AggOp.Stats), one row each: ua_partial over
+// all cells, uac_partial per column. The op travels in Attrs, so it is part
+// of the output's lineage trace.
+func partialInst(opcode string, op matrix.AggOp, input, output int64) fedrpc.Request {
+	return fedrpc.Request{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
+		Opcode: opcode, Inputs: []int64{input}, Output: output,
+		Attrs: map[string]string{"op": op.String()}}}
+}
+
+// combinePartials merges the op partials the partitions replied at index
+// at, each n wide, in partition order into the 1 x n result; count(r) is
+// how many cells a partial column of the partition with range r covers.
+func (m *Matrix) combinePartials(op matrix.AggOp, resps [][]fedrpc.Response, at, n int, count func(r Range) int) (*matrix.Dense, error) {
+	parts := make([]*matrix.Dense, len(resps))
+	counts := make([]int, len(resps))
+	for i, rs := range resps {
+		parts[i] = rs[at].Data.Matrix()
+		if parts[i] == nil || parts[i].Cols() != n {
+			return nil, fmt.Errorf("federated: %s partial %d is not %d columns wide", op, i, n)
+		}
+		counts[i] = count(m.fm.Partitions[i].Range)
+	}
+	return matrix.CombinePartials(op, parts, counts)
 }
 
 // Sum returns the sum of all cells.
@@ -65,10 +80,8 @@ func (m *Matrix) RowAgg(op matrix.AggOp) (*Matrix, *matrix.Dense, error) {
 		})
 		return out, nil, nil
 	case ColPartitioned:
-		// Transposed problem: combine per-partition column aggregates of
-		// the transposed view — equivalently, fetch per-partition row
-		// partials and merge. Only sum/min/max/mean compose from row
-		// partials without sumsq; use the 5-tuple per row.
+		// Per partition, the column partials of the transposed view are
+		// the row partials, merged at the coordinator.
 		local, err := m.QueueRowAgg(op).Get()
 		return nil, local, err
 	default:
@@ -77,35 +90,37 @@ func (m *Matrix) RowAgg(op matrix.AggOp) (*Matrix, *matrix.Dense, error) {
 }
 
 // QueueRowAgg is RowAgg of column-partitioned data as a pending read
-// (Fetch): per-partition rows x 5 partial tuples combined into the local
-// rows x 1 vector. On row partitions the result stays federated and is no
-// read.
+// (Fetch): per-partition row partials of op's statistics combined into the
+// local rows x 1 vector. On row partitions the result stays federated and
+// is no read.
 func (m *Matrix) QueueRowAgg(op matrix.AggOp) *Value {
 	name := "rowAgg " + op.String()
 	if m.Scheme() != ColPartitioned {
 		return failedValue(name, fmt.Errorf("federated: a row aggregate read needs column partitioning, have %s", m.Scheme()))
 	}
 	return m.c.queue(name, m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
-		// Partial tuples per row: transpose then uac_partial gives 5 x rows.
+		// Row partials: the column partials of the transpose, k x rows.
 		tid, oid := m.c.NewID(), m.c.NewID()
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "t", Inputs: []int64{p.DataID}, Output: tid}},
-			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-				Opcode: "uac_partial", Inputs: []int64{tid}, Output: oid}},
+			partialInst("uac_partial", op, tid, oid),
 			{Type: fedrpc.Get, ID: oid},
 			rmvar(tid, oid),
 		}
 	}, func(resps [][]fedrpc.Response) (*matrix.Dense, error) {
-		return combineTupleColumns(op, resps, m.Rows(), func(i int) *matrix.Dense {
-			return resps[i][2].Data.Matrix()
-		})
+		local, err := m.combinePartials(op, resps, 2, m.Rows(), Range.NumCols)
+		if err != nil {
+			return nil, err
+		}
+		return local.Transpose(), nil
 	})
 }
 
 // ColAgg computes per-column aggregates. For row-partitioned data the
-// coordinator combines per-partition 5 x cols partial tuples into a local
-// 1 x cols vector; for column-partitioned data the result stays federated.
+// coordinator combines per-partition column partials of op's statistics
+// into a local 1 x cols vector; for column-partitioned data the result
+// stays federated.
 func (m *Matrix) ColAgg(op matrix.AggOp) (*Matrix, *matrix.Dense, error) {
 	switch m.Scheme() {
 	case RowPartitioned:
@@ -152,44 +167,10 @@ func (m *Matrix) QueueColAgg(op matrix.AggOp) *Value {
 	}
 	return m.c.queue(name, m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		oid := m.c.NewID()
-		return []fedrpc.Request{
-			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-				Opcode: "uac_partial", Inputs: []int64{p.DataID}, Output: oid}},
-			{Type: fedrpc.Get, ID: oid},
-			rmvar(oid),
-		}
+		return []fedrpc.Request{partialInst("uac_partial", op, p.DataID, oid), {Type: fedrpc.Get, ID: oid}, rmvar(oid)}
 	}, func(resps [][]fedrpc.Response) (*matrix.Dense, error) {
-		local, err := combineTupleColumns(op, resps, m.Cols(), func(i int) *matrix.Dense {
-			return resps[i][1].Data.Matrix()
-		})
-		if err != nil {
-			return nil, err
-		}
-		return local.Transpose(), nil
+		return m.combinePartials(op, resps, 1, m.Cols(), Range.NumRows)
 	})
-}
-
-// combineTupleColumns merges per-partition 5 x n tuple matrices
-// (sum, sumsq, min, max, count rows) into the final aggregate vector n x 1.
-func combineTupleColumns(op matrix.AggOp, resps [][]fedrpc.Response, n int, tuple func(i int) *matrix.Dense) (*matrix.Dense, error) {
-	out := matrix.NewDense(n, 1)
-	k := len(resps)
-	sums := make([]float64, k)
-	sumSqs := make([]float64, k)
-	mins := make([]float64, k)
-	maxs := make([]float64, k)
-	counts := make([]int, k)
-	for j := 0; j < n; j++ {
-		for i := 0; i < k; i++ {
-			t := tuple(i)
-			if t.Cols() != n || t.Rows() != 5 {
-				return nil, fmt.Errorf("federated: partial tuple is %dx%d, want 5x%d", t.Rows(), t.Cols(), n)
-			}
-			sums[i], sumSqs[i], mins[i], maxs[i], counts[i] = t.At(0, j), t.At(1, j), t.At(2, j), t.At(3, j), int(t.At(4, j))
-		}
-		out.Set(j, 0, matrix.CombinePartialAggs(op, sums, sumSqs, mins, maxs, counts))
-	}
-	return out, nil
 }
 
 // RowIndexMax returns the 1-based argmax column per row as a federated

@@ -3,6 +3,7 @@ package federated
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -334,7 +335,8 @@ func (c *Coordinator) BytesSent() int64 { return c.fleet.BytesSent() }
 // this coordinator's fleet.
 func (c *Coordinator) BytesReceived() int64 { return c.fleet.BytesReceived() }
 
-// touchedAddrs snapshots the worker addresses this session has talked to.
+// touchedAddrs snapshots the worker addresses this session has talked to,
+// sorted as strings.
 func (c *Coordinator) touchedAddrs() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -342,6 +344,7 @@ func (c *Coordinator) touchedAddrs() []string {
 	for addr := range c.touched {
 		addrs = append(addrs, addr)
 	}
+	sort.Strings(addrs)
 	return addrs
 }
 
@@ -352,7 +355,9 @@ func (c *Coordinator) touchedAddrs() []string {
 // clears everything. Deferred requests are dropped first,
 // never sent after the CLEAR: everything they would create or remove lives
 // in the namespace the CLEAR empties (a deferred failure dropped here is
-// moot for the same reason).
+// moot for the same reason). The workers are cleared in string order of
+// their addresses, and when several fail the error is that of the address
+// that sorts first (lexically: "127.0.0.1:10" before "127.0.0.1:2").
 func (c *Coordinator) ClearAll() error {
 	c.dropPending()
 	var firstErr error

@@ -111,8 +111,9 @@ func DistributeWithColumns(c *Coordinator, x *matrix.Dense, addrs []string, sche
 		}); err != nil {
 			// Reclaim the partitions already placed on other workers, and
 			// this one (the failure may be a deferred request's that rode
-			// along, not the PUT's), so an aborted distribute leaves no
-			// worker-side state behind.
+			// along, not the PUT's). The sweep rides the outbox: the placed
+			// partitions are gone once the next call to their worker, or a
+			// Flush, carries it, not when this returns.
 			c.sweep(append(fm.Partitions, Partition{Addr: addr, DataID: id}))
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"exdra/internal/fedrpc"
+	"exdra/internal/matrix"
 )
 
 func recCoord() *Coordinator {
@@ -182,6 +183,11 @@ func TestInstTraceDeterminism(t *testing.T) {
 	}
 	if b := instTrace(s, inst(map[string]string{"rows": "0:6", "cols": "1:2"})); b == a {
 		t.Fatal("different attrs produced the same trace")
+	}
+	// A partial carries only its op's statistics, so its op is in its trace.
+	if instTrace(s, partialInst("uac_partial", matrix.AggMean, 1, 2).Inst) ==
+		instTrace(s, partialInst("uac_partial", matrix.AggMin, 1, 2).Inst) {
+		t.Fatal("mean and min partials of one input produced the same trace")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"exdra/internal/federated"
 	"exdra/internal/fedrpc"
+	"exdra/internal/frame"
 	"exdra/internal/netem"
 	"exdra/internal/privacy"
 )
@@ -70,7 +71,9 @@ func TestRetryRecoversFromInjectedResets(t *testing.T) {
 
 // TestNoRetryFailsFastWithoutLeaks is the fail-fast half of the acceptance
 // criterion: with retries disabled, an injected reset surfaces as a clean
-// error and the aborted distribute leaves no objects behind on any worker.
+// error. The reset hits the first PUT, so no partition was placed and no
+// worker holds an object when the distribute returns (a later partition's
+// failure is TestAbortedDistributeSweepsPlacedPartitions).
 func TestNoRetryFailsFastWithoutLeaks(t *testing.T) {
 	cl := startCluster(t, 3)
 	faults := netem.NewFaults(netem.FaultConfig{Seed: 7, ConnResets: 1, ResetAfterBytes: 16 << 10})
@@ -85,6 +88,45 @@ func TestNoRetryFailsFastWithoutLeaks(t *testing.T) {
 	for i, w := range cl.Workers {
 		if n := w.NumObjects(); n != 0 {
 			t.Errorf("worker %d leaked %d objects after aborted distribute", i, n)
+		}
+	}
+}
+
+// TestAbortedDistributeSweepsPlacedPartitions covers a distribute whose
+// later partition fails. It returns the error while the partitions placed
+// before it still exist; their sweep rides the outbox, so nothing is left
+// once the coordinator flushes.
+func TestAbortedDistributeSweepsPlacedPartitions(t *testing.T) {
+	cl := startCluster(t, 1)
+	coord := federated.NewCoordinator(fedrpc.Options{}, federated.Policy{})
+	defer coord.Close()
+	addrs := []string{cl.Addrs[0], "127.0.0.1:1"}
+	fr := frame.MustNew(frame.StringColumn("a", []string{"w", "x", "y", "z"}))
+	for _, c := range []struct {
+		name       string
+		distribute func() error
+	}{
+		{"Distribute", func() error {
+			_, err := federated.Distribute(coord, randMat(1, 4, 2), addrs, federated.RowPartitioned, privacy.Public)
+			return err
+		}},
+		{"DistributeFrame", func() error {
+			_, err := federated.DistributeFrame(coord, fr, addrs, privacy.Public)
+			return err
+		}},
+	} {
+		if err := c.distribute(); err == nil {
+			t.Fatalf("%s to a refused port succeeded", c.name)
+		}
+		if n := cl.Workers[0].NumObjects(); n != 1 {
+			t.Fatalf("%s: worker 0 holds %d objects before the flush, want its placed partition", c.name, n)
+		}
+		// The refused address fails its share of the sweep; worker 0's runs.
+		if err := coord.Flush(); err == nil || !strings.Contains(err.Error(), addrs[1]) {
+			t.Fatalf("%s: flush error %v, want the refused address's", c.name, err)
+		}
+		if n := cl.Workers[0].NumObjects(); n != 0 {
+			t.Errorf("%s: worker 0 holds %d objects after the flush", c.name, n)
 		}
 	}
 }
@@ -122,6 +164,28 @@ func TestParallelCallPartialFailureCleansUp(t *testing.T) {
 	for i, w := range cl.Workers {
 		if n := w.NumObjects(); n != baseline[i] {
 			t.Errorf("worker %d: %d objects after aborted op, want %d (no leak)", i, n, baseline[i])
+		}
+	}
+}
+
+// TestClearAllReportsLexicallyFirstAddressError: when several workers fail
+// their CLEAR, ClearAll reports the error of the address that sorts first
+// as a string, as parallelCall reports the lowest partition's, not
+// whichever the touched set yields first.
+func TestClearAllReportsLexicallyFirstAddressError(t *testing.T) {
+	coord := federated.NewCoordinator(fedrpc.Options{}, federated.Policy{})
+	defer coord.Close()
+	// A failed call to a refused port marks its address touched.
+	lo, hi := "127.0.0.1:1", "127.0.0.1:2"
+	for _, addr := range []string{hi, lo} {
+		if _, err := federated.Distribute(coord, randMat(1, 4, 2), []string{addr}, federated.RowPartitioned, privacy.Public); err == nil {
+			t.Fatalf("distribute to %s succeeded", addr)
+		}
+	}
+	for trial := 0; trial < 10; trial++ {
+		err := coord.ClearAll()
+		if err == nil || !strings.Contains(err.Error(), lo) || strings.Contains(err.Error(), hi) {
+			t.Fatalf("trial %d: ClearAll error %v, want %s's", trial, err, lo)
 		}
 	}
 }

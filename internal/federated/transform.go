@@ -54,7 +54,7 @@ func DistributeFrame(c *Coordinator, fr *frame.Frame, addrs []string, level priv
 			Data: fedrpc.FramePayload(fr.SliceRows(beg, end)),
 		}); err != nil {
 			// Reclaim the partitions already placed on other workers, and
-			// this one (see DistributeWithColumns).
+			// this one, through the outbox (see DistributeWithColumns).
 			c.sweep(append(fm.Partitions, Partition{Addr: addr, DataID: id}))
 			return nil, err
 		}

@@ -58,8 +58,9 @@ func TestLMTrainingSurvivesConnResets(t *testing.T) {
 
 // TestNoRetryFailsFastAndClean is the no-recovery half of the acceptance
 // criterion: with retries disabled, the first injected reset surfaces as a
-// clean, identifiable error and the aborted distribute leaves no objects on
-// any worker.
+// clean, identifiable error. It fails the first PUT, so no worker holds an
+// object when the distribute returns; partitions placed before a later
+// failure go with the sweep the next call carries.
 func TestNoRetryFailsFastAndClean(t *testing.T) {
 	faults := netem.NewFaults(netem.FaultConfig{
 		Seed: 11, ConnResets: 1, ResetAfterBytes: 16 << 10,

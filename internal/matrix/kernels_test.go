@@ -355,7 +355,7 @@ func TestColPartialAggsBitwise(t *testing.T) {
 	x.Set(7, 4, math.NaN())
 	x.Set(8, 4, math.Inf(1))
 	for _, m := range []*Dense{x, NewDense(0, 9), NewDense(5, 4), Fill(2, 3, math.Copysign(0, -1))} {
-		got := m.ColPartialAggs()
+		got := m.ColPartialAggs(AllStats)
 		want := RBind(m.ColAgg(AggSum), m.ColAgg(AggSumSq), m.ColAgg(AggMin), m.ColAgg(AggMax))
 		if d := sameBits(got, want); d != "" {
 			t.Fatalf("%dx%d: %s", m.rows, m.cols, d)

@@ -201,15 +201,14 @@ func TestPartialAggCombine(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3, 4, 5, 6}})
 	a := m.SliceCols(0, 2)
 	b := m.SliceCols(2, 6)
-	s1, q1, mn1, mx1, n1 := a.PartialAgg()
-	s2, q2, mn2, mx2, n2 := b.PartialAgg()
 	for _, op := range []AggOp{AggSum, AggMin, AggMax, AggMean, AggVar, AggSD} {
-		got := CombinePartialAggs(op,
-			[]float64{s1, s2}, []float64{q1, q2},
-			[]float64{mn1, mn2}, []float64{mx1, mx2}, []int{n1, n2})
+		got, err := CombinePartials(op, []*Dense{a.PartialAgg(op.Stats()), b.PartialAgg(op.Stats())}, []int{2, 4})
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := m.Agg(op)
-		if math.Abs(got-want) > 1e-12 {
-			t.Errorf("%v: combined %g want %g", op, got, want)
+		if math.Abs(got.At(0, 0)-want) > 1e-12 {
+			t.Errorf("%v: combined %g want %g", op, got.At(0, 0), want)
 		}
 	}
 }
@@ -409,14 +408,26 @@ func BenchmarkTSMM(b *testing.B) {
 	}
 }
 
-// BenchmarkColPartialAggs times the column partials of uac_partial
-// (colMeans, colSDs) on the same partition.
+// BenchmarkColPartialAggs times the column partials of uac_partial on the
+// same partition, one case per statistic set: sums (colSums, colMeans),
+// sums and sums of squares (colSDs), minima, maxima, and all four (the
+// op-less tuple, which runs those kernels in turn).
 func BenchmarkColPartialAggs(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := Randn(rng, 20000, 100, 0, 1)
-	b.SetBytes(int64(8 * x.Size()))
-	for i := 0; i < b.N; i++ {
-		benchSink = x.ColPartialAggs()
+	for _, c := range []struct {
+		name string
+		sel  Stats
+	}{
+		{"sum", StatSum}, {"moments", StatSum | StatSumSq},
+		{"min", StatMin}, {"max", StatMax}, {"all", AllStats},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(8 * x.Size()))
+			for i := 0; i < b.N; i++ {
+				benchSink = x.ColPartialAggs(c.sel)
+			}
+		})
 	}
 }
 

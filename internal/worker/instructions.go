@@ -35,6 +35,7 @@ var unaryOps = map[string]matrix.UnaryOp{
 var aggOps = map[string]matrix.AggOp{
 	"sum": matrix.AggSum, "min": matrix.AggMin, "max": matrix.AggMax,
 	"mean": matrix.AggMean, "var": matrix.AggVar, "sd": matrix.AggSD,
+	"sumsq": matrix.AggSumSq,
 }
 
 // handleInst interprets one EXEC_INST request. Inputs and the output are
@@ -304,22 +305,35 @@ func (w *Worker) execInst(inst *fedrpc.Instruction) (*matrix.Dense, privacy.Leve
 		}
 		return transparent(a.Transpose(), nil)
 
-	case "ua_partial": // full-aggregate partial tuple [sum, sumsq, min, max, n]
+	case "ua_partial", "uac_partial":
+		// Aggregate partials, over all cells (ua) or per column (uac). With
+		// an op in Attrs they hold only the statistics that op reads, one
+		// row each (matrix.AggOp.Stats): k x 1 or k x cols. Without one,
+		// the tuple (sum, sumsq, min, max, count): 1 x 5 or 5 x cols.
 		a, err := w.Matrix(inst.Inputs[0])
 		if err != nil {
 			return nil, 0, err
 		}
-		sum, sumSq, mn, mx, n := a.PartialAgg()
-		out := matrix.RowVector([]float64{sum, sumSq, mn, mx, float64(n)})
-		return aggregating(out, nil)
-
-	case "uac_partial": // column-aggregate partials, 5 x cols
-		a, err := w.Matrix(inst.Inputs[0])
-		if err != nil {
-			return nil, 0, err
+		sel, tuple := matrix.AllStats, true
+		if name, ok := inst.Attrs["op"]; ok {
+			aop, ok := aggOps[name]
+			if !ok {
+				return nil, 0, fmt.Errorf("unknown aggregate op %q", name)
+			}
+			sel, tuple = aop.Stats(), false
 		}
-		out := matrix.RBind(a.ColPartialAggs(), matrix.Fill(1, a.Cols(), float64(a.Rows())))
-		return aggregating(out, nil)
+		if op == "ua_partial" {
+			p := a.PartialAgg(sel)
+			if tuple {
+				p = matrix.RowVector(append(p.Data(), float64(a.Size())))
+			}
+			return aggregating(p, nil)
+		}
+		p := a.ColPartialAggs(sel)
+		if tuple {
+			p = matrix.RBind(p, matrix.Fill(1, a.Cols(), float64(a.Rows())))
+		}
+		return aggregating(p, nil)
 
 	case "softmax":
 		a, err := w.Matrix(inst.Inputs[0])

@@ -178,6 +178,66 @@ func TestAllMappedOpcodes(t *testing.T) {
 	}
 }
 
+// TestPartialRepliesCarryOnlyTheirStatistics pins what a site sends for an
+// aggregate: the GET of an op's ua_partial or uac_partial holds only the
+// statistics that op reads, one row each, bit for bit the local aggregate
+// of that statistic. sum and mean send sums; var and sd sums and sums of
+// squares; min minima and max maxima. Without an op the partials keep the
+// (sum, sumsq, min, max, count) tuple: 1 x 5 and 5 x cols.
+func TestPartialRepliesCarryOnlyTheirStatistics(t *testing.T) {
+	w := New("")
+	x := matrix.Randn(rand.New(rand.NewSource(5)), 11, 3, 0, 2)
+	put(t, w, 1, x, privacy.Public)
+	send := func(opcode string, attrs map[string]string) *matrix.Dense {
+		t.Helper()
+		resps := w.Handle([]fedrpc.Request{
+			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: opcode, Inputs: []int64{1}, Output: 2, Attrs: attrs}},
+			{Type: fedrpc.Get, ID: 2},
+			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{2}}},
+		})
+		for _, r := range resps {
+			if !r.OK {
+				t.Fatalf("%s %v: %s", opcode, attrs, r.Err)
+			}
+		}
+		return resps[1].Data.Matrix()
+	}
+	same := func(what string, got, want *matrix.Dense) {
+		t.Helper()
+		if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
+			t.Fatalf("%s sends %dx%d, want %dx%d", what, got.Rows(), got.Cols(), want.Rows(), want.Cols())
+		}
+		for i, g := range got.Data() {
+			if math.Float64bits(g) != math.Float64bits(want.Data()[i]) {
+				t.Fatalf("%s: cell %d is %v, want %v", what, i, g, want.Data()[i])
+			}
+		}
+	}
+	reads := map[string][]matrix.AggOp{
+		"sum": {matrix.AggSum}, "mean": {matrix.AggSum},
+		"var": {matrix.AggSum, matrix.AggSumSq}, "sd": {matrix.AggSum, matrix.AggSumSq},
+		"min": {matrix.AggMin}, "max": {matrix.AggMax}, "sumsq": {matrix.AggSumSq},
+	}
+	for name, stats := range reads {
+		var full, cols []*matrix.Dense
+		for _, st := range stats {
+			full = append(full, matrix.Fill(1, 1, x.Agg(st)))
+			cols = append(cols, x.ColAgg(st))
+		}
+		same("ua_partial "+name, send("ua_partial", map[string]string{"op": name}), matrix.RBind(full...))
+		same("uac_partial "+name, send("uac_partial", map[string]string{"op": name}), matrix.RBind(cols...))
+	}
+	n := float64(x.Rows())
+	same("op-less uac_partial", send("uac_partial", nil), matrix.RBind(x.ColAgg(matrix.AggSum),
+		x.ColAgg(matrix.AggSumSq), x.ColAgg(matrix.AggMin), x.ColAgg(matrix.AggMax), matrix.Fill(1, x.Cols(), n)))
+	same("op-less ua_partial", send("ua_partial", nil), matrix.RowVector([]float64{x.Agg(matrix.AggSum),
+		x.Agg(matrix.AggSumSq), x.Agg(matrix.AggMin), x.Agg(matrix.AggMax), float64(x.Size())}))
+	if r := exec(t, w, fedrpc.Instruction{Opcode: "uac_partial", Inputs: []int64{1}, Output: 3,
+		Attrs: map[string]string{"op": "median"}}); r.OK {
+		t.Fatal("uac_partial with an unknown op accepted")
+	}
+}
+
 // TestLeftIndex covers the one in-place instruction: a successful
 // sub-block assignment, bounds rejection, privacy laundering rejection
 // (restricted source into a public target), and in-place decompression of
