@@ -8,13 +8,21 @@
 #                      (see DESIGN.md, "Static analysis"); any finding
 #                      prints as "file:line: rule: msg" and fails the run;
 #   4b. reachability — every package under internal/ is imported, directly
-#                      or not, by a binary, the benchmark or an example, so
-#                      an unreachable package cannot ship (DESIGN.md §5);
+#                      or not, by a binary, the benchmark or an example, and
+#                      every name registered with MustRegisterUDF in
+#                      non-test Go appears quoted in another non-test Go
+#                      file (its sender), so neither an unreachable package
+#                      nor a UDF no coordinator sends can ship (DESIGN.md §5);
 #   5. go test -race -count=1 — the full test suite under the race
 #                      detector, never from cache: connection teardown,
 #                      redial, retry, restart/replay and prober
 #                      interleavings are exactly where data races hide, and
-#                      a cached pass says nothing about them;
+#                      a cached pass says nothing about them. It also holds
+#                      the pipelining bars: a depth-8 burst at a 35 ms RTT
+#                      within 3.5 RTTs and at least 2x faster than lock-step,
+#                      on a bare fedrpc client (TestPipelineDepth8Latency)
+#                      and through the coordinator
+#                      (TestCoordinatorPipelinedBurst);
 #   6. kernel benchmarks — the internal/matrix benchmarks run one iteration
 #                      each, so every kernel benchmark compiles and executes
 #                      on every run instead of rotting (timings are not
@@ -44,14 +52,7 @@
 #                      gates the fresh encode+decode phase seconds against
 #                      the committed snapshot at 2x, so a serialization
 #                      regression fails CI before it lands. The committed
-#                      snapshot moves only by explicit commit;
-#  11. pipeline gate  — expbench -exp pipeline measures the
-#                      BENCH_pipeline.json rows (a depth-8 burst of GETs at
-#                      a 35 ms RTT, window 1 vs window 8) into a temp file
-#                      and -check-pipeline requires the pipelined burst
-#                      within 3.5 RTTs and at least 2x faster than window 1,
-#                      so pipelining can never silently regress to
-#                      serialized exchanges.
+#                      snapshot moves only by explicit commit.
 #
 # No step writes to a tracked file.
 set -euo pipefail
@@ -72,6 +73,18 @@ for pkg in $(go list ./internal/...); do
 done
 [ -z "$unreached" ] || { echo "ci.sh: reached by no binary, benchmark or example:$unreached" >&2; exit 1; }
 echo "ci.sh: every internal package is reachable"
+
+# UDF reachability: the linker keeps every init-registered UDF alive, so
+# name each one whose quoted name no other non-test Go file contains — a
+# UDF no coordinator can send.
+unsent=""
+while read -r file name; do
+  senders="$(grep -rlF --include='*.go' --exclude='*_test.go' "\"$name\"" . | grep -vxF "$file" || true)"
+  [ -n "$senders" ] || unsent="$unsent $name"
+done < <(grep -rEo --include='*.go' --exclude='*_test.go' 'MustRegisterUDF\("[^"]+"' . \
+  | sed -E 's/^([^:]*):MustRegisterUDF\("([^"]*)"$/\1 \2/')
+[ -z "$unsent" ] || { echo "ci.sh: registered UDFs no non-test code sends:$unsent" >&2; exit 1; }
+echo "ci.sh: every registered UDF has a sender"
 go test -race -count=1 ./...
 
 # Kernel benchmarks: one iteration each, so they keep compiling and running.
@@ -166,10 +179,3 @@ echo "ci.sh: exdrad smoke test passed (two concurrent sessions over $w1_addr,$w2
 go run ./cmd/expbench -smoke -json "$tmp/BENCH_smoke.json"
 go run ./cmd/expbench -compare "BENCH_smoke.json,$tmp/BENCH_smoke.json" -max-ratio 2
 echo "ci.sh: bench smoke gate passed"
-
-# Pipeline gate: measure the window-8 vs window-1 burst rows at the fixed
-# 35 ms RTT and hold the acceptance bar — a depth-8 pipelined burst within
-# 3.5 RTTs and at least 2x faster than window 1 (see BENCH_pipeline.json).
-go run ./cmd/expbench -exp pipeline -json "$tmp/BENCH_pipeline.json"
-go run ./cmd/expbench -check-pipeline "$tmp/BENCH_pipeline.json" -max-rtts 3.5 -min-speedup 2
-echo "ci.sh: pipeline gate passed"

@@ -43,39 +43,3 @@ func Smoke() ([]Measurement, error) {
 	}
 	return []Measurement{xfer, lm}, nil
 }
-
-// WireBench produces the wire-format cost rows (BENCH_wire_binary.json):
-// the transfer microbenchmark plus LM and K-Means under FedLAN and FedWAN,
-// two workers each, counters isolated per cluster; the enc_s/dec_s columns
-// are what the wire format costs.
-func WireBench() ([]Measurement, error) {
-	w := NewWorkloads(SmokeScale())
-	var out []Measurement
-	for _, mode := range []Mode{FedLAN, FedWAN} {
-		env := Env{Mode: mode, Workers: 2, Metrics: obs.New()}
-		cl, err := env.Cluster()
-		if err != nil {
-			return nil, err
-		}
-		reps := 3
-		if mode == FedWAN {
-			reps = 2 // the emulated 1.7 MB/s link makes each rep seconds-long
-		}
-		xfer, err := w.RunTransfer(env, cl, reps)
-		if err != nil {
-			cl.Close()
-			return nil, err
-		}
-		out = append(out, xfer)
-		for _, alg := range []string{"lm", "kmeans"} {
-			m, err := w.RunAlgorithm(alg, env, cl)
-			if err != nil {
-				cl.Close()
-				return nil, err
-			}
-			out = append(out, m)
-		}
-		cl.Close()
-	}
-	return out, nil
-}

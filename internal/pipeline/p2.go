@@ -146,17 +146,20 @@ func runP2(x engine.Mat, y *matrix.Dense, meta *transform.Meta,
 		return nil, fmt.Errorf("pipeline: %d labels for %d rows", y.Rows(), x.Rows())
 	}
 
-	// Value clipping to [mu - k*sigma, mu + k*sigma] per column.
-	mu := engine.Local(engine.ColAgg(matrix.AggMean, x))
-	sd := engine.Local(engine.ColAgg(matrix.AggSD, x))
+	// Value clipping to [mu - k*sigma, mu + k*sigma] per column. Means and
+	// SDs share one exchange per worker.
+	mh, sh := engine.QueueColAgg(matrix.AggMean, x), engine.QueueColAgg(matrix.AggSD, x)
+	engine.Fetch(mh, sh)
+	mu, sd := mh.Value(), sh.Value()
 	lo := mu.Sub(sd.Scale(cfg.ClipSigma))
 	hi := mu.Add(sd.Scale(cfg.ClipSigma))
 	x = engine.Binary(matrix.OpMin, engine.Binary(matrix.OpMax, x, lo), hi)
 
 	// Normalize to zero column means and unit standard deviations
 	// (constant columns keep divisor one).
-	mu2 := engine.Local(engine.ColAgg(matrix.AggMean, x))
-	sd2 := engine.Local(engine.ColAgg(matrix.AggSD, x)).Replace(0, 1)
+	mh, sh = engine.QueueColAgg(matrix.AggMean, x), engine.QueueColAgg(matrix.AggSD, x)
+	engine.Fetch(mh, sh)
+	mu2, sd2 := mh.Value(), sh.Value().Replace(0, 1)
 	x = engine.Div(engine.Sub(x, mu2), sd2)
 
 	// Balanced train/test split: each row partition is split TrainFrac

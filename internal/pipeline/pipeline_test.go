@@ -10,6 +10,7 @@ import (
 	"exdra/internal/fedtest"
 	"exdra/internal/matrix"
 	"exdra/internal/nes"
+	"exdra/internal/obs"
 	"exdra/internal/pipeline"
 	"exdra/internal/privacy"
 )
@@ -96,6 +97,39 @@ func TestP2FederatedMatchesLocal(t *testing.T) {
 	// must hit the same quality band.
 	if fed.R2 < 0.8 {
 		t.Fatalf("P2 federated R2 = %g (local %g)", fed.R2, local.R2)
+	}
+}
+
+// TestP2FederatedCallCount pins how many RPCs a seeded 2-worker P2 run
+// costs, so a read that stops sharing an exchange shows as a count change
+// without a timing in sight. Each column-statistics pair (means and SDs,
+// before clipping and again before normalizing) rides one exchange per
+// worker.
+func TestP2FederatedCallCount(t *testing.T) {
+	reg := obs.New()
+	cl, err := fedtest.Start(fedtest.Config{Workers: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	full := data.PaperProduction(data.PaperProductionConfig{
+		Rows: 400, ContinuousCols: 6, RecipeCategories: 10, NullRate: 0.02, Seed: 8})
+	fr, y, err := pipeline.SplitTarget(full, "zstrength")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff, err := federated.DistributeFrame(cl.Coord, fr, cl.Addrs, privacy.PrivateAggregation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := reg.Snapshot()
+	if _, err := pipeline.RunP2Federated(ff, y, fr.Names(), pipeline.P2Config{
+		Spec: data.PaperProductionSpec(), TrainAlgo: "lm"}); err != nil {
+		t.Fatal(err)
+	}
+	const want = 46
+	if got := reg.Snapshot().Diff(before).Counters["rpc.client.calls"]; got != want {
+		t.Errorf("RunP2Federated on 2 workers: %d rpc.client.calls, want %d", got, want)
 	}
 }
 

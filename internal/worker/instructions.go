@@ -134,14 +134,6 @@ func (w *Worker) execLeftIndex(inst *fedrpc.Instruction) error {
 	if sl, tl := srcEnt.effectiveLevel(), tgt.effectiveLevel(); privacy.Max(sl, tl) != tl {
 		return fmt.Errorf("source level %v exceeds target level %v", sl, tl)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	// Decompress in place under the write lock: mutating a dense buffer
-	// that Compact already unlinked would silently lose the write.
-	if tgt.Mat == nil && tgt.Comp != nil {
-		tgt.Mat = tgt.Comp.Decompress()
-		tgt.Comp = nil
-	}
 	m := tgt.Mat
 	if m == nil {
 		return fmt.Errorf("target %d is not a matrix (%s)", inst.Inputs[0], tgt.describe())
@@ -150,6 +142,8 @@ func (w *Worker) execLeftIndex(inst *fedrpc.Instruction) error {
 		return fmt.Errorf("assignment [%d+%d, %d+%d] out of range for %dx%d",
 			rb, src.Rows(), cb, src.Cols(), m.Rows(), m.Cols())
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	m.SetSlice(rb, cb, src)
 	return nil
 }

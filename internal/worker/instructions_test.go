@@ -239,9 +239,8 @@ func TestPartialRepliesCarryOnlyTheirStatistics(t *testing.T) {
 }
 
 // TestLeftIndex covers the one in-place instruction: a successful
-// sub-block assignment, bounds rejection, privacy laundering rejection
-// (restricted source into a public target), and in-place decompression of
-// a compacted target.
+// sub-block assignment, bounds rejection, and privacy laundering rejection
+// (restricted source into a public target).
 func TestLeftIndex(t *testing.T) {
 	w := New("")
 	put(t, w, 1, matrix.Fill(4, 4, 0), privacy.Public)
@@ -271,19 +270,5 @@ func TestLeftIndex(t *testing.T) {
 	put(t, w, 3, matrix.Fill(2, 2, 9), privacy.Private)
 	if r := exec(t, w, fedrpc.Instruction{Opcode: "leftIndex", Inputs: []int64{1, 3}, Scalars: []float64{0, 0}}); r.OK {
 		t.Fatal("Private source written into Public target")
-	}
-
-	// A compacted target is decompressed in place and then mutated.
-	rng := rand.New(rand.NewSource(3))
-	put(t, w, 4, onehot(rng, 64, 4), privacy.Public)
-	if n, _ := w.Compact(1.0); n == 0 {
-		t.Fatal("compaction did not engage")
-	}
-	if r := exec(t, w, fedrpc.Instruction{Opcode: "leftIndex", Inputs: []int64{4, 2}, Scalars: []float64{0, 0}}); !r.OK {
-		t.Fatalf("leftIndex into compacted target: %s", r.Err)
-	}
-	got4, _ := w.Matrix(4)
-	if got4.Data()[0] != 7 || got4.Data()[1] != 7 {
-		t.Fatal("leftIndex into compacted target lost the write")
 	}
 }

@@ -2,7 +2,6 @@ package worker
 
 import (
 	"fmt"
-	"math/rand"
 
 	"exdra/internal/fedrpc"
 	"exdra/internal/lineage"
@@ -11,15 +10,11 @@ import (
 )
 
 // Built-in UDFs of the federated runtime. Feature-transformation UDFs
-// implement the two passes of federated transformencode (§4.4, Figure 3);
-// the shuffle/replicate UDF implements the federated data partitioning of
-// the parameter server (§4.3).
+// implement the two passes of federated transformencode (§4.4, Figure 3).
 
 func init() {
 	MustRegisterUDF("tf_build_partial", udfTFBuildPartial)
 	MustRegisterUDF("tf_apply", udfTFApply)
-	MustRegisterUDF("shuffle_replicate", udfShuffleReplicate)
-	MustRegisterUDF("frame_nrows", udfFrameNumRows)
 	MustRegisterUDF("obj_dims", udfObjDims)
 	MustRegisterUDF("tf_decode", udfTFDecode)
 }
@@ -56,19 +51,10 @@ func udfObjDims(w *Worker, call *fedrpc.UDFCall) (fedrpc.Payload, error) {
 	if err != nil {
 		return fedrpc.Payload{}, err
 	}
-	// Snapshot under the lock: Compact swaps Mat/Comp in place, and both
-	// carry the dimensions — a compacted matrix must not degrade to the
-	// scalar [1,1] answer.
-	w.mu.RLock()
-	mat, comp := e.Mat, e.Comp
-	w.mu.RUnlock()
 	switch {
-	case mat != nil:
+	case e.Mat != nil:
 		return fedrpc.MatrixPayload(matrix.RowVector([]float64{
-			float64(mat.Rows()), float64(mat.Cols())})), nil
-	case comp != nil:
-		return fedrpc.MatrixPayload(matrix.RowVector([]float64{
-			float64(comp.Rows()), float64(comp.Cols())})), nil
+			float64(e.Mat.Rows()), float64(e.Mat.Cols())})), nil
 	case e.Fr != nil:
 		return fedrpc.MatrixPayload(matrix.RowVector([]float64{
 			float64(e.Fr.NumRows()), float64(e.Fr.NumCols())})), nil
@@ -139,78 +125,4 @@ func udfTFApply(w *Worker, call *fedrpc.UDFCall) (fedrpc.Payload, error) {
 	}
 	w.Put(call.Output, &Entry{Mat: x, Level: e.Level})
 	return fedrpc.ScalarPayload(float64(x.Rows())), nil
-}
-
-// ShuffleArgs are the arguments of shuffle_replicate: the parameter
-// server's federated data partitioning (local shuffling, optional
-// replication to balance worker data sizes).
-type ShuffleArgs struct {
-	Seed int64
-	// Replicate repeats the local partition this many times (>= 1) to
-	// balance imbalance across sites; aggregation weights are adjusted at
-	// the server.
-	Replicate int
-	// LabelsID pairs a label matrix that must be shuffled consistently.
-	LabelsID    int64
-	OutLabelsID int64
-}
-
-func udfShuffleReplicate(w *Worker, call *fedrpc.UDFCall) (fedrpc.Payload, error) {
-	var args ShuffleArgs
-	if err := DecodeArgs(call.Args, &args); err != nil {
-		return fedrpc.Payload{}, err
-	}
-	x, err := w.Matrix(call.Inputs[0])
-	if err != nil {
-		return fedrpc.Payload{}, err
-	}
-	var y *matrix.Dense
-	if args.LabelsID != 0 {
-		if y, err = w.Matrix(args.LabelsID); err != nil {
-			return fedrpc.Payload{}, err
-		}
-		if y.Rows() != x.Rows() {
-			return fedrpc.Payload{}, fmt.Errorf("shuffle: %d features vs %d labels", x.Rows(), y.Rows())
-		}
-	}
-	rep := args.Replicate
-	if rep < 1 {
-		rep = 1
-	}
-	rng := rand.New(rand.NewSource(args.Seed))
-	idx := make([]int, 0, x.Rows()*rep)
-	for r := 0; r < rep; r++ {
-		perm := rng.Perm(x.Rows())
-		idx = append(idx, perm...)
-	}
-	xe, _ := w.Get(call.Inputs[0])
-	w.Put(call.Output, &Entry{Mat: x.SelectRows(idx), Level: xe.Level})
-	if y != nil {
-		ye, _ := w.Get(args.LabelsID)
-		w.Put(args.OutLabelsID, &Entry{Mat: y.SelectRows(idx), Level: ye.Level})
-	}
-	return fedrpc.ScalarPayload(float64(len(idx))), nil
-}
-
-// udfFrameNumRows returns the row count of a frame — metadata the
-// coordinator needs to build federation maps over raw files it has never
-// seen (read-on-demand).
-func udfFrameNumRows(w *Worker, call *fedrpc.UDFCall) (fedrpc.Payload, error) {
-	e, err := w.Get(call.Inputs[0])
-	if err != nil {
-		return fedrpc.Payload{}, err
-	}
-	w.mu.RLock()
-	mat, comp := e.Mat, e.Comp
-	w.mu.RUnlock()
-	switch {
-	case e.Fr != nil:
-		return fedrpc.ScalarPayload(float64(e.Fr.NumRows())), nil
-	case mat != nil:
-		return fedrpc.ScalarPayload(float64(mat.Rows())), nil
-	case comp != nil:
-		return fedrpc.ScalarPayload(float64(comp.Rows())), nil
-	default:
-		return fedrpc.Payload{}, fmt.Errorf("frame_nrows: object %d has no rows", call.Inputs[0])
-	}
 }

@@ -29,11 +29,10 @@ import (
 // holds opaque execution-context state (e.g. a parameter-server worker
 // session) that UDFs manage and that is never transferable via GET.
 type Entry struct {
-	// Mat and Comp are the two representations of a matrix binding and are
-	// swapped in place by Compact and Matrix; unlike the other fields (set
-	// once before the entry is published) they mutate after Put, so both are
-	// guarded by Worker.mu.
-	Mat    *matrix.Dense // guarded by Worker.mu
+	// Mat, like every field, is set once before the entry is published.
+	// Its dense contents are the one thing that changes after Put: leftIndex
+	// writes them in place under Worker.mu's write lock (see symtab).
+	Mat    *matrix.Dense
 	Fr     *frame.Frame
 	Scalar float64
 	IsScal bool
@@ -43,9 +42,6 @@ type Entry struct {
 	// (§4.1); columns beyond the slice default to Level. Column-subset
 	// operations (rightIndex) propagate the relevant slice.
 	ColLevels []privacy.Level
-	// Comp holds the matrix in compressed form after Compact; Matrix
-	// transparently decompresses on access. Guarded by Worker.mu.
-	Comp *matrix.Compressed
 }
 
 // effectiveLevel returns the most restrictive constraint over the whole
@@ -59,14 +55,11 @@ func (e *Entry) effectiveLevel() privacy.Level {
 }
 
 // describe renders a short human-readable form of the binding for error
-// messages and privacy-violation reports. Callers hold mu (the owning
-// Worker's) because Mat and Comp swap under it.
+// messages and privacy-violation reports.
 func (e *Entry) describe() string {
 	switch {
 	case e.Mat != nil:
 		return fmt.Sprintf("matrix %dx%d", e.Mat.Rows(), e.Mat.Cols())
-	case e.Comp != nil:
-		return fmt.Sprintf("compressed matrix %dx%d", e.Comp.Rows(), e.Comp.Cols())
 	case e.Fr != nil:
 		return fmt.Sprintf("frame %dx%d", e.Fr.NumRows(), e.Fr.NumCols())
 	default:
@@ -87,8 +80,10 @@ type Worker struct {
 	// failure model.
 	epoch uint64
 
-	mu     sync.RWMutex
-	symtab map[int64]*Entry // guarded by mu (and Entry.Mat/Comp swaps)
+	mu sync.RWMutex
+	// symtab is guarded by mu, whose write lock also excludes leftIndex's
+	// in-place write to an Entry's dense contents from a GET copying them.
+	symtab map[int64]*Entry
 
 	// Lineage caches reusable intermediates (e.g. parsed raw files and
 	// recode maps) across pipeline runs, per ExDRa §4.4.
@@ -148,38 +143,16 @@ func (w *Worker) Get(id int64) (*Entry, error) {
 	return e, nil
 }
 
-// Matrix returns the matrix bound to id, transparently decompressing
-// compacted entries (the decompressed form replaces the compressed one, so
-// hot objects pay the cost once).
+// Matrix returns the matrix bound to id.
 func (w *Worker) Matrix(id int64) (*matrix.Dense, error) {
 	e, err := w.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	w.mu.RLock()
-	m := e.Mat
-	w.mu.RUnlock()
-	if m != nil {
-		return m, nil
+	if e.Mat == nil {
+		return nil, fmt.Errorf("worker: object %d is not a matrix (%s)", id, e.describe())
 	}
-	// Slow path: decompress under the write lock and hand back the pointer
-	// captured while still holding it — Compact may swap Mat out again the
-	// instant the lock drops, but our snapshot stays valid (Compact never
-	// mutates the dense buffer, it only unlinks it).
-	w.mu.Lock()
-	if e.Mat == nil && e.Comp != nil {
-		e.Mat = e.Comp.Decompress()
-		e.Comp = nil
-	}
-	m = e.Mat
-	w.mu.Unlock()
-	if m == nil {
-		w.mu.RLock()
-		desc := e.describe()
-		w.mu.RUnlock()
-		return nil, fmt.Errorf("worker: object %d is not a matrix (%s)", id, desc)
-	}
-	return m, nil
+	return e.Mat, nil
 }
 
 // Frame returns the frame bound to id.
@@ -189,10 +162,7 @@ func (w *Worker) Frame(id int64) (*frame.Frame, error) {
 		return nil, err
 	}
 	if e.Fr == nil {
-		w.mu.RLock()
-		desc := e.describe()
-		w.mu.RUnlock()
-		return nil, fmt.Errorf("worker: object %d is not a frame (%s)", id, desc)
+		return nil, fmt.Errorf("worker: object %d is not a frame (%s)", id, e.describe())
 	}
 	return e.Fr, nil
 }
@@ -436,33 +406,19 @@ func (w *Worker) handleGet(req fedrpc.Request) fedrpc.Response {
 	if err != nil {
 		return fedrpc.Errorf("GET: %v", err)
 	}
-	// Snapshot the Mat/Comp pair under the lock: Compact swaps them in
-	// place, and an unlocked reader can catch the moment where both look
-	// nil and misclassify a matrix as a scalar. The dense payload is
-	// copied (not aliased) while the lock is still held: the reply is
-	// serialized by fedrpc's serveConn long after this handler returns,
-	// and an in-place instruction (leftIndex) mutating the same binding
-	// in that window would otherwise put a torn slab on the wire. The
-	// compressed snapshot stays a pointer — Compact never mutates the
-	// compressed buffer, it only unlinks it — so the expensive Decompress
-	// runs outside the lock.
-	w.mu.RLock()
-	comp := e.Comp
-	var matPayload fedrpc.Payload
-	hasMat := e.Mat != nil
-	if hasMat {
-		matPayload = fedrpc.MatrixPayloadCopy(e.Mat)
-	}
-	desc := e.describe()
-	w.mu.RUnlock()
-	if err := privacy.CheckTransfer(e.effectiveLevel(), desc); err != nil {
+	if err := privacy.CheckTransfer(e.effectiveLevel(), e.describe()); err != nil {
 		return fedrpc.Errorf("GET %d: %v", req.ID, err)
 	}
 	switch {
-	case hasMat:
-		return fedrpc.Response{OK: true, Data: matPayload}
-	case comp != nil:
-		return fedrpc.Response{OK: true, Data: fedrpc.MatrixPayload(comp.Decompress())}
+	case e.Mat != nil:
+		// Copy (not alias) the dense payload under the read lock: the reply
+		// is serialized by fedrpc's serveConn long after this handler
+		// returns, and leftIndex writing the same binding in place in that
+		// window would otherwise put a torn slab on the wire.
+		w.mu.RLock()
+		payload := fedrpc.MatrixPayloadCopy(e.Mat)
+		w.mu.RUnlock()
+		return fedrpc.Response{OK: true, Data: payload}
 	case e.Fr != nil:
 		return fedrpc.Response{OK: true, Data: fedrpc.FramePayload(e.Fr)}
 	case e.Obj != nil:
