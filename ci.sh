@@ -3,7 +3,10 @@
 #
 #   1. go build      — the tree compiles;
 #   2. gofmt         — every file is canonically formatted;
-#   3. go vet        — stock static analysis;
+#   3. go vet        — stock static analysis, and again for
+#                      GOARCH=arm64 on internal/matrix, so the Go kernels
+#                      that run where the AVX2 assembly does not keep
+#                      compiling (the cross vet needs no download);
 #   4. exdralint     — project-specific federation-runtime invariants
 #                      (see DESIGN.md, "Static analysis"); any finding
 #                      prints as "file:line: rule: msg" and fails the run;
@@ -39,6 +42,10 @@
 #                      op (full, row, column and partials, with and
 #                      without an op) must equal the all-statistics
 #                      reference pass bit for bit on NaN, ±Inf and ±0;
+#                      and the AVX2 product kernels (MatMul, TMatMul,
+#                      TSMM, MMChain), which must equal the Go kernels bit
+#                      for bit on ragged shapes of NaN, ±Inf and ±0 cells
+#                      (any NaN matching any NaN);
 #   8. /metrics smoke — a real fedworker process is spawned with
 #                      -metrics-addr and its endpoint is scraped once;
 #   9. exdrad smoke   — the standing coordinator daemon is spawned over two
@@ -62,6 +69,7 @@ go build ./...
 unformatted="$(gofmt -l .)"
 [ -z "$unformatted" ] || { echo "ci.sh: gofmt needed:" >&2; echo "$unformatted" >&2; exit 1; }
 go vet ./...
+GOARCH=arm64 go vet ./internal/matrix/
 go run ./cmd/exdralint ./...
 
 # Reachability: name every internal package no binary, benchmark or example
@@ -98,6 +106,7 @@ go test -run='^$' -fuzz='^FuzzWireReply$' -fuzztime=10s ./internal/fedrpc/
 go test -run='^$' -fuzz='^FuzzWireStream$' -fuzztime=10s ./internal/fedrpc/
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/frame/
 go test -run='^$' -fuzz='^FuzzAggKernels$' -fuzztime=10s ./internal/matrix/
+go test -run='^$' -fuzz='^FuzzProductKernels$' -fuzztime=10s ./internal/matrix/
 echo "ci.sh: fuzz smoke passed"
 
 # /metrics smoke test: boot a real worker with the endpoint enabled, scrape

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 // tinyScale keeps harness tests fast while exercising every code path.
@@ -47,18 +48,32 @@ func TestRunAllAlgorithmsLocalAndFederated(t *testing.T) {
 	}
 }
 
+// TestLMLowerBound: the lower bound (a full local LM less the time of its
+// offloadable kernels) does not exceed a full local LM. Both are
+// sub-millisecond wall times at tinyScale, so each side is the fastest of
+// five runs, which one descheduled run on a loaded machine cannot inflate.
 func TestLMLowerBound(t *testing.T) {
 	w := NewWorkloads(tinyScale())
-	full, err := w.RunAlgorithm("lm", Env{Mode: Local}, nil)
-	if err != nil {
-		t.Fatal(err)
+	const runs = 5
+	var full, lb time.Duration
+	for i := 0; i < runs; i++ {
+		f, err := w.RunAlgorithm("lm", Env{Mode: Local}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := w.LMLowerBound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 || f.Elapsed < full {
+			full = f.Elapsed
+		}
+		if i == 0 || l.Elapsed < lb {
+			lb = l.Elapsed
+		}
 	}
-	lb, err := w.LMLowerBound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lb.Elapsed > full.Elapsed {
-		t.Fatalf("lower bound %v exceeds full local run %v", lb.Elapsed, full.Elapsed)
+	if lb > full {
+		t.Fatalf("fastest lower bound %v exceeds fastest full local run %v (%d runs each)", lb, full, runs)
 	}
 }
 

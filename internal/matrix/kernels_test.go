@@ -54,29 +54,31 @@ func poisonedPair(rng *rand.Rand, n, k, p int) (a, b *Dense) {
 // parallelism, with A's zero cells skipped where B is NaN or infinite.
 func TestTMatMulBitwiseEqualsTranspose(t *testing.T) {
 	defer SetParallelism(SetParallelism(1))
-	rng := rand.New(rand.NewSource(25))
-	for _, n := range sweepRows {
-		for _, k := range []int{1, 3, 8, 100} {
-			for _, p := range []int{1, 2, 4, 7, 64} {
-				a, b := poisonedPair(rng, n, k, p)
-				want := blockedMatMul(a.Transpose(), b)
-				if p == 1 {
-					want = rowTMatVec(a, b)
-				}
-				for _, v := range want.data {
-					if math.IsNaN(v) {
-						t.Fatalf("n=%d k=%d p=%d: oracle has NaN; the poison reached a nonzero", n, k, p)
+	bothPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(25))
+		for _, n := range sweepRows {
+			for _, k := range []int{1, 3, 8, 100} {
+				for _, p := range []int{1, 2, 4, 7, 64} {
+					a, b := poisonedPair(rng, n, k, p)
+					want := blockedMatMul(a.Transpose(), b)
+					if p == 1 {
+						want = rowTMatVec(a, b)
 					}
-				}
-				for _, threads := range sweepThreads {
-					SetParallelism(threads)
-					if d := sameBits(a.TMatMul(b), want); d != "" {
-						t.Fatalf("n=%d k=%d p=%d threads=%d: %s", n, k, p, threads, d)
+					for _, v := range want.data {
+						if math.IsNaN(v) {
+							t.Fatalf("n=%d k=%d p=%d: oracle has NaN; the poison reached a nonzero", n, k, p)
+						}
+					}
+					for _, threads := range sweepThreads {
+						SetParallelism(threads)
+						if d := sameBits(a.TMatMul(b), want); d != "" {
+							t.Fatalf("n=%d k=%d p=%d threads=%d: %s", n, k, p, threads, d)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestTMatMulShapeMismatch: the panic names the product as written, t(A)
@@ -97,19 +99,21 @@ func TestTMatMulShapeMismatch(t *testing.T) {
 // skipped where v is NaN or infinite.
 func TestMatVecBitwiseEqualsBlocked(t *testing.T) {
 	defer SetParallelism(SetParallelism(1))
-	rng := rand.New(rand.NewSource(26))
-	for _, n := range sweepRows {
-		for _, k := range []int{1, 2, 3, 5, 64, 65, 100, 300} {
-			x, v := poisonedProduct(rng, n, k, 1)
-			want := blockedMatMul(x, v)
-			for _, threads := range sweepThreads {
-				SetParallelism(threads)
-				if d := sameBits(x.MatMul(v), want); d != "" {
-					t.Fatalf("n=%d k=%d threads=%d: %s", n, k, threads, d)
+	bothPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(26))
+		for _, n := range sweepRows {
+			for _, k := range []int{1, 2, 3, 5, 64, 65, 100, 300} {
+				x, v := poisonedProduct(rng, n, k, 1)
+				want := blockedMatMul(x, v)
+				for _, threads := range sweepThreads {
+					SetParallelism(threads)
+					if d := sameBits(x.MatMul(v), want); d != "" {
+						t.Fatalf("n=%d k=%d threads=%d: %s", n, k, threads, d)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestMatMulBitwiseEqualsBlocked: the general MatMul, a two-row by
@@ -118,24 +122,26 @@ func TestMatVecBitwiseEqualsBlocked(t *testing.T) {
 // of A skipped where B is NaN or infinite.
 func TestMatMulBitwiseEqualsBlocked(t *testing.T) {
 	defer SetParallelism(SetParallelism(1))
-	rng := rand.New(rand.NewSource(28))
-	for _, n := range sweepRows {
-		for _, k := range []int{1, 2, 3, 5, 64, 100} {
-			for _, p := range []int{2, 3, 4, 5, 8, 10, 64} {
-				if n*k*p > sweepCells {
-					continue
-				}
-				a, b := poisonedProduct(rng, n, k, p)
-				want := blockedMatMul(a, b)
-				for _, threads := range sweepThreads {
-					SetParallelism(threads)
-					if d := sameBits(a.MatMul(b), want); d != "" {
-						t.Fatalf("n=%d k=%d p=%d threads=%d: %s", n, k, p, threads, d)
+	bothPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(28))
+		for _, n := range sweepRows {
+			for _, k := range []int{1, 2, 3, 5, 64, 100} {
+				for _, p := range []int{2, 3, 4, 5, 8, 10, 64} {
+					if n*k*p > sweepCells {
+						continue
+					}
+					a, b := poisonedProduct(rng, n, k, p)
+					want := blockedMatMul(a, b)
+					for _, threads := range sweepThreads {
+						SetParallelism(threads)
+						if d := sameBits(a.MatMul(b), want); d != "" {
+							t.Fatalf("n=%d k=%d p=%d threads=%d: %s", n, k, p, threads, d)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestTSMMBitwiseEqualsRowLoop: t(X) %*% X, four rows per pass over an
@@ -144,22 +150,24 @@ func TestMatMulBitwiseEqualsBlocked(t *testing.T) {
 // poisoned pair, so a zero of A meets NaN or infinity of B in one row.
 func TestTSMMBitwiseEqualsRowLoop(t *testing.T) {
 	defer SetParallelism(SetParallelism(1))
-	rng := rand.New(rand.NewSource(29))
-	for _, n := range sweepRows {
-		for _, k := range []int{1, 2, 3, 5, 8, 100} {
-			if n*(k+3)*(k+3) > sweepCells {
-				continue
-			}
-			a, b := poisonedPair(rng, n, k, 3)
-			x := CBind(a, b)
-			for _, threads := range sweepThreads {
-				SetParallelism(threads)
-				if d := sameBits(x.TSMM(), rowTSMM(x)); d != "" {
-					t.Fatalf("n=%d k=%d threads=%d: %s", n, k, threads, d)
+	bothPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(29))
+		for _, n := range sweepRows {
+			for _, k := range []int{1, 2, 3, 5, 8, 100} {
+				if n*(k+3)*(k+3) > sweepCells {
+					continue
+				}
+				a, b := poisonedPair(rng, n, k, 3)
+				x := CBind(a, b)
+				for _, threads := range sweepThreads {
+					SetParallelism(threads)
+					if d := sameBits(x.TSMM(), rowTSMM(x)); d != "" {
+						t.Fatalf("n=%d k=%d threads=%d: %s", n, k, threads, d)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestMMChainBitwiseEqualsRowLoop: the fused chain, four rows per sweep for
@@ -169,33 +177,49 @@ func TestTSMMBitwiseEqualsRowLoop(t *testing.T) {
 // zeros, so whole rows' terms are skipped.
 func TestMMChainBitwiseEqualsRowLoop(t *testing.T) {
 	defer SetParallelism(SetParallelism(1))
-	rng := rand.New(rand.NewSource(30))
-	for _, n := range sweepRows {
-		for _, d := range []int{1, 3, 5, 100} {
-			for _, k := range []int{1, 2, 3, 4, 5, 8, 9} {
-				if n*d*k > sweepCells {
-					continue
-				}
-				x, _ := poisonedPair(rng, n, d, 1)
-				v := Randn(rng, d, k, 0, 1)
-				w := Rand(rng, n, k, -1, 1)
-				for i := range w.data {
-					if i%7 == 2 {
-						w.data[i] = 0
+	bothPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(30))
+		for _, n := range sweepRows {
+			for _, d := range []int{1, 3, 5, 100} {
+				for _, k := range []int{1, 2, 3, 4, 5, 8, 9} {
+					if n*d*k > sweepCells {
+						continue
 					}
-				}
-				for _, threads := range sweepThreads {
-					SetParallelism(threads)
-					if diff := sameBits(x.MMChain(v, w), rowMMChain(x, v, w)); diff != "" {
-						t.Fatalf("n=%d d=%d k=%d threads=%d weighted: %s", n, d, k, threads, diff)
+					x, _ := poisonedPair(rng, n, d, 1)
+					v := Randn(rng, d, k, 0, 1)
+					w := Rand(rng, n, k, -1, 1)
+					for i := range w.data {
+						if i%7 == 2 {
+							w.data[i] = 0
+						}
 					}
-					if diff := sameBits(x.MMChain(v, nil), rowMMChain(x, v, nil)); diff != "" {
-						t.Fatalf("n=%d d=%d k=%d threads=%d: %s", n, d, k, threads, diff)
+					for _, threads := range sweepThreads {
+						SetParallelism(threads)
+						if diff := sameBits(x.MMChain(v, w), rowMMChain(x, v, w)); diff != "" {
+							t.Fatalf("n=%d d=%d k=%d threads=%d weighted: %s", n, d, k, threads, diff)
+						}
+						if diff := sameBits(x.MMChain(v, nil), rowMMChain(x, v, nil)); diff != "" {
+							t.Fatalf("n=%d d=%d k=%d threads=%d: %s", n, d, k, threads, diff)
+						}
 					}
 				}
 			}
 		}
+	})
+}
+
+// bothPaths runs check as a subtest on the Go kernels and, where the CPU
+// has AVX2, again on the assembly kernels.
+func bothPaths(t *testing.T, check func(t *testing.T)) {
+	defer func() { useAVX2 = haveAVX2 }()
+	useAVX2 = false
+	t.Run("go", check)
+	if !haveAVX2 {
+		t.Log("no AVX2 on this CPU: the assembly kernels are not checked")
+		return
 	}
+	useAVX2 = true
+	t.Run("avx2", check)
 }
 
 // The sweep grid of the bitwise kernel tests: row counts around the

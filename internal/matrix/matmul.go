@@ -8,6 +8,11 @@ import (
 // blockSize is the cache-blocking tile edge of Transpose.
 const blockSize = 64
 
+// useAVX2 selects the assembly kernels of avx2_amd64.go, which compute the
+// Go kernels' results bit for bit: CPUID decides, and tests turn it off to
+// check both paths.
+var useAVX2 = haveAVX2
+
 // MatMul returns m %*% b, parallelized over row bands, mirroring the role of
 // a BLAS dgemm in SystemDS' local backend. Every output cell accumulates its
 // terms k-ascending from zero and skips a zero cell of m, as the textbook
@@ -33,6 +38,11 @@ func (m *Dense) MatMul(b *Dense) *Dense {
 // k-ascending chains side by side, each skipping its own zero cells.
 func matVecBand(m *Dense, v, out []float64, lo, hi int) {
 	k := m.cols
+	if useAVX2 && k > 0 && hi-lo >= 8 {
+		n8 := (hi - lo) &^ 7
+		rowDotsAVX2(&m.data[lo*k], k, &v[0], &out[lo], n8, true)
+		lo += n8
+	}
 	v = v[:k]
 	row := func(i int) []float64 { return m.data[i*k : (i+1)*k][:len(v)] }
 	i := lo
@@ -80,6 +90,10 @@ func matMulBand(m, b, out *Dense, lo, hi int) {
 		o0 := out.data[i*p : (i+1)*p]
 		o1 := out.data[(i+1)*p : (i+2)*p]
 		j := 0
+		if useAVX2 && k > 0 {
+			matMulPairAVX2(&a0[0], &a1[0], &b.data[0], &o0[0], &o1[0], k, p)
+			j = p
+		}
 		for ; j+4 <= p; j += 4 {
 			var c00, c01, c02, c03, c10, c11, c12, c13 float64
 			for kk, x0 := range a0 {
@@ -146,12 +160,22 @@ func (m *Dense) TMatMul(b *Dense) *Dense {
 		// stored once per four contributions.
 		mrow := func(r int) []float64 { return m.data[r*k+cb : r*k+ce] }
 		if p == 1 {
-			tmatVecBand(out.data[cb:ce], b.data, mrow)
+			r := 0
+			if useAVX2 && n >= 4 {
+				r = n &^ 3
+				tmatVecAVX2(&out.data[cb], &m.data[cb], k, &b.data[0], r, ce-cb)
+			}
+			tmatVecBand(out.data[cb:ce], b.data[r:], func(i int) []float64 { return mrow(r + i) })
 			return
 		}
 		brow := func(r int) []float64 { return b.data[r*p : (r+1)*p] }
 		orow := func(i int) []float64 { return out.data[(cb+i)*p : (cb+i+1)*p] }
 		r := 0
+		if useAVX2 {
+			for ; r+4 <= n; r += 4 {
+				tmmRows4AVX2(&m.data[r*k+cb], k, &b.data[r*p], p, 0, &out.data[cb*p], p, p, 0, ce-cb)
+			}
+		}
 		for ; r+4 <= n; r += 4 {
 			m0, m1, m2, m3 := mrow(r), mrow(r+1), mrow(r+2), mrow(r+3)
 			b0, b1, b2, b3 := brow(r), brow(r+1), brow(r+2), brow(r+3)
@@ -282,6 +306,11 @@ func tsmmBand(m, out *Dense, rb, re int) {
 	n := m.cols
 	orow := func(i int) []float64 { return out.data[i*n+i : (i+1)*n] }
 	r := rb
+	if useAVX2 && n > 0 {
+		for ; r+4 <= re; r += 4 {
+			tmmRows4AVX2(&m.data[r*n], n, &m.data[r*n], n, 1, &out.data[0], n+1, n, 1, n)
+		}
+	}
 	for ; r+4 <= re; r += 4 {
 		m0, m1, m2, m3 := m.Row(r), m.Row(r+1), m.Row(r+2), m.Row(r+3)
 		for i, a0 := range m0 {
@@ -315,7 +344,8 @@ func (m *Dense) MMChain(v, w *Dense) *Dense {
 	n, d, k := m.rows, m.cols, v.cols
 	// Right-hand sides and partials are held column by column (k x d; for
 	// k == 1 that is v's own layout), so every column runs over contiguous
-	// memory and a row of X is read from memory once for all k.
+	// memory and a row of X is read from memory once for all k. The AVX2
+	// kernel reads four right-hand sides at a time from v's own rows.
 	vt := v.data
 	if k > 1 {
 		vt = v.Transpose().data
@@ -340,11 +370,47 @@ func (m *Dense) MMChain(v, w *Dense) *Dense {
 			i := rb
 			switch {
 			case k == 1:
+				if useAVX2 && d > 0 {
+					// mmchainRows4 eight rows at a time: the dots, then
+					// each group of four's terms in row order.
+					var s [8]float64
+					for ; i+8 <= re; i += 8 {
+						rowDotsAVX2(&m.data[i*d], d, &vt[0], &s[0], 8, false)
+						for q := range s {
+							s[q] *= weight(i+q, 0)
+						}
+						tmmRows4AVX2(&s[0], 1, &m.data[i*d], d, 0, &p[0], 0, d, 0, 1)
+						tmmRows4AVX2(&s[4], 1, &m.data[(i+4)*d], d, 0, &p[0], 0, d, 0, 1)
+					}
+				}
 				for ; i+4 <= re; i += 4 {
 					mmchainRows4(m.data[i*d:(i+4)*d], vt, p,
 						[4]float64{weight(i, 0), weight(i+1, 0), weight(i+2, 0), weight(i+3, 0)})
 				}
 			case k >= 4:
+				if useAVX2 && d > 0 {
+					// mmchainRows2x4 four rows at a time: the sixteen dots,
+					// then each column's four terms in row order.
+					var s [16]float64
+					for ; i+4 <= re; i += 4 {
+						for c := 0; c+4 <= k; c += 4 {
+							mmchainDots4x4AVX2(&m.data[i*d], d, &v.data[c], k, &s)
+							for q := range 4 {
+								for cc := range 4 {
+									s[4*q+cc] *= weight(i+q, c+cc)
+								}
+							}
+							tmmRows4AVX2(&s[0], 4, &m.data[i*d], d, 0, &p[c*d], d, d, 0, 4)
+						}
+						for c := k &^ 3; c < k; c++ {
+							pc, vc := p[c*d:(c+1)*d], vt[c*d:(c+1)*d]
+							for q := range 4 {
+								r := row(i + q)
+								axpyNonzero(pc, r, dot(r, vc)*weight(i+q, c))
+							}
+						}
+					}
+				}
 				for ; i+2 <= re; i += 2 {
 					r0, r1 := row(i), row(i+1)
 					c := 0
@@ -369,17 +435,14 @@ func (m *Dense) MMChain(v, w *Dense) *Dense {
 			partials[t] = p
 		}
 	})
-	out := NewDense(k, d)
+	// Partials are k x d; the sum lands transposed, in v's d x k layout.
+	out := NewDense(d, k)
 	for _, p := range partials {
 		for i, x := range p {
-			out.data[i] += x
+			out.data[i%d*k+i/d] += x
 		}
 	}
-	if k == 1 {
-		out.rows, out.cols = d, 1
-		return out
-	}
-	return out.Transpose()
+	return out
 }
 
 // mmchainRows4 is the chain of four consecutive rows of X (rows holds

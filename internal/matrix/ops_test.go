@@ -382,11 +382,15 @@ func BenchmarkMatVec(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMul times X %*% B for an FFN batch (256x100 %*% 100x64) and
-// for K-Means' distances on a lan-train partition (20000x100 %*% 100x8).
+// BenchmarkMatMul times X %*% B for an FFN batch (256x100 %*% 100x64), the
+// FFN's second layer on it (256x64 %*% 64x4), and on a lan-train partition
+// for MLogReg's X %*% W (20000x100 %*% 100x4), K-Means' distances (100x8)
+// and the PCA projection (100x10).
 func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	for _, s := range []struct{ n, k, p int }{{256, 100, 64}, {20000, 100, 8}} {
+	for _, s := range []struct{ n, k, p int }{
+		{256, 100, 64}, {256, 64, 4}, {20000, 100, 4}, {20000, 100, 8}, {20000, 100, 10},
+	} {
 		x := Randn(rng, s.n, s.k, 0, 1)
 		rhs := Randn(rng, s.k, s.p, 0, 1)
 		b.Run(fmt.Sprintf("%dx%dx%d", s.n, s.k, s.p), func(b *testing.B) {
