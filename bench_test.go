@@ -190,10 +190,7 @@ func BenchmarkAblation_RPCBatching(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer cl.Close()
-	c, err := cl.Coord.Client(cl.Addrs[0])
-	if err != nil {
-		b.Fatal(err)
-	}
+	addr := cl.Addrs[0]
 	v := matrix.Fill(64, 8, 2)
 	reqs := func(id int64) []fedrpc.Request {
 		return []fedrpc.Request{
@@ -205,7 +202,7 @@ func BenchmarkAblation_RPCBatching(b *testing.B) {
 	}
 	b.Run("batched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := c.Call(reqs(int64(10 + 2*i))...); err != nil {
+			if _, err := cl.Coord.Call(addr, reqs(int64(10+2*i))...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -213,7 +210,7 @@ func BenchmarkAblation_RPCBatching(b *testing.B) {
 	b.Run("unbatched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, r := range reqs(int64(1e6 + 2*i)) {
-				if _, err := c.Call(r); err != nil {
+				if _, err := cl.Coord.Call(addr, r); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -48,12 +48,18 @@
 #                      (any NaN matching any NaN);
 #   8. /metrics smoke — a real fedworker process is spawned with
 #                      -metrics-addr and its endpoint is scraped once;
-#   9. exdrad smoke   — the standing coordinator daemon is spawned over two
-#                      real fedworker processes; two concurrent sessions are
-#                      opened over its HTTP API, each trains a seeded LM,
-#                      and the daemon's /metrics must export the serve.*
-#                      series (sessions, pool churn) while a worker exports
-#                      the worker.conns gauge;
+#   9. exdra + exdrad smoke — two real fedworker processes stand; first
+#                      `exdra p2 -algo ffn -workers` runs the P2 pipeline
+#                      against them (its parameter server sends ps_run
+#                      through the coordinator) and must print its test R2
+#                      and leave by CLEARing what it placed (the worker's
+#                      worker.requests.CLEAR counter grows); then the
+#                      standing coordinator daemon is spawned over the same
+#                      workers, two concurrent sessions are opened over its
+#                      HTTP API, each trains a seeded LM, and the daemon's
+#                      /metrics must export the serve.* series (sessions,
+#                      pool churn) while a worker exports the worker.conns
+#                      gauge;
 #  10. bench smoke    — expbench -smoke measures the BENCH_smoke.json rows
 #                      (FedLAN transfer + LM) into a temp file and -compare
 #                      gates the fresh encode+decode phase seconds against
@@ -130,10 +136,13 @@ echo "$scrape" | grep -q 'process.goroutines' || { echo "ci.sh: /metrics is miss
 kill "$worker_pid"
 echo "ci.sh: /metrics smoke test passed ($metrics_url)"
 
-# exdrad smoke test: a standing coordinator daemon over two real workers,
-# driven through its HTTP session API by two concurrent sessions. The
-# daemon's /metrics must export the serve.* series, and a worker capped
-# with -max-conns must export its worker.conns gauge.
+# exdra + exdrad smoke test over two real workers. The exdra CLI runs P2 with
+# the FFN (parameter server) against them and must CLEAR its objects before
+# it exits. Then a standing coordinator daemon is driven through its HTTP
+# session API by two concurrent sessions. The daemon's /metrics must export
+# the serve.* series, and a worker capped with -max-conns must export its
+# worker.conns gauge.
+go build -o "$tmp/exdra" ./cmd/exdra
 go build -o "$tmp/exdrad" ./cmd/exdrad
 wait_line() { # wait_line LOGFILE SED_PATTERN → prints the first capture
   local out=""
@@ -153,6 +162,15 @@ trap 'kill "$w1_pid" "$w2_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
 w1_addr="$(wait_line "$tmp/w1.log" 's#^fedworker: listening on \([0-9.:]*\) .*#\1#p')"
 w2_addr="$(wait_line "$tmp/w2.log" 's#^fedworker: listening on \([0-9.:]*\) .*#\1#p')"
 w1_metrics="$(wait_line "$tmp/w1.log" 's#^fedworker: metrics on \(http://.*/metrics\)$#\1#p')"
+clears() { curl -fsS "$w1_metrics" | sed -n 's/^worker\.requests\.CLEAR \([0-9]*\)$/\1/p'; }
+clears_before="$(clears)"
+"$tmp/exdra" p2 -algo ffn -rows 600 -workers "$w1_addr,$w2_addr" >"$tmp/p2.log" 2>&1 \
+  || { echo "ci.sh: exdra p2 -workers failed" >&2; cat "$tmp/p2.log" >&2; exit 1; }
+grep -q '^P2_ffn: test R2' "$tmp/p2.log" || { echo "ci.sh: exdra p2 printed no P2_ffn test R2" >&2; cat "$tmp/p2.log" >&2; exit 1; }
+clears_after="$(clears)"
+[ "${clears_after:-0}" -gt "${clears_before:-0}" ] \
+  || { echo "ci.sh: exdra p2 sent no CLEAR to $w1_addr (worker.requests.CLEAR ${clears_before:-0} -> ${clears_after:-0})" >&2; exit 1; }
+echo "ci.sh: exdra p2 -workers passed (worker.requests.CLEAR ${clears_before:-0} -> $clears_after)"
 "$tmp/exdrad" -addr 127.0.0.1:0 -workers "$w1_addr,$w2_addr" -metrics-addr 127.0.0.1:0 >"$tmp/d.log" 2>&1 &
 exdrad_pid=$!
 trap 'kill "$exdrad_pid" "$w1_pid" "$w2_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT

@@ -261,7 +261,12 @@ func runP2(args []string) {
 		printFedCounters(policy)
 	case *workersFlag != "":
 		addrs := strings.Split(*workersFlag, ",")
-		coord := federated.NewCoordinator(fedrpc.Options{SlowRPC: *slowRPC}, policy)
+		fleet := federated.NewFleet(fedrpc.Options{SlowRPC: *slowRPC}, 1, policy)
+		defer fleet.Close()
+		coord, err := fleet.NewSession()
+		if err != nil {
+			log.Fatalf("exdra: %v", err)
+		}
 		defer coord.Close()
 		ff, err := federated.DistributeFrame(coord, fr, addrs, privacy.PrivateAggregation)
 		if err != nil {
@@ -270,6 +275,10 @@ func runP2(args []string) {
 		res, err = pipeline.RunP2Federated(ff, y, fr.Names(), cfg)
 		if err != nil {
 			log.Fatalf("exdra: pipeline: %v", err)
+		}
+		// The workers stand beyond this run: release what it left there.
+		if err := coord.ClearAll(); err != nil {
+			log.Fatalf("exdra: clear workers: %v", err)
 		}
 		printFedCounters(policy)
 	default:

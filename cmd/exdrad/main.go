@@ -52,8 +52,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "HTTP session API listen address")
 	workers := flag.String("workers", "", "comma-separated fedworker addresses (required)")
 	poolSize := flag.Int("pool-size", 4, "pooled connections per worker address")
-	rpcWindow := flag.Int("rpc-window", 8,
-		"pipelined in-flight RPCs per worker connection (1 = lock-step)")
 	maxSessions := flag.Int("max-sessions", 64, "admission cap on concurrently open sessions (0 = unlimited)")
 	maxInFlight := flag.Int("max-inflight", 4, "per-session cap on in-flight batches (0 = unlimited)")
 	maxInFlightBytes := flag.Int64("max-inflight-bytes", 0, "per-session cap on summed in-flight payload bytes (0 = unlimited)")
@@ -72,7 +70,7 @@ func main() {
 		log.Fatal("exdrad: -workers is required (comma-separated fedworker addresses)")
 	}
 
-	fleet := federated.NewFleet(fedrpc.Options{Window: *rpcWindow}, *poolSize, federated.Policy{
+	fleet := federated.NewFleet(fedrpc.Options{}, *poolSize, federated.Policy{
 		Attempts: *retries, Backoff: 50 * time.Millisecond, CallTimeout: *callTimeout, Recover: true,
 	})
 	svc := fedserve.New(fleet, fedserve.Config{

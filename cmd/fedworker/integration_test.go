@@ -63,7 +63,12 @@ func TestMultiProcessFederation(t *testing.T) {
 		waitReachable(t, addr)
 	}
 
-	coord := federated.NewCoordinator(fedrpc.Options{}, federated.Policy{})
+	fleet := federated.NewFleet(fedrpc.Options{}, 1, federated.Policy{})
+	defer fleet.Close()
+	coord, err := fleet.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer coord.Close()
 	fx, err := federated.ReadRowPartitioned(coord, []federated.ReadSpec{
 		{Addr: addrs[0], Filename: "data.bin", Privacy: privacy.PrivateAggregation},

@@ -72,7 +72,12 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	// Train a small federated LM through the worker so every metric layer
 	// (fedrpc client+server, worker dispatch) sees traffic.
 	clientReg := obs.New()
-	coord := federated.NewCoordinator(fedrpc.Options{Metrics: clientReg}, federated.Policy{})
+	fleet := federated.NewFleet(fedrpc.Options{Metrics: clientReg}, 1, federated.Policy{})
+	defer fleet.Close()
+	coord, err := fleet.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer coord.Close()
 	x, y := data.Regression(3, 200, 8, 0.05)
 	fx, err := federated.Distribute(coord, x, []string{addr}, federated.RowPartitioned, privacy.PrivateAggregation)

@@ -41,16 +41,14 @@ func RetryableBatch(reqs []fedrpc.Request) bool {
 // session-unique data IDs and issues RPCs to all workers in parallel (ExDRa
 // §4.1), every batch through the one failure funnel (sendCtx).
 //
-// Connections, worker health and the failure Policy live in a Fleet: the
-// constructor NewCoordinator owns a private size-1 fleet (one connection per
-// address), while Fleet.NewSession returns a coordinator sharing a standing
-// fleet with other sessions, its object IDs scoped by a session namespace
+// Every coordinator is a session of a Fleet (Fleet.NewSession): connections,
+// worker health and the failure Policy live in the fleet, shared with its
+// other sessions, while the session's object IDs are scoped by its namespace
 // (fedrpc.MakeID) so concurrent sessions never collide in a worker's symbol
 // table.
 type Coordinator struct {
-	fleet    *Fleet
-	ownFleet bool  // Close tears the fleet down too (NewCoordinator)
-	ns       int64 // session namespace; 0 = standalone, unscoped
+	fleet *Fleet
+	ns    int64 // session namespace, >= 1
 
 	mu      sync.Mutex
 	touched map[string]struct{} // worker addrs this session has used; guarded by mu
@@ -78,26 +76,16 @@ type Coordinator struct {
 	reg *obs.Registry
 }
 
-// NewCoordinator creates a standalone coordinator owning a private fleet
-// with one connection per worker address; opts configure TLS and network
-// emulation for all worker connections, policy its failure handling (the
-// zero Policy fails fast). For many sessions over one shared fleet, use
-// NewFleet + Fleet.NewSession instead.
-func NewCoordinator(opts fedrpc.Options, policy Policy) *Coordinator {
-	return newCoordinator(NewFleet(opts, 1, policy), true, 0)
-}
-
 // newCoordinator builds a coordinator view of f under namespace ns.
-func newCoordinator(f *Fleet, ownFleet bool, ns int64) *Coordinator {
+func newCoordinator(f *Fleet, ns int64) *Coordinator {
 	c := &Coordinator{
-		fleet:    f,
-		ownFleet: ownFleet,
-		ns:       ns,
-		touched:  map[string]struct{}{},
-		logs:     map[string]*workerLog{},
-		boxes:    map[string]*outbox{},
-		done:     make(chan struct{}),
-		reg:      f.reg,
+		fleet:   f,
+		ns:      ns,
+		touched: map[string]struct{}{},
+		logs:    map[string]*workerLog{},
+		boxes:   map[string]*outbox{},
+		done:    make(chan struct{}),
+		reg:     f.reg,
 	}
 	c.nextID.Store(1)
 	return c
@@ -107,13 +95,12 @@ func newCoordinator(f *Fleet, ownFleet bool, ns int64) *Coordinator {
 func (c *Coordinator) Fleet() *Fleet { return c.fleet }
 
 // Namespace returns the session namespace scoping this coordinator's object
-// IDs (0 for a standalone coordinator).
+// IDs.
 func (c *Coordinator) Namespace() int64 { return c.ns }
 
 // NewID allocates a session-unique data ID, namespace-qualified so that
 // IDs from two sessions sharing a fleet can never collide in a worker's
-// symbol table (fedrpc.MakeID; a standalone coordinator's namespace is 0 and
-// its IDs are the bare sequence).
+// symbol table (fedrpc.MakeID).
 func (c *Coordinator) NewID() int64 { return fedrpc.MakeID(c.ns, c.nextID.Add(1)) }
 
 // site returns addr's fleet site, marking the address as touched by this
@@ -127,23 +114,6 @@ func (c *Coordinator) site(addr string) (*site, error) {
 	c.touched[addr] = struct{}{}
 	c.mu.Unlock()
 	return c.fleet.site(addr)
-}
-
-// Client returns the stable shared connection to a worker address (the
-// fleet pool's first client, lazily dialed) for callers that speak to a
-// worker directly, such as the parameter server. Requests
-// sent on it bypass the outbox, so whatever is deferred for addr is flushed
-// first: a raw call can never overtake a buffered creation it depends on,
-// and a deferred failure surfaces here rather than getting lost.
-func (c *Coordinator) Client(addr string) (*fedrpc.Client, error) {
-	if err := c.flushAddr(addr); err != nil {
-		return nil, err
-	}
-	st, err := c.site(addr)
-	if err != nil {
-		return nil, err
-	}
-	return st.pool.Shared(context.Background())
 }
 
 // call issues one request batch to addr, preceded by whatever is deferred
@@ -327,8 +297,7 @@ func (c *Coordinator) backoff(attempt int) error {
 
 // BytesSent returns the total bytes sent to all workers over this
 // coordinator's fleet. Sessions sharing a fleet share its wires, so the
-// count is fleet-wide; a standalone coordinator's private fleet makes it
-// the per-coordinator number.
+// count is fleet-wide.
 func (c *Coordinator) BytesSent() int64 { return c.fleet.BytesSent() }
 
 // BytesReceived returns the total bytes received from all workers over
@@ -350,9 +319,8 @@ func (c *Coordinator) touchedAddrs() []string {
 
 // ClearAll sends CLEAR to every worker this session has touched, releasing
 // the session's symbol-table objects. The CLEAR travels with the session
-// namespace in its ID field, so on a shared fleet it removes only this
-// session's bindings; a standalone coordinator's namespace is 0, which
-// clears everything. Deferred requests are dropped first,
+// namespace in its ID field, so it removes only this session's bindings.
+// Deferred requests are dropped first,
 // never sent after the CLEAR: everything they would create or remove lives
 // in the namespace the CLEAR empties (a deferred failure dropped here is
 // moot for the same reason). The workers are cleared in string order of
@@ -369,12 +337,10 @@ func (c *Coordinator) ClearAll() error {
 	return firstErr
 }
 
-// Close cancels in-flight retry backoffs, drops whatever is still deferred
-// (a closed coordinator sends nothing more; ClearAll is the teardown that
-// releases worker objects), and — for a standalone coordinator owning its
-// fleet — closes the fleet: every worker connection and the prober. A
-// session on a shared fleet leaves the fleet untouched: its wires belong to
-// every other session too. It is idempotent.
+// Close cancels in-flight retry backoffs and drops whatever is still
+// deferred (a closed coordinator sends nothing more; ClearAll is the
+// teardown that releases worker objects). The fleet stays open: its wires
+// belong to every other session too. It is idempotent.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -385,7 +351,4 @@ func (c *Coordinator) Close() {
 	close(c.done)
 	c.mu.Unlock()
 	c.dropPending()
-	if c.ownFleet {
-		c.fleet.Close()
-	}
 }

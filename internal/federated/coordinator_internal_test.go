@@ -57,7 +57,7 @@ func TestBackoffJitterIsSeeded(t *testing.T) {
 // in a retry backoff (at least a second here: the 2s cap, jittered down to
 // half at most) returns promptly when closed instead of sleeping it out.
 func TestCloseCancelsRetryBackoff(t *testing.T) {
-	c := NewCoordinator(fedrpc.Options{DialTimeout: 100 * time.Millisecond},
+	c := NewTestSession(t, fedrpc.Options{DialTimeout: 100 * time.Millisecond},
 		Policy{Attempts: 3, Backoff: time.Hour, Seed: 1})
 	errc := make(chan error, 1)
 	go func() {

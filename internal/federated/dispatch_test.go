@@ -537,9 +537,10 @@ func TestDeferredFreeIsOneRmvarPerWorker(t *testing.T) {
 	wantNoObjects(t, cl, "after the flush")
 }
 
-// TestClientFlushesDeferred: raw client access sends what is pending for
-// that worker first, and reports a deferred failure instead of hiding it.
-func TestClientFlushesDeferred(t *testing.T) {
+// TestCallFlushesDeferred: a caller-composed Call carries what is pending
+// for that worker ahead of its own requests, and reports a deferred failure
+// instead of hiding it.
+func TestCallFlushesDeferred(t *testing.T) {
 	cl := startCluster(t, 2)
 	fx, err := federated.Distribute(cl.Coord, randMat(13, 10, 2), cl.Addrs, federated.RowPartitioned, privacy.Public)
 	if err != nil {
@@ -549,19 +550,15 @@ func TestClientFlushesDeferred(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := cl.Coord.Client(cl.Addrs[0])
-	if err != nil {
-		t.Fatal(err)
+	resps, err := cl.Coord.Call(cl.Addrs[0], fedrpc.Request{Type: fedrpc.Get, ID: abs.Map().Partitions[0].DataID})
+	if err != nil || !resps[0].OK || resps[0].Data.Matrix() == nil {
+		t.Fatalf("GET of a deferred output: %v %+v", err, resps)
 	}
 	if n := cl.Coord.Pending(cl.Addrs[0]); n != 0 {
-		t.Fatalf("%d requests still pending after Client()", n)
+		t.Fatalf("%d requests still pending after Call", n)
 	}
 	if n := cl.Coord.Pending(cl.Addrs[1]); n != 1 {
-		t.Fatalf("Client(%s) touched the other worker's outbox (%d pending)", cl.Addrs[0], n)
-	}
-	resp, err := raw.CallOne(fedrpc.Request{Type: fedrpc.Get, ID: abs.Map().Partitions[0].DataID})
-	if err != nil || resp.Data.Matrix() == nil {
-		t.Fatalf("raw GET of a deferred output after Client(): %v", err)
+		t.Fatalf("Call(%s) touched the other worker's outbox (%d pending)", cl.Addrs[0], n)
 	}
 
 	fm := fx.Map()
@@ -573,8 +570,8 @@ func TestClientFlushesDeferred(t *testing.T) {
 	if _, err := dangling.Unary(matrix.UAbs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Coord.Client(cl.Addrs[0]); err == nil || !strings.Contains(err.Error(), "deferred abs") {
-		t.Fatalf("Client() hid the deferred failure: %v", err)
+	if _, err := cl.Coord.Call(cl.Addrs[0], fedrpc.Request{Type: fedrpc.Health}); err == nil || !strings.Contains(err.Error(), "deferred abs") {
+		t.Fatalf("Call hid the deferred failure: %v", err)
 	}
 }
 
@@ -738,7 +735,7 @@ func TestDeferredBatchSurvivesLostReply(t *testing.T) {
 	x := randMat(31, 12, 3)
 	want := x.Unary(matrix.UAbs).Scale(2)
 	for _, eager := range []bool{true, false} {
-		coord := federated.NewCoordinator(fedrpc.Options{}, federated.Policy{Attempts: 4, Backoff: time.Millisecond})
+		coord := federated.NewTestSession(t, fedrpc.Options{}, federated.Policy{Attempts: 4, Backoff: time.Millisecond})
 		coord.SetFlushEveryOp(eager)
 		fx, err := federated.Distribute(coord, x, []string{proxy.ln.Addr().String()}, federated.RowPartitioned, privacy.Public)
 		if err != nil {

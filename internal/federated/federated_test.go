@@ -662,11 +662,11 @@ func TestCoordinatorBytesAccounting(t *testing.T) {
 func TestScalarPayloadIDChecks(t *testing.T) {
 	// GET on a missing ID propagates the worker error.
 	cl := startCluster(t, 1)
-	c, err := cl.Coord.Client(cl.Addrs[0])
+	resps, err := cl.Coord.Call(cl.Addrs[0], fedrpc.Request{Type: fedrpc.Get, ID: 4242})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CallOne(fedrpc.Request{Type: fedrpc.Get, ID: 4242}); err == nil {
+	if resps[0].OK {
 		t.Fatal("missing object GET succeeded")
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // Policy is the whole failure model's configuration (DESIGN.md §3.5), fixed
-// when a Fleet or standalone Coordinator is constructed and inherited by
+// when a Fleet is constructed and inherited by
 // every session of the fleet. The zero value fails fast: no retry, no
 // deadline, no breaker, no prober goroutine, no creation log.
 type Policy struct {
@@ -68,8 +68,9 @@ const (
 // while each session keeps its own Coordinator for what is logically
 // private: creation log, ID sequence, and lifecycle.
 //
-// A Fleet is safe for concurrent use. Sessions come from NewSession; the
-// single-session constructor NewCoordinator wraps a private size-1 Fleet.
+// A Fleet is safe for concurrent use. Its sessions, which come from
+// NewSession, are the only coordinators there are; a single control program
+// is one session of a fleet it closes after the session.
 type Fleet struct {
 	opts     fedrpc.Options
 	poolSize int
@@ -142,7 +143,7 @@ func (f *Fleet) NewSession() (*Coordinator, error) {
 	if closed {
 		return nil, fmt.Errorf("federated: fleet is closed")
 	}
-	return newCoordinator(f, false, ns), nil
+	return newCoordinator(f, ns), nil
 }
 
 // site returns (creating if needed) the per-worker state for addr. Pools

@@ -13,7 +13,9 @@ import (
 // and CLEAR against the same workers without interference. Before the
 // namespace scheme, both sessions' NewID counters started at the same
 // value, so the second session's PUTs silently overwrote the first's
-// worker objects — and either session's CLEAR destroyed both.
+// worker objects — and either session's CLEAR destroyed both. The
+// cluster's Coord is one more session of the same fleet: it shares the
+// fleet's one connection per worker and its CLEAR is scoped too.
 func TestSessionsIsolatedOnSharedFleet(t *testing.T) {
 	cl := startCluster(t, 2)
 
@@ -84,6 +86,29 @@ func TestSessionsIsolatedOnSharedFleet(t *testing.T) {
 	}
 	if !p2.Matrix().EqualApprox(m2, 0) {
 		t.Fatal("session 2's object corrupted by session 1's ClearAll")
+	}
+
+	// Coord is a session of the same fleet: its calls share the one pooled
+	// connection, and its ClearAll spares session 2's object.
+	if cl.Coord.Fleet() != cl.Fleet {
+		t.Fatal("cl.Coord runs on a fleet of its own")
+	}
+	if cl.Coord.Namespace() == 0 {
+		t.Fatal("cl.Coord has namespace 0")
+	}
+	id0 := cl.Coord.NewID()
+	put(cl.Coord, id0, m1)
+	if got := cl.Fleet.PoolStats()[addr].Conns; got != 1 {
+		t.Fatalf("%d connections to %s from three sessions at PoolSize 1, want 1", got, addr)
+	}
+	if err := cl.Coord.ClearAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Coord.Fetch(addr, id0); err == nil {
+		t.Fatal("Coord's object survived its own ClearAll")
+	}
+	if _, err := s2.Fetch(addr, id2); err != nil {
+		t.Fatalf("Coord's ClearAll destroyed session 2's object: %v", err)
 	}
 
 	// Session 2's teardown leaves the worker fully clean.

@@ -8,8 +8,8 @@ import (
 	"exdra/internal/matrix"
 )
 
-func recCoord() *Coordinator {
-	return NewCoordinator(fedrpc.Options{}, Policy{Recover: true})
+func recCoord(t *testing.T) *Coordinator {
+	return NewTestSession(t, fedrpc.Options{}, Policy{Recover: true})
 }
 
 func okResps(n int) []fedrpc.Response {
@@ -30,7 +30,7 @@ func TestRetryableBatchIncludesHealth(t *testing.T) {
 // marks entries dead, and dead entries without live dependents are
 // garbage-collected while dead dependencies of live objects are retained.
 func TestCreationLogLifecycle(t *testing.T) {
-	c := recCoord()
+	c := recCoord(t)
 	defer c.Close()
 	const addr = "w0"
 	reqs := []fedrpc.Request{
@@ -69,7 +69,7 @@ func TestCreationLogLifecycle(t *testing.T) {
 // dependencies first, includes stale dead dependencies of the needed object,
 // and lists them for the trailing rmvar.
 func TestPlanReplayTopologicalOrder(t *testing.T) {
-	c := recCoord()
+	c := recCoord(t)
 	defer c.Close()
 	s := c.log("w0")
 	c.record(s, []fedrpc.Request{
@@ -113,7 +113,7 @@ func TestPlanReplayTopologicalOrder(t *testing.T) {
 // TestPlanReplayUnrecoverable: a needed EXEC_UDF-created object that is
 // stale fails planning with the typed error.
 func TestPlanReplayUnrecoverable(t *testing.T) {
-	c := recCoord()
+	c := recCoord(t)
 	defer c.Close()
 	s := c.log("w0")
 	c.record(s, []fedrpc.Request{
@@ -133,7 +133,7 @@ func TestPlanReplayUnrecoverable(t *testing.T) {
 // reads anything fails before it is sent — once — and a batch that only
 // creates goes through.
 func TestStaleWithoutRecovery(t *testing.T) {
-	c := NewCoordinator(fedrpc.Options{}, Policy{})
+	c := NewTestSession(t, fedrpc.Options{}, Policy{})
 	defer c.Close()
 	st, err := c.site("w0")
 	if err != nil {

@@ -48,7 +48,7 @@ func TestRetryRecoversFromInjectedResets(t *testing.T) {
 	faults := netem.NewFaults(netem.FaultConfig{
 		Seed: 7, ConnResets: 3, ResetAfterBytes: 16 << 10, ResetPerAddr: true,
 	})
-	coord := federated.NewCoordinator(fedrpc.Options{Netem: netem.Config{Faults: faults}},
+	coord := federated.NewTestSession(t, fedrpc.Options{Netem: netem.Config{Faults: faults}},
 		federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1})
 	defer coord.Close()
 
@@ -77,7 +77,7 @@ func TestRetryRecoversFromInjectedResets(t *testing.T) {
 func TestNoRetryFailsFastWithoutLeaks(t *testing.T) {
 	cl := startCluster(t, 3)
 	faults := netem.NewFaults(netem.FaultConfig{Seed: 7, ConnResets: 1, ResetAfterBytes: 16 << 10})
-	coord := federated.NewCoordinator(fedrpc.Options{Netem: netem.Config{Faults: faults}}, federated.Policy{})
+	coord := federated.NewTestSession(t, fedrpc.Options{Netem: netem.Config{Faults: faults}}, federated.Policy{})
 	defer coord.Close() // zero policy: fail fast
 
 	x := randMat(3, 600, 27)
@@ -98,7 +98,7 @@ func TestNoRetryFailsFastWithoutLeaks(t *testing.T) {
 // once the coordinator flushes.
 func TestAbortedDistributeSweepsPlacedPartitions(t *testing.T) {
 	cl := startCluster(t, 1)
-	coord := federated.NewCoordinator(fedrpc.Options{}, federated.Policy{})
+	coord := federated.NewTestSession(t, fedrpc.Options{}, federated.Policy{})
 	defer coord.Close()
 	addrs := []string{cl.Addrs[0], "127.0.0.1:1"}
 	fr := frame.MustNew(frame.StringColumn("a", []string{"w", "x", "y", "z"}))
@@ -173,7 +173,7 @@ func TestParallelCallPartialFailureCleansUp(t *testing.T) {
 // as a string, as parallelCall reports the lowest partition's, not
 // whichever the touched set yields first.
 func TestClearAllReportsLexicallyFirstAddressError(t *testing.T) {
-	coord := federated.NewCoordinator(fedrpc.Options{}, federated.Policy{})
+	coord := federated.NewTestSession(t, fedrpc.Options{}, federated.Policy{})
 	defer coord.Close()
 	// A failed call to a refused port marks its address touched.
 	lo, hi := "127.0.0.1:1", "127.0.0.1:2"
@@ -223,9 +223,11 @@ func TestParallelCallReportsLowestPartitionError(t *testing.T) {
 }
 
 // TestClientDialCoalesces asserts the per-address in-flight dial guard:
-// concurrent Client calls for one address share a single dial instead of
-// racing redundant connections (satellite 2).
+// concurrent calls to one address share a single client dial instead of
+// racing redundant connections (satellite 2). A proxy in front of the
+// worker counts the connections.
 func TestClientDialCoalesces(t *testing.T) {
+	cl := startCluster(t, 1)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -234,24 +236,28 @@ func TestClientDialCoalesces(t *testing.T) {
 	var accepts atomic.Int32
 	go func() {
 		for {
-			c, err := ln.Accept()
+			down, err := ln.Accept()
 			if err != nil {
 				return
 			}
 			accepts.Add(1)
-			defer c.Close()
-			// Echoing the client's prelude is a valid handshake answer.
-			_, _ = io.CopyN(c, c, 5)
+			up, err := net.Dial("tcp", cl.Addrs[0])
+			if err != nil {
+				down.Close()
+				return
+			}
+			go func() { _, _ = io.Copy(up, down); up.Close() }()
+			go func() { _, _ = io.Copy(down, up); down.Close() }()
 		}
 	}()
-	coord := federated.NewCoordinator(fedrpc.Options{}, federated.Policy{})
+	coord := federated.NewTestSession(t, fedrpc.Options{}, federated.Policy{})
 	defer coord.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := coord.Client(ln.Addr().String()); err != nil {
+			if _, err := coord.Call(ln.Addr().String(), fedrpc.Request{Type: fedrpc.Health}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -263,25 +269,25 @@ func TestClientDialCoalesces(t *testing.T) {
 }
 
 // TestSlowDialDoesNotBlockCoordinator asserts that dialing happens outside
-// the coordinator lock: while one Client call is stuck dialing an
+// the coordinator lock: while one call is stuck dialing an
 // unresponsive address, byte-counter accessors and dials to healthy
 // workers proceed (satellite 2).
 func TestSlowDialDoesNotBlockCoordinator(t *testing.T) {
 	cl := startCluster(t, 1)
-	coord := federated.NewCoordinator(fedrpc.Options{DialTimeout: 2 * time.Second}, federated.Policy{})
+	coord := federated.NewTestSession(t, fedrpc.Options{DialTimeout: 2 * time.Second}, federated.Policy{})
 	defer coord.Close()
 	dialDone := make(chan struct{})
 	go func() {
 		// A blackhole address: the dial hangs until DialTimeout on most
 		// networks, or fails fast where unroutable — either way it must
 		// not hold the coordinator lock while in flight.
-		coord.Client("10.255.255.1:9")
+		_, _ = coord.Call("10.255.255.1:9", fedrpc.Request{Type: fedrpc.Health})
 		close(dialDone)
 	}()
 	time.Sleep(50 * time.Millisecond)
 	start := time.Now()
 	_ = coord.BytesSent()
-	if _, err := coord.Client(cl.Addrs[0]); err != nil {
+	if _, err := coord.Call(cl.Addrs[0], fedrpc.Request{Type: fedrpc.Health}); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > time.Second {

@@ -273,7 +273,7 @@ func TestFailedProbeLeavesHalfOpenToTheTrial(t *testing.T) {
 // attempts of one call, the error is the load-shed and still matches what
 // tripped it.
 func TestBreakerTripMidRetryKeepsRootCause(t *testing.T) {
-	c := NewCoordinator(fedrpc.Options{Metrics: obs.New(), DialTimeout: time.Second},
+	c := NewTestSession(t, fedrpc.Options{Metrics: obs.New(), DialTimeout: time.Second},
 		Policy{Attempts: 3, Backoff: time.Millisecond, BreakerThreshold: 1, ProbeInterval: time.Hour})
 	defer c.Close()
 	// 127.0.0.1:1 refuses: attempt 1 fails to dial and trips the breaker,

@@ -30,6 +30,9 @@ const (
 	DefaultDialTimeout = 10 * time.Second
 	DefaultIOTimeout   = 2 * time.Minute
 	DefaultIdleTimeout = 10 * time.Minute
+	// DefaultWindow is the pipelining window of a client whose
+	// Options.Window is zero: up to 8 calls in flight per connection.
+	DefaultWindow = 8
 )
 
 // Options configure a client or server endpoint.
@@ -68,8 +71,8 @@ type Options struct {
 	MaxConns int
 	// Window caps how many calls may be pipelined in flight on one
 	// connection (client side); dependent-free calls overlap on the wire,
-	// so N calls cost ~1 round trip instead of N. Values below 2
-	// (including the zero value) mean lock-step: one exchange at a time;
+	// so N calls cost ~1 round trip instead of N. Zero means DefaultWindow;
+	// 1 (or a negative value) means lock-step, one exchange at a time;
 	// values above 64 (the server's per-connection cap) mean 64.
 	Window int
 }
@@ -205,7 +208,11 @@ type Client struct {
 
 // Dial connects to a federated worker at addr.
 func Dial(addr string, opts Options) (*Client, error) {
-	window := min(max(opts.Window, 1), serverInflightWindow)
+	window := opts.Window
+	if window == 0 {
+		window = DefaultWindow
+	}
+	window = min(max(window, 1), serverInflightWindow)
 	c := &Client{
 		addr:      addr,
 		opts:      opts,

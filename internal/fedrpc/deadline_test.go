@@ -177,7 +177,7 @@ func TestQueuedCancelReturnsCtxErr(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, err := Dial(s.Addr(), Options{})
+	c, err := Dial(s.Addr(), Options{Window: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,14 +10,13 @@ package fedrpc
 //
 // The fix is a prefix scheme carried inside the existing int64 ID — no wire
 // change: the high bits hold a session namespace, the low NamespaceShift
-// bits the session-local sequence number. Namespace 0 is the legacy
-// unscoped space, so a pre-session coordinator (and every ID already on the
-// wire or in a creation log) behaves exactly as before.
+// bits the session-local sequence number. Every coordinator is a session with
+// a namespace of 1 or more (federated.Fleet.NewSession); namespace 0 holds
+// only the IDs a raw client picks itself.
 //
 // CLEAR is namespace-aware through its otherwise-unused ID field: a CLEAR
-// with ID == ns removes only that namespace's bindings at the worker, so
-// one session's teardown can never destroy another session's state; ID == 0
-// keeps the legacy clear-everything semantics.
+// with ID == ns removes exactly that namespace's bindings at the worker, so
+// one session's teardown can never destroy another session's state.
 
 const (
 	// NamespaceShift is the bit position splitting an object ID into
@@ -30,9 +29,9 @@ const (
 )
 
 // MakeID composes a namespace-qualified object ID. Namespace 0 yields the
-// legacy unscoped ID space (the sequence alone).
+// sequence alone.
 func MakeID(ns, seq int64) int64 { return ns<<NamespaceShift | seq }
 
-// IDNamespace extracts the session namespace of an object ID (0 for legacy
-// unscoped IDs).
+// IDNamespace extracts the session namespace of an object ID (0 for an ID
+// below 1<<NamespaceShift).
 func IDNamespace(id int64) int64 { return id >> NamespaceShift }

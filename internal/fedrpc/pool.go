@@ -48,7 +48,7 @@ type Pool struct {
 }
 
 // NewPool creates a pool of up to size clients for addr. Size below 1 is
-// clamped to 1 (the legacy one-client-per-address shape).
+// clamped to 1: one connection per address.
 func NewPool(addr string, size int, opts Options) *Pool {
 	if size < 1 {
 		size = 1
@@ -212,32 +212,6 @@ func (p *Pool) Put(cl *Client) {
 		return
 	}
 	p.reg.Gauge("serve.pool.in_use").Add(-1)
-}
-
-// Shared returns a client without checking it out: the pool's first live
-// connection, dialing one if none exists yet. The returned client may be
-// used concurrently by checkout holders — fedrpc.Client serializes (or
-// pipelines) its own exchanges — so Shared is for legacy
-// one-client-per-address callers and best-effort cleanup sweeps, not for
-// latency-sensitive traffic.
-func (p *Pool) Shared(ctx context.Context) (*Client, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, fmt.Errorf("fedrpc: pool %s: %w", p.addr, ErrPoolClosed)
-	}
-	if len(p.all) > 0 {
-		cl := p.all[0]
-		p.mu.Unlock()
-		return cl, nil
-	}
-	p.mu.Unlock()
-	cl, err := p.Get(ctx)
-	if err != nil {
-		return nil, err
-	}
-	p.Put(cl)
-	return cl, nil
 }
 
 // popWaiterLocked dequeues the oldest waiter, or nil. Callers hold p.mu and

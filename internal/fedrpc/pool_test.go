@@ -25,7 +25,7 @@ func TestNamespaceIDRoundTrip(t *testing.T) {
 		}
 	}
 	if MakeID(0, 5) != 5 {
-		t.Fatal("namespace 0 must be the legacy unscoped ID space")
+		t.Fatal("namespace 0 must be the bare sequence")
 	}
 	a, b := MakeID(1, 1), MakeID(2, 1)
 	if a == b {
@@ -35,7 +35,7 @@ func TestNamespaceIDRoundTrip(t *testing.T) {
 
 func TestPoolCheckoutCheckin(t *testing.T) {
 	s, _ := startServer(t, Options{})
-	p := NewPool(s.Addr(), 2, Options{Metrics: obs.New()})
+	p := NewPool(s.Addr(), 2, Options{Metrics: obs.New(), Window: 1})
 	defer p.Close()
 	ctx := context.Background()
 
@@ -91,7 +91,7 @@ func TestPoolCheckoutCheckin(t *testing.T) {
 func TestPoolWaiterHandoff(t *testing.T) {
 	s, _ := startServer(t, Options{})
 	reg := obs.New()
-	p := NewPool(s.Addr(), 1, Options{Metrics: reg})
+	p := NewPool(s.Addr(), 1, Options{Metrics: reg, Window: 1})
 	defer p.Close()
 	ctx := context.Background()
 
@@ -138,7 +138,7 @@ func TestPoolWaiterHandoff(t *testing.T) {
 
 func TestPoolCloseFailsWaitersAndCheckouts(t *testing.T) {
 	s, _ := startServer(t, Options{})
-	p := NewPool(s.Addr(), 1, Options{Metrics: obs.New()})
+	p := NewPool(s.Addr(), 1, Options{Metrics: obs.New(), Window: 1})
 	ctx := context.Background()
 
 	if _, err := p.Get(ctx); err != nil {
@@ -171,40 +171,6 @@ func TestPoolCloseFailsWaitersAndCheckouts(t *testing.T) {
 		t.Fatalf("post-close checkout: got %v, want ErrPoolClosed", err)
 	}
 	p.Close() // idempotent
-}
-
-func TestPoolSharedIsStable(t *testing.T) {
-	s, _ := startServer(t, Options{})
-	p := NewPool(s.Addr(), 3, Options{Metrics: obs.New()})
-	defer p.Close()
-	ctx := context.Background()
-
-	c1, err := p.Shared(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := p.Shared(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Fatal("Shared must return a stable client")
-	}
-	if st := p.Stats(); st.InUse != 0 {
-		t.Fatalf("Shared must not hold a checkout: %+v", st)
-	}
-	// Shared and a checkout can coexist (Client serializes its own wire).
-	cl, err := p.Get(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.CallOne(Request{Type: Put, ID: 2, Data: MatrixPayload(matrix.FromRows([][]float64{{9}}))}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c1.CallOne(Request{Type: Get, ID: 2}); err != nil {
-		t.Fatal(err)
-	}
-	p.Put(cl)
 }
 
 func TestPoolDialErrorReleasesSlot(t *testing.T) {

@@ -34,8 +34,8 @@ type Config struct {
 	// recovery paths. The same *Faults can be inspected afterwards via
 	// Stats() to assert the faults actually fired.
 	Faults *netem.Faults
-	// Policy is the failure model of both the standalone Coord and every
-	// session of Fleet (federated.Policy); the zero value fails fast.
+	// Policy is the failure model of Fleet and so of every session on it,
+	// Coord included (federated.Policy); the zero value fails fast.
 	Policy federated.Policy
 	// SlowRPC makes the coordinator log every RPC slower than this
 	// threshold with its full phase breakdown (0 disables).
@@ -46,21 +46,22 @@ type Config struct {
 	// own run's deltas, unpolluted by parallel tests.
 	Metrics *obs.Registry
 	// PoolSize is the number of pooled connections per worker address in
-	// the cluster's shared Fleet (default 1). It sizes Fleet sessions only;
-	// Coord keeps its private one-connection-per-address fleet.
+	// the cluster's one Fleet (default 1), which Coord and every other
+	// session share.
 	PoolSize int
 	// MaxConns caps concurrently served connections per worker (0 =
 	// unlimited), exercising the accept-limit path.
 	MaxConns int
 	// Window caps pipelined in-flight calls per coordinator→worker
-	// connection (fedrpc.Options.Window); values below 2 mean lock-step.
+	// connection (fedrpc.Options.Window): zero means fedrpc.DefaultWindow,
+	// 1 lock-step.
 	Window int
 }
 
-// Cluster is a running in-process federation. Coord is the classic
-// single-session coordinator; Fleet is the shared multi-session substrate
-// (connection pools sized by Config.PoolSize) that Fleet.NewSession and
-// fedserve build on. Both talk to the same workers.
+// Cluster is a running in-process federation. Fleet is its one
+// multi-session substrate (connection pools sized by Config.PoolSize) that
+// Fleet.NewSession and fedserve build on; Coord is a session of it, opened
+// by Start for callers that need just one.
 type Cluster struct {
 	Workers []*worker.Worker
 	Servers []*fedrpc.Server
@@ -125,8 +126,13 @@ func Start(cfg Config) (*Cluster, error) {
 		cl.Addrs = append(cl.Addrs, srv.Addr())
 		cl.baseDirs = append(cl.baseDirs, dir)
 	}
-	cl.Coord = federated.NewCoordinator(clientOpts, cfg.Policy)
 	cl.Fleet = federated.NewFleet(clientOpts, cfg.PoolSize, cfg.Policy)
+	coord, err := cl.Fleet.NewSession()
+	if err != nil {
+		cl.Close()
+		return nil, err
+	}
+	cl.Coord = coord
 	return cl, nil
 }
 
@@ -155,7 +161,7 @@ func (c *Cluster) RestartWorker(i int) error {
 	return nil
 }
 
-// Close shuts down the coordinator, the shared fleet, and all workers.
+// Close shuts down the session Coord, then the fleet, then all workers.
 func (c *Cluster) Close() {
 	if c.Coord != nil {
 		c.Coord.Close()

@@ -16,16 +16,13 @@ func TestStartDefaultsAndClose(t *testing.T) {
 	if len(cl.Workers) != 3 || len(cl.Addrs) != 3 {
 		t.Fatalf("default cluster size %d", len(cl.Workers))
 	}
-	c, err := cl.Coord.Client(cl.Addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.CallOne(fedrpc.Request{Type: fedrpc.Put, ID: 1, Data: fedrpc.ScalarPayload(1)}); err != nil {
+	addr := cl.Addrs[0]
+	if _, err := cl.Coord.Call(addr, fedrpc.Request{Type: fedrpc.Put, ID: 1, Data: fedrpc.ScalarPayload(1)}); err != nil {
 		t.Fatal(err)
 	}
 	cl.Close()
 	// After Close, calls fail.
-	if _, err := c.Call(fedrpc.Request{Type: fedrpc.Get, ID: 1}); err == nil {
+	if _, err := cl.Coord.Call(addr, fedrpc.Request{Type: fedrpc.Get, ID: 1}); err == nil {
 		t.Fatal("call succeeded after Close")
 	}
 }
@@ -36,12 +33,8 @@ func TestStartWithTLSAndNetem(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	c, err := cl.Coord.Client(cl.Addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
 	start := time.Now()
-	if _, err := c.CallOne(fedrpc.Request{Type: fedrpc.Put, ID: 1, Data: fedrpc.ScalarPayload(2)}); err != nil {
+	if _, err := cl.Coord.Call(cl.Addrs[0], fedrpc.Request{Type: fedrpc.Put, ID: 1, Data: fedrpc.ScalarPayload(2)}); err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) < 10*time.Millisecond {
@@ -57,11 +50,11 @@ func TestBaseDirs(t *testing.T) {
 	}
 	defer cl.Close()
 	// Worker 0 has a data dir, worker 1 does not: READ fails there.
-	c1, err := cl.Coord.Client(cl.Addrs[1])
+	resps, err := cl.Coord.Call(cl.Addrs[1], fedrpc.Request{Type: fedrpc.Read, ID: 1, Filename: "x.bin"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.CallOne(fedrpc.Request{Type: fedrpc.Read, ID: 1, Filename: "x.bin"}); err == nil {
+	if resps[0].OK {
 		t.Fatal("READ without data dir succeeded")
 	}
 }

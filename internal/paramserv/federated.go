@@ -91,21 +91,17 @@ func TrainFederated(cfg Config, fx *federated.Matrix, y *matrix.Dense) (*Result,
 
 // runSegmentAt invokes ps_run at one worker and decodes the reply.
 func runSegmentAt(coord *federated.Coordinator, p federated.Partition, stateID int64, args RunArgs) (RunReply, error) {
-	cl, err := coord.Client(p.Addr)
-	if err != nil {
-		return RunReply{}, err
-	}
 	enc, err := worker.EncodeArgs(args)
 	if err != nil {
 		return RunReply{}, err
 	}
-	resp, err := cl.CallOne(fedrpc.Request{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{
-		Name: "ps_run", Inputs: []int64{stateID}, Args: enc}})
+	data, err := coord.ExecUDF(p.Addr, &fedrpc.UDFCall{
+		Name: "ps_run", Inputs: []int64{stateID}, Args: enc})
 	if err != nil {
 		return RunReply{}, err
 	}
 	var reply RunReply
-	if err := worker.DecodeArgs(resp.Data.Bytes, &reply); err != nil {
+	if err := worker.DecodeArgs(data.Bytes, &reply); err != nil {
 		return RunReply{}, err
 	}
 	return reply, nil

@@ -1,10 +1,13 @@
 package paramserv_test
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"exdra/internal/data"
 	"exdra/internal/federated"
+	"exdra/internal/fedrpc"
 	"exdra/internal/fedtest"
 	"exdra/internal/matrix"
 	"exdra/internal/nn"
@@ -93,6 +96,46 @@ func TestTrainFederatedBSP(t *testing.T) {
 	// only model deltas were exchanged.
 	if _, err := fx.Consolidate(); err == nil {
 		t.Fatal("private features are transferable")
+	}
+}
+
+// TestPSRunHonoursBreaker: ps_run goes through the coordinator's failure
+// funnel like every other operation, so a worker whose breaker is open is
+// not sent a segment even though it answers again.
+func TestPSRunHonoursBreaker(t *testing.T) {
+	cl, err := fedtest.Start(fedtest.Config{Workers: 2,
+		Policy: federated.Policy{BreakerThreshold: 1, ProbeInterval: time.Hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	x, y := data.MultiClass(24, 200, 8, 2)
+	fx, err := federated.Distribute(cl.Coord, x, cl.Addrs, federated.RowPartitioned, privacy.Private)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := paramserv.NewFederatedTrainer(ffnCfg(8, 2, paramserv.BSP), fx, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Open worker 0's breaker: stop its server, let one probe fail, then
+	// serve the same worker, state intact, on the same address again.
+	addr := cl.Addrs[0]
+	cl.Servers[0].Close()
+	fleet := cl.Coord.Fleet()
+	if err := fleet.Ping(addr); err == nil {
+		t.Fatal("probe of a stopped worker succeeded")
+	}
+	if got := fleet.BreakerState(addr); got != "open" {
+		t.Fatalf("breaker after a failed probe = %q, want open", got)
+	}
+	srv, err := fedrpc.Serve(addr, cl.Workers[0], fedrpc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Servers[0] = srv
+	if err := tr.TrainEpochs(1); !errors.Is(err, federated.ErrWorkerUnavailable) {
+		t.Fatalf("TrainEpochs with worker 0's breaker open = %v, want ErrWorkerUnavailable", err)
 	}
 }
 

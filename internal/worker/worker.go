@@ -295,18 +295,12 @@ func (w *Worker) handleOne(ctx context.Context, req fedrpc.Request) fedrpc.Respo
 		return w.handleUDF(req)
 	case fedrpc.Clear:
 		// CLEAR is namespace-aware through its otherwise-unused ID field
-		// (fedrpc.MakeID): a session's teardown removes only its own
-		// bindings, so one session sharing this worker can never destroy
-		// another's state. ID 0 — every pre-session coordinator — keeps
-		// the legacy clear-everything semantics.
+		// (fedrpc.MakeID): it removes the bindings of namespace req.ID, so
+		// one session sharing this worker can never destroy another's state.
 		w.mu.Lock()
-		if req.ID == 0 {
-			w.symtab = map[int64]*Entry{}
-		} else {
-			for id := range w.symtab {
-				if fedrpc.IDNamespace(id) == req.ID {
-					delete(w.symtab, id)
-				}
+		for id := range w.symtab {
+			if fedrpc.IDNamespace(id) == req.ID {
+				delete(w.symtab, id)
 			}
 		}
 		w.mu.Unlock()
