@@ -45,7 +45,11 @@
 #                      and the AVX2 product kernels (MatMul, TMatMul,
 #                      TSMM, MMChain), which must equal the Go kernels bit
 #                      for bit on ragged shapes of NaN, ±Inf and ±0 cells
-#                      (any NaN matching any NaN);
+#                      (any NaN matching any NaN); and the element-wise
+#                      kernels (FuzzElementwise), whose every form of
+#                      Binary, BinaryScalar and Unary must equal op.apply
+#                      cell by cell, bit for bit, on NaN, ±Inf, ±0 and
+#                      subnormals (any NaN matching any NaN);
 #   8. /metrics smoke — a real fedworker process is spawned with
 #                      -metrics-addr and its endpoint is scraped once;
 #   9. exdra + exdrad smoke — two real fedworker processes stand; first
@@ -113,6 +117,7 @@ go test -run='^$' -fuzz='^FuzzWireStream$' -fuzztime=10s ./internal/fedrpc/
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/frame/
 go test -run='^$' -fuzz='^FuzzAggKernels$' -fuzztime=10s ./internal/matrix/
 go test -run='^$' -fuzz='^FuzzProductKernels$' -fuzztime=10s ./internal/matrix/
+go test -run='^$' -fuzz='^FuzzElementwise$' -fuzztime=10s ./internal/matrix/
 echo "ci.sh: fuzz smoke passed"
 
 # /metrics smoke test: boot a real worker with the endpoint enabled, scrape

@@ -269,19 +269,39 @@ func TestClientDialCoalesces(t *testing.T) {
 }
 
 // TestSlowDialDoesNotBlockCoordinator asserts that dialing happens outside
-// the coordinator lock: while one call is stuck dialing an
-// unresponsive address, byte-counter accessors and dials to healthy
-// workers proceed (satellite 2).
+// the coordinator lock: while one call is stuck dialing a peer that never
+// answers, byte-counter accessors and dials to healthy workers proceed.
 func TestSlowDialDoesNotBlockCoordinator(t *testing.T) {
 	cl := startCluster(t, 1)
+	// A loopback peer that accepts and never answers the version
+	// handshake: the dial hangs until DialTimeout on every machine.
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	go func() {
+		// Hold every accepted connection open until the listener closes.
+		var held []net.Conn
+		defer func() {
+			for _, c := range held {
+				c.Close()
+			}
+		}()
+		for {
+			c, err := silent.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, c)
+		}
+	}()
 	coord := federated.NewTestSession(t, fedrpc.Options{DialTimeout: 2 * time.Second}, federated.Policy{})
 	defer coord.Close()
 	dialDone := make(chan struct{})
 	go func() {
-		// A blackhole address: the dial hangs until DialTimeout on most
-		// networks, or fails fast where unroutable — either way it must
-		// not hold the coordinator lock while in flight.
-		_, _ = coord.Call("10.255.255.1:9", fedrpc.Request{Type: fedrpc.Health})
+		// The dial must not hold the coordinator lock while in flight.
+		_, _ = coord.Call(silent.Addr().String(), fedrpc.Request{Type: fedrpc.Health})
 		close(dialDone)
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -296,6 +316,6 @@ func TestSlowDialDoesNotBlockCoordinator(t *testing.T) {
 	select {
 	case <-dialDone:
 	case <-time.After(5 * time.Second):
-		t.Fatal("blackhole dial never returned")
+		t.Fatal("silent dial never returned")
 	}
 }

@@ -126,9 +126,16 @@ func (m *Dense) Data() []float64 { return m.data }
 
 // Clone returns a deep copy of the matrix.
 func (m *Dense) Clone() *Dense {
-	c := NewDense(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
+	return &Dense{rows: m.rows, cols: m.cols, data: copyOf(m.data)}
+}
+
+// copyOf returns a new slice holding src. A make of len(src) directly
+// followed by a copy from a plain variable compiles to one allocation that
+// is not cleared first (makeslicecopy), where NewDense clears.
+func copyOf(src []float64) []float64 {
+	dst := make([]float64, len(src))
+	copy(dst, src)
+	return dst
 }
 
 // String renders small matrices fully and large ones as a summary.

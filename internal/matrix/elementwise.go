@@ -87,46 +87,49 @@ func (op BinaryOp) apply(a, b float64) float64 {
 	}
 }
 
+// b2f returns 1 for true and 0 for false. It selects the bits of 1.0 in an
+// integer register, which compiles to a conditional move, not a branch, so
+// a comparison over mixed data costs no mispredictions.
 func b2f(b bool) float64 {
+	var bits uint64
 	if b {
-		return 1
+		bits = 0x3ff0000000000000 // 1.0
 	}
-	return 0
+	return math.Float64frombits(bits)
 }
 
 // Binary applies op cell-wise with R-style broadcasting: b may have the same
 // shape as m, be a column vector (rows x 1), a row vector (1 x cols), or a
 // 1x1 scalar.
+//
+// The op is resolved to its loop once per call (vectorKernel, scalarKernel),
+// not once per cell; a broadcast runs that loop on each row. Every cell
+// still computes op.apply(a, b) with the same operands in the same order,
+// so the result is bitwise what a per-cell apply gives.
 func (m *Dense) Binary(op BinaryOp, b *Dense) *Dense {
+	if b.rows == 1 && b.cols == 1 {
+		return m.BinaryScalar(op, b.data[0], false)
+	}
 	out := NewDense(m.rows, m.cols)
+	c := m.cols
 	switch {
 	case b.rows == m.rows && b.cols == m.cols:
+		k := vectorKernel(op)
 		parallelFor(len(m.data), 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out.data[i] = op.apply(m.data[i], b.data[i])
-			}
+			k(out.data[lo:hi], m.data[lo:hi], b.data[lo:hi])
 		})
-	case b.rows == 1 && b.cols == 1:
-		return m.BinaryScalar(op, b.data[0], false)
 	case b.rows == m.rows && b.cols == 1: // column-vector broadcast
-		parallelFor(m.rows, m.cols, func(lo, hi int) {
+		k := scalarKernel(op, false)
+		parallelFor(m.rows, c, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				v := b.data[i]
-				row := m.Row(i)
-				orow := out.Row(i)
-				for j, a := range row {
-					orow[j] = op.apply(a, v)
-				}
+				k(out.data[i*c:(i+1)*c], m.data[i*c:(i+1)*c], b.data[i])
 			}
 		})
 	case b.rows == 1 && b.cols == m.cols: // row-vector broadcast
-		parallelFor(m.rows, m.cols, func(lo, hi int) {
+		k := vectorKernel(op)
+		parallelFor(m.rows, c, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				row := m.Row(i)
-				orow := out.Row(i)
-				for j, a := range row {
-					orow[j] = op.apply(a, b.data[j])
-				}
+				k(out.data[i*c:(i+1)*c], m.data[i*c:(i+1)*c], b.data)
 			}
 		})
 	default:
@@ -140,18 +143,161 @@ func (m *Dense) Binary(op BinaryOp, b *Dense) *Dense {
 // scalar is the left operand (s op m), e.g. for 1-X.
 func (m *Dense) BinaryScalar(op BinaryOp, s float64, swap bool) *Dense {
 	out := NewDense(m.rows, m.cols)
+	k := scalarKernel(op, swap)
 	parallelFor(len(m.data), 1, func(lo, hi int) {
-		if swap {
-			for i := lo; i < hi; i++ {
-				out.data[i] = op.apply(s, m.data[i])
-			}
-		} else {
-			for i := lo; i < hi; i++ {
-				out.data[i] = op.apply(m.data[i], s)
-			}
-		}
+		k(out.data[lo:hi], m.data[lo:hi], s)
 	})
 	return out
+}
+
+// vectorKernel returns the loop that sets o[i] = a[i] op b[i]; a and b are
+// at least as long as o. + - * / have a loop of their own, and so have min
+// and max (P2's clipping against row vectors); every other op calls
+// op.apply per cell.
+func vectorKernel(op BinaryOp) func(o, a, b []float64) {
+	switch op {
+	case OpAdd:
+		return func(o, a, b []float64) {
+			a, b = a[:len(o)], b[:len(o)]
+			for i := range o {
+				o[i] = a[i] + b[i]
+			}
+		}
+	case OpSub:
+		return func(o, a, b []float64) {
+			a, b = a[:len(o)], b[:len(o)]
+			for i := range o {
+				o[i] = a[i] - b[i]
+			}
+		}
+	case OpMul:
+		return func(o, a, b []float64) {
+			a, b = a[:len(o)], b[:len(o)]
+			for i := range o {
+				o[i] = a[i] * b[i]
+			}
+		}
+	case OpDiv:
+		return func(o, a, b []float64) {
+			a, b = a[:len(o)], b[:len(o)]
+			for i := range o {
+				o[i] = a[i] / b[i]
+			}
+		}
+	case OpMin:
+		return func(o, a, b []float64) {
+			a, b = a[:len(o)], b[:len(o)]
+			for i := range o {
+				o[i] = math.Min(a[i], b[i])
+			}
+		}
+	case OpMax:
+		return func(o, a, b []float64) {
+			a, b = a[:len(o)], b[:len(o)]
+			for i := range o {
+				o[i] = math.Max(a[i], b[i])
+			}
+		}
+	default:
+		return func(o, a, b []float64) {
+			a, b = a[:len(o)], b[:len(o)]
+			for i := range o {
+				o[i] = op.apply(a[i], b[i])
+			}
+		}
+	}
+}
+
+// scalarKernel returns the loop that sets o[i] = a[i] op s, or s op a[i]
+// when swap is true; a is at least as long as o. + - * / have a loop of
+// their own, and so have max (P2's ReLU), > (the L2SVM and FFN masks) and
+// <= (K-Means' column broadcast against the row minima); with the scalar
+// on the left, - and / (1 - P, 1 / X). Every other op calls op.apply per
+// cell.
+func scalarKernel(op BinaryOp, swap bool) func(o, a []float64, s float64) {
+	if swap {
+		switch op {
+		case OpSub:
+			return func(o, a []float64, s float64) {
+				a = a[:len(o)]
+				for i := range o {
+					o[i] = s - a[i]
+				}
+			}
+		case OpDiv:
+			return func(o, a []float64, s float64) {
+				a = a[:len(o)]
+				for i := range o {
+					o[i] = s / a[i]
+				}
+			}
+		default:
+			return func(o, a []float64, s float64) {
+				a = a[:len(o)]
+				for i := range o {
+					o[i] = op.apply(s, a[i])
+				}
+			}
+		}
+	}
+	switch op {
+	case OpAdd:
+		return func(o, a []float64, s float64) {
+			a = a[:len(o)]
+			for i := range o {
+				o[i] = a[i] + s
+			}
+		}
+	case OpSub:
+		return func(o, a []float64, s float64) {
+			a = a[:len(o)]
+			for i := range o {
+				o[i] = a[i] - s
+			}
+		}
+	case OpMul:
+		return func(o, a []float64, s float64) {
+			a = a[:len(o)]
+			for i := range o {
+				o[i] = a[i] * s
+			}
+		}
+	case OpDiv:
+		return func(o, a []float64, s float64) {
+			a = a[:len(o)]
+			for i := range o {
+				o[i] = a[i] / s
+			}
+		}
+	case OpMax:
+		return func(o, a []float64, s float64) {
+			a = a[:len(o)]
+			for i := range o {
+				o[i] = math.Max(a[i], s)
+			}
+		}
+	case OpGt:
+		return func(o, a []float64, s float64) {
+			a = a[:len(o)]
+			for i := range o {
+				o[i] = b2f(a[i] > s)
+			}
+		}
+	case OpLe:
+		return func(o, a []float64, s float64) {
+			a = a[:len(o)]
+			for i := range o {
+				o[i] = b2f(a[i] <= s)
+			}
+		}
+	default:
+		return func(o, a []float64, s float64) {
+			a = a[:len(o)]
+			for i := range o {
+				o[i] = op.apply(a[i], s)
+			}
+		}
+	}
 }
 
 // Convenience wrappers for the most common binary operations.

@@ -435,6 +435,47 @@ func BenchmarkColPartialAggs(b *testing.B) {
 	}
 }
 
+// BenchmarkBinary times the element-wise kernels on a lan-train partition
+// (20000x100) and on a column of its length (40000x1): X * Y, X * s,
+// s - X (the swapped scalar of MLogReg's 1 - P), and on the partition
+// three broadcasts: a column vector under / (P / rowSums(P)) and under <=
+// (K-Means' D <= rowMins(D)), and a row vector under - (X - colMeans(X)).
+// On one column a broadcast is the same-shape kernel. Bytes are the cells
+// read and written.
+func BenchmarkBinary(b *testing.B) {
+	type kernel struct {
+		name  string
+		bytes int // per cell
+		f     func() *Dense
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, shape := range []struct{ rows, cols int }{{20000, 100}, {40000, 1}} {
+		x := Randn(rng, shape.rows, shape.cols, 0, 1)
+		y := Randn(rng, shape.rows, shape.cols, 0, 1)
+		kernels := []kernel{
+			{"mul", 24, func() *Dense { return x.Binary(OpMul, y) }},
+			{"scalar_mul", 16, func() *Dense { return x.BinaryScalar(OpMul, 0.5, false) }},
+			{"scalar_rsub", 16, func() *Dense { return x.BinaryScalar(OpSub, 1, true) }},
+		}
+		if shape.cols > 1 {
+			col := Rand(rng, shape.rows, 1, 1, 2)
+			row := Randn(rng, 1, shape.cols, 0, 1)
+			kernels = append(kernels,
+				kernel{"col_div", 16, func() *Dense { return x.Binary(OpDiv, col) }},
+				kernel{"col_le", 16, func() *Dense { return x.Binary(OpLe, col) }},
+				kernel{"row_sub", 16, func() *Dense { return x.Binary(OpSub, row) }})
+		}
+		for _, k := range kernels {
+			b.Run(fmt.Sprintf("%dx%d/%s", shape.rows, shape.cols, k.name), func(b *testing.B) {
+				b.SetBytes(int64(k.bytes * x.Size()))
+				for i := 0; i < b.N; i++ {
+					benchSink = k.f()
+				}
+			})
+		}
+	}
+}
+
 func TestTransposeRoundTrip(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(8))

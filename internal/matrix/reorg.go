@@ -10,6 +10,9 @@ func (m *Dense) Slice(rowBeg, rowEnd, colBeg, colEnd int) *Dense {
 		panic(fmt.Sprintf("matrix: slice [%d:%d,%d:%d] out of range for %dx%d",
 			rowBeg, rowEnd, colBeg, colEnd, m.rows, m.cols))
 	}
+	if colBeg == 0 && colEnd == m.cols { // whole rows: one contiguous range
+		return &Dense{rows: rowEnd - rowBeg, cols: m.cols, data: copyOf(m.data[rowBeg*m.cols : rowEnd*m.cols])}
+	}
 	out := NewDense(rowEnd-rowBeg, colEnd-colBeg)
 	w := colEnd - colBeg
 	for i := rowBeg; i < rowEnd; i++ {

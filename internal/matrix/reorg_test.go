@@ -20,6 +20,40 @@ func TestSliceAndSetSlice(t *testing.T) {
 	}
 }
 
+// TestCopiesAreIndependent: Clone, Slice over whole rows (the contiguous
+// copy), SliceRows and a column Slice each return the cells asked for, and
+// overwriting every cell of a result leaves its source unchanged.
+func TestCopiesAreIndependent(t *testing.T) {
+	t.Parallel()
+	m := Randn(rand.New(rand.NewSource(3)), 7, 5, 0, 1)
+	orig := m.Clone()
+	for _, c := range []struct {
+		name string
+		got  *Dense
+		want func(i, j int) float64
+	}{
+		{"Clone", m.Clone(), m.At},
+		{"Slice whole rows", m.Slice(2, 6, 0, 5), func(i, j int) float64 { return m.At(i+2, j) }},
+		{"SliceRows", m.SliceRows(0, 7), m.At},
+		{"SliceRows empty", m.SliceRows(4, 4), m.At},
+		{"Slice columns", m.Slice(1, 4, 1, 3), func(i, j int) float64 { return m.At(i+1, j+1) }},
+	} {
+		for i := 0; i < c.got.rows; i++ {
+			for j := 0; j < c.got.cols; j++ {
+				if c.got.At(i, j) != c.want(i, j) {
+					t.Fatalf("%s: cell (%d,%d) is %v, want %v", c.name, i, j, c.got.At(i, j), c.want(i, j))
+				}
+			}
+		}
+		for i := range c.got.data {
+			c.got.data[i] = math.NaN()
+		}
+		if d := sameBits(m, orig); d != "" {
+			t.Fatalf("writing the %s result changed its source: %s", c.name, d)
+		}
+	}
+}
+
 func TestSliceOutOfRangePanics(t *testing.T) {
 	t.Parallel()
 	defer func() {
