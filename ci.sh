@@ -18,8 +18,8 @@
 #                      nor a UDF no coordinator sends can ship (DESIGN.md §5);
 #   5. go test -race -count=1 — the full test suite under the race
 #                      detector, never from cache: connection teardown,
-#                      redial, retry, restart/replay and prober
-#                      interleavings are exactly where data races hide, and
+#                      redial, retry and restart/replay interleavings are
+#                      exactly where data races hide, and
 #                      a cached pass says nothing about them. It also holds
 #                      the pipelining bars: a depth-8 burst at a 35 ms RTT
 #                      within 3.5 RTTs and at least 2x faster than lock-step,
@@ -55,15 +55,17 @@
 #   9. exdra + exdrad smoke — two real fedworker processes stand; first
 #                      `exdra p2 -algo ffn -workers` runs the P2 pipeline
 #                      against them (its parameter server sends ps_run
-#                      through the coordinator) and must print its test R2
-#                      and leave by CLEARing what it placed (the worker's
-#                      worker.requests.CLEAR counter grows); then the
-#                      standing coordinator daemon is spawned over the same
-#                      workers, two concurrent sessions are opened over its
-#                      HTTP API, each trains a seeded LM, and the daemon's
-#                      /metrics must export the serve.* series (sessions,
-#                      pool churn) while a worker exports the worker.conns
-#                      gauge;
+#                      through the coordinator) and must print its test R2,
+#                      report "0 restarts detected, 0 objects replayed" (the
+#                      always-on creation log replays nothing while no
+#                      worker restarts) and leave by CLEARing what it placed
+#                      (the worker's worker.requests.CLEAR counter grows);
+#                      then the standing coordinator daemon is spawned over
+#                      the same workers, two concurrent sessions are opened
+#                      over its HTTP API, each trains a seeded LM, and the
+#                      daemon's /metrics must export the serve.* series
+#                      (sessions, pool churn) while a worker exports the
+#                      worker.conns gauge;
 #  10. bench smoke    — expbench -smoke measures the BENCH_smoke.json rows
 #                      (FedLAN transfer + LM) into a temp file and -compare
 #                      gates the fresh encode+decode phase seconds against
@@ -172,6 +174,8 @@ clears_before="$(clears)"
 "$tmp/exdra" p2 -algo ffn -rows 600 -workers "$w1_addr,$w2_addr" >"$tmp/p2.log" 2>&1 \
   || { echo "ci.sh: exdra p2 -workers failed" >&2; cat "$tmp/p2.log" >&2; exit 1; }
 grep -q '^P2_ffn: test R2' "$tmp/p2.log" || { echo "ci.sh: exdra p2 printed no P2_ffn test R2" >&2; cat "$tmp/p2.log" >&2; exit 1; }
+grep -q '^exdra: recovery stats: 0 restarts detected, 0 objects replayed,' "$tmp/p2.log" \
+  || { echo "ci.sh: exdra p2 against standing workers detected a restart or replayed objects" >&2; cat "$tmp/p2.log" >&2; exit 1; }
 clears_after="$(clears)"
 [ "${clears_after:-0}" -gt "${clears_before:-0}" ] \
   || { echo "ci.sh: exdra p2 sent no CLEAR to $w1_addr (worker.requests.CLEAR ${clears_before:-0} -> ${clears_after:-0})" >&2; exit 1; }

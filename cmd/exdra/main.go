@@ -8,8 +8,7 @@
 //
 //	exdra p2      -algo lm|ffn [-workers addr1,addr2 | -spawn 3] [-rows N] [-track dir]
 //	              [-retries N -retry-backoff 50ms] [-fault-resets N -fault-reset-after 16384]
-//	              [-recover] [-health-interval 5s]
-//	              [-call-timeout 5s] [-breaker-threshold 3]
+//	              [-call-timeout 5s]
 //	exdra runs    -track dir [-metric r2]
 //	exdra table1
 package main
@@ -151,15 +150,12 @@ func recommend(args []string) {
 	}
 }
 
-// printFedCounters prints the fed.* restart/probe counters after a federated
-// run when recovery or probing was active.
-func printFedCounters(p federated.Policy) {
-	if !p.Recover && p.ProbeInterval <= 0 && p.BreakerThreshold <= 0 {
-		return
-	}
+// printFedCounters prints the fed.* restart-recovery counters after a
+// federated run.
+func printFedCounters() {
 	n := func(name string) int64 { return obs.Default().Counter(name).Value() }
-	fmt.Printf("exdra: recovery stats: %d restarts detected, %d objects replayed, %d replay failures, %d/%d probes failed\n",
-		n("fed.restarts_detected"), n("fed.objects_replayed"), n("fed.replay_failures"), n("fed.probe_failures"), n("fed.probes"))
+	fmt.Printf("exdra: recovery stats: %d restarts detected, %d objects replayed, %d replay failures\n",
+		n("fed.restarts_detected"), n("fed.objects_replayed"), n("fed.replay_failures"))
 }
 
 func runP2(args []string) {
@@ -170,7 +166,7 @@ func runP2(args []string) {
 	rows := fs.Int("rows", 3000, "synthetic paper-production rows")
 	trackDir := fs.String("track", "", "ExperimentDB directory for run tracking")
 	retries := fs.Int("retries", 0,
-		"retry attempts per idempotent request batch after a transport failure (0 = fail fast)")
+		"retry attempts per idempotent request batch after a transport failure (0 = none); restart recovery is always on")
 	retryBackoff := fs.Duration("retry-backoff", 50*time.Millisecond,
 		"base backoff before a retry, doubling per attempt (capped at 2s, jittered)")
 	faultResets := fs.Int("fault-resets", 0,
@@ -178,14 +174,8 @@ func runP2(args []string) {
 	faultResetAfter := fs.Int64("fault-reset-after", 16<<10,
 		"with -fault-resets: written-byte threshold that triggers an injected reset")
 	faultSeed := fs.Int64("fault-seed", 1, "seed of the deterministic fault schedule")
-	recoverFlag := fs.Bool("recover", false,
-		"enable restart recovery: log object creations and replay them when a worker comes back with a new instance epoch")
-	healthInterval := fs.Duration("health-interval", 0,
-		"probe worker liveness every interval (0 = only with -breaker-threshold, every second); a restart the prober finds is replayed before the next dependent batch leaves")
 	callTimeout := fs.Duration("call-timeout", 0,
 		"per-batch deadline propagated to workers over the wire; a stalled worker fails the batch with DEADLINE_EXCEEDED instead of hanging (0 = no deadline)")
-	breakerThreshold := fs.Int("breaker-threshold", 0,
-		"open a worker's circuit breaker after N consecutive transport/deadline failures; while open, calls fail fast with ErrWorkerUnavailable until a health probe (always on with the breaker) succeeds (0 = breaker disabled)")
 	metricsAddr := fs.String("metrics-addr", "",
 		"serve /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9091; empty disables)")
 	slowRPC := fs.Duration("slow-rpc", 0,
@@ -205,7 +195,6 @@ func runP2(args []string) {
 
 	policy := federated.Policy{
 		Attempts: *retries + 1, Backoff: *retryBackoff, Seed: *faultSeed, CallTimeout: *callTimeout,
-		BreakerThreshold: *breakerThreshold, ProbeInterval: *healthInterval, Recover: *recoverFlag,
 	}
 	var faults *netem.Faults
 	if *faultResets > 0 {
@@ -258,7 +247,7 @@ func runP2(args []string) {
 			fmt.Printf("exdra: injected faults survived: %d resets, %d drops, %d stalls\n",
 				s.Resets, s.Drops, s.Stalls)
 		}
-		printFedCounters(policy)
+		printFedCounters()
 	case *workersFlag != "":
 		addrs := strings.Split(*workersFlag, ",")
 		fleet := federated.NewFleet(fedrpc.Options{SlowRPC: *slowRPC}, 1, policy)
@@ -280,7 +269,7 @@ func runP2(args []string) {
 		if err := coord.ClearAll(); err != nil {
 			log.Fatalf("exdra: clear workers: %v", err)
 		}
-		printFedCounters(policy)
+		printFedCounters()
 	default:
 		if res, err = pipeline.RunP2Local(fr, y, cfg); err != nil {
 			log.Fatalf("exdra: pipeline: %v", err)

@@ -59,8 +59,10 @@ func main() {
 		"reap sessions with no in-flight work and no activity for this long (0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
 		"SIGTERM grace: how long to wait for in-flight batches before forced teardown")
-	callTimeout := flag.Duration("call-timeout", 0, "time budget of each worker call, retries included; fixed fleet-wide at startup (0 = none)")
-	retries := flag.Int("retries", 3, "attempts per retry-safe batch after transport failures (50ms backoff doubling to 2s); restart recovery is always on")
+	callTimeout := flag.Duration("call-timeout", 0,
+		fmt.Sprintf("time budget of each worker call, retries included; fixed fleet-wide at startup (0 = none: the %v fedrpc I/O timeout still bounds the wait for a worker that stopped answering)", fedrpc.DefaultIOTimeout))
+	retries := flag.Int("retries", 2,
+		"retry attempts per retry-safe batch after a transport failure (50ms backoff doubling to 2s; 0 = none); restart recovery is always on")
 	metricsAddr := flag.String("metrics-addr", "",
 		"serve /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9090; empty disables)")
 	flag.Parse()
@@ -71,7 +73,7 @@ func main() {
 	}
 
 	fleet := federated.NewFleet(fedrpc.Options{}, *poolSize, federated.Policy{
-		Attempts: *retries, Backoff: 50 * time.Millisecond, CallTimeout: *callTimeout, Recover: true,
+		Attempts: *retries + 1, Backoff: 50 * time.Millisecond, CallTimeout: *callTimeout,
 	})
 	svc := fedserve.New(fleet, fedserve.Config{
 		MaxSessions:      *maxSessions,

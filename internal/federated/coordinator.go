@@ -149,11 +149,10 @@ func (c *Coordinator) sendCtx(ctx context.Context, addr string, reqs []fedrpc.Re
 	defer cancel()
 	wl := c.log(addr)
 	retrySafe := RetryableBatch(reqs)
-	var lastErr error
 	for tries, replays := 1, 0; ; {
-		resps, class, epoch, err := c.attempt(ctx, st, wl, reqs, lastErr)
-		c.fleet.settle(st, class, epoch, false)
-		switch verdict(class, retrySafe, c.fleet.policy.Recover) {
+		resps, class, epoch, err := c.attempt(ctx, st, wl, reqs)
+		c.fleet.settle(st, class, epoch)
+		switch verdict(class, retrySafe) {
 		case actDone:
 			return resps, nil
 		case actFatal:
@@ -173,7 +172,6 @@ func (c *Coordinator) sendCtx(ctx context.Context, addr string, reqs []fedrpc.Re
 			}
 			tries++
 		}
-		lastErr = err
 	}
 }
 
@@ -182,16 +180,9 @@ func (c *Coordinator) sendCtx(ctx context.Context, addr string, reqs []fedrpc.Re
 // reply. Before the batch leaves, the session's state at the worker is
 // brought up to the site's epoch (revalidate); afterwards the reply's epoch
 // is compared with the one the batch was sent under, which is how a restart
-// nobody has seen yet is detected. lastErr is the previous attempt's
-// failure, kept matchable behind a breaker that tripped mid-retry.
-func (c *Coordinator) attempt(ctx context.Context, st *site, wl *workerLog, reqs []fedrpc.Request, lastErr error) ([]fedrpc.Response, outcome, uint64, error) {
+// nobody has seen yet is detected.
+func (c *Coordinator) attempt(ctx context.Context, st *site, wl *workerLog, reqs []fedrpc.Request) ([]fedrpc.Response, outcome, uint64, error) {
 	addr := st.pool.Addr()
-	if c.fleet.policy.BreakerThreshold > 0 && !st.allow() {
-		if lastErr != nil {
-			return nil, outBreakerOpen, 0, fmt.Errorf("federated: %s: %w (after: %w)", addr, ErrWorkerUnavailable, lastErr)
-		}
-		return nil, outBreakerOpen, 0, fmt.Errorf("federated: %s: %w", addr, ErrWorkerUnavailable)
-	}
 	sentUnder := st.currentEpoch()
 	if class, epoch, err := c.revalidate(st, wl, sentUnder, reqs); class != outOK {
 		return nil, class, epoch, err
@@ -238,9 +229,9 @@ func (c *Coordinator) callOne(addr string, req fedrpc.Request) (fedrpc.Response,
 	return resps[0], nil
 }
 
-// Fetch retrieves one worker object by ID. With Policy.Recover, a GET for an
-// object whose creation log survived a restart transparently replays the
-// object first.
+// Fetch retrieves one worker object by ID. A GET for an object the worker
+// lost to a restart transparently replays the object from the creation log
+// first.
 func (c *Coordinator) Fetch(addr string, id int64) (fedrpc.Payload, error) {
 	resp, err := c.callOne(addr, fedrpc.Request{Type: fedrpc.Get, ID: id})
 	if err != nil {

@@ -519,7 +519,7 @@ func (c *Coordinator) remove(op string, objs []Partition) error {
 
 // sweep releases the worker-side objects a failed operation leaves behind.
 // Riding the outbox keeps the rmvar behind any still-buffered creation of
-// the same object and takes it through retry, breaker and creation log like
+// the same object and takes it through retry and the creation log like
 // every other request. rmvar of an ID that was never bound is a no-op at
 // the worker, so the sweep is safe whether or not the creation happened. It
 // is best-effort: the caller is already reporting the failure that caused

@@ -13,9 +13,10 @@ import (
 )
 
 // Policy is the whole failure model's configuration (DESIGN.md §3.5), fixed
-// when a Fleet is constructed and inherited by
-// every session of the fleet. The zero value fails fast: no retry, no
-// deadline, no breaker, no prober goroutine, no creation log.
+// when a Fleet is constructed and inherited by every session of the fleet.
+// Restart recovery is not configurable: every session keeps a creation log
+// and replays it when a worker comes back under a new instance epoch
+// (recovery.go). The zero value retries nothing and sets no budget.
 type Policy struct {
 	// Attempts is the total number of tries per retry-safe batch
 	// (RetryableBatch) after transport failures; <= 1 means no retry.
@@ -24,49 +25,36 @@ type Policy struct {
 	// attempt up to maxBackoff and is jittered to [0.5x, 1.5x). Zero means
 	// defaultBackoff.
 	Backoff time.Duration
-	// Seed feeds the one jitter RNG (retry backoffs and probe rounds), so
-	// schedules are deterministic in tests.
+	// Seed feeds the one jitter RNG of the retry backoffs, so schedules are
+	// deterministic in tests.
 	Seed int64
 	// CallTimeout, when positive, is the time budget of every call whose
 	// caller context carries no deadline of its own. It travels to the worker
 	// on the wire, bounds handler execution there, and is never refunded by a
 	// retry: a blown budget fails the batch with fedrpc.ErrDeadlineExceeded.
+	// Without it, fedrpc's read deadline (DefaultIOTimeout) bounds the wait
+	// for a worker that stopped answering.
 	CallTimeout time.Duration
-	// BreakerThreshold is the number of consecutive transport or deadline
-	// failures that opens a worker's circuit breaker; <= 0 disables it. While
-	// open, calls fail fast with ErrWorkerUnavailable until the fleet prober
-	// — always running when the breaker is on — reaches the worker again.
-	BreakerThreshold int
-	// ProbeInterval is the pause between the fleet prober's HEALTH rounds.
-	// Positive starts the prober; zero starts it only when the breaker is
-	// on, at defaultProbeInterval.
-	ProbeInterval time.Duration
-	// Recover keeps a creation log per session and replays it when a worker
-	// comes back under a new instance epoch (recovery.go). Without it a
-	// restart fails the session's next dependent operation with
-	// ErrWorkerRestarted.
-	Recover bool
 }
 
 const (
-	defaultBackoff       = 50 * time.Millisecond
-	maxBackoff           = 2 * time.Second
-	defaultProbeInterval = time.Second
+	defaultBackoff = 50 * time.Millisecond
+	maxBackoff     = 2 * time.Second
 )
 
 // Fleet is the shared substrate many coordinators multiplex over: per worker
-// address one site — connection pool, circuit breaker, instance epoch — plus
-// the failure policy, the prober, and the namespace allocator that keeps
-// concurrent sessions' object IDs disjoint.
+// address one site — connection pool and instance epoch — plus the failure
+// policy and the namespace allocator that keeps concurrent sessions' object
+// IDs disjoint.
 //
 // The paper's prototype pairs one control program with one worker fleet, so
 // the original Coordinator owned its connections outright. A standing
 // service (internal/fedserve) breaks that: many sessions issue operations
 // against the same workers at once, and per-session connections would both
-// exhaust worker accept limits and hide cross-session health signal. The
-// Fleet centralizes what is physically shared — wires and worker health —
-// while each session keeps its own Coordinator for what is logically
-// private: creation log, ID sequence, and lifecycle.
+// exhaust worker accept limits and hide a restart one session saw from the
+// others. The Fleet centralizes what is physically shared — wires and worker
+// instance epochs — while each session keeps its own Coordinator for what is
+// logically private: creation log, ID sequence, and lifecycle.
 //
 // A Fleet is safe for concurrent use. Its sessions, which come from
 // NewSession, are the only coordinators there are; a single control program
@@ -90,16 +78,12 @@ type Fleet struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // jitter source; guarded by rngMu
-
-	stop    chan struct{} // closed by Close; stops the prober
-	probeWg sync.WaitGroup
 }
 
 // NewFleet creates a fleet whose per-address pools hold up to poolSize
 // connections each (values below 1 are clamped to 1). opts configure TLS,
 // network emulation, timeouts, and the metrics registry for every worker
-// connection; policy is the failure model of every session. With the breaker
-// or a probe interval set, the fleet runs one prober until Close.
+// connection; policy is the failure model of every session.
 func NewFleet(opts fedrpc.Options, poolSize int, policy Policy) *Fleet {
 	if poolSize < 1 {
 		poolSize = 1
@@ -108,24 +92,14 @@ func NewFleet(opts fedrpc.Options, poolSize int, policy Policy) *Fleet {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	f := &Fleet{
+	return &Fleet{
 		opts:     opts,
 		poolSize: poolSize,
 		policy:   policy,
 		reg:      reg,
 		sites:    map[string]*site{},
 		rng:      rand.New(rand.NewSource(policy.Seed)),
-		stop:     make(chan struct{}),
 	}
-	interval := policy.ProbeInterval
-	if interval <= 0 && policy.BreakerThreshold > 0 {
-		interval = defaultProbeInterval
-	}
-	if interval > 0 {
-		f.probeWg.Add(1)
-		go f.probeLoop(interval)
-	}
-	return f
 }
 
 // NewSession creates a coordinator view of this fleet under a fresh object
@@ -173,16 +147,6 @@ func (f *Fleet) snapshot() map[string]*site {
 	return out
 }
 
-// Addrs lists every worker address the fleet has talked to.
-func (f *Fleet) Addrs() []string {
-	sites := f.snapshot()
-	out := make([]string, 0, len(sites))
-	for addr := range sites {
-		out = append(out, addr)
-	}
-	return out
-}
-
 // PoolStats returns per-address connection accounting for every pool.
 func (f *Fleet) PoolStats() map[string]fedrpc.PoolStats {
 	sites := f.snapshot()
@@ -220,60 +184,16 @@ func (f *Fleet) withBudget(ctx context.Context) (context.Context, context.Cancel
 	return context.WithTimeout(ctx, f.policy.CallTimeout)
 }
 
-// jitter spreads d uniformly over [0.5d, 1.5d) from the seeded RNG, so
-// neither the retries of sessions that failed together nor the probers of
-// coordinators that started together fire on the same tick.
+// jitter spreads d uniformly over [0.5d, 1.5d) from the seeded RNG, so the
+// retries of sessions that failed together do not fire on the same tick.
 func (f *Fleet) jitter(d time.Duration) time.Duration {
 	f.rngMu.Lock()
 	defer f.rngMu.Unlock()
 	return time.Duration(float64(d) * (0.5 + f.rng.Float64()))
 }
 
-// probeLoop is the fleet's one prober: every interval (jittered) it pings
-// each known worker once. The outcome lands in the site (Ping), which is
-// where the next operation of any session looks.
-func (f *Fleet) probeLoop(interval time.Duration) {
-	defer f.probeWg.Done()
-	t := time.NewTimer(f.jitter(interval))
-	defer t.Stop()
-	for {
-		select {
-		case <-f.stop:
-			return
-		case <-t.C:
-		}
-		for _, addr := range f.Addrs() {
-			_ = f.Ping(addr) // the site and fed.probe_failures keep the outcome
-		}
-		t.Reset(f.jitter(interval))
-	}
-}
-
-// Ping sends one HEALTH request to addr — a single attempt, outside any
-// session's retry loop and past the breaker, whose recovery signal it is —
-// and settles the outcome into the site: the reply's instance epoch feeds
-// restart detection, a success half-opens an open breaker, a failure counts
-// against a closed one.
-func (f *Fleet) Ping(addr string) error {
-	st, err := f.site(addr)
-	if err != nil {
-		return err
-	}
-	f.reg.Counter("fed.probes").Inc()
-	ctx, cancel := f.withBudget(obs.WithOp(context.Background(), "health"))
-	defer cancel()
-	resps, class, err := st.call(ctx, []fedrpc.Request{{Type: fedrpc.Health}})
-	f.settle(st, class, epochOf(resps), true)
-	if err != nil {
-		f.reg.Counter("fed.probe_failures").Inc()
-		return fmt.Errorf("federated: health probe of %s: %w", addr, err)
-	}
-	return nil
-}
-
-// Close stops the prober, closes every pool (terminating all worker
-// connections, checked out or idle — which also cuts a probe in flight
-// short) and rejects future sessions and checkouts. Sessions still open see
+// Close closes every pool (terminating all worker connections, checked out
+// or idle) and rejects future sessions and checkouts. Sessions still open see
 // transport errors; a service drains them first (fedserve.Drain). It is
 // idempotent.
 func (f *Fleet) Close() {
@@ -286,9 +206,7 @@ func (f *Fleet) Close() {
 	sites := f.sites
 	f.sites = map[string]*site{}
 	f.mu.Unlock()
-	close(f.stop)
 	for _, st := range sites {
 		st.pool.Close()
 	}
-	f.probeWg.Wait()
 }

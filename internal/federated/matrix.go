@@ -54,6 +54,11 @@ func FromMap(c *Coordinator, fm FedMap) (*Matrix, error) {
 // (row- or column-wise) and transfers the partitions via PUT under the
 // given privacy level. It is the test/benchmark constructor; production
 // deployments use Read, which never moves raw data.
+//
+// A row partition's PUT carries a view of x's rows, not a copy, and the
+// session's creation log keeps that payload to replay it after a worker
+// restart: x must not be mutated after Distribute. Column partitions are
+// not contiguous in x and are copied.
 func Distribute(c *Coordinator, x *matrix.Dense, addrs []string, scheme Scheme, level privacy.Level) (*Matrix, error) {
 	return DistributeWithColumns(c, x, addrs, scheme, level, nil)
 }
@@ -92,7 +97,8 @@ func DistributeWithColumns(c *Coordinator, x *matrix.Dense, addrs []string, sche
 			part = x.SliceCols(beg, end)
 		} else {
 			r = Range{RowBeg: beg, RowEnd: end, ColBeg: 0, ColEnd: x.Cols()}
-			part = x.SliceRows(beg, end)
+			cols := x.Cols()
+			part = matrix.NewDenseData(end-beg, cols, x.Data()[beg*cols:end*cols])
 		}
 		id := c.NewID()
 		var colPriv []int

@@ -18,22 +18,21 @@ import (
 // object" however often it is retried.
 //
 // The fix is lineage-based state reconstruction, the same trade Spark's
-// RDD recovery makes against checkpointing: with Policy.Recover the session
-// records, per worker object, *how it was created* — READ (source path), PUT
-// (retained payload), or EXEC_INST (instruction over input IDs) — as a DAG
-// keyed by lineage traces (§4.4, LIMA-style), each record stamped with the
-// worker's instance epoch it exists under. Before each attempt the stamps
-// the batch depends on are compared with the site's epoch, and what is stale
-// is replayed, dependencies first, before the batch leaves. Objects created
-// by EXEC_UDF carry side effects the coordinator cannot reproduce; they are
+// RDD recovery makes against checkpointing: every session records, per
+// worker object, *how it was created* — READ (source path), PUT (retained
+// payload), or EXEC_INST (instruction over input IDs) — as a DAG keyed by
+// lineage traces (§4.4, LIMA-style), each record stamped with the worker's
+// instance epoch it exists under. Before each attempt the stamps the batch
+// depends on are compared with the site's epoch, and what is stale is
+// replayed, dependencies first, before the batch leaves. Objects created by
+// EXEC_UDF carry side effects the coordinator cannot reproduce; they are
 // marked unrecoverable and any operation needing them fails fast with
 // ErrUnrecoverable.
 
 // ErrWorkerRestarted reports that a worker answered with a new instance
 // epoch — same address, new process, empty symbol table. It is returned
-// when recovery is off (fail fast, the default), when the interrupted batch
-// is not safe to re-issue, or when a worker crash-loops faster than replay
-// can rebuild its state.
+// when the interrupted batch is not safe to re-issue, or when a worker
+// crash-loops faster than replay can rebuild its state.
 var ErrWorkerRestarted = errors.New("federated: worker process restarted")
 
 // ErrUnrecoverable reports that a restarted worker's lost state cannot be
@@ -79,11 +78,6 @@ type creationRec struct {
 // and under which epoch. All data fields are guarded by the owning
 // Coordinator's recMu.
 type workerLog struct {
-	// seen is all a session without Policy.Recover keeps: the epoch of its
-	// last exchange with the worker (0 = none yet). When the site has moved
-	// past it, what the session created there is gone.
-	seen uint64 // guarded by Coordinator.recMu
-	// records is the creation log of a session with Policy.Recover.
 	records map[int64]*creationRec // guarded by Coordinator.recMu
 
 	// replayMu serializes replay per worker so two operations recovering
@@ -115,19 +109,12 @@ func epochOf(resps []fedrpc.Response) uint64 {
 	return 0
 }
 
-// record folds one answered batch into the session's log: with
-// Policy.Recover what it created and removed, stamped with the epoch it was
-// answered under; without, that epoch alone. Only responses that report
-// success create (or remove) bindings.
+// record folds one answered batch into the session's log: what it created
+// and removed, stamped with the epoch it was answered under. Only responses
+// that report success create (or remove) bindings.
 func (c *Coordinator) record(s *workerLog, reqs []fedrpc.Request, resps []fedrpc.Response, epoch uint64) {
 	c.recMu.Lock()
 	defer c.recMu.Unlock()
-	if !c.fleet.policy.Recover {
-		if epoch != 0 {
-			s.seen = epoch
-		}
-		return
-	}
 	for i, r := range reqs {
 		if i >= len(resps) || !resps[i].OK {
 			continue
@@ -315,27 +302,13 @@ func (c *Coordinator) planReplay(s *workerLog, ids []int64, epoch uint64) (plan 
 }
 
 // revalidate runs before a batch is sent under the site's epoch: whatever
-// the batch reads must exist on that worker instance. With Policy.Recover the
-// stale creation-log entries the batch (transitively) depends on are
-// replayed as one ordered batch followed by an rmvar of rebuilt dead temps;
-// without it, a batch that reads anything from a worker that restarted since
-// the session's last exchange fails at once — nothing it needs survived. The
-// outcome is outOK when the batch may leave; the epoch returned beside
-// outRestartedPartial is the newer one a replay reply revealed.
+// the batch reads must exist on that worker instance. The stale creation-log
+// entries the batch (transitively) depends on are replayed as one ordered
+// batch followed by an rmvar of rebuilt dead temps. The outcome is outOK when
+// the batch may leave; the epoch returned beside outRestartedPartial is the
+// newer one a replay reply revealed.
 func (c *Coordinator) revalidate(st *site, s *workerLog, epoch uint64, reqs []fedrpc.Request) (outcome, uint64, error) {
 	addr := st.pool.Addr()
-	if !c.fleet.policy.Recover {
-		c.recMu.Lock()
-		stale := s.seen != 0 && epoch != 0 && s.seen != epoch
-		if stale {
-			s.seen = epoch // reported once; what the session creates from here on is valid
-		}
-		c.recMu.Unlock()
-		if stale && len(neededIDs(reqs)) > 0 {
-			return outUnrecoverable, 0, fmt.Errorf("federated: %s: %w (recovery disabled)", addr, ErrWorkerRestarted)
-		}
-		return outOK, 0, nil
-	}
 	s.replayMu.Lock()
 	defer s.replayMu.Unlock()
 	plan, dead, err := c.planReplay(s, neededIDs(reqs), epoch)

@@ -6,10 +6,12 @@ import (
 
 	"exdra/internal/fedrpc"
 	"exdra/internal/matrix"
+	"exdra/internal/privacy"
+	"exdra/internal/worker"
 )
 
 func recCoord(t *testing.T) *Coordinator {
-	return NewTestSession(t, fedrpc.Options{}, Policy{Recover: true})
+	return NewTestSession(t, fedrpc.Options{}, Policy{})
 }
 
 func okResps(n int) []fedrpc.Response {
@@ -128,40 +130,53 @@ func TestPlanReplayUnrecoverable(t *testing.T) {
 	}
 }
 
-// TestStaleWithoutRecovery: with recovery off the session keeps only the
-// epoch of its last exchange. Once the site has moved past it, a batch that
-// reads anything fails before it is sent — once — and a batch that only
-// creates goes through.
-func TestStaleWithoutRecovery(t *testing.T) {
-	c := NewTestSession(t, fedrpc.Options{}, Policy{})
+// TestDistributeLogsRowViewsOfX: the creation log keeps every PUT payload
+// so it can replay it, so a row partition's payload must be a view of x's
+// rows; a copy would pin a second x for the session's lifetime. Column
+// partitions are not contiguous in x and stay copies.
+func TestDistributeLogsRowViewsOfX(t *testing.T) {
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		srv, err := fedrpc.Serve("127.0.0.1:0", worker.New(""), fedrpc.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs = append(addrs, srv.Addr())
+	}
+	c := recCoord(t)
 	defer c.Close()
-	st, err := c.site("w0")
+	x := matrix.NewDense(5, 4)
+	for i := range x.Data() {
+		x.Data()[i] = float64(i)
+	}
+	logged := func(p Partition) []float64 {
+		t.Helper()
+		c.recMu.Lock()
+		defer c.recMu.Unlock()
+		rec := c.logs[p.Addr].records[p.DataID]
+		if rec == nil || rec.req.Type != fedrpc.Put {
+			t.Fatalf("no logged PUT for partition %+v", p)
+		}
+		return rec.req.Data.Values
+	}
+	rows, err := Distribute(c, x, addrs, RowPartitioned, privacy.Public)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := c.log("w0")
-	get := []fedrpc.Request{{Type: fedrpc.Get, ID: 1}}
-	put := []fedrpc.Request{{Type: fedrpc.Put, ID: 2}}
-	if class, _, err := c.revalidate(st, s, 0, get); class != outOK {
-		t.Fatalf("first contact: %v, %v", class, err)
+	for _, p := range rows.Map().Partitions {
+		if vals := logged(p); &vals[0] != &x.Data()[p.Range.RowBeg*x.Cols()] {
+			t.Fatalf("row partition %v: the logged PUT payload is a copy of x", p.Range)
+		}
 	}
-	c.record(s, put, okResps(1), 7)
-	if len(s.records) != 0 {
-		t.Fatal("the zero policy keeps no creation log")
+	cols, err := Distribute(c, x, addrs, ColPartitioned, privacy.Public)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if class, _, err := c.revalidate(st, s, 7, get); class != outOK {
-		t.Fatalf("same epoch: %v, %v", class, err)
-	}
-	class, _, err := c.revalidate(st, s, 8, get)
-	if class != outUnrecoverable || !errors.Is(err, ErrWorkerRestarted) {
-		t.Fatalf("read after a restart = %v, %v; want outUnrecoverable wrapping ErrWorkerRestarted", class, err)
-	}
-	if class, _, err := c.revalidate(st, s, 8, get); class != outOK {
-		t.Fatalf("the restart is reported once: %v, %v", class, err)
-	}
-	c.record(s, put, okResps(1), 8)
-	if class, _, err := c.revalidate(st, s, 9, put); class != outOK {
-		t.Fatalf("a create-only batch reads nothing that was lost: %v, %v", class, err)
+	for _, p := range cols.Map().Partitions {
+		if vals := logged(p); &vals[0] == &x.Data()[p.Range.ColBeg] {
+			t.Fatalf("column partition %v: the logged PUT payload aliases x", p.Range)
+		}
 	}
 }
 

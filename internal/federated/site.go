@@ -1,19 +1,18 @@
 package federated
 
-// The failure model in one place (DESIGN.md §3.5). Every attempt to reach a
-// worker — a session's batch or the prober's ping — ends in exactly one
-// outcome class; verdict maps the class to what the retry loop does next,
-// and Fleet.settle folds it into the worker's site and the fed.* counters.
+// The failure model in one place (DESIGN.md §3.5). Every attempt a session
+// makes to reach a worker ends in exactly one outcome class; verdict maps the
+// class to what the retry loop does next, and Fleet.settle folds it into the
+// fed.* counters and the worker's site: its connection pool and the last
+// instance epoch any reply carried. A change of epoch is a restart, counted
+// once however many sessions see it.
 //
-// Site state (one per worker address, shared by all sessions):
-//
-//	closed ──(BreakerThreshold consecutive transport/deadline failures)──> open
-//	open ──(the fleet prober's HEALTH ping is answered)──> half-open
-//	half-open ──(the one admitted trial call is answered)──> closed
-//	half-open ──(the trial call fails)──> open
-//
-// plus the last instance epoch any reply carried; a change is a restart,
-// counted once however many sessions see it.
+// There is no circuit breaker and no health prober. A dead worker costs a
+// retry-safe batch Policy.Attempts dials with backoff, all inside the call's
+// budget (Policy.CallTimeout); without a budget, fedrpc's read deadline
+// (fedrpc.DefaultIOTimeout) bounds an exchange with a peer that stopped
+// answering. A restart is found by the next reply from the new process, and
+// the session's creation log replays what the batches after it need.
 
 import (
 	"context"
@@ -24,13 +23,6 @@ import (
 	"exdra/internal/fedrpc"
 )
 
-// ErrWorkerUnavailable marks calls rejected without touching the wire
-// because the worker's circuit breaker is open (or its half-open trial is
-// taken): recent consecutive failures reached Policy.BreakerThreshold and
-// the prober has not reached the worker since. Callers can errors.Is for it
-// to distinguish load-shedding from a fresh failure.
-var ErrWorkerUnavailable = errors.New("federated: worker unavailable (circuit breaker open)")
-
 // outcome classifies how one attempt ended.
 type outcome int
 
@@ -39,7 +31,6 @@ const (
 	outTransport                       // dial or exchange failed; whether the batch ran is unknown
 	outDeadline                        // the budget expired, locally or as the worker's typed reply
 	outCancelled                       // the caller's context was cancelled
-	outBreakerOpen                     // rejected before the wire
 	outRestartedOK                     // answered by a new process, every response OK: nothing lost was read
 	outRestartedPartial                // answered by a new process with failures: it read lost state
 	outReplayRejected                  // the worker refused a replayed creation
@@ -58,9 +49,8 @@ const (
 )
 
 // verdict is the whole retry/replay/fail-fast decision (the table in
-// DESIGN.md §3.5). retrySafe is RetryableBatch of the request list; recover
-// is Policy.Recover.
-func verdict(class outcome, retrySafe, recover bool) action {
+// DESIGN.md §3.5). retrySafe is RetryableBatch of the request list.
+func verdict(class outcome, retrySafe bool) action {
 	switch class {
 	case outOK, outRestartedOK:
 		return actDone
@@ -69,28 +59,18 @@ func verdict(class outcome, retrySafe, recover bool) action {
 			return actRetry
 		}
 	case outRestartedPartial:
-		if recover && retrySafe {
+		if retrySafe {
 			return actReplay
 		}
 	}
 	return actFatal
 }
 
-// Site breaker states.
-const (
-	siteClosed = iota
-	siteOpen
-	siteHalfOpen
-)
-
 // site is everything the fleet knows about one worker address.
 type site struct {
 	pool *fedrpc.Pool
 
 	mu    sync.Mutex
-	state int    // site* constant; guarded by mu
-	fails int    // consecutive failures while closed; guarded by mu
-	trial bool   // the half-open trial call is in flight; guarded by mu
 	epoch uint64 // last instance epoch a reply carried (0 = never heard from); guarded by mu
 }
 
@@ -99,24 +79,6 @@ func (st *site) currentEpoch() uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.epoch
-}
-
-// allow gates one session call on the breaker: closed passes, open fails
-// fast, half-open admits exactly one trial.
-func (st *site) allow() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	switch st.state {
-	case siteClosed:
-		return true
-	case siteOpen:
-		return false
-	}
-	if st.trial {
-		return false
-	}
-	st.trial = true
-	return true
 }
 
 // call runs one batch on a connection checked out of the pool for the
@@ -160,80 +122,23 @@ func failureClass(ctx context.Context, err error) outcome {
 
 // settle is the one step that folds an attempt's outcome into the site and
 // the fed.* counters; epoch is the reply's instance epoch (0 without a
-// reply), probe marks the prober's pings. A probe never closes the breaker —
-// HEALTH exercises none of the data path — and a failed probe leaves a
-// half-open site to its trial.
-func (f *Fleet) settle(st *site, class outcome, epoch uint64, probe bool) {
-	answered, failed := false, false
+// reply).
+func (f *Fleet) settle(st *site, class outcome, epoch uint64) {
 	switch class {
-	case outOK, outRestartedOK, outRestartedPartial, outReplayRejected:
-		answered = true
 	case outTransport:
 		f.reg.Counter("fed.transport_errors").Inc()
-		failed = true
 	case outDeadline:
 		f.reg.Counter("fed.deadline_exceeded").Inc()
-		failed = true
-	case outBreakerOpen:
-		f.reg.Counter("fed.breaker.rejections").Inc()
+	}
+	if epoch == 0 {
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if epoch != 0 && epoch != st.epoch {
+	if epoch != st.epoch {
 		if st.epoch != 0 {
 			f.reg.Counter("fed.restarts_detected").Inc()
 		}
 		st.epoch = epoch
 	}
-	if f.policy.BreakerThreshold <= 0 {
-		return
-	}
-	switch {
-	case failed:
-		trip := st.state == siteHalfOpen && !probe // the trial failed
-		if st.state == siteClosed {
-			st.fails++
-			trip = st.fails >= f.policy.BreakerThreshold
-		}
-		if trip {
-			st.state, st.fails, st.trial = siteOpen, 0, false
-			f.reg.Counter("fed.breaker.opens").Inc()
-			f.reg.Gauge("fed.breaker.open_count").Add(1)
-		}
-	case !answered:
-		// Cancelled, unrecoverable, closed: nothing learned about the worker,
-		// but if this call held the trial, the next one takes over.
-		if !probe {
-			st.trial = false
-		}
-	case probe:
-		if st.state == siteOpen {
-			st.state = siteHalfOpen
-			f.reg.Counter("fed.breaker.half_opens").Inc()
-			f.reg.Gauge("fed.breaker.open_count").Add(-1)
-		}
-	default:
-		if st.state != siteClosed {
-			f.reg.Counter("fed.breaker.closes").Inc()
-			if st.state == siteOpen {
-				f.reg.Gauge("fed.breaker.open_count").Add(-1)
-			}
-		}
-		st.state, st.fails, st.trial = siteClosed, 0, false
-	}
-}
-
-// BreakerState reports the named worker's breaker state ("closed", "open",
-// "half-open") — closed when breaking is disabled or the worker is unknown.
-func (f *Fleet) BreakerState(addr string) string {
-	f.mu.Lock()
-	st := f.sites[addr]
-	f.mu.Unlock()
-	if st == nil {
-		return "closed"
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return [...]string{siteClosed: "closed", siteOpen: "open", siteHalfOpen: "half-open"}[st.state]
 }

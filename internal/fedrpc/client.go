@@ -710,8 +710,7 @@ func (c *Client) CallOne(req Request) (Response, error) {
 // failed response with a known Code surfaces as the matching typed error
 // (a worker-reported DEADLINE_EXCEEDED satisfies
 // errors.Is(err, ErrDeadlineExceeded) exactly like a local expiry), so
-// breaker and retry verdicts agree across the transport and typed-reply
-// paths.
+// retry verdicts agree across the transport and typed-reply paths.
 func (c *Client) CallOneCtx(ctx context.Context, req Request) (Response, error) {
 	resps, err := c.CallCtx(ctx, req)
 	if err != nil {

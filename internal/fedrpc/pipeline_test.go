@@ -288,8 +288,8 @@ func TestFailedExchangeBytesMatchAtomics(t *testing.T) {
 // TestCallOneTypedDeadlineReply is the regression test for the typed-error
 // flattening bug: a worker-reported CodeDeadlineExceeded response must
 // surface as ErrDeadlineExceeded from CallOne — the same verdict a local
-// budget expiry gets — not as an untyped string error that breaker/retry
-// logic then misclassifies as retryable.
+// budget expiry gets — not as an untyped string error that retry logic then
+// misclassifies as retryable.
 func TestCallOneTypedDeadlineReply(t *testing.T) {
 	h := HandlerFunc(func(reqs []Request) []Response {
 		out := make([]Response, len(reqs))

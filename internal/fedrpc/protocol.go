@@ -136,7 +136,7 @@ func Errorf(format string, args ...any) Response {
 // ResponseError converts a failed response into the caller-facing error,
 // mapping known response codes onto their typed sentinels: a worker-reported
 // CodeDeadlineExceeded satisfies errors.Is(err, ErrDeadlineExceeded) exactly
-// like a local budget expiry, so retry and breaker verdicts cannot diverge
+// like a local budget expiry, so retry verdicts cannot diverge
 // between the transport-error and typed-reply paths. Unclassified failures
 // keep the plain "addr type: message" form.
 func ResponseError(addr string, t RequestType, resp Response) error {

@@ -9,8 +9,8 @@
 // subsystem — the session lifecycle (create → run → close with guaranteed
 // cleanup, plus idle-timeout reaping), admission control with per-session
 // quotas, and graceful drain — on top of the sharing substrate the
-// federated.Fleet provides (per-address connection pools, shared circuit
-// breakers, session ID namespaces).
+// federated.Fleet provides (per-address connection pools, shared restart
+// detection, session ID namespaces).
 //
 // Observability: serve.sessions.opened / closed / reaped counters, the
 // serve.sessions.open gauge, and serve.rejections for admission failures;

@@ -27,7 +27,6 @@ func chaosTypedErr(err error) bool {
 		errors.Is(err, netem.ErrInjectedTruncation) ||
 		errors.Is(err, fedrpc.ErrDeadlineExceeded) ||
 		errors.Is(err, federated.ErrWorkerRestarted) ||
-		errors.Is(err, federated.ErrWorkerUnavailable) ||
 		errors.Is(err, context.DeadlineExceeded)
 }
 
@@ -197,7 +196,7 @@ func TestChaosPipelinedSessionsUnderResets(t *testing.T) {
 				PoolSize: 1, // both sessions share one pipelined conn per worker
 				Faults:   faults,
 				Policy: federated.Policy{Attempts: 8, Backoff: time.Millisecond, Seed: seed,
-					CallTimeout: 5 * time.Second, Recover: true},
+					CallTimeout: 5 * time.Second},
 				Metrics: obs.New(),
 			})
 			if err != nil {

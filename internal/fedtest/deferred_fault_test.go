@@ -155,7 +155,7 @@ func TestChaosDeferredScriptsUnderByzantineFaults(t *testing.T) {
 func TestDeferredBatchSurvivesRestartReplay(t *testing.T) {
 	cl, err := fedtest.Start(fedtest.Config{
 		Workers: 3,
-		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1, Recover: true},
+		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1},
 		Metrics: obs.New(),
 	})
 	if err != nil {

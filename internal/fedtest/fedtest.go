@@ -35,7 +35,8 @@ type Config struct {
 	// Stats() to assert the faults actually fired.
 	Faults *netem.Faults
 	// Policy is the failure model of Fleet and so of every session on it,
-	// Coord included (federated.Policy); the zero value fails fast.
+	// Coord included (federated.Policy); the zero value retries nothing and
+	// sets no call budget. Restart recovery is always on.
 	Policy federated.Policy
 	// SlowRPC makes the coordinator log every RPC slower than this
 	// threshold with its full phase breakdown (0 disables).

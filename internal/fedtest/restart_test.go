@@ -2,7 +2,6 @@ package fedtest_test
 
 import (
 	"errors"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -60,10 +59,10 @@ func trainLM(t *testing.T, cl *fedtest.Cluster, x, y *matrix.Dense) *matrix.Dens
 // TestLMTrainingSurvivesWorkerRestart is the e2e acceptance test of the
 // restart-recovery work: a worker is killed and restarted — fresh process
 // state, same port — after its partition was placed, and once more
-// asynchronously while conjugate-gradient training is running. With
-// recovery enabled the run completes and the weights are bitwise-equal to
-// a fault-free federated run: lineage replay restores the exact PUT
-// payloads, and all CG state lives at the coordinator.
+// asynchronously while conjugate-gradient training is running. The run
+// completes and the weights are bitwise-equal to a fault-free federated
+// run: lineage replay restores the exact PUT payloads, and all CG state
+// lives at the coordinator.
 func TestLMTrainingSurvivesWorkerRestart(t *testing.T) {
 	x, y := data.Regression(4, 600, 32, 0.05)
 
@@ -77,7 +76,7 @@ func TestLMTrainingSurvivesWorkerRestart(t *testing.T) {
 
 	cl, err := fedtest.Start(fedtest.Config{
 		Workers: 3,
-		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1, Recover: true},
+		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1},
 		Metrics: obs.New(),
 	})
 	if err != nil {
@@ -156,22 +155,29 @@ func checkReplayed(t *testing.T, reg *obs.Registry) {
 	}
 }
 
-// TestRestartFailsFastWithoutRecovery is the no-recovery half of the
-// acceptance criterion: retries alone must not paper over a restart.
-// The first operation touching the restarted worker fails with the typed
-// ErrWorkerRestarted, and the aborted operation leaves no objects on the
-// fresh worker (the surviving workers keep exactly their partition).
-func TestRestartFailsFastWithoutRecovery(t *testing.T) {
+// TestRestartRecoveryIsAlwaysOn: restart recovery needs no opt-in. A plain
+// retry policy trains LM through a worker restart that landed after the
+// partitions were placed, to weights bitwise-equal to a fault-free run, by
+// replaying the lost partition from the creation log.
+func TestRestartRecoveryIsAlwaysOn(t *testing.T) {
+	x, y := data.Regression(4, 600, 20, 0.05)
+	ref, err := fedtest.Start(fedtest.Config{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ref.Close)
+	want := trainLM(t, ref, x, y)
+
 	cl, err := fedtest.Start(fedtest.Config{
 		Workers: 3,
 		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1},
+		Metrics: obs.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
 
-	x, y := data.Regression(4, 600, 20, 0.05)
 	fx, err := federated.Distribute(cl.Coord, x, cl.Addrs, federated.RowPartitioned, privacy.PrivateAggregation)
 	if err != nil {
 		t.Fatal(err)
@@ -179,31 +185,18 @@ func TestRestartFailsFastWithoutRecovery(t *testing.T) {
 	if err := cl.RestartWorker(1); err != nil {
 		t.Fatal(err)
 	}
-	_, err = algo.LM(fx, y, algo.LMConfig{})
-	if err == nil {
-		t.Fatal("training should fail fast on a restarted worker without recovery")
-	}
-	if !errors.Is(err, federated.ErrWorkerRestarted) {
-		t.Fatalf("error does not identify the restart: %v", err)
-	}
-	if n := cl.Workers[1].NumObjects(); n != 0 {
-		t.Errorf("restarted worker holds %d objects after aborted training", n)
-	}
-	for _, i := range []int{0, 2} {
-		if n := cl.Workers[i].NumObjects(); n != 1 {
-			t.Errorf("surviving worker %d holds %d objects, want exactly its partition", i, n)
-		}
-	}
+	res, err := algo.LM(fx, y, algo.LMConfig{})
+	checkRecoveredRun(t, cl, res, err, want)
 }
 
 // TestUDFStateUnrecoverable: objects created by EXEC_UDF cannot be
 // replayed. After a restart, an operation needing such an object must fail
 // fast with the typed ErrUnrecoverable — a precise message, not "unknown
-// object" noise — even though recovery and retries are both enabled.
+// object" noise — even though retries are enabled and recovery always is.
 func TestUDFStateUnrecoverable(t *testing.T) {
 	cl, err := fedtest.Start(fedtest.Config{
 		Workers: 1,
-		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1, Recover: true},
+		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +234,7 @@ func TestExecUDFNotRetried(t *testing.T) {
 	cl, err := fedtest.Start(fedtest.Config{
 		Workers: 1,
 		Faults:  faults,
-		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1, Recover: true},
+		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -265,81 +258,6 @@ func TestExecUDFNotRetried(t *testing.T) {
 	}
 }
 
-// dataRequests sums the rpc.client.requests.* counters over every request
-// type but HEALTH: the requests sessions sent, whatever the prober did.
-func dataRequests(reg *obs.Registry) int64 {
-	var n int64
-	for name, v := range reg.Snapshot().Counters {
-		if strings.HasPrefix(name, "rpc.client.requests.") && !strings.HasSuffix(name, ".HEALTH") {
-			n += v
-		}
-	}
-	return n
-}
-
-// TestHealthProbingDetectsRestart: the fleet prober alone — no foreground
-// operation — detects a restarted worker via the epoch handshake. The
-// session's next operation then finds its partition stamped with an epoch
-// the site has moved past and replays it before its batch leaves: the
-// operation costs its usual requests plus the one replayed PUT, and no
-// worker ever answers "unknown object".
-func TestHealthProbingDetectsRestart(t *testing.T) {
-	reg := obs.New()
-	cl, err := fedtest.Start(fedtest.Config{
-		Workers: 2,
-		Policy: federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1, Recover: true,
-			ProbeInterval: 2 * time.Millisecond},
-		Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
-
-	x, _ := data.Regression(4, 100, 8, 0.05)
-	fx, err := federated.Distribute(cl.Coord, x, cl.Addrs, federated.RowPartitioned, privacy.PrivateAggregation)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := dataRequests(reg)
-	want, err := fx.Sum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sumCost := dataRequests(reg) - before
-
-	if err := cl.RestartWorker(1); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "the prober to detect the restart", func() bool {
-		return reg.Counter("fed.restarts_detected").Value() >= 1
-	})
-	if n := reg.Counter("fed.objects_replayed").Value(); n != 0 {
-		t.Fatalf("%d objects replayed before any operation needed them", n)
-	}
-
-	before = dataRequests(reg)
-	got, err := fx.Sum()
-	if err != nil {
-		t.Fatalf("sum after the restart: %v", err)
-	}
-	if got != want {
-		t.Fatalf("sum after replay = %v, want %v (bitwise)", got, want)
-	}
-	if cost := dataRequests(reg) - before; cost != sumCost+1 {
-		t.Fatalf("sum after the restart cost %d requests, want its usual %d plus the one replayed PUT", cost, sumCost)
-	}
-	if n := reg.Counter("worker.errors").Value(); n != 0 {
-		t.Fatalf("workers rejected %d requests: a batch left before its inputs were replayed", n)
-	}
-	if n := reg.Counter("fed.restarts_detected").Value(); n != 1 {
-		t.Fatalf("fed.restarts_detected = %d, want 1", n)
-	}
-	if n := reg.Counter("fed.retries").Value(); n != 0 {
-		t.Fatalf("fed.retries = %d: probes and replay rounds are not retries", n)
-	}
-}
-
 // TestRestartCountedOnceAcrossSessions: two sessions share one fleet and
 // each holds a partitioned matrix when a worker restarts. The restart is one
 // event in /metrics — counted where the site's epoch changes, not once per
@@ -349,7 +267,7 @@ func TestRestartCountedOnceAcrossSessions(t *testing.T) {
 	reg := obs.New()
 	cl, err := fedtest.Start(fedtest.Config{
 		Workers: 2,
-		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1, Recover: true},
+		Policy:  federated.Policy{Attempts: 3, Backoff: time.Millisecond, Seed: 1},
 		Metrics: reg,
 	})
 	if err != nil {

@@ -3,11 +3,9 @@ package paramserv_test
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"exdra/internal/data"
 	"exdra/internal/federated"
-	"exdra/internal/fedrpc"
 	"exdra/internal/fedtest"
 	"exdra/internal/matrix"
 	"exdra/internal/nn"
@@ -99,12 +97,14 @@ func TestTrainFederatedBSP(t *testing.T) {
 	}
 }
 
-// TestPSRunHonoursBreaker: ps_run goes through the coordinator's failure
-// funnel like every other operation, so a worker whose breaker is open is
-// not sent a segment even though it answers again.
-func TestPSRunHonoursBreaker(t *testing.T) {
-	cl, err := fedtest.Start(fedtest.Config{Workers: 2,
-		Policy: federated.Policy{BreakerThreshold: 1, ProbeInterval: time.Hour}})
+// TestPSRunGoesThroughFunnel: ps_run goes through the coordinator's failure
+// funnel like every other operation, so a worker that restarted under the
+// trainer is diagnosed as a restart, not as an "unknown object" reply. A
+// segment is not retry-safe, so it is never re-issued: the first one after
+// the restart meets the dead connection and fails as a transport error, and
+// the next reaches the new process.
+func TestPSRunGoesThroughFunnel(t *testing.T) {
+	cl, err := fedtest.Start(fedtest.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,24 +118,14 @@ func TestPSRunHonoursBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Open worker 0's breaker: stop its server, let one probe fail, then
-	// serve the same worker, state intact, on the same address again.
-	addr := cl.Addrs[0]
-	cl.Servers[0].Close()
-	fleet := cl.Coord.Fleet()
-	if err := fleet.Ping(addr); err == nil {
-		t.Fatal("probe of a stopped worker succeeded")
-	}
-	if got := fleet.BreakerState(addr); got != "open" {
-		t.Fatalf("breaker after a failed probe = %q, want open", got)
-	}
-	srv, err := fedrpc.Serve(addr, cl.Workers[0], fedrpc.Options{})
-	if err != nil {
+	if err := cl.RestartWorker(0); err != nil {
 		t.Fatal(err)
 	}
-	cl.Servers[0] = srv
-	if err := tr.TrainEpochs(1); !errors.Is(err, federated.ErrWorkerUnavailable) {
-		t.Fatalf("TrainEpochs with worker 0's breaker open = %v, want ErrWorkerUnavailable", err)
+	if err := tr.TrainEpochs(1); err == nil {
+		t.Fatal("TrainEpochs over the restarted worker's dead connection succeeded")
+	}
+	if err := tr.TrainEpochs(1); !errors.Is(err, federated.ErrWorkerRestarted) {
+		t.Fatalf("TrainEpochs after worker 0 restarted = %v, want ErrWorkerRestarted", err)
 	}
 }
 
