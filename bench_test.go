@@ -1,24 +1,20 @@
-// Package exdra_test hosts the repository-level benchmarks: one testing.B
-// target per table and figure of the ExDRa evaluation (§6), as indexed in
-// DESIGN.md, plus ablation benchmarks for the design choices the federated
-// runtime makes (request batching, lineage reuse, broadcast slicing).
+// Package exdra_test hosts the repository-level benchmarks that have no
+// other source: the dispatch cost of the federated instruction mix behind
+// Table 1, and ablations of the design choices the federated runtime makes
+// (request batching, lineage reuse, broadcast slicing).
 //
-// Run everything with:
+// Run them with:
 //
-//	go test -bench=. -benchmem .
+//	go test -run '^$' -bench 'Ablation|Table1' -benchmem .
 //
-// Sizes follow internal/bench.DefaultScale and can be raised via the
-// EXDRA_ROWS / EXDRA_COLS / EXDRA_CNN_ROWS / EXDRA_PIPE_ROWS environment
-// variables toward the paper's 1M x 1,050 setting. Absolute numbers differ
-// from the paper's 8-node cluster; the shapes (who wins, scaling with
-// workers, WAN/SSL overhead factors) are the reproduction target — see
-// EXPERIMENTS.md.
+// The paper's figures come from cmd/expbench (-exp fig5..fig8|table1), and
+// the numbers ci.sh gates from go run ./benchmark. Absolute numbers differ
+// from the paper's 8-node cluster; see EXPERIMENTS.md.
 package exdra_test
 
 import (
 	"testing"
 
-	"exdra/internal/bench"
 	"exdra/internal/federated"
 	"exdra/internal/fedrpc"
 	"exdra/internal/fedtest"
@@ -27,125 +23,6 @@ import (
 	"exdra/internal/privacy"
 	"exdra/internal/worker"
 )
-
-// benchScale trims the default scale so the full suite stays minutes, not
-// hours; environment overrides still apply.
-func benchScale() bench.Scale {
-	sc := bench.DefaultScale()
-	if sc.Rows == 4000 { // untouched default: trim for the sweep
-		sc.Rows = 2000
-	}
-	return sc
-}
-
-func runAlgo(b *testing.B, name string, env bench.Env) {
-	b.Helper()
-	w := bench.NewWorkloads(benchScale())
-	cl, err := env.Cluster()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if cl != nil {
-		defer cl.Close()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.RunAlgorithm(name, env, cl); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- Figure 5: basic algorithm comparison and scalability ----
-
-func BenchmarkFig5(b *testing.B) {
-	for _, name := range bench.AlgorithmNames {
-		b.Run(name+"/local", func(b *testing.B) { runAlgo(b, name, bench.Env{Mode: bench.Local}) })
-		for _, nw := range []int{1, 2, 3} {
-			nw := nw
-			b.Run(name+"/fed-lan/"+string(rune('0'+nw))+"w", func(b *testing.B) {
-				runAlgo(b, name, bench.Env{Mode: bench.FedLAN, Workers: nw})
-			})
-		}
-	}
-}
-
-// BenchmarkFig5_LowerBound measures the Fed LowerBound series for LM: local
-// time minus the federated-offloadable kernels.
-func BenchmarkFig5_LowerBound(b *testing.B) {
-	w := bench.NewWorkloads(benchScale())
-	for i := 0; i < b.N; i++ {
-		if _, err := w.LMLowerBound(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- Figure 6: communication settings (LAN / WAN / WAN+SSL) ----
-
-func BenchmarkFig6(b *testing.B) {
-	for _, name := range []string{"lm", "kmeans", "ffn"} {
-		for _, mode := range []bench.Mode{bench.FedLAN, bench.FedWAN, bench.FedWANSSL} {
-			name, mode := name, mode
-			b.Run(name+"/"+string(mode), func(b *testing.B) {
-				runAlgo(b, name, bench.Env{Mode: mode, Workers: 2})
-			})
-		}
-	}
-}
-
-// ---- Figure 7: comparison with other ML systems ----
-
-func BenchmarkFig7(b *testing.B) {
-	w := bench.NewWorkloads(benchScale())
-	for _, name := range []string{"kmeans", "pca", "ffn", "cnn"} {
-		name := name
-		b.Run(name+"/exdra-local", func(b *testing.B) {
-			runAlgo(b, name, bench.Env{Mode: bench.Local})
-		})
-		b.Run(name+"/exdra-fed-lan", func(b *testing.B) {
-			runAlgo(b, name, bench.Env{Mode: bench.FedLAN, Workers: 2})
-		})
-		b.Run(name+"/baseline", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				w.RunBaseline(name)
-			}
-		})
-	}
-}
-
-// ---- Figure 8: ML pipeline scalability ----
-
-func BenchmarkFig8(b *testing.B) {
-	w := bench.NewWorkloads(benchScale())
-	for _, algo := range []string{"lm", "ffn"} {
-		algo := algo
-		b.Run("P2_"+algo+"/local", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := w.RunPipeline(algo, bench.Env{Mode: bench.Local}, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		for _, nw := range []int{1, 2, 3} {
-			nw := nw
-			b.Run("P2_"+algo+"/fed-lan/"+string(rune('0'+nw))+"w", func(b *testing.B) {
-				env := bench.Env{Mode: bench.FedLAN, Workers: nw}
-				cl, err := env.Cluster()
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer cl.Close()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := w.RunPipeline(algo, env, cl); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
 
 // ---- Table 1: federated instruction dispatch cost ----
 

@@ -66,12 +66,17 @@
 #                      daemon's /metrics must export the serve.* series
 #                      (sessions, pool churn) while a worker exports the
 #                      worker.conns gauge;
-#  10. bench smoke    — expbench -smoke measures the BENCH_smoke.json rows
-#                      (FedLAN transfer + LM) into a temp file and -compare
-#                      gates the fresh encode+decode phase seconds against
-#                      the committed snapshot at 2x, so a serialization
-#                      regression fails CI before it lands. The committed
-#                      snapshot moves only by explicit commit.
+#  10. benchmark gate — go run ./benchmark, the harness BENCHMARK.json
+#                      declares, runs lan-train once and raw-ingest four
+#                      times at seed 7. Every run must exit 0 (no failed
+#                      operation, every output equal to the local
+#                      baseline) and repeat its federated.rpc_calls,
+#                      federated.requests and engine.ops exactly and its
+#                      put+get megabytes within 2 % of a committed line
+#                      per workload. The median over the five runs of the
+#                      RPC codec rate over the box's kernel speed must
+#                      stay above a committed floor, so a serialization
+#                      regression fails CI before it lands.
 #
 # No step writes to a tracked file.
 set -euo pipefail
@@ -210,8 +215,61 @@ grep -q '^exdrad: shut down$' "$tmp/d.log" || { echo "ci.sh: exdrad did not drai
 kill "$w1_pid" "$w2_pid"
 echo "ci.sh: exdrad smoke test passed (two concurrent sessions over $w1_addr,$w2_addr)"
 
-# Bench smoke: measure the serialization rows afresh and gate enc+dec
-# seconds against the committed baseline (see BENCH_smoke.json).
-go run ./cmd/expbench -smoke -json "$tmp/BENCH_smoke.json"
-go run ./cmd/expbench -compare "BENCH_smoke.json,$tmp/BENCH_smoke.json" -max-ratio 2
-echo "ci.sh: bench smoke gate passed"
+# Benchmark gate: go run ./benchmark (the harness BENCHMARK.json declares) at
+# seed 7, traced, one second of passes. A run that exits non-zero failed an
+# operation or computed an output that differs from the local baseline.
+# Each expect line holds a workload's exact federated.rpc_calls,
+# federated.requests and engine.ops and its federated.put_mb +
+# federated.get_mb, held to the benchmark's 2 % wire_mb bound (get_mb moves
+# by a few bytes from run to run). Measured at f5d4e14; a change that moves
+# a count edits its line, so the move shows in its diff.
+#                 workload   rpc_calls requests engine.ops put+get MB
+lan_train_expect="lan-train  147       751      109        12.672"
+raw_ingest_expect="raw-ingest 58        214      31         75.822"
+# The codec gate. Per run: the mean of fedrpc.put_mb_per_s and get_mb_per_s
+# over the geometric mean of five matrix.* kernel rates of the same run, the
+# box's own speed at the time (absolute codec rates swing 3x on a shared
+# two-core box: 1,288 then 383 MB/s in consecutive runs). The gate takes the
+# median over the five runs; the layer probes are the same in both
+# workloads. At f5d4e14 the per-run ratio was 98 in the median of 16 runs
+# (69..116) and 120 under load; with every float slab encoded a second time
+# it was 64 over 50 runs. The floor is three quarters of 100. A change that
+# speeds up a kernel probe or the codec on purpose re-measures it.
+codec_floor=75
+bench_run() { # bench_run WORKLOAD LOG: one run, or print its output and fail
+  go run ./benchmark run -workload "$1" -seed 7 -seconds 1 -trace 1 -dir "$tmp/bench" >"$2" 2>&1 \
+    || { echo "ci.sh: benchmark $1 failed" >&2; cat "$2" >&2; exit 1; }
+}
+check_counts() { # check_counts LOG EXPECT_LINE
+  awk -v expect="$2" '
+    BEGIN { split(expect, e, " ") }
+    $1 == e[1] && NF == 7 { v[$2] = $5 }
+    END {
+      n = split("federated.rpc_calls federated.requests engine.ops", m, " ")
+      for (i = 1; i <= n; i++)
+        if (v[m[i]] != e[i + 1]) bad = bad sprintf(" %s %s, want %s;", m[i], v[m[i]], e[i + 1])
+      mb = v["federated.put_mb"] + v["federated.get_mb"]
+      if (mb < 0.98 * e[5] || mb > 1.02 * e[5]) bad = bad sprintf(" put+get %.4g MB, want %s +-2%%;", mb, e[5])
+      if (bad != "") { print "ci.sh: benchmark " e[1] ":" bad > "/dev/stderr"; exit 1 }
+    }' "$1"
+}
+codec_ratio() { # codec_ratio WORKLOAD LOG
+  awk -v w="$1" '$1 == w && NF == 7 { v[$2] = $5 }
+    END {
+      n = split("colagg_gb_per_s elementwise_gb_per_s matmul_gflops mmchain_gflops tsmm_gflops", k, " ")
+      for (i = 1; i <= n; i++) logs += log(v["matrix." k[i]])
+      printf " %.1f", (v["fedrpc.put_mb_per_s"] + v["fedrpc.get_mb_per_s"]) / 2 / exp(logs / n)
+    }' "$2"
+}
+bench_run lan-train "$tmp/bench-lan.log"
+check_counts "$tmp/bench-lan.log" "$lan_train_expect"
+ratios="$(codec_ratio lan-train "$tmp/bench-lan.log")"
+for i in 1 2 3 4; do
+  bench_run raw-ingest "$tmp/bench-raw-$i.log"
+  check_counts "$tmp/bench-raw-$i.log" "$raw_ingest_expect"
+  ratios="$ratios$(codec_ratio raw-ingest "$tmp/bench-raw-$i.log")"
+done
+codec="$(tr ' ' '\n' <<<"$ratios" | grep . | sort -n | sed -n 3p)"
+awk -v c="$codec" -v f="$codec_floor" 'BEGIN { exit !(c >= f) }' \
+  || { echo "ci.sh: codec ratio median $codec (runs:$ratios) below the floor $codec_floor" >&2; exit 1; }
+echo "ci.sh: benchmark gate passed (counts exact, bytes within 2 %; codec ratio median $codec, runs:$ratios, floor $codec_floor)"

@@ -6,13 +6,10 @@
 //
 //	expbench -exp fig5|fig6|fig7|fig8|table1|all [-workers 1,2,3,5]
 //	         [-rows N -cols N -cnnrows N -piperows N]
-//	expbench -smoke [-json BENCH_smoke.json]
-//	expbench -compare baseline.json,current.json [-max-ratio 2] [-floor 0.025]
 //
 // Sizes default to laptop scale; raise them to approach the paper's
-// 1M x 1,050 setting. -smoke runs the fixed-scale CI smoke and -compare
-// gates the encode+decode phase seconds of a fresh snapshot against a
-// committed baseline (see BENCH_smoke.json and ci.sh).
+// 1M x 1,050 setting. The numbers ci.sh gates come from go run ./benchmark,
+// not from this command.
 package main
 
 import (
@@ -33,50 +30,7 @@ func main() {
 	cols := flag.Int("cols", 0, "override feature-matrix cols")
 	cnnRows := flag.Int("cnnrows", 0, "override CNN dataset rows")
 	pipeRows := flag.Int("piperows", 0, "override pipeline table rows")
-	smoke := flag.Bool("smoke", false, "run the fixed-scale CI bench smoke (FedLAN transfer + LM) instead of -exp")
-	jsonPath := flag.String("json", "", "also write the -smoke rows as a BENCH_*.json snapshot")
-	compare := flag.String("compare", "", "baseline.json,current.json: gate enc+dec phase seconds and exit")
-	maxRatio := flag.Float64("max-ratio", 2, "allowed enc+dec regression ratio for -compare")
-	floor := flag.Float64("floor", 0.025, "absolute enc+dec seconds below which -compare never fails")
 	flag.Parse()
-
-	if *compare != "" {
-		parts := strings.Split(*compare, ",")
-		if len(parts) != 2 {
-			log.Fatalf("expbench: -compare wants baseline.json,current.json, got %q", *compare)
-		}
-		base, err := bench.ReadSnapshot(strings.TrimSpace(parts[0]))
-		if err != nil {
-			log.Fatalf("expbench: %v", err)
-		}
-		cur, err := bench.ReadSnapshot(strings.TrimSpace(parts[1]))
-		if err != nil {
-			log.Fatalf("expbench: %v", err)
-		}
-		if err := bench.CompareEncDec(base, cur, *maxRatio, *floor); err != nil {
-			log.Fatalf("expbench: %v", err)
-		}
-		fmt.Printf("bench compare ok: %s within %.1fx of %s\n", cur.Name, *maxRatio, base.Name)
-		return
-	}
-
-	if *smoke {
-		ms, err := bench.Smoke()
-		if err != nil {
-			log.Fatalf("expbench: smoke: %v", err)
-		}
-		for _, m := range ms {
-			fmt.Println(m.Row())
-		}
-		if *jsonPath != "" {
-			snap := bench.NewSnapshot("smoke", ms)
-			if err := snap.WriteFile(*jsonPath); err != nil {
-				log.Fatalf("expbench: write %s: %v", *jsonPath, err)
-			}
-			fmt.Printf("wrote %s (%d rows)\n", *jsonPath, len(snap.Rows))
-		}
-		return
-	}
 
 	sc := bench.DefaultScale()
 	if *rows > 0 {

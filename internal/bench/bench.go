@@ -2,19 +2,16 @@
 // figures of ExDRa §6 (see DESIGN.md's experiment index): workload
 // generators, environment setup (Local / Federated LAN / Federated WAN /
 // WAN+SSL), parameter sweeps over the number of federated workers, and
-// printers that emit the same rows/series the paper reports. Both
-// cmd/expbench and the repository-root testing.B benchmarks drive it.
+// printers that emit the same rows/series the paper reports. cmd/expbench
+// drives it.
 package bench
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"time"
 
 	"exdra/internal/fedtest"
 	"exdra/internal/netem"
-	"exdra/internal/obs"
 )
 
 // Mode is an execution environment of §6.1.
@@ -34,8 +31,8 @@ const (
 )
 
 // Scale sizes the synthetic workloads. The defaults are laptop-scale but
-// preserve the paper's runtime shapes; raise them (flags/env) to approach
-// the paper's 1M x 1,050 setting.
+// preserve the paper's runtime shapes; raise them (expbench -rows, -cols,
+// -cnnrows, -piperows) to approach the paper's 1M x 1,050 setting.
 type Scale struct {
 	// Rows and Cols size the dense feature matrix (paper: 1M x 1,050).
 	Rows, Cols int
@@ -56,7 +53,7 @@ type Scale struct {
 
 // DefaultScale returns the scaled-down default configuration.
 func DefaultScale() Scale {
-	s := Scale{
+	return Scale{
 		Rows: 4000, Cols: 60,
 		KMeansK: 8, PCAK: 10,
 		FFNEpochs: 5, FFNBatch: 256, FFNHidden: 64,
@@ -64,44 +61,12 @@ func DefaultScale() Scale {
 		PipeRows: 3000, PipeSignals: 20, PipeRecipes: 40,
 		Seed: 42,
 	}
-	s.applyEnv()
-	return s
-}
-
-// applyEnv lets EXDRA_ROWS / EXDRA_COLS / EXDRA_CNN_ROWS / EXDRA_PIPE_ROWS
-// scale experiments up toward the paper's sizes without code changes.
-func (s *Scale) applyEnv() {
-	if v, ok := envInt("EXDRA_ROWS"); ok {
-		s.Rows = v
-	}
-	if v, ok := envInt("EXDRA_COLS"); ok {
-		s.Cols = v
-	}
-	if v, ok := envInt("EXDRA_CNN_ROWS"); ok {
-		s.CNNRows = v
-	}
-	if v, ok := envInt("EXDRA_PIPE_ROWS"); ok {
-		s.PipeRows = v
-	}
-}
-
-func envInt(key string) (int, bool) {
-	if v := os.Getenv(key); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n, true
-		}
-	}
-	return 0, false
 }
 
 // Env binds a mode to a worker count.
 type Env struct {
 	Mode    Mode
 	Workers int
-	// Metrics, when non-nil, isolates the run's counters in a dedicated
-	// registry so folded deltas cannot be polluted by concurrent activity
-	// on obs.Default().
-	Metrics *obs.Registry
 }
 
 // Cluster starts the federation matching the env (nil cluster for Local).
@@ -109,7 +74,7 @@ func (e Env) Cluster() (*fedtest.Cluster, error) {
 	if e.Mode == Local {
 		return nil, nil
 	}
-	cfg := fedtest.Config{Workers: e.Workers, Metrics: e.Metrics}
+	cfg := fedtest.Config{Workers: e.Workers}
 	switch e.Mode {
 	case FedLAN:
 	case FedWAN:

@@ -139,7 +139,7 @@ func TestTable1Printer(t *testing.T) {
 	}
 }
 
-func TestMeasurementRowAndScaleEnv(t *testing.T) {
+func TestMeasurementRow(t *testing.T) {
 	m := Measurement{Experiment: "fig5", Algorithm: "lm", Mode: Local,
 		Workers: 3, Extra: map[string]float64{"b": 2, "a": 1}}
 	row := m.Row()
@@ -149,14 +149,5 @@ func TestMeasurementRowAndScaleEnv(t *testing.T) {
 	// Extra keys render sorted.
 	if strings.Index(row, "a=1") > strings.Index(row, "b=2") {
 		t.Fatalf("extras unsorted: %q", row)
-	}
-	t.Setenv("EXDRA_ROWS", "123")
-	sc := DefaultScale()
-	if sc.Rows != 123 {
-		t.Fatalf("env override: %d", sc.Rows)
-	}
-	t.Setenv("EXDRA_ROWS", "not-a-number")
-	if DefaultScale().Rows == 123 && false {
-		t.Fatal("unreachable")
 	}
 }

@@ -7,18 +7,13 @@ import (
 )
 
 // foldObsDelta folds the observability-registry delta of one timed run into
-// the measurement's Extra columns, so BENCH output carries the RPC
+// the measurement's Extra columns, so an expbench row carries the RPC
 // breakdown next to wall time: call/error counts, per-request-type counts
 // (rpc_exec_inst, rpc_get, ...), and the summed per-phase seconds
-// (enc_s/net_s/exec_s/dec_s). Runners snapshot the run's registry — the
-// cluster's isolated one when configured, obs.Default() otherwise (reg nil
-// also falls back to the default) — when their timer starts, after data
-// distribution, matching the mb_sent convention, and fold the diff when it
-// stops.
+// (enc_s/net_s/exec_s/dec_s). Runners snapshot the run's registry
+// (runRegistry) when their timer starts, after data distribution, matching
+// the mb_sent convention, and fold the diff when it stops.
 func foldObsDelta(m *Measurement, reg *obs.Registry, prev obs.Snapshot) {
-	if reg == nil {
-		reg = obs.Default()
-	}
 	d := reg.Snapshot().Diff(prev)
 	if n := d.Counters["rpc.client.calls"]; n > 0 {
 		m.Extra["rpc_calls"] = float64(n)

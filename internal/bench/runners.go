@@ -145,55 +145,12 @@ func (w *Workloads) RunAlgorithm(name string, env Env, cl *fedtest.Cluster) (Mea
 }
 
 // runRegistry resolves the registry a run's obs deltas are read from: the
-// cluster's (isolated when the env configured one) or the process default.
+// cluster's or, for a local run, the process default.
 func runRegistry(cl *fedtest.Cluster) *obs.Registry {
 	if cl != nil {
 		return cl.Registry()
 	}
 	return obs.Default()
-}
-
-// RunTransfer is the wire-format microbenchmark: it round-trips the
-// regression feature matrix through the federation reps times — Distribute
-// (PUT to every worker) followed by Consolidate (GET from every worker) —
-// with no compute in between, so encode/decode and network dominate the
-// measurement the way the paper's WAN transfer costs do. Requires a
-// cluster (there is no local baseline for a transfer).
-func (w *Workloads) RunTransfer(env Env, cl *fedtest.Cluster, reps int) (Measurement, error) {
-	if cl == nil {
-		return Measurement{}, fmt.Errorf("bench: transfer workload needs a federated env, got %s", env.Mode)
-	}
-	if reps <= 0 {
-		reps = 1
-	}
-	m := Measurement{Experiment: "xfer", Algorithm: "transfer", Mode: env.Mode,
-		Workers: env.Workers, Extra: map[string]float64{"reps": float64(reps)}}
-	defer cl.Coord.ClearAll()
-	reg := runRegistry(cl)
-	obsBase := reg.Snapshot()
-	baseBytes := cl.Coord.BytesSent()
-	start := time.Now()
-	for i := 0; i < reps; i++ {
-		fx, err := federated.Distribute(cl.Coord, w.XReg, cl.Addrs, federated.RowPartitioned, privacy.Public)
-		if err != nil {
-			return Measurement{}, err
-		}
-		back, err := fx.Consolidate()
-		if err != nil {
-			return Measurement{}, err
-		}
-		if back.Rows() != w.XReg.Rows() || back.Cols() != w.XReg.Cols() {
-			return Measurement{}, fmt.Errorf("bench: transfer returned %dx%d for %dx%d",
-				back.Rows(), back.Cols(), w.XReg.Rows(), w.XReg.Cols())
-		}
-		if err := fx.Free(); err != nil {
-			return Measurement{}, err
-		}
-	}
-	m.Elapsed = time.Since(start)
-	m.Extra["mb_sent"] = float64(cl.Coord.BytesSent()-baseBytes) / 1e6
-	foldObsDelta(&m, reg, obsBase)
-	return m, nil
 }
 
 // runPS dispatches the parameter-server workloads (FFN, CNN): local

@@ -21,15 +21,14 @@ import (
 //   - GET is a pure read;
 //   - EXEC_INST re-executes deterministically over IDs, overwriting the
 //     same output binding (rmvar of an already-removed ID is a no-op);
-//   - CLEAR empties the symbol table either way;
-//   - HEALTH reads nothing and writes nothing.
+//   - CLEAR empties the symbol table either way.
 //
 // EXEC_UDF is excluded: UDFs may carry non-idempotent side effects (e.g.
 // parameter-server gradient application), so their batches fail fast.
 func RetryableBatch(reqs []fedrpc.Request) bool {
 	for _, r := range reqs {
 		switch r.Type {
-		case fedrpc.Read, fedrpc.Put, fedrpc.Get, fedrpc.ExecInst, fedrpc.Clear, fedrpc.Health:
+		case fedrpc.Read, fedrpc.Put, fedrpc.Get, fedrpc.ExecInst, fedrpc.Clear:
 		default:
 			return false
 		}

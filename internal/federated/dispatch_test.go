@@ -570,7 +570,7 @@ func TestCallFlushesDeferred(t *testing.T) {
 	if _, err := dangling.Unary(matrix.UAbs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Coord.Call(cl.Addrs[0], fedrpc.Request{Type: fedrpc.Health}); err == nil || !strings.Contains(err.Error(), "deferred abs") {
+	if _, err := cl.Coord.Call(cl.Addrs[0], noopRequest()); err == nil || !strings.Contains(err.Error(), "deferred abs") {
 		t.Fatalf("Call hid the deferred failure: %v", err)
 	}
 }

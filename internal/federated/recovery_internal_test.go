@@ -22,12 +22,6 @@ func okResps(n int) []fedrpc.Response {
 	return out
 }
 
-func TestRetryableBatchIncludesHealth(t *testing.T) {
-	if !RetryableBatch([]fedrpc.Request{{Type: fedrpc.Health}}) {
-		t.Fatal("HEALTH must be retryable: it reads and writes nothing")
-	}
-}
-
 // TestCreationLogLifecycle: successful batches populate the log, rmvar
 // marks entries dead, and dead entries without live dependents are
 // garbage-collected while dead dependencies of live objects are retained.
@@ -216,7 +210,7 @@ func TestNeededIDs(t *testing.T) {
 		{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "mm", Inputs: []int64{4, 5}, Output: 6}},
 		{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{7}}},
 		{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{Name: "f", Inputs: []int64{8}}},
-		{Type: fedrpc.Health},
+		{Type: fedrpc.Clear},
 	})
 	want := []int64{3, 4, 5, 8}
 	if len(ids) != len(want) {

@@ -80,10 +80,10 @@ func TestDeadlineTravelsToHandler(t *testing.T) {
 	const budget = 5 * time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
-	if _, err := c.CallCtx(ctx, Request{Type: Health}); err != nil {
+	if _, err := c.CallCtx(ctx, Request{Type: Clear}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CallCtx(context.Background(), Request{Type: Health}); err != nil {
+	if _, err := c.CallCtx(context.Background(), Request{Type: Clear}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -123,7 +123,7 @@ func TestServerBackstopRepliesTypedDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	start := time.Now()
-	resps, err := c.CallCtx(ctx, Request{Type: Health}, Request{Type: Health})
+	resps, err := c.CallCtx(ctx, Request{Type: Clear}, Request{Type: Clear})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("backstop reply should arrive as a normal exchange, got %v", err)
@@ -155,12 +155,12 @@ func TestExpiredBudgetFailsBeforeWire(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	_, err = c.CallCtx(ctx, Request{Type: Health})
+	_, err = c.CallCtx(ctx, Request{Type: Clear})
 	if !errors.Is(err, ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired budget error = %v, want ErrDeadlineExceeded wrapping context.DeadlineExceeded", err)
 	}
 	// The client is still usable for the next call.
-	if _, err := c.CallCtx(context.Background(), Request{Type: Health}); err != nil {
+	if _, err := c.CallCtx(context.Background(), Request{Type: Clear}); err != nil {
 		t.Fatalf("client unusable after an expired-budget rejection: %v", err)
 	}
 }
@@ -187,7 +187,7 @@ func TestQueuedCancelReturnsCtxErr(t *testing.T) {
 	// handler is released.
 	firstDone := make(chan error, 1)
 	go func() {
-		_, err := c.CallCtx(context.Background(), Request{Type: Health})
+		_, err := c.CallCtx(context.Background(), Request{Type: Clear})
 		firstDone <- err
 	}()
 	// Give the first call time to win the exchange and reach the server.
@@ -199,7 +199,7 @@ func TestQueuedCancelReturnsCtxErr(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, err = c.CallCtx(ctx, Request{Type: Health})
+	_, err = c.CallCtx(ctx, Request{Type: Clear})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("queued cancel error = %v, want context.Canceled", err)
 	}
@@ -216,7 +216,7 @@ func TestQueuedCancelReturnsCtxErr(t *testing.T) {
 	if c.Broken() {
 		t.Fatal("queued cancel tore down the transport")
 	}
-	if _, err := c.CallCtx(context.Background(), Request{Type: Health}); err != nil {
+	if _, err := c.CallCtx(context.Background(), Request{Type: Clear}); err != nil {
 		t.Fatalf("client unusable after queued cancel: %v", err)
 	}
 }
@@ -245,7 +245,7 @@ func TestMidExchangeCancelInterruptsPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = c.CallCtx(ctx, Request{Type: Health})
+	_, err = c.CallCtx(ctx, Request{Type: Clear})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-exchange cancel error = %v, want to wrap context.Canceled", err)
 	}
@@ -283,7 +283,7 @@ func TestBudgetedRedialHonorsDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Call(Request{Type: Health}); err == nil {
+	if _, err := c.Call(Request{Type: Clear}); err == nil {
 		t.Fatal("call on the closed first connection succeeded")
 	}
 	if !c.Broken() {
@@ -294,7 +294,7 @@ func TestBudgetedRedialHonorsDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	start := time.Now()
-	_, err = c.CallCtx(ctx, Request{Type: Health})
+	_, err = c.CallCtx(ctx, Request{Type: Clear})
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("budgeted redial against a mute peer = %v, want ErrDeadlineExceeded", err)

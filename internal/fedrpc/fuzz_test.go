@@ -128,8 +128,8 @@ func checkDecoded(t *testing.T, i int, p Payload) {
 // length field alone.
 func FuzzWireEnvelope(f *testing.F) {
 	m := matrix.FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	f.Add(encodeBatch(f, []Request{{Type: Health}}, 0, 2))
-	f.Add(encodeBatch(f, []Request{{Type: Health}}, 0, 0)) // untagged: must be rejected
+	f.Add(encodeBatch(f, []Request{{Type: Clear}}, 0, 2))
+	f.Add(encodeBatch(f, []Request{{Type: Clear}}, 0, 0)) // untagged: must be rejected
 	f.Add(encodeBatch(f, []Request{
 		{Type: Put, ID: 7, Data: MatrixPayload(m)},
 		{Type: Get, ID: 7},

@@ -98,7 +98,7 @@ func TestCloseDoesNotBlockOnInFlightCall(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Call(Request{Type: Health})
+		_, err := c.Call(Request{Type: Clear})
 		done <- err
 	}()
 	time.Sleep(100 * time.Millisecond) // let the call block on the reply
@@ -267,7 +267,7 @@ func TestServerPrefersContextHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Call(Request{Type: Health}); err != nil {
+	if _, err := c.Call(Request{Type: Clear}); err != nil {
 		t.Fatal(err)
 	}
 	if !h.viaCtx.Load() || h.viaPlain.Load() {

@@ -39,18 +39,11 @@ const (
 	ExecUDF
 	// Clear cleans up execution contexts and variables.
 	Clear
-	// Health is a lightweight liveness ping. It touches no symbol-table
-	// state; its only job is to elicit a response — and with it the
-	// worker's instance epoch, so a coordinator can tell "same address,
-	// new process" apart from a flaky connection (restart detection).
-	// Health extends the paper's six request types; it is the one
-	// addition the failure model of DESIGN.md §3.5 requires.
-	Health
 )
 
 // String returns the protocol name of the request type.
 func (t RequestType) String() string {
-	names := [...]string{"READ", "PUT", "GET", "EXEC_INST", "EXEC_UDF", "CLEAR", "HEALTH"}
+	names := [...]string{"READ", "PUT", "GET", "EXEC_INST", "EXEC_UDF", "CLEAR"}
 	if int(t) >= 0 && int(t) < len(names) {
 		return names[t]
 	}

@@ -24,11 +24,11 @@ func TestEpochIdentity(t *testing.T) {
 func TestEveryResponseCarriesEpoch(t *testing.T) {
 	w := New("")
 	resps := w.Handle([]fedrpc.Request{
-		{Type: fedrpc.Health},
+		{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{41}}},
 		{Type: fedrpc.Get, ID: 42}, // fails (unknown object) — still stamped
 	})
 	if !resps[0].OK {
-		t.Fatalf("HEALTH failed: %s", resps[0].Err)
+		t.Fatalf("rmvar of an unbound ID failed: %s", resps[0].Err)
 	}
 	if resps[1].OK {
 		t.Fatal("GET of unknown object should fail")
@@ -37,16 +37,5 @@ func TestEveryResponseCarriesEpoch(t *testing.T) {
 		if r.Epoch != w.Epoch() {
 			t.Fatalf("response %d epoch = %d, want %d", i, r.Epoch, w.Epoch())
 		}
-	}
-}
-
-// TestHealthTouchesNoState: HEALTH is a pure liveness ping.
-func TestHealthTouchesNoState(t *testing.T) {
-	w := New("")
-	if resp := w.Handle([]fedrpc.Request{{Type: fedrpc.Health}}); !resp[0].OK {
-		t.Fatalf("HEALTH failed: %s", resp[0].Err)
-	}
-	if n := w.NumObjects(); n != 0 {
-		t.Fatalf("HEALTH created %d objects", n)
 	}
 }

@@ -305,10 +305,6 @@ func (w *Worker) handleOne(ctx context.Context, req fedrpc.Request) fedrpc.Respo
 		}
 		w.mu.Unlock()
 		return fedrpc.Response{OK: true}
-	case fedrpc.Health:
-		// A pure liveness ping: no symbol-table access, no payload. The
-		// epoch stamped by Handle is the entire answer.
-		return fedrpc.Response{OK: true}
 	default:
 		return fedrpc.Errorf("unknown request type %d", req.Type)
 	}
