@@ -1,6 +1,7 @@
 package federated_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"exdra/internal/federated"
 	"exdra/internal/fedrpc"
 	"exdra/internal/fedtest"
+	"exdra/internal/frame"
 	"exdra/internal/matrix"
 	"exdra/internal/privacy"
 )
@@ -668,5 +670,79 @@ func TestScalarPayloadIDChecks(t *testing.T) {
 	}
 	if resps[0].OK {
 		t.Fatal("missing object GET succeeded")
+	}
+}
+
+// TestDistributeFrameConsolidateBitwise: a frame PUT to the workers and
+// consolidated back comes back bitwise — NaN payloads, -0, the
+// infinities, the int64 extremes, empty strings beside NA cells,
+// multi-byte UTF-8, an all-NA column, and string columns whose bytes span
+// several 64 KiB chunks per partition.
+func TestDistributeFrameConsolidateBitwise(t *testing.T) {
+	cl := startCluster(t, 2)
+	const rows = 12000
+	floats := make([]float64, rows)
+	ints := make([]int64, rows)
+	strs := make([]string, rows)
+	bools := make([]bool, rows)
+	strNA, allNA := make([]bool, rows), make([]bool, rows)
+	edges := []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff0000000000001)}
+	for i := range floats {
+		floats[i] = float64(i) / 7
+		if i < len(edges) {
+			floats[i] = edges[i]
+		}
+		ints[i] = int64(i) * 1e15
+		strs[i] = fmt.Sprintf("%d-Größe-日本-%s", i, strings.Repeat("x", i%40))
+		switch i % 9 {
+		case 0:
+			strs[i] = "" // an empty string, not NA
+		case 1:
+			strs[i], strNA[i] = "", true
+		}
+		bools[i] = i%3 == 0
+		allNA[i] = true
+	}
+	ints[0], ints[rows-1] = math.MinInt64, math.MaxInt64
+	fr := frame.MustNew(
+		frame.FloatColumn("f", floats),
+		frame.IntColumn("i", ints),
+		&frame.Column{Name: "s", Type: frame.String, Strings: strs, NA: strNA},
+		&frame.Column{Name: "b", Type: frame.Boolean, Bools: bools},
+		&frame.Column{Name: "na", Type: frame.Float64, Floats: make([]float64, rows), NA: allNA},
+	)
+	ff, err := federated.DistributeFrame(cl.Coord, fr, cl.Addrs, privacy.Public)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ff.Consolidate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumRows() != rows || got.NumCols() != fr.NumCols() {
+		t.Fatalf("consolidated %dx%d, want %dx%d", got.NumRows(), got.NumCols(), rows, fr.NumCols())
+	}
+	for j := 0; j < fr.NumCols(); j++ {
+		g, w := got.Column(j), fr.Column(j)
+		if g.Name != w.Name || g.Type != w.Type {
+			t.Fatalf("column %d is %q %v, want %q %v", j, g.Name, g.Type, w.Name, w.Type)
+		}
+		for i := 0; i < rows; i++ {
+			same := g.IsNA(i) == w.IsNA(i)
+			switch w.Type {
+			case frame.Float64:
+				same = same && math.Float64bits(g.Floats[i]) == math.Float64bits(w.Floats[i])
+			case frame.Int64:
+				same = same && g.Ints[i] == w.Ints[i]
+			case frame.String:
+				same = same && g.Strings[i] == w.Strings[i]
+			case frame.Boolean:
+				same = same && g.Bools[i] == w.Bools[i]
+			}
+			if !same {
+				t.Fatalf("column %q cell %d: %q (NA %v), want %q (NA %v)", w.Name, i, g.AsString(i), g.IsNA(i), w.AsString(i), w.IsNA(i))
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"exdra/internal/fedrpc"
+	"exdra/internal/frame"
 	"exdra/internal/matrix"
 	"exdra/internal/privacy"
 	"exdra/internal/worker"
@@ -170,6 +171,57 @@ func TestDistributeLogsRowViewsOfX(t *testing.T) {
 	for _, p := range cols.Map().Partitions {
 		if vals := logged(p); &vals[0] == &x.Data()[p.Range.ColBeg] {
 			t.Fatalf("column partition %v: the logged PUT payload aliases x", p.Range)
+		}
+	}
+}
+
+// TestDistributeFrameLogsRowViews: like a matrix row partition, a frame
+// partition's logged PUT payload is a view of fr's rows, column by column,
+// so the creation log pins no second copy of the frame.
+func TestDistributeFrameLogsRowViews(t *testing.T) {
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		srv, err := fedrpc.Serve("127.0.0.1:0", worker.New(""), fedrpc.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs = append(addrs, srv.Addr())
+	}
+	c := recCoord(t)
+	defer c.Close()
+	fr := frame.MustNew(
+		frame.FloatColumn("f", []float64{1, 2, 3, 4, 5}),
+		frame.IntColumn("i", []int64{1, 2, 3, 4, 5}),
+		frame.StringColumn("s", []string{"a", "", "c", "d", "e"}),
+		&frame.Column{Name: "b", Type: frame.Boolean, Bools: []bool{true, false, true, false, true}},
+	)
+	ff, err := DistributeFrame(c, fr, addrs, privacy.Public)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range ff.Map().Partitions {
+		c.recMu.Lock()
+		rec := c.logs[p.Addr].records[p.DataID]
+		c.recMu.Unlock()
+		if rec == nil || rec.req.Type != fedrpc.Put {
+			t.Fatalf("no logged PUT for partition %+v", p)
+		}
+		cols, beg := rec.req.Data.Frame, p.Range.RowBeg
+		if len(cols) != fr.NumCols() {
+			t.Fatalf("logged PUT has %d columns, want %d", len(cols), fr.NumCols())
+		}
+		shared := []bool{
+			&cols[0].Floats[0] == &fr.Column(0).Floats[beg],
+			&cols[1].Ints[0] == &fr.Column(1).Ints[beg],
+			&cols[2].Strings[0] == &fr.Column(2).Strings[beg],
+			&cols[2].NA[0] == &fr.Column(2).NA[beg],
+			&cols[3].Bools[0] == &fr.Column(3).Bools[beg],
+		}
+		for j, ok := range shared {
+			if !ok {
+				t.Fatalf("partition %v: array %d of the logged PUT is a copy of fr's", p.Range, j)
+			}
 		}
 	}
 }

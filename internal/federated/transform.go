@@ -32,6 +32,10 @@ func (f *Frame) Map() FedMap {
 
 // DistributeFrame splits a local frame row-wise across worker addresses and
 // PUTs the partitions (test/benchmark constructor).
+//
+// Each partition's PUT carries a view of fr's rows, not a copy, and the
+// session's creation log keeps that payload to replay it after a worker
+// restart: fr must not be mutated after DistributeFrame.
 func DistributeFrame(c *Coordinator, fr *frame.Frame, addrs []string, level privacy.Level) (*Frame, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("federated: no worker addresses")
@@ -51,7 +55,7 @@ func DistributeFrame(c *Coordinator, fr *frame.Frame, addrs []string, level priv
 		id := c.NewID()
 		if _, err := c.callOne(addr, fedrpc.Request{
 			Type: fedrpc.Put, ID: id, Privacy: int(level),
-			Data: fedrpc.FramePayload(fr.SliceRows(beg, end)),
+			Data: fedrpc.FramePayload(fr.RowView(beg, end)),
 		}); err != nil {
 			// Reclaim the partitions already placed on other workers, and
 			// this one, through the outbox (see DistributeWithColumns).

@@ -333,7 +333,7 @@ func (c *Client) Call(reqs ...Request) ([]Response, error) {
 // is desynced), failing any calls pipelined alongside it with a transport
 // error their retry policy handles like any other connection loss.
 func (c *Client) CallCtx(ctx context.Context, reqs ...Request) ([]Response, error) {
-	queueStart := time.Now()
+	start := time.Now()
 
 	span := obs.SpanFrom(ctx)
 	if span == nil {
@@ -341,11 +341,21 @@ func (c *Client) CallCtx(ctx context.Context, reqs ...Request) ([]Response, erro
 	}
 	span.Op = obs.Op(ctx)
 	span.Addr = c.addr
-	span.Start = queueStart
+	span.Start = start
 	span.Batch = len(reqs)
 	if len(reqs) > 0 {
 		span.ReqType = reqs[0].Type.String()
 	}
+
+	// The batch is put in wire form once, before it queues: a payload the
+	// wire cannot carry fails here, with nothing written.
+	env, slabs, err := requestFrames(reqs)
+	if err != nil {
+		c.record(span, reqs, err)
+		return nil, err
+	}
+	out := outBatch{env: env, slabs: slabs, build: time.Since(start)}
+	queueStart := time.Now()
 
 	// A call can land on a session that died between lookup and
 	// reservation; that touched no wire state, so try a successor session
@@ -357,14 +367,14 @@ func (c *Client) CallCtx(ctx context.Context, reqs ...Request) ([]Response, erro
 			c.record(span, reqs, err)
 			return nil, err
 		}
-		resps, err := c.callOn(ctx, s, span, reqs, queueStart)
+		resps, err := c.callOn(ctx, s, span, reqs, out, queueStart)
 		var dead *sessionDeadError
 		if !errors.As(err, &dead) {
 			return resps, err
 		}
 		lastErr = dead.err
 	}
-	err := c.classify(ctx, lastErr)
+	err = c.classify(ctx, lastErr)
 	if err == nil {
 		err = fmt.Errorf("fedrpc: call to %s: transport churn", c.addr)
 	}
@@ -375,7 +385,7 @@ func (c *Client) CallCtx(ctx context.Context, reqs ...Request) ([]Response, erro
 // callOn runs one exchange attempt on s. A *sessionDeadError return means
 // nothing touched the wire and the caller may retry on a fresh session;
 // every other outcome is final and already recorded.
-func (c *Client) callOn(ctx context.Context, s *session, span *obs.Span, reqs []Request, queueStart time.Time) ([]Response, error) {
+func (c *Client) callOn(ctx context.Context, s *session, span *obs.Span, reqs []Request, out outBatch, queueStart time.Time) ([]Response, error) {
 	if err := s.reserve(ctx); err != nil {
 		var dead *sessionDeadError
 		if errors.As(err, &dead) {
@@ -417,7 +427,7 @@ func (c *Client) callOn(ctx context.Context, s *session, span *obs.Span, reqs []
 		return nil, err // session died while we queued: retryable
 	}
 
-	serr := s.send(ctx, span, reqs, deadlineNanos, budget, call.tag)
+	serr := s.send(ctx, span, out, deadlineNanos, budget, call.tag)
 	if serr != nil {
 		// A partial write desyncs the stream for every call on it. The
 		// teardown verdict is the session's first failure, which may be
@@ -474,12 +484,21 @@ func (c *Client) callOn(ctx context.Context, s *session, span *obs.Span, reqs []
 	return cr.resps, nil
 }
 
+// outBatch is a call's request batch in wire form (see requestFrames),
+// built once before the call first queues.
+type outBatch struct {
+	env   *wireEnvelope
+	slabs []outSlab
+	build time.Duration // how long building it took: part of span.Encode
+}
+
 // send writes the call's frames, starting with the write token held (taken
 // by callOn) and ending with it released. Between chunks the frame writer
 // hands the token to waiting calls; that wait is queueing, so it goes to
-// span.Queue, and the holds alone make span.Encode. Only the bytes that
-// reach the connection during this call's holds count as its BytesOut —
-// every hold ends with a flush, so those are exactly its own.
+// span.Queue, and the holds plus the batch's build make span.Encode. Only
+// the bytes that reach the connection during this call's holds count as
+// its BytesOut — every hold ends with a flush, so those are exactly its
+// own.
 //
 // An explicit cancellation must interrupt a blocked write now, not when
 // the write deadline fires; the watchdog is scoped strictly to each hold
@@ -488,9 +507,9 @@ func (c *Client) callOn(ctx context.Context, s *session, span *obs.Span, reqs []
 // anyway. A deadline expiring mid-write does not interrupt it: each hold
 // gets its own write deadline (writeDeadline), the I/O timeout from when it
 // starts, capped at the call's budget plus grace.
-func (s *session) send(ctx context.Context, span *obs.Span, reqs []Request, deadlineNanos int64, budget time.Duration, tag uint64) error {
+func (s *session) send(ctx context.Context, span *obs.Span, out outBatch, deadlineNanos int64, budget time.Duration, tag uint64) error {
 	c := s.c
-	span.Encode, span.BytesOut = 0, 0
+	span.Encode, span.BytesOut = out.build, 0
 	bdl := budgetDeadline(budget)
 	conn := s.conn
 	var (
@@ -528,7 +547,8 @@ func (s *session) send(ctx context.Context, span *obs.Span, reqs []Request, dead
 		return nil
 	}}
 	take()
-	serr := writeBatch(fw, reqs, deadlineNanos)
+	out.env.Tag, out.env.DeadlineNanos = tag, deadlineNanos
+	serr := fw.write(out.env, out.slabs)
 	if serr != nil {
 		serr = fmt.Errorf("fedrpc: send to %s: %w", c.addr, serr)
 	} else if ferr := s.bw.Flush(); ferr != nil {

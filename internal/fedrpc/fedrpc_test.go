@@ -92,6 +92,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFramePayloadRoundTrip moves frames through a live connection, PUT
+// then GET, and gets every frameCases frame back bitwise.
 func TestFramePayloadRoundTrip(t *testing.T) {
 	s, _ := startServer(t, Options{})
 	c, err := Dial(s.Addr(), Options{})
@@ -117,6 +119,25 @@ func TestFramePayloadRoundTrip(t *testing.T) {
 	}
 	if got.NumRows() != 3 || got.Column(0).AsString(2) != "z" || !got.Column(0).IsNA(1) {
 		t.Fatal("frame round trip")
+	}
+
+	id := int64(1)
+	for name, f := range frameCases() {
+		id++
+		if _, err := c.CallOne(Request{Type: Put, ID: id, Data: FramePayload(f)}); err != nil {
+			t.Fatalf("%s: PUT: %v", name, err)
+		}
+		resp, err := c.CallOne(Request{Type: Get, ID: id})
+		if err != nil {
+			t.Fatalf("%s: GET: %v", name, err)
+		}
+		got, err := resp.Data.ToFrame()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if diff := columnsEqual(FramePayload(got).Frame, FramePayload(f).Frame); diff != "" {
+			t.Fatalf("%s: %s", name, diff)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"exdra/internal/frame"
 	"exdra/internal/matrix"
 )
 
@@ -52,23 +53,59 @@ func leBytes(f []float64) []byte {
 
 // slabChunks cuts the slabs of ps into the chunks a writer sends for them,
 // in wire order.
-func slabChunks(ps ...Payload) [][]byte {
+func slabChunks(t interface{ Fatal(...any) }, ps ...Payload) [][]byte {
 	var out [][]byte
-	cut := func(b []byte) {
-		for len(b) > 0 {
-			n := min(len(b), slabChunk)
-			out = append(out, b[:n])
-			b = b[n:]
-		}
-	}
 	for _, p := range ps {
-		cut(leBytes(p.Values))
-		cut(p.Bytes)
+		_, slabs, err := requestFrames([]Request{{Data: p}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range slabs {
+			_ = s.eachChunk(func(c []byte) error {
+				out = append(out, append([]byte(nil), c...))
+				return nil
+			})
+		}
 	}
 	return out
 }
 
-// encodeBatch renders a request batch as a one-call v3 stream for the fuzz
+// requestEnvelope builds the envelope of a request batch alone, for seeds
+// that forge its descriptors or write its slabs by hand.
+func requestEnvelope(t interface{ Fatal(...any) }, reqs []Request, deadlineNanos int64, tag uint64) *wireEnvelope {
+	env, _, err := requestFrames(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.DeadlineNanos, env.Tag = deadlineNanos, tag
+	return env
+}
+
+// replyEnvelope builds the envelope of a response batch alone.
+func replyEnvelope(resps []Response, execNanos int64, tag uint64) *wireReply {
+	rep, _ := replyFrames(resps)
+	rep.ExecNanos, rep.Tag = execNanos, tag
+	return rep
+}
+
+// writeBatch writes a request batch as a client does: envelope, then slabs.
+func writeBatch(fw *frameWriter, reqs []Request, deadlineNanos int64) error {
+	env, slabs, err := requestFrames(reqs)
+	if err != nil {
+		return err
+	}
+	env.DeadlineNanos, env.Tag = deadlineNanos, fw.tag
+	return fw.write(env, slabs)
+}
+
+// writeReply writes a response batch as a server does.
+func writeReply(fw *frameWriter, resps []Response, execNanos int64) error {
+	rep, slabs := replyFrames(resps)
+	rep.ExecNanos, rep.Tag = execNanos, fw.tag
+	return fw.write(rep, slabs)
+}
+
+// encodeBatch renders a request batch as a one-call stream for the fuzz
 // seed corpus.
 func encodeBatch(t interface{ Fatal(...any) }, reqs []Request, deadlineNanos int64, tag uint64) []byte {
 	ts := newTestStream()
@@ -78,7 +115,7 @@ func encodeBatch(t interface{ Fatal(...any) }, reqs []Request, deadlineNanos int
 	return ts.bytes(t)
 }
 
-// encodeReply renders a response batch as a one-call v3 stream.
+// encodeReply renders a response batch as a one-call stream.
 func encodeReply(t interface{ Fatal(...any) }, resps []Response, tag uint64) []byte {
 	ts := newTestStream()
 	if err := writeReply(ts.writer(tag), resps, 42); err != nil {
@@ -119,6 +156,11 @@ func checkDecoded(t *testing.T, i int, p Payload) {
 	if p.Kind == PayloadMatrix && p.Values != nil && len(p.Values) != p.Rows*p.Cols {
 		t.Fatalf("payload %d decoded %d values for %dx%d", i, len(p.Values), p.Rows, p.Cols)
 	}
+	for _, c := range p.Frame {
+		if c.Len() != p.Rows || (c.NA != nil && len(c.NA) != p.Rows) {
+			t.Fatalf("payload %d decoded column %q of %d cells (NA mask %d) for %d rows", i, c.Name, c.Len(), len(c.NA), p.Rows)
+		}
+	}
 }
 
 // FuzzWireEnvelope drives the server-side decode path (readBatch) with
@@ -140,6 +182,16 @@ func FuzzWireEnvelope(f *testing.F) {
 	// A hand-forged mutation seed: valid envelope with its tail cut off.
 	full := encodeBatch(f, []Request{{Type: Put, ID: 9, Data: MatrixPayload(m)}}, 0, 12)
 	f.Add(full[:len(full)/2])
+	// Frame payloads: every column type, NA masks, multi-byte strings.
+	fr := FramePayload(frame.MustNew(
+		frame.StringColumn("s", []string{"ab", "", "日本"}),
+		frame.FloatColumn("f", []float64{math.NaN(), -0.5, math.Inf(-1)}),
+		frame.IntColumn("i", []int64{math.MinInt64, 0, math.MaxInt64}),
+		&frame.Column{Name: "b", Type: frame.Boolean, Bools: []bool{true, false, true}, NA: []bool{false, true, false}},
+	))
+	f.Add(encodeBatch(f, []Request{{Type: Put, ID: 3, Data: fr}, {Type: Get, ID: 3}}, 0, 4))
+	full = encodeBatch(f, []Request{{Type: Put, ID: 3, Data: fr}}, 0, 5)
+	f.Add(full[:len(full)-5])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reqs, deadline, tag, err := readBatch(requestStreamReader(data))
@@ -204,7 +256,7 @@ func chunkFrame(tag uint64, p []byte) []byte {
 func interleavedStream(t interface{ Fatal(...any) }, reply bool, bulkTag, smallTag uint64, bulk, small Payload, extra func(env func(uint64, Payload), raw func([]byte))) []byte {
 	ts := newTestStream()
 	env := func(tag uint64, p Payload) {
-		var e any = requestEnvelope([]Request{{Type: Put, ID: int64(tag), Data: p}}, 0, tag)
+		var e any = requestEnvelope(t, []Request{{Type: Put, ID: int64(tag), Data: p}}, 0, tag)
 		if reply {
 			e = replyEnvelope([]Response{{OK: true, Data: p, Epoch: 5}}, 1, tag)
 		}
@@ -217,11 +269,11 @@ func interleavedStream(t interface{ Fatal(...any) }, reply bool, bulkTag, smallT
 			t.Fatal(err)
 		}
 	}
-	bulkChunks := slabChunks(bulk)
+	bulkChunks := slabChunks(t, bulk)
 	env(bulkTag, bulk)
 	raw(chunkFrame(bulkTag, bulkChunks[0]))
 	env(smallTag, small)
-	for _, c := range slabChunks(small) {
+	for _, c := range slabChunks(t, small) {
 		raw(chunkFrame(smallTag, c))
 	}
 	if extra != nil {
@@ -263,10 +315,17 @@ func FuzzWireStream(f *testing.F) {
 	}
 	// A chunk longer than what is left of its slab.
 	ts := newTestStream()
-	if err := ts.writer(4).envelope(requestEnvelope([]Request{{Type: Put, ID: 4, Data: small}}, 0, 4)); err != nil {
+	if err := ts.writer(4).envelope(requestEnvelope(f, []Request{{Type: Put, ID: 4, Data: small}}, 0, 4)); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(append(ts.bytes(f), chunkFrame(4, make([]byte, 40))...), false)
+	// A multi-chunk frame interleaved with the small call, clean and cut
+	// inside its last chunk.
+	for _, reply := range []bool{false, true} {
+		full := interleavedStream(f, reply, 1, 2, interleaveFrame(), small, nil)
+		f.Add(full, reply)
+		f.Add(full[:len(full)-1000], reply)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, reply bool) {
 		if reply {

@@ -3,8 +3,8 @@
 // exchanged between a coordinator and standing federated workers. A single
 // RPC carries a sequence of requests and returns one response per request;
 // the coordinator issues RPCs to all workers in parallel. Transport is TCP
-// with one wire format (gob control envelope + raw float64 slabs, see
-// wire.go), optionally TLS-encrypted (the paper's SSL setting) and
+// with one wire format (gob control envelope + raw matrix and frame-column
+// slabs, see wire.go), optionally TLS-encrypted (the paper's SSL setting) and
 // optionally shaped by package netem for WAN experiments.
 package fedrpc
 
@@ -191,7 +191,9 @@ func (p Payload) Matrix() *matrix.Dense {
 	return matrix.NewDenseData(p.Rows, p.Cols, p.Values)
 }
 
-// FramePayload wraps a frame for transfer.
+// FramePayload wraps a frame for transfer. Like MatrixPayload, the payload
+// aliases f's columns — no copy — so f must not be mutated until the
+// payload has been fully serialized.
 func FramePayload(f *frame.Frame) Payload {
 	cols := make([]*frame.Column, f.NumCols())
 	for j := range cols {

@@ -196,6 +196,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		return true
 	}
 	writeOne := func(resps []Response, elapsed time.Duration, tag uint64) {
+		rep, slabs := replyFrames(resps)
+		rep.Tag, rep.ExecNanos = tag, int64(elapsed)
 		defer func() { <-wtok }()
 		if !take() {
 			return
@@ -207,7 +209,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return nil
 		}}
-		werr := writeReply(fw, resps, int64(elapsed))
+		werr := fw.write(rep, slabs)
 		switch {
 		case errors.Is(werr, errWriterPoisoned):
 			return

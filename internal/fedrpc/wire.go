@@ -1,16 +1,27 @@
 package fedrpc
 
-// The wire format (version 3) — the only one this package speaks.
+// The wire format (version 4) — the only one this package speaks.
 //
-// Gob-encoding whole batches, dense float64 slabs included, makes
-// encode/decode the dominant phase of matrix-heavy RPCs (gob walks every
-// value through reflection and varint-compresses it), so each batch is a
-// gob control envelope (wireEnvelope / wireReply) carrying everything
-// small — types, IDs, dims, errors, instructions, the call tag, the batch
-// epoch — while each payload's Values ([]float64) and Bytes ([]byte)
-// contents travel as raw little-endian slabs, written directly from (and
-// read directly into) the backing arrays, each covered by a CRC-32C in its
-// descriptor.
+// Gob-encoding whole batches, dense float64 slabs and frame columns
+// included, makes encode/decode the dominant phase of data-heavy RPCs (gob
+// walks every value through reflection and varint-compresses it), so each
+// batch is a gob control envelope (wireEnvelope / wireReply) carrying
+// everything small — types, IDs, dims, errors, instructions, the call tag,
+// the batch epoch, and one descriptor per slab — while the data travels as
+// raw little-endian slabs, written directly from (and read directly into)
+// the backing arrays, each covered by a CRC-32C in its descriptor. A
+// payload's slabs, in wire order:
+//
+//	Values          8-byte LE floats (a matrix's row-major cells)
+//	Bytes           raw bytes (a UDF's result)
+//	per frame column, in column order:
+//	  Float64/Int64   8-byte LE words, one per cell
+//	  Boolean         one byte per cell, 0 or 1
+//	  String          uint32 LE end offsets, one per cell, then the cells'
+//	                  bytes end to end (Arrow's layout); a cell is the
+//	                  bytes from the previous end offset (0 for the first)
+//	                  to its own
+//	  NA mask         one byte per cell, 0 or 1, when the column has one
 //
 // Every connection carries the batches of many pipelined calls, and a
 // multi-megabyte slab must not hold the connection while a small call
@@ -20,20 +31,23 @@ package fedrpc
 //	'E' <one gob message>                     the envelope of a batch
 //	'C' <tag u64 LE> <len u32 LE> <len bytes> the next chunk of that tag's slabs
 //
-// A batch is its envelope followed by its slabs in batch order (per
-// payload, Values before Bytes), cut into chunks of at most slabChunk
-// bytes that never span two slabs; a Values chunk is a whole number of
-// floats. Frames of different tags interleave freely: a writer gives the
-// connection up after every slabChunk bytes of chunks, so a waiting call's
-// envelope and short slabs go out before the bulk call's next chunk. The
-// reader keeps one open batch per tag whose slabs are still arriving,
-// fills each slab straight into its destination array, and hands the
-// batch on once its last slab is complete. A frame that does not fit —
-// a chunk for an unknown or completed tag, a chunk past its slab, a second
-// envelope for an open tag, an untagged envelope — is a torn interleave:
-// ErrDesync, and the session is torn down. gob remains the envelope codec
-// because it is self-delimiting on a stream and never reads past a
-// message boundary.
+// A batch is its envelope followed by its slabs in batch order, cut into
+// chunks of at most slabChunk bytes that never span two slabs and always
+// carry whole elements (words, offsets). Frames of different tags
+// interleave freely: a writer gives the connection up after every
+// slabChunk bytes of chunks, so a waiting call's envelope and short slabs
+// go out before the bulk call's next chunk. The reader keeps one open
+// batch per tag whose slabs are still arriving, fills each slab straight
+// into a freshly allocated destination array of its type, and hands the
+// batch on once its last slab is complete; a decoded string cell is a view
+// into its column's bytes slab. A frame that does not fit — a chunk for an
+// unknown or completed tag, a chunk past its slab, a second envelope for an
+// open tag, an untagged envelope — is a torn interleave, and a slab that
+// does not hold what its descriptor promises — a checksum mismatch, a
+// boolean byte above 1, string offsets that decrease or do not end at the
+// bytes slab's length — is corrupt: either is ErrDesync, and the session is
+// torn down. gob remains the envelope codec because it is self-delimiting
+// on a stream and never reads past a message boundary.
 //
 // Handshake: the client opens every connection with the 5-byte prelude
 // {0x00, 'X', 'D', 'R', version} and the server answers with its own. The
@@ -63,7 +77,7 @@ import (
 
 // wireVersion is the wire-format version this build speaks. Both ends of a
 // connection must match it exactly.
-const wireVersion byte = 3
+const wireVersion byte = 4
 
 // wirePrelude is the 5-byte stream prelude: a magic tag and the version
 // byte.
@@ -79,6 +93,11 @@ var ErrWireVersion = errors.New("fedrpc: wire version mismatch")
 // is closed; the next call redials.
 var ErrDesync = errors.New("fedrpc: stream desync")
 
+// ErrSlabTooLarge marks a payload the writer refuses before it writes
+// anything: a slab longer than a reader accepts (maxSlabBytes), or a
+// String column with more bytes than its uint32 end offsets can address.
+var ErrSlabTooLarge = errors.New("fedrpc: slab too large for the wire")
+
 // Frame kinds: the byte that opens every frame after the prelude.
 const (
 	frameEnvelope byte = 'E'
@@ -91,6 +110,10 @@ const chunkHeaderLen = 1 + 8 + 4
 // maxSlabBytes bounds a single decoded slab (16 GiB) so a corrupt or
 // hostile envelope cannot OOM the process with one forged length.
 const maxSlabBytes = int64(1) << 34
+
+// maxStringBytes bounds a String column's bytes slab: its end offsets are
+// uint32. A variable only so that tests can reach it with small columns.
+var maxStringBytes int64 = math.MaxUint32
 
 // maxEagerSlabBytes bounds what a reader allocates on the word of
 // unverified length descriptors, across all the slabs it has in progress
@@ -111,7 +134,7 @@ const maxEagerSlabBytes = 16 << 20
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // wireEnvelope is the control message of one request batch: Request with
-// the slab contents (Payload.Values/Bytes) hoisted out. Keep wireRequest's
+// the slab contents (Payload.Values, Bytes and frame cells) hoisted out. Keep wireRequest's
 // fields in sync with Request — TestWireRequestFieldParity enforces it.
 type wireEnvelope struct {
 	Requests []wireRequest
@@ -156,18 +179,17 @@ type wireResponse struct {
 	Data wirePayload
 }
 
-// wirePayload is a Payload with the two slab fields replaced by their
-// lengths: NVals float64s and NBytes bytes follow the envelope as raw
-// slabs in chunk frames, in batch order, Values before Bytes. Length -1
-// preserves a nil slice across the wire (0 is a present-but-empty slab).
-// Frames keep traveling inside the envelope: they are typed columns
-// (strings included) with no flat numeric backing array to alias.
+// wirePayload is a Payload with its slab contents replaced by their
+// descriptors: NVals float64s and NBytes bytes follow the envelope as raw
+// slabs in chunk frames, in batch order, Values before Bytes, then each
+// frame column's slabs. Length -1 preserves a nil slice across the wire (0
+// is a present-but-empty slab).
 type wirePayload struct {
 	Kind   PayloadKind
 	Rows   int
 	Cols   int
 	Scalar float64
-	Frame  []*frame.Column
+	Frame  []wireColumn
 	NVals  int
 	NBytes int
 	// ValsCRC and BytesCRC are CRC-32C checksums of the two slabs' wire
@@ -176,78 +198,265 @@ type wirePayload struct {
 	BytesCRC uint32
 }
 
-// toWirePayload hoists the slab lengths out of p and stamps each slab's
-// CRC-32C (over the little-endian wire representation — identical to the
-// in-memory bytes on LE hosts, converted on others).
-func toWirePayload(p Payload) wirePayload {
-	wp := wirePayload{Kind: p.Kind, Rows: p.Rows, Cols: p.Cols,
-		Scalar: p.Scalar, Frame: p.Frame, NVals: -1, NBytes: -1}
-	if p.Values != nil {
-		wp.NVals = len(p.Values)
-		wp.ValsCRC = updateFloatCRC(0, p.Values)
-	}
-	if p.Bytes != nil {
-		wp.NBytes = len(p.Bytes)
-		wp.BytesCRC = crc32.Checksum(p.Bytes, castagnoli)
-	}
-	return wp
+// wireColumn is a frame.Column with its cell arrays replaced by the
+// descriptors of the slabs that carry them. Keep its fields in sync with
+// frame.Column — TestWireColumnFieldParity enforces it.
+type wireColumn struct {
+	Name string
+	Type frame.ValueType
+	// Len is the column's cell count; it must be the payload's Rows.
+	Len int
+	// Data describes the cell slabs: one for a Float64, Int64 or Boolean
+	// column; the end offsets, then the bytes, for a String column.
+	Data []wireSlab
+	// NA describes the NA mask's slab; nil when the column has no mask.
+	NA *wireSlab
 }
 
-// updateFloatCRC extends crc over f's little-endian wire bytes.
-func updateFloatCRC(crc uint32, f []float64) uint32 {
-	if hostLittleEndian {
-		return crc32.Update(crc, castagnoli, floatBytes(f))
-	}
-	var buf [8]byte
-	for _, v := range f {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		crc = crc32.Update(crc, castagnoli, buf[:])
-	}
-	return crc
+// wireSlab describes one frame-column slab: its length in wire bytes and
+// the CRC-32C of those bytes.
+type wireSlab struct {
+	Size int
+	CRC  uint32
 }
 
-// checkPayload rejects a slab descriptor a hostile or corrupted envelope
-// could carry before anything is allocated for it.
-func checkPayload(wp wirePayload) error {
-	if wp.NVals < -1 || int64(wp.NVals)*8 > maxSlabBytes {
-		return fmt.Errorf("%w: invalid values-slab length %d", ErrDesync, wp.NVals)
+// --- writing --------------------------------------------------------------
+
+// outSlab is one slab to write: the native-order byte view of its array,
+// and the width in bytes of the array's elements.
+type outSlab struct {
+	b     []byte
+	width int
+}
+
+// slabOf views s as a slab (no copy).
+func slabOf[T any](s []T) outSlab {
+	var zero T
+	return outSlab{b: asBytes(s), width: int(unsafe.Sizeof(zero))}
+}
+
+// asBytes reinterprets s as its raw byte view (no copy).
+func asBytes[T any](s []T) []byte {
+	if len(s) == 0 {
+		return nil
 	}
-	if wp.NBytes < -1 || int64(wp.NBytes) > maxSlabBytes {
-		return fmt.Errorf("%w: invalid bytes-slab length %d", ErrDesync, wp.NBytes)
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0])))
+}
+
+// eachChunk calls fn with the slab's wire bytes, at most slabChunk at a
+// time and in whole elements: cut straight from the array on
+// little-endian hosts and for byte slabs, converted through a pooled
+// staging buffer otherwise.
+func (s outSlab) eachChunk(fn func([]byte) error) error {
+	if !hostLittleEndian && s.width > 1 {
+		return s.eachChunkPortable(fn)
 	}
-	if wp.Kind == PayloadMatrix && wp.NVals >= 0 && wp.NVals != wp.Rows*wp.Cols {
-		return fmt.Errorf("%w: matrix slab has %d values for %dx%d", ErrDesync, wp.NVals, wp.Rows, wp.Cols)
+	for b := s.b; len(b) > 0; {
+		n := min(len(b), slabChunk)
+		if err := fn(b[:n]); err != nil {
+			return err
+		}
+		b = b[n:]
 	}
 	return nil
 }
 
-// requestEnvelope builds the control message of a request batch.
-func requestEnvelope(reqs []Request, deadlineNanos int64, tag uint64) *wireEnvelope {
-	env := &wireEnvelope{Requests: make([]wireRequest, len(reqs)),
-		DeadlineNanos: deadlineNanos, Tag: tag}
+// eachChunkPortable is eachChunk's explicit-conversion path for hosts
+// whose byte order is not the wire's (also exercised directly by tests so
+// it is covered on every host).
+func (s outSlab) eachChunkPortable(fn func([]byte) error) error {
+	bp := slabPool.Get().(*[]byte)
+	defer slabPool.Put(bp)
+	buf := *bp
+	for b := s.b; len(b) > 0; {
+		n := min(len(b), len(buf))
+		leOrder(buf[:n], b[:n], s.width)
+		if err := fn(buf[:n]); err != nil {
+			return err
+		}
+		b = b[n:]
+	}
+	return nil
+}
+
+// crc returns the CRC-32C of the slab's wire bytes.
+func (s outSlab) crc() uint32 {
+	var crc uint32
+	_ = s.eachChunk(func(b []byte) error {
+		crc = crc32.Update(crc, castagnoli, b)
+		return nil
+	})
+	return crc
+}
+
+// leOrder copies src to dst converting each width-byte word between
+// native and little-endian order: the same swap in either direction, and a
+// plain copy on little-endian hosts. dst may be src.
+func leOrder(dst, src []byte, width int) {
+	switch width {
+	case 8:
+		for i := 0; i+8 <= len(src); i += 8 {
+			binary.LittleEndian.PutUint64(dst[i:], binary.NativeEndian.Uint64(src[i:]))
+		}
+	case 4:
+		for i := 0; i+4 <= len(src); i += 4 {
+			binary.LittleEndian.PutUint32(dst[i:], binary.NativeEndian.Uint32(src[i:]))
+		}
+	default:
+		copy(dst, src)
+	}
+}
+
+// slabList collects a batch's slabs in wire order while its payloads are
+// described.
+type slabList []outSlab
+
+// add appends s and returns its descriptor.
+func (l *slabList) add(s outSlab) (wireSlab, error) {
+	if int64(len(s.b)) > maxSlabBytes {
+		return wireSlab{}, fmt.Errorf("%w: %d bytes", ErrSlabTooLarge, len(s.b))
+	}
+	*l = append(*l, s)
+	return wireSlab{Size: len(s.b), CRC: s.crc()}, nil
+}
+
+// payload describes p, appending its slabs. The CRC-32C of each slab is
+// taken over its little-endian wire bytes — identical to the in-memory
+// bytes on LE hosts, converted on others.
+func (l *slabList) payload(p Payload) (wirePayload, error) {
+	wp := wirePayload{Kind: p.Kind, Rows: p.Rows, Cols: p.Cols, Scalar: p.Scalar, NVals: -1, NBytes: -1}
+	if p.Values != nil {
+		d, err := l.add(slabOf(p.Values))
+		if err != nil {
+			return wirePayload{}, err
+		}
+		wp.NVals, wp.ValsCRC = len(p.Values), d.CRC
+	}
+	if p.Bytes != nil {
+		d, err := l.add(slabOf(p.Bytes))
+		if err != nil {
+			return wirePayload{}, err
+		}
+		wp.NBytes, wp.BytesCRC = len(p.Bytes), d.CRC
+	}
+	if len(p.Frame) > 0 {
+		wp.Frame = make([]wireColumn, len(p.Frame))
+		for i, c := range p.Frame {
+			wc, err := l.column(c)
+			if err != nil {
+				return wirePayload{}, fmt.Errorf("column %q: %w", c.Name, err)
+			}
+			wp.Frame[i] = wc
+		}
+	}
+	return wp, nil
+}
+
+// column describes c, appending its slabs.
+func (l *slabList) column(c *frame.Column) (wireColumn, error) {
+	wc := wireColumn{Name: c.Name, Type: c.Type, Len: c.Len()}
+	var data []outSlab
+	switch c.Type {
+	case frame.Float64:
+		data = []outSlab{slabOf(c.Floats)}
+	case frame.Int64:
+		data = []outSlab{slabOf(c.Ints)}
+	case frame.Boolean:
+		data = []outSlab{slabOf(c.Bools)}
+	case frame.String:
+		offs, b, err := stringSlabs(c.Strings)
+		if err != nil {
+			return wireColumn{}, err
+		}
+		data = []outSlab{slabOf(offs), slabOf(b)}
+	default:
+		return wireColumn{}, fmt.Errorf("unknown column type %v", c.Type)
+	}
+	wc.Data = make([]wireSlab, len(data))
+	for i, s := range data {
+		d, err := l.add(s)
+		if err != nil {
+			return wireColumn{}, err
+		}
+		wc.Data[i] = d
+	}
+	if c.NA != nil {
+		if len(c.NA) != wc.Len {
+			return wireColumn{}, fmt.Errorf("NA mask of %d cells for %d", len(c.NA), wc.Len)
+		}
+		d, err := l.add(slabOf(c.NA))
+		if err != nil {
+			return wireColumn{}, err
+		}
+		wc.NA = &d
+	}
+	return wc, nil
+}
+
+// stringSlabs lays string cells out as Arrow does: the uint32 end offset
+// of every cell, and the cells' bytes end to end.
+func stringSlabs(cells []string) ([]uint32, []byte, error) {
+	n := 0
+	for _, s := range cells {
+		n += len(s)
+	}
+	if int64(n) > maxStringBytes {
+		return nil, nil, fmt.Errorf("%w: %d string bytes, more than %d offsets can address", ErrSlabTooLarge, n, maxStringBytes)
+	}
+	offs := make([]uint32, len(cells))
+	b := make([]byte, 0, n)
+	for i, s := range cells {
+		b = append(b, s...)
+		offs[i] = uint32(len(b))
+	}
+	return offs, b, nil
+}
+
+// requestFrames builds a request batch in wire form: its envelope, whose
+// Tag and DeadlineNanos the caller sets when it writes it, and its slabs
+// in wire order. A payload the wire cannot carry fails it before anything
+// is written.
+func requestFrames(reqs []Request) (*wireEnvelope, []outSlab, error) {
+	env := &wireEnvelope{Requests: make([]wireRequest, len(reqs))}
+	var l slabList
 	for i, rq := range reqs {
+		data, err := l.payload(rq.Data)
+		if err != nil {
+			return nil, nil, fmt.Errorf("fedrpc: %s request %d: %w", rq.Type, i, err)
+		}
 		env.Requests[i] = wireRequest{
 			Type: rq.Type, ID: rq.ID, Filename: rq.Filename,
 			Privacy: rq.Privacy, ColPrivacy: rq.ColPrivacy,
-			Data: toWirePayload(rq.Data), Inst: rq.Inst, UDF: rq.UDF,
+			Data: data, Inst: rq.Inst, UDF: rq.UDF,
 		}
 	}
-	return env
+	return env, l, nil
 }
 
-// replyEnvelope builds the control message of a response batch, echoing
-// the request's call tag. The epoch is hoisted from the responses (one
-// worker process answered the whole batch, so the first nonzero stamp
-// represents them all) into the envelope.
-func replyEnvelope(resps []Response, execNanos int64, tag uint64) *wireReply {
-	rep := &wireReply{Responses: make([]wireResponse, len(resps)), ExecNanos: execNanos, Tag: tag}
+// replyFrames builds a response batch in wire form: its envelope, whose
+// Tag and ExecNanos the caller sets, and its slabs in wire order. The
+// epoch is hoisted from the responses (one worker process answered the
+// whole batch, so the first nonzero stamp represents them all) into the
+// envelope. A response whose payload the wire cannot carry goes out as a
+// failed response naming the reason, so the rest of the batch still
+// arrives.
+func replyFrames(resps []Response) (*wireReply, []outSlab) {
+	rep := &wireReply{Responses: make([]wireResponse, len(resps))}
+	var l slabList
 	for i, rs := range resps {
 		if rep.Epoch == 0 {
 			rep.Epoch = rs.Epoch
 		}
-		rep.Responses[i] = wireResponse{OK: rs.OK, Err: rs.Err, Code: rs.Code, Data: toWirePayload(rs.Data)}
+		mark := len(l)
+		data, err := l.payload(rs.Data)
+		if err != nil {
+			l = l[:mark]
+			rs = Errorf("reply payload: %v", err)
+			data = wirePayload{NVals: -1, NBytes: -1}
+		}
+		rep.Responses[i] = wireResponse{OK: rs.OK, Err: rs.Err, Code: rs.Code, Data: data}
 	}
-	return rep
+	return rep, l
 }
 
 func (e *wireEnvelope) callTag() uint64 { return e.Tag }
@@ -293,8 +502,6 @@ func (r *wireReply) responses(data []Payload) []Response {
 	return resps
 }
 
-// --- writing --------------------------------------------------------------
-
 // frameWriter writes one call's frames onto the connection's buffered
 // stream, which every call on the connection shares under its write token.
 // The caller holds the token from the envelope to the final flush, except
@@ -312,28 +519,15 @@ type frameWriter struct {
 	held  int // chunk bytes written since the token was last taken
 }
 
-// writeBatch writes one request batch: envelope, then slabs.
-// deadlineNanos is the relative call budget carried to the server (0 = no
-// deadline). The caller flushes.
-func writeBatch(fw *frameWriter, reqs []Request, deadlineNanos int64) error {
-	if err := fw.envelope(requestEnvelope(reqs, deadlineNanos, fw.tag)); err != nil {
+// write writes one batch: its envelope, then its slabs in wire order.
+// Empty slabs have no chunks: their descriptors say all there is. The
+// caller flushes.
+func (fw *frameWriter) write(env any, slabs []outSlab) error {
+	if err := fw.envelope(env); err != nil {
 		return err
 	}
-	for i := range reqs {
-		if err := fw.slabs(reqs[i].Data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeReply writes one response batch. The caller flushes.
-func writeReply(fw *frameWriter, resps []Response, execNanos int64) error {
-	if err := fw.envelope(replyEnvelope(resps, execNanos, fw.tag)); err != nil {
-		return err
-	}
-	for i := range resps {
-		if err := fw.slabs(resps[i].Data); err != nil {
+	for _, s := range slabs {
+		if err := s.eachChunk(fw.chunk); err != nil {
 			return err
 		}
 	}
@@ -346,57 +540,6 @@ func (fw *frameWriter) envelope(env any) error {
 		return err
 	}
 	return fw.enc.Encode(env)
-}
-
-// slabs writes p's slabs in wire order (Values, then Bytes). Empty slabs
-// have no chunks: their descriptors say all there is.
-func (fw *frameWriter) slabs(p Payload) error {
-	if len(p.Values) > 0 {
-		if hostLittleEndian {
-			if err := fw.byteSlab(floatBytes(p.Values)); err != nil {
-				return err
-			}
-		} else if err := fw.floatSlabPortable(p.Values); err != nil {
-			return err
-		}
-	}
-	if len(p.Bytes) > 0 {
-		return fw.byteSlab(p.Bytes)
-	}
-	return nil
-}
-
-// byteSlab writes b as chunks taken straight from it (on little-endian
-// hosts this is also the zero-copy path for float slabs).
-func (fw *frameWriter) byteSlab(b []byte) error {
-	for len(b) > 0 {
-		n := min(len(b), slabChunk)
-		if err := fw.chunk(b[:n]); err != nil {
-			return err
-		}
-		b = b[n:]
-	}
-	return nil
-}
-
-// floatSlabPortable is the explicit-conversion path for hosts whose byte
-// order is not the wire's: each chunk is converted into a pooled staging
-// buffer (also exercised directly by tests so it is covered on every host).
-func (fw *frameWriter) floatSlabPortable(f []float64) error {
-	bp := slabPool.Get().(*[]byte)
-	defer slabPool.Put(bp)
-	buf := *bp
-	for len(f) > 0 {
-		n := min(len(f), len(buf)/8)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(f[i]))
-		}
-		if err := fw.chunk(buf[:n*8]); err != nil {
-			return err
-		}
-		f = f[n:]
-	}
-	return nil
 }
 
 // chunk writes one chunk frame, first yielding the token if this hold has
@@ -446,7 +589,8 @@ type envelopePtr[E any] interface {
 // whose slabs are still arriving and reassembles every slab straight into
 // its destination array — freshly allocated, never pooled: ownership
 // transfers to the decoded Payload (a PUT binds the slab into the symbol
-// table as-is), so recycling would alias live objects.
+// table as-is, and string cells are views into their bytes slab), so
+// recycling would alias live objects.
 type frameReader[E any, P envelopePtr[E]] struct {
 	br      *bufio.Reader
 	dec     *gob.Decoder
@@ -467,23 +611,175 @@ type (
 	replyReader   = frameReader[wireReply, *wireReply]
 )
 
-// openBatch is a batch whose envelope has arrived: its payloads, and the
-// slabs still to fill, in wire order.
+// openBatch is a batch whose envelope has arrived: its payloads, the slabs
+// still to fill, in wire order, and the String columns whose cells are cut
+// from their slabs once the batch is complete.
 type openBatch[E any] struct {
-	env   E
-	data  []Payload
-	slabs []slab
+	env     E
+	data    []Payload
+	slabs   []slab
+	strings []*stringSlabsIn
 }
 
-// slab is one slab under reassembly into its payload's Values or Bytes.
+// slab is one slab under reassembly into its destination array.
 type slab struct {
-	dst   *Payload
-	float bool   // a Values slab, whose chunks carry whole floats
+	what string // names the slab in errors
+	// grow reallocates the destination at elems elements, keeping what it
+	// holds, binds it where the decoded payload keeps it, and returns its
+	// byte view.
+	grow  func(elems int) []byte
+	width int    // element size: chunks carry whole elements
+	bools bool   // Boolean cells or an NA mask: every byte must be 0 or 1
+	buf   []byte // the destination's byte view, as allocated so far
 	size  int    // wire bytes
 	want  uint32 // CRC-32C from the descriptor
 	got   int    // bytes received so far
 	crc   uint32 // CRC-32C of the bytes received so far
 	eager int    // the reader's eager budget this slab holds until it completes
+}
+
+// newSlab describes a slab of d.Size wire bytes that decodes into *dst.
+func newSlab[T any](dst *[]T, what string, d wireSlab) slab {
+	var zero T
+	_, bools := any(zero).(bool)
+	return slab{what: what, width: int(unsafe.Sizeof(zero)), bools: bools, size: d.Size, want: d.CRC,
+		grow: func(elems int) []byte {
+			grown := make([]T, elems)
+			copy(grown, *dst)
+			*dst = grown
+			return asBytes(grown)
+		}}
+}
+
+// stringSlabsIn is a received String column's two slabs.
+type stringSlabsIn struct {
+	col   *frame.Column
+	offs  []uint32
+	bytes []byte
+}
+
+// cells cuts the column's cells from its bytes slab: each is a view into
+// it, not a copy, so the column costs two allocations, not one per cell.
+func (s *stringSlabsIn) cells() error {
+	if len(s.offs) == 0 {
+		return nil
+	}
+	cells := make([]string, len(s.offs))
+	lo := uint32(0)
+	for i, hi := range s.offs {
+		if hi < lo || int64(hi) > int64(len(s.bytes)) {
+			return fmt.Errorf("%w: column %q: string offset %d of cell %d after %d, in %d bytes",
+				ErrDesync, s.col.Name, hi, i, lo, len(s.bytes))
+		}
+		if hi > lo {
+			cells[i] = unsafe.String(&s.bytes[lo], hi-lo)
+		}
+		lo = hi
+	}
+	if int(lo) != len(s.bytes) {
+		return fmt.Errorf("%w: column %q: string offsets end at %d of %d bytes", ErrDesync, s.col.Name, lo, len(s.bytes))
+	}
+	s.col.Strings = cells
+	return nil
+}
+
+// add queues s unless it is empty: an empty slab has no chunks.
+func (b *openBatch[E]) add(s slab) {
+	if s.size > 0 {
+		b.slabs = append(b.slabs, s)
+	}
+}
+
+// columns opens the frame columns of payload p.
+func (b *openBatch[E]) columns(p *Payload, wcs []wireColumn) {
+	p.Frame = make([]*frame.Column, len(wcs))
+	for i, wc := range wcs {
+		c := &frame.Column{Name: wc.Name, Type: wc.Type}
+		p.Frame[i] = c
+		switch wc.Type {
+		case frame.Float64:
+			b.add(newSlab(&c.Floats, "float cells", wc.Data[0]))
+		case frame.Int64:
+			b.add(newSlab(&c.Ints, "int cells", wc.Data[0]))
+		case frame.Boolean:
+			b.add(newSlab(&c.Bools, "boolean cells", wc.Data[0]))
+		case frame.String:
+			s := &stringSlabsIn{col: c}
+			b.strings = append(b.strings, s)
+			b.add(newSlab(&s.offs, "string offsets", wc.Data[0]))
+			b.add(newSlab(&s.bytes, "string bytes", wc.Data[1]))
+		}
+		if wc.NA != nil {
+			b.add(newSlab(&c.NA, "NA mask", *wc.NA))
+		}
+	}
+}
+
+// complete cuts the batch's string cells once all its slabs are in.
+func (b *openBatch[E]) complete() error {
+	for _, s := range b.strings {
+		if err := s.cells(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkPayload rejects a slab descriptor a hostile or corrupted envelope
+// could carry before anything is allocated for it.
+func checkPayload(wp wirePayload) error {
+	if wp.NVals < -1 || int64(wp.NVals)*8 > maxSlabBytes {
+		return fmt.Errorf("%w: invalid values-slab length %d", ErrDesync, wp.NVals)
+	}
+	if wp.NBytes < -1 || int64(wp.NBytes) > maxSlabBytes {
+		return fmt.Errorf("%w: invalid bytes-slab length %d", ErrDesync, wp.NBytes)
+	}
+	if wp.Kind == PayloadMatrix && wp.NVals >= 0 && wp.NVals != wp.Rows*wp.Cols {
+		return fmt.Errorf("%w: matrix slab has %d values for %dx%d", ErrDesync, wp.NVals, wp.Rows, wp.Cols)
+	}
+	for _, wc := range wp.Frame {
+		if err := checkColumn(wc, wp.Rows); err != nil {
+			return fmt.Errorf("%w: column %q: %v", ErrDesync, wc.Name, err)
+		}
+	}
+	return nil
+}
+
+// checkColumn checks a column descriptor against its frame's row count and
+// the slabs its type has.
+func checkColumn(wc wireColumn, rows int) error {
+	if wc.Len != rows || wc.Len < 0 || int64(wc.Len) > maxSlabBytes/8 {
+		return fmt.Errorf("%d cells in a %d-row frame", wc.Len, rows)
+	}
+	n := wc.Len
+	var want []int // each slab's size; -1: the string bytes, checked below
+	switch wc.Type {
+	case frame.Float64, frame.Int64:
+		want = []int{8 * n}
+	case frame.Boolean:
+		want = []int{n}
+	case frame.String:
+		want = []int{4 * n, -1}
+	default:
+		return fmt.Errorf("unknown column type %v", wc.Type)
+	}
+	if len(wc.Data) != len(want) {
+		return fmt.Errorf("%d cell slabs for a %v column", len(wc.Data), wc.Type)
+	}
+	for i, d := range wc.Data {
+		if want[i] >= 0 && d.Size != want[i] {
+			return fmt.Errorf("cell slab of %d bytes for %d cells", d.Size, n)
+		}
+	}
+	if wc.Type == frame.String {
+		if b := wc.Data[1].Size; b < 0 || int64(b) > maxStringBytes || (n == 0 && b != 0) {
+			return fmt.Errorf("string bytes slab of %d bytes for %d cells", b, n)
+		}
+	}
+	if wc.NA != nil && wc.NA.Size != n {
+		return fmt.Errorf("NA mask of %d bytes for %d cells", wc.NA.Size, n)
+	}
+	return nil
 }
 
 func newFrameReader[E any, P envelopePtr[E]](br *bufio.Reader, maxOpen int) *frameReader[E, P] {
@@ -527,21 +823,27 @@ func (r *frameReader[E, P]) readEnvelope() (uint64, *openBatch[E], error) {
 			return 0, nil, err
 		}
 		p := &b.data[i]
-		*p = Payload{Kind: wp.Kind, Rows: wp.Rows, Cols: wp.Cols, Scalar: wp.Scalar, Frame: wp.Frame}
+		*p = Payload{Kind: wp.Kind, Rows: wp.Rows, Cols: wp.Cols, Scalar: wp.Scalar}
 		switch {
 		case wp.NVals == 0:
 			p.Values = []float64{}
 		case wp.NVals > 0:
-			b.slabs = append(b.slabs, slab{dst: p, float: true, size: wp.NVals * 8, want: wp.ValsCRC})
+			b.add(newSlab(&p.Values, "values", wireSlab{Size: wp.NVals * 8, CRC: wp.ValsCRC}))
 		}
 		switch {
 		case wp.NBytes == 0:
 			p.Bytes = []byte{}
 		case wp.NBytes > 0:
-			b.slabs = append(b.slabs, slab{dst: p, size: wp.NBytes, want: wp.BytesCRC})
+			b.add(newSlab(&p.Bytes, "bytes", wireSlab{Size: wp.NBytes, CRC: wp.BytesCRC}))
+		}
+		if len(wp.Frame) > 0 {
+			b.columns(p, wp.Frame)
 		}
 	}
 	if len(b.slabs) == 0 {
+		if err := b.complete(); err != nil {
+			return 0, nil, err
+		}
 		return tag, b, nil
 	}
 	if len(r.open) >= r.maxOpen {
@@ -564,9 +866,9 @@ func (r *frameReader[E, P]) readChunk() (uint64, *openBatch[E], error) {
 		return 0, nil, fmt.Errorf("%w: chunk for unknown or completed call tag %d", ErrDesync, tag)
 	}
 	s := &b.slabs[0]
-	if n <= 0 || n > slabChunk || n > s.size-s.got || (s.float && n%8 != 0) {
-		return 0, nil, fmt.Errorf("%w: chunk of %d bytes past its slab (call tag %d, %d of %d bytes received)",
-			ErrDesync, n, tag, s.got, s.size)
+	if n <= 0 || n > slabChunk || n > s.size-s.got || n%s.width != 0 {
+		return 0, nil, fmt.Errorf("%w: chunk of %d bytes past its %s slab (call tag %d, %d of %d bytes received)",
+			ErrDesync, n, s.what, tag, s.got, s.size)
 	}
 	if s.got == 0 {
 		s.eager = min(s.size, r.eager)
@@ -580,61 +882,52 @@ func (r *frameReader[E, P]) readChunk() (uint64, *openBatch[E], error) {
 	}
 	r.eager += s.eager
 	if s.crc != s.want {
-		kind := "bytes"
-		if s.float {
-			kind = "values"
-		}
-		return 0, nil, fmt.Errorf("%w: %s-slab checksum mismatch (%d bytes, call tag %d)", ErrDesync, kind, s.size, tag)
+		return 0, nil, fmt.Errorf("%w: %s slab checksum mismatch (%d bytes, call tag %d)", ErrDesync, s.what, s.size, tag)
 	}
 	if b.slabs = b.slabs[1:]; len(b.slabs) > 0 {
 		return tag, nil, nil
 	}
 	delete(r.open, tag)
+	if err := b.complete(); err != nil {
+		return 0, nil, err
+	}
 	return tag, b, nil
 }
 
 // fill reads the next n bytes of the slab into its destination, allocating
 // it at the first chunk (the eager share, or the chunk if that is larger)
-// and growing it by doubling after.
+// and growing it by doubling after, never past the slab's size. The CRC
+// runs over the wire bytes; on a big-endian host the words are then put in
+// native order in place.
 func (s *slab) fill(r io.Reader, n int) error {
 	lo, hi := s.got, s.got+n
-	first := max(s.eager, hi)
-	if s.float {
-		vals := growSlab(s.dst.Values, hi/8, first/8, s.size/8)
-		s.dst.Values = vals
-		if err := readFloatSlab(r, vals[lo/8:hi/8]); err != nil {
-			return err
+	if hi > len(s.buf) {
+		size := len(s.buf)
+		if size == 0 {
+			size = max(s.eager, hi)
 		}
-		s.crc = updateFloatCRC(s.crc, vals[lo/8:hi/8])
-	} else {
-		b := growSlab(s.dst.Bytes, hi, first, s.size)
-		s.dst.Bytes = b
-		if _, err := io.ReadFull(r, b[lo:hi]); err != nil {
-			return err
+		for size < hi {
+			size *= 2
 		}
-		s.crc = crc32.Update(s.crc, castagnoli, b[lo:hi])
+		s.buf = s.grow(min(size, s.size) / s.width)
+	}
+	b := s.buf[lo:hi]
+	if _, err := io.ReadFull(r, b); err != nil {
+		return err
+	}
+	s.crc = crc32.Update(s.crc, castagnoli, b)
+	if s.bools {
+		for i, v := range b {
+			if v > 1 {
+				return fmt.Errorf("%w: %s byte %d is %d, not 0 or 1", ErrDesync, s.what, lo+i, v)
+			}
+		}
+	}
+	if !hostLittleEndian {
+		leOrder(b, b, s.width)
 	}
 	s.got = hi
 	return nil
-}
-
-// growSlab returns buf with room for need elements of a size-element slab:
-// the first call allocates first elements (at least need), later ones
-// double, and none goes past size.
-func growSlab[T any](buf []T, need, first, size int) []T {
-	if need <= len(buf) {
-		return buf
-	}
-	n := len(buf)
-	if n == 0 {
-		n = first
-	}
-	for n < need {
-		n *= 2
-	}
-	grown := make([]T, min(n, size))
-	copy(grown, buf)
-	return grown
 }
 
 // readBatch reads frames until a request batch is complete and returns it
@@ -655,11 +948,9 @@ func readBatch(r *requestReader) ([]Request, int64, uint64, error) {
 	}
 }
 
-// --- raw float64 slab I/O -------------------------------------------------
-
 // hostLittleEndian reports whether the native byte order matches the wire
-// order; when it does, slabs move as zero-copy writes and reads of the
-// float64 backing array's byte view.
+// order; when it does, slabs move as zero-copy writes and reads of their
+// arrays' byte views.
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{0x34, 0x12}) == 0x1234
 
 // slabChunk is the largest chunk frame, the quantum after which a writer
@@ -667,50 +958,13 @@ var hostLittleEndian = binary.NativeEndian.Uint16([]byte{0x34, 0x12}) == 0x1234
 // conversion buffers.
 const slabChunk = 64 << 10
 
-// slabPool recycles the conversion buffers used when a slab cannot be
-// moved zero-copy (big-endian hosts). Matrix destination slabs are never
-// pooled — only these transient staging chunks are.
+// slabPool recycles the conversion buffers used when a slab of words
+// cannot be written zero-copy (big-endian hosts). Destination slabs are
+// never pooled — only these transient staging chunks are.
 var slabPool = sync.Pool{New: func() any {
 	b := make([]byte, slabChunk)
 	return &b
 }}
-
-// floatBytes reinterprets f as its raw byte view (no copy). Only valid
-// when host and wire byte order agree.
-func floatBytes(f []float64) []byte {
-	if len(f) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), len(f)*8)
-}
-
-// readFloatSlab fills f from raw little-endian bytes: zero-copy into the
-// destination slab on little-endian hosts.
-func readFloatSlab(r io.Reader, f []float64) error {
-	if hostLittleEndian {
-		_, err := io.ReadFull(r, floatBytes(f))
-		return err
-	}
-	return readFloatSlabPortable(r, f)
-}
-
-// readFloatSlabPortable is the explicit-conversion read path.
-func readFloatSlabPortable(r io.Reader, f []float64) error {
-	bp := slabPool.Get().(*[]byte)
-	defer slabPool.Put(bp)
-	buf := *bp
-	for len(f) > 0 {
-		n := min(len(f), len(buf)/8)
-		if _, err := io.ReadFull(r, buf[:n*8]); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			f[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-		f = f[n:]
-	}
-	return nil
-}
 
 // --- handshake ------------------------------------------------------------
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -90,8 +91,8 @@ func TestFloatSlabGoldenBytes(t *testing.T) {
 	}
 
 	writers := map[string]func(*frameWriter) error{
-		"native":   func(fw *frameWriter) error { return fw.slabs(Payload{Values: vals}) },
-		"portable": func(fw *frameWriter) error { return fw.floatSlabPortable(vals) },
+		"native":   func(fw *frameWriter) error { return slabOf(vals).eachChunk(fw.chunk) },
+		"portable": func(fw *frameWriter) error { return slabOf(vals).eachChunkPortable(fw.chunk) },
 	}
 	for name, write := range writers {
 		ts := newTestStream()
@@ -103,13 +104,25 @@ func TestFloatSlabGoldenBytes(t *testing.T) {
 		}
 	}
 
-	readers := map[string]func(*bytes.Reader, []float64) error{
-		"native":   func(r *bytes.Reader, f []float64) error { return readFloatSlab(r, f) },
-		"portable": func(r *bytes.Reader, f []float64) error { return readFloatSlabPortable(r, f) },
+	readers := map[string]func([]byte) ([]float64, error){
+		"native": func(b []byte) ([]float64, error) {
+			var got []float64
+			s := newSlab(&got, "values", wireSlab{Size: len(b), CRC: crc32.Checksum(b, castagnoli)})
+			err := s.fill(bytes.NewReader(b), len(b))
+			if err == nil && s.crc != s.want {
+				err = errors.New("checksum mismatch")
+			}
+			return got, err
+		},
+		"portable": func(b []byte) ([]float64, error) {
+			got := make([]float64, len(b)/8)
+			leOrder(asBytes(got), b, 8)
+			return got, nil
+		},
 	}
 	for name, read := range readers {
-		got := make([]float64, len(vals))
-		if err := read(bytes.NewReader(golden[chunkHeaderLen:]), got); err != nil {
+		got, err := read(golden[chunkHeaderLen:])
+		if err != nil {
 			t.Fatalf("%s read: %v", name, err)
 		}
 		for i := range vals {
@@ -120,48 +133,55 @@ func TestFloatSlabGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestFloatSlabPortableChunking pushes a slab past one 64 KiB chunk so the
-// chunk loops of both paths are exercised: the portable writer must emit
-// the same frames as the zero-copy one, each at most slabChunk bytes, and
-// the portable reader must rebuild the slab from them.
+// TestFloatSlabPortableChunking pushes slabs of every word width past one
+// 64 KiB chunk so the chunk loops of both paths are exercised: the
+// portable writer must emit the same frames as the zero-copy one, each at
+// most slabChunk bytes of whole words, and converting them back must
+// rebuild the slab.
 func TestFloatSlabPortableChunking(t *testing.T) {
 	vals := make([]float64, 3*slabChunk/8+5) // ~3.6 chunks
+	offs := make([]uint32, 3*slabChunk/4+3)
 	for i := range vals {
 		vals[i] = float64(i) * 0.5
 	}
-	portable, native := newTestStream(), newTestStream()
-	if err := portable.writer(3).floatSlabPortable(vals); err != nil {
-		t.Fatal(err)
+	for i := range offs {
+		offs[i] = uint32(i) * 0x01020304
 	}
-	if err := native.writer(3).slabs(Payload{Values: vals}); err != nil {
-		t.Fatal(err)
-	}
-	stream := portable.bytes(t)
-	if !bytes.Equal(stream, native.bytes(t)) {
-		t.Fatal("portable and zero-copy writers framed the slab differently")
-	}
-	if want := len(vals)*8 + 4*chunkHeaderLen; len(stream) != want {
-		t.Fatalf("portable write emitted %d bytes, want %d (four chunk frames)", len(stream), want)
-	}
-	got := make([]float64, len(vals))
-	r := bytes.NewReader(stream)
-	for off := 0; off < len(got); {
-		var hdr [chunkHeaderLen]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	for _, s := range []outSlab{slabOf(vals), slabOf(offs)} {
+		portable, native := newTestStream(), newTestStream()
+		if err := s.eachChunkPortable(portable.writer(3).chunk); err != nil {
 			t.Fatal(err)
 		}
-		n := int(binary.LittleEndian.Uint32(hdr[9:])) / 8
-		if n*8 > slabChunk {
-			t.Fatalf("chunk of %d bytes exceeds slabChunk", n*8)
-		}
-		if err := readFloatSlabPortable(r, got[off:off+n]); err != nil {
+		if err := s.eachChunk(native.writer(3).chunk); err != nil {
 			t.Fatal(err)
 		}
-		off += n
-	}
-	for i := range vals {
-		if got[i] != vals[i] {
-			t.Fatalf("chunked round trip diverged at %d: %v != %v", i, got[i], vals[i])
+		stream := portable.bytes(t)
+		if !bytes.Equal(stream, native.bytes(t)) {
+			t.Fatalf("width %d: portable and zero-copy writers framed the slab differently", s.width)
+		}
+		if want := len(s.b) + 4*chunkHeaderLen; len(stream) != want {
+			t.Fatalf("width %d: portable write emitted %d bytes, want %d (four chunk frames)", s.width, len(stream), want)
+		}
+		got := make([]byte, 0, len(s.b))
+		r := bytes.NewReader(stream)
+		for len(got) < len(s.b) {
+			var hdr [chunkHeaderLen]byte
+			if _, err := io.ReadFull(r, hdr[:]); err != nil {
+				t.Fatal(err)
+			}
+			n := int(binary.LittleEndian.Uint32(hdr[9:]))
+			if n > slabChunk || n%s.width != 0 {
+				t.Fatalf("width %d: chunk of %d bytes", s.width, n)
+			}
+			c := make([]byte, n)
+			if _, err := io.ReadFull(r, c); err != nil {
+				t.Fatal(err)
+			}
+			leOrder(c, c, s.width)
+			got = append(got, c...)
+		}
+		if !bytes.Equal(got, s.b) {
+			t.Fatalf("width %d: chunked round trip diverged", s.width)
 		}
 	}
 }
@@ -184,12 +204,12 @@ func payloadEqual(a, b Payload) bool {
 	if (a.Bytes == nil) != (b.Bytes == nil) || !bytes.Equal(a.Bytes, b.Bytes) {
 		return false
 	}
-	return reflect.DeepEqual(a.Frame, b.Frame)
+	return columnsEqual(a.Frame, b.Frame) == ""
 }
 
 // wirePayloadCases covers every PayloadKind plus the slab edge shapes:
-// nil vs present-but-empty, single element, multi-chunk large, and the
-// non-finite values raw IEEE framing must preserve.
+// nil vs present-but-empty, single element, multi-chunk large, the
+// non-finite values raw IEEE framing must preserve, and frameCases.
 func wirePayloadCases() map[string]Payload {
 	big := matrix.Rand(rand.New(rand.NewSource(7)), 123, 57, -1, 1)
 	bigVals := big.Data()
@@ -200,7 +220,7 @@ func wirePayloadCases() map[string]Payload {
 		frame.StringColumn("name", []string{"a", "", "c"}),
 		frame.FloatColumn("v", []float64{1, 2, 3}),
 	)
-	return map[string]Payload{
+	cases := map[string]Payload{
 		"none":         {},
 		"matrix-1x1":   MatrixPayload(matrix.FromRows([][]float64{{42.5}})),
 		"matrix-empty": {Kind: PayloadMatrix, Rows: 0, Cols: 0, Values: []float64{}},
@@ -210,6 +230,10 @@ func wirePayloadCases() map[string]Payload {
 		"bytes-empty":  BytesPayload([]byte{}),
 		"frame":        FramePayload(f),
 	}
+	for name, f := range frameCases() {
+		cases["frame-"+name] = FramePayload(f)
+	}
+	return cases
 }
 
 // TestWireBatchRoundTrip frames request batches through an in-memory
@@ -241,6 +265,7 @@ func TestWireBatchRoundTrip(t *testing.T) {
 			if !payloadEqual(g.Data, req.Data) {
 				t.Fatalf("payload diverged:\n got %+v\nwant %+v", g.Data, req.Data)
 			}
+			checkStringViews(t, g.Data.Frame)
 		})
 		id++
 		batch = append(batch, Request{Type: Put, ID: id, Data: p})
@@ -277,6 +302,8 @@ func TestWireReplyRoundTrip(t *testing.T) {
 		{OK: true, Data: cases["matrix-large"], Epoch: 0xfeed},
 		{OK: false, Err: "no object 4", Epoch: 0xfeed},
 		{OK: true, Data: cases["bytes"], Epoch: 0xfeed},
+		{OK: true, Data: cases["frame-edge-cells"], Epoch: 0xfeed},
+		{OK: true, Data: cases["frame-multi-chunk-strings"], Epoch: 0xfeed},
 	}
 	ts := newTestStream()
 	if err := writeReply(ts.writer(77), resps, 12345); err != nil {
@@ -319,7 +346,7 @@ func TestReadPayloadRejectsCorruptLengths(t *testing.T) {
 	}
 	for name, wp := range cases {
 		ts := newTestStream()
-		env := requestEnvelope([]Request{{Type: Put, ID: 1}}, 0, 1)
+		env := requestEnvelope(t, []Request{{Type: Put, ID: 1}}, 0, 1)
 		env.Requests[0].Data = wp
 		if err := ts.writer(1).envelope(env); err != nil {
 			t.Fatal(err)
@@ -335,11 +362,13 @@ func TestReadPayloadRejectsCorruptLengths(t *testing.T) {
 }
 
 // oldPreludes are what builds of the earlier wire formats send and answer
-// with: v1 (gob or binary by a sniffed byte) and v2 (whole slabs behind
-// their envelope, no chunk frames).
+// with: v1 (gob or binary by a sniffed byte), v2 (whole slabs behind
+// their envelope, no chunk frames) and v3 (frames gob-encoded inside the
+// envelope).
 var oldPreludes = map[string][5]byte{
 	"v1": {0x00, 'X', 'D', 'R', 1},
 	"v2": {0x00, 'X', 'D', 'R', 2},
+	"v3": {0x00, 'X', 'D', 'R', 3},
 }
 
 // TestWireVersionMismatchClient: a client that reaches an older server
@@ -375,7 +404,7 @@ func TestWireVersionMismatchClient(t *testing.T) {
 			if !errors.Is(err, ErrWireVersion) {
 				t.Fatalf("dial to a %s server = %v, want ErrWireVersion", name, err)
 			}
-			if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "v3") {
+			if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "v4") {
 				t.Fatalf("error %q does not name both versions", err)
 			}
 		})
@@ -417,7 +446,7 @@ func TestWireVersionMismatchServer(t *testing.T) {
 			if !errors.Is(err, ErrWireVersion) {
 				t.Fatalf("serverHandshake with a %s client = %v, want ErrWireVersion", name, err)
 			}
-			if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "v3") {
+			if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "v4") {
 				t.Fatalf("server error %q does not name both versions", err)
 			}
 		})
@@ -458,8 +487,35 @@ func decodeStream(data []byte, reply bool) (map[uint64][]Payload, error) {
 // every torn interleave is a typed desync — never a batch completed from
 // another tag's bytes.
 func TestInterleavedStreamReassembly(t *testing.T) {
-	bulk := MatrixPayload(matrix.Rand(rand.New(rand.NewSource(5)), 300, 60, -1, 1))
 	small := MatrixPayload(matrix.FromRows([][]float64{{1, -2}, {math.NaN(), math.Inf(1)}}))
+	for name, bulk := range map[string]Payload{
+		"matrix": MatrixPayload(matrix.Rand(rand.New(rand.NewSource(5)), 300, 60, -1, 1)),
+		"frame":  interleaveFrame(),
+	} {
+		t.Run(name, func(t *testing.T) { checkInterleave(t, bulk, small) })
+	}
+}
+
+// interleaveFrame is a multi-chunk frame payload whose first slab spans
+// several chunks of whole floats and whose last slab, an NA mask, is one
+// chunk of over a thousand bytes.
+func interleaveFrame() Payload {
+	const rows = 20000
+	vals, cells, na := make([]float64, rows), make([]string, rows), make([]bool, rows)
+	for i := range vals {
+		vals[i] = float64(i) - 0.5
+		cells[i] = strings.Repeat("ß", i%7)
+		na[i] = i%11 == 0
+	}
+	return FramePayload(frame.MustNew(
+		frame.FloatColumn("v", vals),
+		&frame.Column{Name: "s", Type: frame.String, Strings: cells, NA: na},
+	))
+}
+
+// checkInterleave decodes a bulk call interleaved with a small one, in
+// both directions, clean and torn.
+func checkInterleave(t *testing.T, bulk, small Payload) {
 	for _, reply := range []bool{false, true} {
 		done, err := decodeStream(interleavedStream(t, reply, 1, 2, bulk, small, nil), reply)
 		if err != io.EOF {
@@ -501,7 +557,7 @@ func TestInterleavedStreamReassembly(t *testing.T) {
 
 	// A chunk longer than what is left of its slab.
 	ts := newTestStream()
-	if err := ts.writer(4).envelope(requestEnvelope([]Request{{Type: Put, ID: 4, Data: small}}, 0, 4)); err != nil {
+	if err := ts.writer(4).envelope(requestEnvelope(t, []Request{{Type: Put, ID: 4, Data: small}}, 0, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := decodeStream(append(ts.bytes(t), chunkFrame(4, make([]byte, 40))...), false); !errors.Is(err, ErrDesync) {
@@ -510,7 +566,7 @@ func TestInterleavedStreamReassembly(t *testing.T) {
 
 	// A forged slab checksum surfaces when the slab completes.
 	ts = newTestStream()
-	env := requestEnvelope([]Request{{Type: Put, ID: 1, Data: small}}, 0, 3)
+	env := requestEnvelope(t, []Request{{Type: Put, ID: 1, Data: small}}, 0, 3)
 	env.Requests[0].Data.ValsCRC ^= 1
 	if err := ts.writer(3).envelope(env); err != nil {
 		t.Fatal(err)
@@ -529,7 +585,7 @@ func TestFrameReaderBoundsOpenBatches(t *testing.T) {
 	ts := newTestStream()
 	p := MatrixPayload(matrix.Fill(2, 2, 1))
 	for tag := uint64(1); tag <= 9; tag++ {
-		if err := ts.writer(tag).envelope(requestEnvelope([]Request{{Type: Put, Data: p}}, 0, tag)); err != nil {
+		if err := ts.writer(tag).envelope(requestEnvelope(t, []Request{{Type: Put, Data: p}}, 0, tag)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -543,7 +599,7 @@ func TestFrameReaderBoundsOpenBatches(t *testing.T) {
 	n := 1 << 27
 	ts = newTestStream()
 	for tag := uint64(1); tag <= window; tag++ {
-		env := requestEnvelope([]Request{{Type: Put, Data: Payload{Kind: PayloadMatrix, Rows: n, Cols: 1, Values: []float64{}}}}, 0, tag)
+		env := requestEnvelope(t, []Request{{Type: Put, Data: Payload{Kind: PayloadMatrix, Rows: n, Cols: 1, Values: []float64{}}}}, 0, tag)
 		env.Requests[0].Data.NVals = n
 		if err := ts.writer(tag).envelope(env); err != nil {
 			t.Fatal(err)

@@ -214,6 +214,31 @@ func (f *Frame) SliceRows(beg, end int) *Frame {
 	return &Frame{cols: cols}
 }
 
+// RowView returns rows [beg, end) as a view: the new frame's columns share
+// f's arrays (capped at end, so appending to one cannot write into f), and
+// neither may be mutated while the other is in use.
+func (f *Frame) RowView(beg, end int) *Frame {
+	cols := make([]*Column, len(f.cols))
+	for i, c := range f.cols {
+		v := &Column{Name: c.Name, Type: c.Type,
+			Floats: window(c.Floats, beg, end), Ints: window(c.Ints, beg, end),
+			Strings: window(c.Strings, beg, end), Bools: window(c.Bools, beg, end)}
+		if c.NA != nil {
+			v.NA = c.NA[beg:end:end]
+		}
+		cols[i] = v
+	}
+	return &Frame{cols: cols}
+}
+
+// window returns s[beg:end] capped at end, or nil when s is empty.
+func window[T any](s []T, beg, end int) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s[beg:end:end]
+}
+
 // RBind vertically concatenates frames with identical schemas (names and
 // types, in order).
 func RBind(fs ...*Frame) (*Frame, error) {

@@ -169,3 +169,25 @@ func TestValueTypeString(t *testing.T) {
 		t.Fatal("ValueType.String")
 	}
 }
+
+func TestRowView(t *testing.T) {
+	f := MustNew(
+		FloatColumn("B", []float64{2100, 5500, 1.5}),
+		&Column{Name: "S", Type: String, Strings: []string{"a", "", "c"}, NA: []bool{false, true, false}},
+	)
+	v := f.RowView(1, 3)
+	if v.NumRows() != 2 || v.Column(0).MustFloat(1) != 1.5 || !v.Column(1).IsNA(0) || v.Column(1).AsString(1) != "c" {
+		t.Fatal("RowView cells")
+	}
+	// Views share the parent's arrays, capped at the end of the view so
+	// that an append cannot write into the parent.
+	if &v.Column(0).Floats[0] != &f.Column(0).Floats[1] || &v.Column(1).NA[0] != &f.Column(1).NA[1] {
+		t.Fatal("RowView copied its parent's arrays")
+	}
+	if c := v.Column(1); cap(c.Strings) != 2 || cap(c.NA) != 2 || c.Floats != nil {
+		t.Fatalf("RowView column has capacity %d/%d and floats %v", cap(c.Strings), cap(c.NA), c.Floats)
+	}
+	if e := f.RowView(3, 3); e.NumRows() != 0 || e.NumCols() != 2 {
+		t.Fatal("empty RowView")
+	}
+}
