@@ -30,7 +30,8 @@
 #                      each, so every kernel benchmark compiles and executes
 #                      on every run instead of rotting (timings are not
 #                      gated);
-#   7. fuzz smoke     — the Go-native fuzz targets each run for 10s: the
+#   7. fuzz smoke     — the Go-native fuzz targets each run for 10s, with
+#                      no minimisation of new inputs: the
 #                      two one-batch wire decode paths and the multi-tag
 #                      stream decoder (forged lengths, truncation,
 #                      corruption and torn interleaves of chunk frames must
@@ -41,7 +42,8 @@
 #                      bit for bit; and the aggregate kernels, whose every
 #                      op (full, row, column and partials, with and
 #                      without an op) must equal the all-statistics
-#                      reference pass bit for bit on NaN, ±Inf and ±0;
+#                      reference pass bit for bit on NaN, ±Inf and ±0, on
+#                      the Go and on the AVX2 kernels;
 #                      and the AVX2 product kernels (MatMul, TMatMul,
 #                      TSMM, MMChain), which must equal the Go kernels bit
 #                      for bit on ragged shapes of NaN, ±Inf and ±0 cells
@@ -117,14 +119,16 @@ go test -run '^$' -bench . -benchtime 1x ./internal/matrix
 echo "ci.sh: kernel benchmarks ran"
 
 # Fuzz smoke: 10 seconds per target. A finding lands in the package's
-# testdata/fuzz/ and fails the run.
-go test -run='^$' -fuzz='^FuzzWireEnvelope$' -fuzztime=10s ./internal/fedrpc/
-go test -run='^$' -fuzz='^FuzzWireReply$' -fuzztime=10s ./internal/fedrpc/
-go test -run='^$' -fuzz='^FuzzWireStream$' -fuzztime=10s ./internal/fedrpc/
-go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/frame/
-go test -run='^$' -fuzz='^FuzzAggKernels$' -fuzztime=10s ./internal/matrix/
-go test -run='^$' -fuzz='^FuzzProductKernels$' -fuzztime=10s ./internal/matrix/
-go test -run='^$' -fuzz='^FuzzElementwise$' -fuzztime=10s ./internal/matrix/
+# testdata/fuzz/ and fails the run. Minimisation of inputs that widen
+# coverage is off: with it, a target spends most of its 10 s minimising and
+# runs only a few dozen inputs.
+go test -run='^$' -fuzz='^FuzzWireEnvelope$' -fuzztime=10s -fuzzminimizetime=0 ./internal/fedrpc/
+go test -run='^$' -fuzz='^FuzzWireReply$' -fuzztime=10s -fuzzminimizetime=0 ./internal/fedrpc/
+go test -run='^$' -fuzz='^FuzzWireStream$' -fuzztime=10s -fuzzminimizetime=0 ./internal/fedrpc/
+go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s -fuzzminimizetime=0 ./internal/frame/
+go test -run='^$' -fuzz='^FuzzAggKernels$' -fuzztime=10s -fuzzminimizetime=0 ./internal/matrix/
+go test -run='^$' -fuzz='^FuzzProductKernels$' -fuzztime=10s -fuzzminimizetime=0 ./internal/matrix/
+go test -run='^$' -fuzz='^FuzzElementwise$' -fuzztime=10s -fuzzminimizetime=0 ./internal/matrix/
 echo "ci.sh: fuzz smoke passed"
 
 # /metrics smoke test: boot a real worker with the endpoint enabled, scrape

@@ -728,6 +728,9 @@ func (b *openBatch[E]) complete() error {
 // checkPayload rejects a slab descriptor a hostile or corrupted envelope
 // could carry before anything is allocated for it.
 func checkPayload(wp wirePayload) error {
+	if wp.Rows < 0 || wp.Cols < 0 {
+		return fmt.Errorf("%w: negative payload shape %dx%d", ErrDesync, wp.Rows, wp.Cols)
+	}
 	if wp.NVals < -1 || int64(wp.NVals)*8 > maxSlabBytes {
 		return fmt.Errorf("%w: invalid values-slab length %d", ErrDesync, wp.NVals)
 	}
@@ -932,7 +935,8 @@ func (s *slab) fill(r io.Reader, n int) error {
 
 // readBatch reads frames until a request batch is complete and returns it
 // with its relative deadline (0 when the caller set none) and call tag. An
-// untagged batch could not be answered and is rejected as a desync.
+// untagged batch could not be answered, and a negative deadline is no
+// budget a caller can grant, so both are rejected as a desync.
 func readBatch(r *requestReader) ([]Request, int64, uint64, error) {
 	for {
 		tag, b, err := r.readFrame()
@@ -943,6 +947,9 @@ func readBatch(r *requestReader) ([]Request, int64, uint64, error) {
 			return nil, 0, 0, fmt.Errorf("%w: request batch without a call tag", ErrDesync)
 		}
 		if b != nil {
+			if b.env.DeadlineNanos < 0 {
+				return nil, 0, 0, fmt.Errorf("%w: request batch with negative deadline %d", ErrDesync, b.env.DeadlineNanos)
+			}
 			return b.env.requests(b.data), b.env.DeadlineNanos, tag, nil
 		}
 	}

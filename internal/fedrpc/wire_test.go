@@ -482,6 +482,16 @@ func decodeStream(data []byte, reply bool) (map[uint64][]Payload, error) {
 	}
 }
 
+// TestNegativeDeadlineIsDesync: a negative deadline grants no budget, so
+// the server rejects the batch instead of running it without one.
+func TestNegativeDeadlineIsDesync(t *testing.T) {
+	t.Parallel()
+	_, _, _, err := readBatch(requestStreamReader(encodeBatch(t, []Request{{Type: Clear}}, -1, 2)))
+	if !errors.Is(err, ErrDesync) || !strings.Contains(err.Error(), "negative deadline") {
+		t.Fatalf("batch with deadline -1 = %v, want the negative-deadline desync", err)
+	}
+}
+
 // TestInterleavedStreamReassembly decodes the fuzz seeds' streams in both
 // directions: the clean interleave reassembles both calls bitwise, and
 // every torn interleave is a typed desync — never a batch completed from

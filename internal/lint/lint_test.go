@@ -334,6 +334,22 @@ func TestLoadDirNoGoFiles(t *testing.T) {
 	}
 }
 
+// TestLoadDirHonoursBuildConstraints: a package with an _amd64.go file and
+// a //go:build !amd64 file that declare the same names loads without type
+// errors, from exactly the files go build would compile here.
+func TestLoadDirHonoursBuildConstraints(t *testing.T) {
+	pkg, err := fixtureLoader(t).LoadDir(filepath.Join("testdata", "buildtagtd"), "fixture/buildtagtd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkg.TypeErrors) > 0 {
+		t.Fatalf("type errors: %v", pkg.TypeErrors)
+	}
+	if n := len(pkg.Files); n != 2 {
+		t.Fatalf("loaded %d files, want buildtagtd.go and one kernel file", n)
+	}
+}
+
 // TestSelfLint is the keystone: the production rule set must report zero
 // findings on the repository itself. Any new violation lands here (and in
 // ci.sh) before it lands on a federated worker.

@@ -100,6 +100,15 @@ func stdImporter() types.ImporterFrom {
 	return stdImp
 }
 
+// buildCtx decides which files of a directory make up its package: those
+// whose file name and //go:build line match this host's GOOS and GOARCH, as
+// go build picks them. Cgo is off, as for the standard library.
+var buildCtx = func() build.Context {
+	c := build.Default
+	c.CgoEnabled = false
+	return c
+}()
+
 // Loader loads and type-checks packages of one module from source, using
 // only the standard library. Module-local imports are resolved by mapping
 // the import path under the module root; everything else goes to the
@@ -208,6 +217,11 @@ func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := buildCtx.MatchFile(dir, name); err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)

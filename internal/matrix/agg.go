@@ -108,45 +108,87 @@ func (s stats) result(op AggOp, n int) float64 {
 	}
 }
 
+// fullSweep is the cells one sweep of minAVX2 and maxAVX2 takes. Shorter
+// cell sets, such as the narrow rows RowAgg passes, stay on the Go loops.
+const fullSweep = 16
+
 // fullStats computes the statistics sel selects over d, each as one chain in
 // data order, one pass per statistic set. Sums add; minima keep v < lo and
 // maxima v > hi, so NaN never becomes an extreme and the first of -0 and +0
 // is kept.
+//
+// On the AVX2 path the sums are the same chains in assembly, and minima and
+// maxima run over lanes that merge by value: that value is the chain's
+// unless it is zero, where the chain keeps the first zero in data order, so
+// a zero extreme is read back from the cells.
 func fullStats(d []float64, sel Stats) stats {
 	s := emptyStats()
+	vec := useAVX2 && len(d) >= fullSweep
 	if sel&StatSumSq != 0 {
-		sum, sq := 0.0, 0.0
-		for _, v := range d {
-			sum += v
-			sq += v * v
+		if vec {
+			s.sum, s.sumSq = sumSqAVX2(&d[0], len(d))
+		} else {
+			sum, sq := 0.0, 0.0
+			for _, v := range d {
+				sum += v
+				sq += v * v
+			}
+			s.sum, s.sumSq = sum, sq
 		}
-		s.sum, s.sumSq = sum, sq
 	} else if sel&StatSum != 0 {
-		sum := 0.0
-		for _, v := range d {
-			sum += v
+		if vec {
+			s.sum = sumAVX2(&d[0], len(d))
+		} else {
+			sum := 0.0
+			for _, v := range d {
+				sum += v
+			}
+			s.sum = sum
 		}
-		s.sum = sum
 	}
 	if sel&StatMin != 0 {
-		lo := s.mn
-		for _, v := range d {
+		lo, rest := s.mn, d
+		if vec {
+			n := len(d) &^ (fullSweep - 1)
+			lo, rest = minAVX2(&d[0], n), d[n:]
+		}
+		for _, v := range rest {
 			if v < lo {
 				lo = v
 			}
 		}
+		if vec && lo == 0 {
+			lo = firstZero(d)
+		}
 		s.mn = lo
 	}
 	if sel&StatMax != 0 {
-		hi := s.mx
-		for _, v := range d {
+		hi, rest := s.mx, d
+		if vec {
+			n := len(d) &^ (fullSweep - 1)
+			hi, rest = maxAVX2(&d[0], n), d[n:]
+		}
+		for _, v := range rest {
 			if v > hi {
 				hi = v
 			}
 		}
+		if vec && hi == 0 {
+			hi = firstZero(d)
+		}
 		s.mx = hi
 	}
 	return s
+}
+
+// firstZero returns the first of d's cells that is -0 or +0; d has one.
+func firstZero(d []float64) float64 {
+	for _, v := range d {
+		if v == 0 {
+			return v
+		}
+	}
+	panic("matrix: no zero cell")
 }
 
 // Agg computes a full aggregation over all cells.
@@ -189,10 +231,25 @@ func filled(n int, v float64) []float64 {
 // The column kernels fold the row-major rows of d, as wide as their
 // accumulators, into those accumulators four rows per sweep. Every column
 // keeps row order: s = s + v0 + v1 + v2 + v3 is four sequential adds, and
-// an extreme compares the four cells in turn.
+// an extreme compares the four cells in turn. On the AVX2 path the whole
+// sweeps run in assembly, one lane per column, and the Go loops take the
+// last rows.
+
+// vecRows returns how many rows of d, c cells each, the AVX2 column
+// kernels take: its whole sweeps of four, or none off the AVX2 path.
+func vecRows(d []float64, c int) int {
+	if !useAVX2 {
+		return 0
+	}
+	return len(d) / c &^ 3
+}
 
 func colSums(d, sum []float64) {
 	c := len(sum)
+	if n := vecRows(d, c); n > 0 {
+		colSumsAVX2(&d[0], c, n, &sum[0])
+		d = d[n*c:]
+	}
 	for ; len(d) >= 4*c; d = d[4*c:] {
 		r0, r1, r2, r3 := d[:c], d[c:][:c], d[2*c:][:c], d[3*c:][:c]
 		for j, s := range sum {
@@ -210,6 +267,10 @@ func colSums(d, sum []float64) {
 func colMoments(d, sum, sq []float64) {
 	c := len(sum)
 	sq = sq[:c]
+	if n := vecRows(d, c); n > 0 {
+		colMomentsAVX2(&d[0], c, n, &sum[0], &sq[0])
+		d = d[n*c:]
+	}
 	for ; len(d) >= 4*c; d = d[4*c:] {
 		r0, r1, r2, r3 := d[:c], d[c:][:c], d[2*c:][:c], d[3*c:][:c]
 		for j, s := range sum {
@@ -230,6 +291,10 @@ func colMoments(d, sum, sq []float64) {
 
 func colMins(d, mn []float64) {
 	c := len(mn)
+	if n := vecRows(d, c); n > 0 {
+		colMinsAVX2(&d[0], c, n, &mn[0])
+		d = d[n*c:]
+	}
 	for ; len(d) >= 4*c; d = d[4*c:] {
 		r0, r1, r2, r3 := d[:c], d[c:][:c], d[2*c:][:c], d[3*c:][:c]
 		for j, lo := range mn {
@@ -248,6 +313,10 @@ func colMins(d, mn []float64) {
 
 func colMaxs(d, mx []float64) {
 	c := len(mx)
+	if n := vecRows(d, c); n > 0 {
+		colMaxsAVX2(&d[0], c, n, &mx[0])
+		d = d[n*c:]
+	}
 	for ; len(d) >= 4*c; d = d[4*c:] {
 		r0, r1, r2, r3 := d[:c], d[c:][:c], d[2*c:][:c], d[3*c:][:c]
 		for j, hi := range mx {

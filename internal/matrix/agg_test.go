@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -220,33 +221,75 @@ func checkAggKernels(m *Dense, split int) error {
 	return nil
 }
 
+// checkAggPaths runs checkAggKernels on the Go kernels and, where the CPU
+// has AVX2, again on the assembly kernels.
+func checkAggPaths(m *Dense, split int) error {
+	defer func() { useAVX2 = haveAVX2 }()
+	for _, vec := range []bool{false, true} {
+		if vec && !haveAVX2 {
+			break
+		}
+		useAVX2 = vec
+		if err := checkAggKernels(m, split); err != nil {
+			return fmt.Errorf("useAVX2 %v: %w", vec, err)
+		}
+	}
+	return nil
+}
+
+// zeroTie returns the picks of n cells that are all fill except a zero of
+// sign first at cell at and a zero of the other sign at cell later: under
+// fuzzCells' picks 3 is +0, 4 is -0, 6 is -2 and 9 is 1.
+func zeroTie(n, at, later int, first, fill byte) []byte {
+	pick := make([]byte, n)
+	for i := range pick {
+		pick[i] = fill
+	}
+	pick[at], pick[later] = first, 7-first
+	return pick
+}
+
 // FuzzAggKernels checks every aggregate kernel against the reference pass
-// bit for bit, on 0-9 rows (row counts that are and are not multiples of
-// the four-row sweep) and 1-7 columns of NaN, ±Inf, ±0, small integers and
-// random values.
+// bit for bit, on the Go and on the AVX2 kernels: 0-17 rows (whole and
+// ragged four-row sweeps) and 1-19 columns (every residue of the four-lane
+// vector, and more than one 16-cell sweep of the full minimum and maximum)
+// of NaN, ±Inf, ±0, small integers and random values. The seeds put ties
+// of -0 and +0 in the first and in a later lane of the lane-merged extremes
+// and fill matrices with NaN alone and with NaN beside ±Inf.
 func FuzzAggKernels(f *testing.F) {
 	f.Add(uint8(0), uint8(3), int64(1), []byte{})
 	f.Add(uint8(4), uint8(1), int64(2), []byte{0, 1, 2, 3})
 	f.Add(uint8(9), uint8(7), int64(3), []byte{4, 3, 4, 3, 0, 1, 2, 5, 11, 12})
 	f.Add(uint8(5), uint8(2), int64(4), []byte{1, 2, 2, 1, 3, 4, 4, 3, 0, 0})
+	// Minima over cells >= 0: the first zero sits in lane 0, or in a later
+	// lane with the other sign in a later sweep's lane 0.
+	f.Add(uint8(2), uint8(15), int64(5), zeroTie(32, 0, 5, 4, 9))
+	f.Add(uint8(2), uint8(15), int64(6), zeroTie(32, 7, 16, 3, 9))
+	// Maxima over cells <= 0, the same ties.
+	f.Add(uint8(3), uint8(11), int64(7), zeroTie(36, 0, 9, 3, 6))
+	f.Add(uint8(3), uint8(11), int64(8), zeroTie(36, 6, 32, 4, 6))
+	// Every cell a zero, +0 first and -0 in every later lane.
+	f.Add(uint8(4), uint8(4), int64(9), zeroTie(20, 0, 19, 3, 4))
+	f.Add(uint8(5), uint8(17), int64(10), bytes.Repeat([]byte{0}, 90))
+	f.Add(uint8(6), uint8(18), int64(11), bytes.Repeat([]byte{0, 1, 0, 2, 1, 0}, 19))
 	f.Fuzz(func(t *testing.T, rows, cols uint8, seed int64, pick []byte) {
-		m := fuzzCells(int(rows%10), 1+int(cols%7), seed, pick)
+		m := fuzzCells(int(rows%18), 1+int(cols%19), seed, pick)
 		split := int(uint64(seed) % uint64(m.rows+1))
-		if err := checkAggKernels(m, split); err != nil {
+		if err := checkAggPaths(m, split); err != nil {
 			t.Fatalf("%dx%d split %d: %v\n%v", m.rows, m.cols, split, err, m.data)
 		}
 	})
 }
 
 // TestAggKernelsMatchReference runs the fuzz check over every shape the
-// fuzz target draws, a few seeds each.
+// fuzz target draws, a few seeds each. It flips useAVX2, so it is not
+// parallel.
 func TestAggKernelsMatchReference(t *testing.T) {
-	t.Parallel()
-	for rows := 0; rows < 10; rows++ {
-		for cols := 1; cols <= 7; cols++ {
+	for rows := 0; rows < 18; rows++ {
+		for cols := 1; cols <= 19; cols++ {
 			for seed := int64(0); seed < 4; seed++ {
 				m := fuzzCells(rows, cols, seed*31+int64(rows*7+cols), nil)
-				if err := checkAggKernels(m, int(seed)%(rows+1)); err != nil {
+				if err := checkAggPaths(m, int(seed)%(rows+1)); err != nil {
 					t.Fatalf("%dx%d seed %d: %v", rows, cols, seed, err)
 				}
 			}

@@ -60,3 +60,55 @@ func rowDotsAVX2(m *float64, k int, v *float64, out *float64, n8 int, skip bool)
 //
 //go:noescape
 func mmchainDots4x4AVX2(x *float64, d int, v *float64, k int, s *[16]float64)
+
+// colSumsAVX2 adds rows [0, n) of d (c cells each, n a multiple of four)
+// into sum[0:c] as colSums does: four columns per vector, four rows per
+// sweep, and per column s + v0 + v1 + v2 + v3 in that order.
+//
+//go:noescape
+func colSumsAVX2(d *float64, c, n int, sum *float64)
+
+// colMomentsAVX2 adds rows [0, n) of d (c cells each, n a multiple of four)
+// into sum[0:c] and sq[0:c] as colMoments does: four columns per vector,
+// four rows per sweep, and per column s + v0 + v1 + v2 + v3 and
+// q + v0*v0 + v1*v1 + v2*v2 + v3*v3 in that order.
+//
+//go:noescape
+func colMomentsAVX2(d *float64, c, n int, sum, sq *float64)
+
+// colMinsAVX2 folds rows [0, n) of d (c cells each, n a multiple of four)
+// into mn[0:c] as colMins does, each column comparing its cells in row
+// order.
+//
+//go:noescape
+func colMinsAVX2(d *float64, c, n int, mn *float64)
+
+// colMaxsAVX2 folds rows [0, n) of d into mx[0:c] as colMaxs does.
+//
+//go:noescape
+func colMaxsAVX2(d *float64, c, n int, mx *float64)
+
+// minAVX2 returns the least non-NaN value of d[0:n], n a positive multiple
+// of fullSweep, or +Inf if there is none. Its lanes merge by value, so
+// where the least value is zero its sign is unspecified.
+//
+//go:noescape
+func minAVX2(d *float64, n int) float64
+
+// maxAVX2 returns the greatest non-NaN value of d[0:n] as minAVX2 does,
+// or -Inf if there is none.
+//
+//go:noescape
+func maxAVX2(d *float64, n int) float64
+
+// sumAVX2 returns the sum of d[0:n] from +0 in data order: fullStats' sum
+// chain, on a loop head whose alignment does not depend on the link.
+//
+//go:noescape
+func sumAVX2(d *float64, n int) float64
+
+// sumSqAVX2 returns the sum and the sum of squares of d[0:n] as fullStats'
+// two chains do, on an aligned loop head.
+//
+//go:noescape
+func sumSqAVX2(d *float64, n int) (sum, sq float64)

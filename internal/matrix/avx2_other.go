@@ -23,3 +23,19 @@ func tmatVecAVX2(o, m *float64, k int, y *float64, n4, cnt int) { panic("matrix:
 func rowDotsAVX2(m *float64, k int, v *float64, out *float64, n8 int, skip bool) {
 	panic("matrix: no AVX2 kernels")
 }
+
+func colSumsAVX2(d *float64, c, n int, sum *float64) { panic("matrix: no AVX2 kernels") }
+
+func colMomentsAVX2(d *float64, c, n int, sum, sq *float64) { panic("matrix: no AVX2 kernels") }
+
+func colMinsAVX2(d *float64, c, n int, mn *float64) { panic("matrix: no AVX2 kernels") }
+
+func colMaxsAVX2(d *float64, c, n int, mx *float64) { panic("matrix: no AVX2 kernels") }
+
+func minAVX2(d *float64, n int) float64 { panic("matrix: no AVX2 kernels") }
+
+func maxAVX2(d *float64, n int) float64 { panic("matrix: no AVX2 kernels") }
+
+func sumAVX2(d *float64, n int) float64 { panic("matrix: no AVX2 kernels") }
+
+func sumSqAVX2(d *float64, n int) (sum, sq float64) { panic("matrix: no AVX2 kernels") }

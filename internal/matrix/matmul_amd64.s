@@ -1,23 +1,24 @@
 #include "textflag.h"
 
-// lanes<>+32*(c-1) masks the first c of four lanes.
-DATA lanes<>+0(SB)/8, $-1
-DATA lanes<>+8(SB)/8, $0
-DATA lanes<>+16(SB)/8, $0
-DATA lanes<>+24(SB)/8, $0
-DATA lanes<>+32(SB)/8, $-1
-DATA lanes<>+40(SB)/8, $-1
-DATA lanes<>+48(SB)/8, $0
-DATA lanes<>+56(SB)/8, $0
-DATA lanes<>+64(SB)/8, $-1
-DATA lanes<>+72(SB)/8, $-1
-DATA lanes<>+80(SB)/8, $-1
-DATA lanes<>+88(SB)/8, $0
-DATA lanes<>+96(SB)/8, $-1
-DATA lanes<>+104(SB)/8, $-1
-DATA lanes<>+112(SB)/8, $-1
-DATA lanes<>+120(SB)/8, $-1
-GLOBL lanes<>(SB), RODATA|NOPTR, $128
+// ·laneMasks+32*(c-1) masks the first c of four lanes; the aggregate
+// kernels of agg_amd64.s share it.
+DATA ·laneMasks+0(SB)/8, $-1
+DATA ·laneMasks+8(SB)/8, $0
+DATA ·laneMasks+16(SB)/8, $0
+DATA ·laneMasks+24(SB)/8, $0
+DATA ·laneMasks+32(SB)/8, $-1
+DATA ·laneMasks+40(SB)/8, $-1
+DATA ·laneMasks+48(SB)/8, $0
+DATA ·laneMasks+56(SB)/8, $0
+DATA ·laneMasks+64(SB)/8, $-1
+DATA ·laneMasks+72(SB)/8, $-1
+DATA ·laneMasks+80(SB)/8, $-1
+DATA ·laneMasks+88(SB)/8, $0
+DATA ·laneMasks+96(SB)/8, $-1
+DATA ·laneMasks+104(SB)/8, $-1
+DATA ·laneMasks+112(SB)/8, $-1
+DATA ·laneMasks+120(SB)/8, $-1
+GLOBL ·laneMasks(SB), RODATA|NOPTR, $128
 
 // func matMulPairAVX2(a0, a1, b, o0, o1 *float64, k, p int)
 //
@@ -97,7 +98,7 @@ tile4:
 
 masked:
 	SHLQ    $5, AX
-	LEAQ    lanes<>(SB), R13
+	LEAQ    ·laneMasks(SB), R13
 	VMOVDQU -32(R13)(AX*1), Y9
 	VXORPD  Y0, Y0, Y0
 	VXORPD  Y2, Y2, Y2

@@ -354,6 +354,9 @@ func BenchmarkMMChain(b *testing.B) {
 // benchSink keeps the kernel benchmarks' results live.
 var benchSink *Dense
 
+// benchScalar keeps the full-aggregate benchmarks' results live.
+var benchScalar float64
+
 // BenchmarkTMatMul times t(X) %*% B on the same partition for the p of a
 // vector (LM's t(X)y, L2SVM's gradient), of a few clusters or classes, and
 // of a wide right-hand side.
@@ -409,6 +412,23 @@ func BenchmarkTSMM(b *testing.B) {
 	b.SetBytes(int64(8 * x.Size()))
 	for i := 0; i < b.N; i++ {
 		benchSink = x.TSMM()
+	}
+}
+
+// BenchmarkAgg times the full aggregates of ua_partial on a lan-train
+// partition (20000x100), one case per kernel: the sum chain (sum, mean),
+// the lane-merged minimum and maximum, and the sum and sum-of-squares
+// chains (sd, var).
+func BenchmarkAgg(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := Randn(rng, 20000, 100, 0, 1)
+	for _, op := range []AggOp{AggSum, AggMin, AggMax, AggSD} {
+		b.Run(op.String(), func(b *testing.B) {
+			b.SetBytes(int64(8 * x.Size()))
+			for i := 0; i < b.N; i++ {
+				benchScalar = x.Agg(op)
+			}
+		})
 	}
 }
 
